@@ -36,7 +36,8 @@ __all__ = [
     "load_config",
 ]
 
-# Dispatch table; bench runs look methods up here at call time.
+# The term-method registry: bench runs and the CLI's --method look
+# strategies up here at call time.
 METHODS = {
     "naive": term_naive,
     "matrix": term_matrix,

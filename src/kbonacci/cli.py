@@ -13,9 +13,11 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 
-from .bench import emit_report, load_config, run_bench
+from .bench import METHODS, emit_report, load_config, run_bench
 from .classic_sums import IDENTITIES, verify_classic
 from .decimal_identity import (
     identity_line,
@@ -23,17 +25,11 @@ from .decimal_identity import (
     repunit_denominator,
     verify_decimal_identity,
 )
-from .rational import format_ratio, parse_rational
-from .sequence import range_terms, term_fast, term_matrix, term_naive
+from .rational import EXACT_CONTEXT, format_ratio, int_to_str, parse_rational
+from .sequence import iter_terms, validate_range
 from .series import SeriesPoint, converge_until, evaluate
 
 __all__ = ["build_parser", "parse_and_dispatch", "main"]
-
-_TERM_METHODS = {
-    "naive": term_naive,
-    "matrix": term_matrix,
-    "polymod": term_fast,
-}
 
 # tail-bound target when gf is given neither -N nor --epsilon
 _DEFAULT_EPSILON = Fraction(1, 10**30)
@@ -51,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     term.add_argument("-n", type=int, required=True, help="term index, >= 0")
     term.add_argument(
         "--method",
-        choices=sorted(_TERM_METHODS),
+        choices=sorted(METHODS),
         default="polymod",
         help="computation strategy (default polymod)",
     )
@@ -104,13 +100,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_term(args) -> int:
-    print(_TERM_METHODS[args.method](args.k, args.n))
+    print(int_to_str(METHODS[args.method](args.k, args.n)))
     return 0
 
 
 def _cmd_seq(args) -> int:
-    for value in range_terms(args.k, args.start, args.stop):
-        print(value)
+    # sweep in exact Decimal: seq terms are too short for int_to_str to
+    # help, but str(Decimal) is linear
+    validate_range(args.k, args.start, args.stop)
+    with localcontext(EXACT_CONTEXT):
+        for value in islice(iter_terms(args.k, Decimal(1)), args.start, args.stop + 1):
+            print(value)
     return 0
 
 
@@ -188,8 +188,9 @@ def parse_and_dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # terms can run to hundreds of thousands of digits; lift CPython's
-    # int-to-str guard before any printing
+    # int_to_str keeps its str() calls short, but D_k is built from and
+    # printed as a k-digit string; lift CPython's int/str digit limit
+    # before any handler runs
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:

@@ -15,15 +15,20 @@ Three evaluation strategies are provided:
   an independent implementation for cross-checking the other two.
 
 All functions are pure and operate on plain Python integers, so results
-are exact at any size.
+are exact at any size.  ``Window`` and ``iter_terms`` also sweep in any
+other exact additive type given as ``one`` (the CLI streams ``seq`` in
+``decimal.Decimal`` under ``rational.EXACT_CONTEXT``, since ``str()`` of a
+Decimal is linear in its length).
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, List
 
 __all__ = [
     "validate_order",
+    "validate_range",
     "initial_terms",
     "Window",
     "term_naive",
@@ -43,6 +48,14 @@ def validate_order(k: int) -> int:
     return k
 
 
+def validate_range(k: int, n0: int, n1: int) -> None:
+    """Raise ValueError unless F_{n0} .. F_{n1} of order k is defined."""
+    _validate_index(n0)
+    if n0 > n1:
+        raise ValueError(f"invalid range: n0={n0} > n1={n1}")
+    validate_order(k)
+
+
 def initial_terms(k: int) -> List[int]:
     """First k terms of the order-k sequence: k-1 zeros, then a one."""
     validate_order(k)
@@ -54,18 +67,18 @@ class Window:
 
     Holds terms F_{n-k+1} .. F_n where n is ``head_index``.  ``advance``
     produces the next term and slides the window one step, reusing a ring
-    buffer of k slots so memory stays O(k * term size).
+    buffer of k slots so memory stays O(k * term size).  Terms are
+    multiples of ``one``, so they share its type.
     """
 
     __slots__ = ("order", "head_index", "_buf", "_oldest", "_sum")
 
-    def __init__(self, k: int):
-        validate_order(k)
+    def __init__(self, k: int, one=1):
         self.order = k
         self.head_index = k - 1
-        self._buf = initial_terms(k)
+        self._buf = [one * t for t in initial_terms(k)]
         self._oldest = 0  # index into _buf of the oldest term
-        self._sum = 1  # sum of the k buffered terms
+        self._sum = one  # sum of the k buffered terms
 
     @property
     def terms(self) -> List[int]:
@@ -83,10 +96,14 @@ class Window:
         return new
 
 
-def iter_terms(k: int) -> Iterator[int]:
-    """Yield F_0, F_1, F_2, ... indefinitely."""
-    yield from initial_terms(k)
-    window = Window(k)
+def iter_terms(k: int, one=1) -> Iterator[int]:
+    """Yield F_0, F_1, F_2, ... indefinitely, as multiples of ``one``.
+
+    A ``Decimal`` sweep is exact only under an exact context such as
+    ``rational.EXACT_CONTEXT``; the default context rounds at 28 digits.
+    """
+    window = Window(k, one)
+    yield from window.terms
     while True:
         yield window.advance()
 
@@ -105,16 +122,8 @@ def term_naive(k: int, n: int) -> int:
 
 def range_terms(k: int, n0: int, n1: int) -> List[int]:
     """Terms F_{n0} .. F_{n1} from a single iterative sweep."""
-    _validate_index(n0)
-    if n0 > n1:
-        raise ValueError(f"invalid range: n0={n0} > n1={n1}")
-    out = []
-    for n, value in enumerate(iter_terms(k)):
-        if n > n1:
-            break
-        if n >= n0:
-            out.append(value)
-    return out
+    validate_range(k, n0, n1)
+    return list(islice(iter_terms(k), n0, n1 + 1))
 
 
 def term_fast(k: int, n: int) -> int:

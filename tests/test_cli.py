@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 import kbonacci.cli as cli
+from kbonacci.bench import METHODS
 from kbonacci.classic_sums import ClassicReport, FixedReal
-from kbonacci.series import EvalReport, SeriesPoint
+from kbonacci.sequence import range_terms, term_fast
+from kbonacci.series import EvalReport, SeriesPoint, evaluate
 
 
 def run(capsys, argv):
@@ -41,6 +43,18 @@ class TestTerm:
         assert code == 2
         assert "usage:" in err
 
+    def test_methods_come_from_the_bench_registry(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["term", "-k", "2", "-n", "1"]).method == "polymod"
+        for name in METHODS:
+            argv = ["term", "-k", "2", "-n", "1", "--method", name]
+            assert parser.parse_args(argv).method == name
+
+    def test_big_term_matches_str(self, capsys):
+        code, out, err = run(capsys, ["term", "-k", "2", "-n", "300000"])
+        assert (code, err) == (0, "")
+        assert out == str(term_fast(2, 300_000)) + "\n"
+
 
 class TestSeq:
     def test_one_term_per_line(self, capsys):
@@ -52,6 +66,32 @@ class TestSeq:
         code, _, err = run(capsys, ["seq", "-k", "2", "--from", "5", "--to", "3"])
         assert code == 2
         assert "usage:" in err
+
+    @pytest.mark.parametrize(
+        "k,n0,n1", [(2, 3000, 3040), (3, 2500, 2520), (16, 5, 40), (16, 4000, 4003)]
+    )
+    def test_windows_match_str(self, capsys, k, n0, n1):
+        argv = ["seq", "-k", str(k), "--from", str(n0), "--to", str(n1)]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{value}\n" for value in range_terms(k, n0, n1))
+
+    @pytest.mark.parametrize(
+        "k,n0,n1,message",
+        [
+            (1, 0, 3, "order must be >= 2, got 1"),
+            (2, -1, 3, "negative indices are not defined, got -1"),
+            (2, 5, 3, "invalid range: n0=5 > n1=3"),
+            # the checks run in range_terms' order: n0, then the range, then k
+            (1, -1, 3, "negative indices are not defined, got -1"),
+            (0, 5, 3, "invalid range: n0=5 > n1=3"),
+        ],
+    )
+    def test_errors_are_usage_errors(self, capsys, k, n0, n1, message):
+        argv = ["seq", "-k", str(k), "--from", str(n0), "--to", str(n1)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}\nusage:")
 
 
 class TestGf:
@@ -75,6 +115,19 @@ class TestGf:
         assert doc["closed"] == "10/89"
         assert doc["pass"] is True
         assert "PASS" not in out.replace('"pass"', "")
+
+    def test_big_json_matches_str(self, capsys):
+        eta = Fraction(3_000_003, 1_000_000)
+        argv = ["gf", "-k", "4", "--eta", "3000003/1000000", "-N", "1500", "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        report = evaluate(SeriesPoint(k=4, eta=eta), 1500)
+        assert report.partial.numerator.bit_length() > 30_000
+        doc = report.to_json_dict()
+        for key in ("partial", "closed", "tail_bound", "residual"):
+            value = getattr(report, key)
+            doc[key] = f"{value.numerator}/{value.denominator}"
+        assert out == json.dumps(doc, indent=2) + "\n"
 
     def test_epsilon_cutoff(self, capsys):
         code, out, _ = run(

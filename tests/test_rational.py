@@ -1,10 +1,17 @@
+import decimal
+import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from kbonacci.rational import (
+    EXACT_CONTEXT,
+    _LEAF_BITS,
     format_ratio,
+    int_to_str,
     parse_rational,
     rat_add,
     rat_cmp,
@@ -12,6 +19,7 @@ from kbonacci.rational import (
     rat_mul,
     rat_pow,
     rat_sub,
+    to_decimal,
     to_decimal_string,
 )
 
@@ -163,3 +171,65 @@ class TestDecimalRendering:
         if rendered.startswith("-"):
             reread = -reread
         assert abs(reread - f) < Fraction(1, 10**d)
+
+
+class TestIntToStr:
+    """int_to_str against str() as the oracle."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def lift_str_limit(self):
+        # the oracle str() needs CPython's int-to-str digit limit lifted
+        if not hasattr(sys, "set_int_max_str_digits"):
+            yield
+            return
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    @given(st.integers(0, 6 * _LEAF_BITS), st.integers(0, 2**32), st.booleans())
+    def test_matches_str_across_widths(self, width, seed, negative):
+        n = random.Random(seed).getrandbits(width)
+        n = -n if negative else n
+        assert int_to_str(n) == str(n)
+
+    @pytest.mark.parametrize(
+        "base,j",
+        [(2, j) for j in (1, 63, _LEAF_BITS - 1, _LEAF_BITS, _LEAF_BITS + 1, 60_000)]
+        + [(10, j) for j in (1, 19, 2_466, 2_467, 4_301, 30_103)],
+    )
+    @pytest.mark.parametrize("d", [-1, 0, 1])
+    def test_boundaries(self, base, j, d):
+        n = base**j + d
+        assert int_to_str(n) == str(n)
+        assert int_to_str(-n) == str(-n)
+
+    def test_to_decimal_is_exact(self):
+        n = 3**40_000
+        assert to_decimal(n) == Decimal(n)
+        assert to_decimal(-n) == Decimal(-n)
+
+    def test_ignores_the_current_context(self):
+        n = 7**30_000
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            assert int_to_str(n) == str(n)
+
+    def test_rounding_raises_under_exact_context(self):
+        assert EXACT_CONTEXT.traps[decimal.Inexact]
+        assert EXACT_CONTEXT.traps[decimal.Rounded]
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            EXACT_CONTEXT.quantize(Decimal("2.5"), Decimal(1))
+        # the same traps at a precision too small for the sum
+        with decimal.localcontext(EXACT_CONTEXT) as ctx:
+            ctx.prec = 10
+            with pytest.raises((decimal.Inexact, decimal.Rounded)):
+                Decimal(10**10) + Decimal(1)
+
+    def test_format_ratio_and_decimal_string_of_big_values(self):
+        value = Fraction(5**20_000 + 1, 3**15_000)
+        num, den = value.numerator, value.denominator
+        assert format_ratio(value) == f"{num}/{den}"
+        digits = 12_000
+        whole, frac = divmod(num * 10**digits // den, 10**digits)
+        assert to_decimal_string(value, digits) == f"{whole}.{frac:0{digits}d}"

@@ -1,5 +1,9 @@
+from decimal import Decimal, localcontext
+from itertools import islice
+
 import pytest
 
+from kbonacci.rational import EXACT_CONTEXT
 from kbonacci.sequence import (
     Window,
     initial_terms,
@@ -127,6 +131,14 @@ class TestWindow:
     def test_iter_terms_prefix(self):
         it = iter_terms(2)
         assert [next(it) for _ in range(9)] == FIB
+
+    @pytest.mark.parametrize("k", [2, 3, 16])
+    def test_decimal_sweep_matches_int_sweep(self, k):
+        with localcontext(EXACT_CONTEXT):
+            values = list(islice(iter_terms(k, Decimal(1)), 3000))
+        assert all(type(v) is Decimal for v in values)
+        assert [int(v) for v in values] == range_terms(k, 0, 2999)
+        assert [str(v) for v in values[:9]] == [str(v) for v in range_terms(k, 0, 8)]
 
 
 class TestRecurrenceProperty:

@@ -62,9 +62,23 @@ class BenchConfig:
     methods: Tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(self.k_values))
-        object.__setattr__(self, "n_values", tuple(self.n_values))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        # the fields come from a user's JSON file: reject wrong types with
+        # ValueError (a usage error), never let them raise TypeError later
+        for name, kind in (
+            ("k_values", int),
+            ("n_values", int),
+            ("methods", str),
+        ):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not all(
+                _of_type(v, kind) for v in values
+            ):
+                raise ValueError(
+                    f"{name} must be a list of {kind.__name__}, got {values!r}"
+                )
+            object.__setattr__(self, name, tuple(values))
+        if not _of_type(self.repetitions, int):
+            raise ValueError(f"repetitions must be an int, got {self.repetitions!r}")
         if not self.k_values:
             raise ValueError("k_values must be non-empty")
         if not self.n_values:
@@ -83,6 +97,11 @@ class BenchConfig:
             raise ValueError(
                 f"unknown methods {unknown}; expected subset of {METHOD_NAMES}"
             )
+
+
+def _of_type(value, kind) -> bool:
+    # bool is an int subclass, but True is no count or index
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -218,6 +237,10 @@ def load_config(path: str) -> BenchConfig:
     """Read a BenchConfig from a JSON file with the field names as keys."""
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise ValueError(
+            f"bench config must be a JSON object, got {type(raw).__name__}"
+        )
     try:
         return BenchConfig(
             k_values=raw["k_values"],

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from decimal import Decimal, localcontext
+from decimal import localcontext
 from fractions import Fraction
 from itertools import islice
 
@@ -25,7 +25,13 @@ from .decimal_identity import (
     repunit_denominator,
     verify_decimal_identity,
 )
-from .rational import EXACT_CONTEXT, format_ratio, int_to_str, parse_rational
+from .rational import (
+    EXACT_CONTEXT,
+    format_ratio,
+    int_to_str,
+    parse_rational,
+    to_decimal,
+)
 from .sequence import iter_terms, validate_range
 from .series import SeriesPoint, converge_until, evaluate
 
@@ -105,11 +111,12 @@ def _cmd_term(args) -> int:
 
 
 def _cmd_seq(args) -> int:
-    # sweep in exact Decimal: seq terms are too short for int_to_str to
-    # help, but str(Decimal) is linear
+    # jump to F_start, then sweep in exact Decimal: str(Decimal) is linear,
+    # and to_decimal converts the big seed terms in subquadratic time
     validate_range(args.k, args.start, args.stop)
     with localcontext(EXACT_CONTEXT):
-        for value in islice(iter_terms(args.k, Decimal(1)), args.start, args.stop + 1):
+        terms = iter_terms(args.k, args.start, to_decimal)
+        for value in islice(terms, args.stop - args.start + 1):
             print(value)
     return 0
 

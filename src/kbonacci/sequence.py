@@ -6,19 +6,29 @@ Fibonacci numbers, k=3 the tribonacci numbers, and so on.
 
 Three evaluation strategies are provided:
 
-* ``term_naive`` / ``range_terms`` -- iterate a sliding window of the last
-  k terms; linear in n, and the only sensible way to get a whole range.
-* ``term_fast`` -- binary exponentiation of x^n modulo the characteristic
-  polynomial x^k - x^(k-1) - ... - x - 1, then a linear combination with
-  the initial terms.  O(k^2 log n) big-integer multiplications.
-* ``term_matrix`` -- k x k companion-matrix power.  O(k^3 log n); kept as
-  an independent implementation for cross-checking the other two.
+* ``term_fast`` -- x^m modulo the characteristic polynomial
+  x^k - x^(k-1) - ... - x - 1 for m = n // 2, by left-to-right
+  square-and-multiply.  Each square is one big-integer multiplication by
+  Kronecker substitution (coefficients packed into the slots of one
+  integer) followed by an O(k) reduction; each multiply by x is k
+  additions.  A final dot product of k half-size products gives F_n.
+  O(log n) squares of about k times the term size.
+* ``term_naive`` -- iterate a sliding window of the last k terms from the
+  initial terms; linear in n.
+* ``term_matrix`` -- k x k companion-matrix power.  O(k^3 log n); kept,
+  with ``term_naive``, as an independent implementation for
+  cross-checking.
+
+``window`` jumps ahead: it returns F_n .. F_{n+count-1} from the one
+residue x^n, in additions after the exponentiation.  ``Window``,
+``iter_terms`` and ``range_terms`` start from such a jump and sweep the
+rest by additions, so a range far from 0 costs no sweep from F_0.
 
 All functions are pure and operate on plain Python integers, so results
 are exact at any size.  ``Window`` and ``iter_terms`` also sweep in any
-other exact additive type given as ``one`` (the CLI streams ``seq`` in
-``decimal.Decimal`` under ``rational.EXACT_CONTEXT``, since ``str()`` of a
-Decimal is linear in its length).
+other exact additive type that ``cast`` converts the seed terms to (the
+CLI streams ``seq`` in ``decimal.Decimal`` under
+``rational.EXACT_CONTEXT``, since ``str()`` of a Decimal is linear).
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ __all__ = [
     "validate_range",
     "initial_terms",
     "Window",
+    "window",
     "term_naive",
     "term_fast",
     "term_matrix",
@@ -65,20 +76,25 @@ def initial_terms(k: int) -> List[int]:
 class Window:
     """Sliding window of the k most recent terms.
 
-    Holds terms F_{n-k+1} .. F_n where n is ``head_index``.  ``advance``
-    produces the next term and slides the window one step, reusing a ring
-    buffer of k slots so memory stays O(k * term size).  Terms are
-    multiples of ``one``, so they share its type.
+    Holds terms F_{n-k+1} .. F_n where n is ``head_index``, starting with
+    F_start .. F_{start+k-1}.  ``advance`` produces the next term and
+    slides the window one step, reusing a ring buffer of k slots so memory
+    stays O(k * term size).  ``cast`` converts the k seed terms; later
+    terms are their sums, so they share its result type.
     """
 
     __slots__ = ("order", "head_index", "_buf", "_oldest", "_sum")
 
-    def __init__(self, k: int, one=1):
+    def __init__(self, k: int, start: int = 0, cast=int):
+        _validate_index(start)
+        # from 0 the seed is the initial terms themselves, which keeps
+        # term_naive, an oracle for the kernel, off the kernel
+        seed = initial_terms(k) if start == 0 else window(k, start, k)
         self.order = k
-        self.head_index = k - 1
-        self._buf = [one * t for t in initial_terms(k)]
+        self.head_index = start + k - 1
+        self._buf = [cast(t) for t in seed]
         self._oldest = 0  # index into _buf of the oldest term
-        self._sum = one  # sum of the k buffered terms
+        self._sum = sum(self._buf)  # sum of the k buffered terms
 
     @property
     def terms(self) -> List[int]:
@@ -96,16 +112,19 @@ class Window:
         return new
 
 
-def iter_terms(k: int, one=1) -> Iterator[int]:
-    """Yield F_0, F_1, F_2, ... indefinitely, as multiples of ``one``.
+def iter_terms(k: int, start: int = 0, cast=int) -> Iterator[int]:
+    """Yield F_start, F_{start+1}, ... indefinitely.
 
-    A ``Decimal`` sweep is exact only under an exact context such as
-    ``rational.EXACT_CONTEXT``; the default context rounds at 28 digits.
+    The first k terms come from one jump-ahead (``window``) and pass
+    through ``cast``; the rest are sums of those.  A ``Decimal`` sweep
+    (``cast=rational.to_decimal``) is exact only under an exact context
+    such as ``rational.EXACT_CONTEXT``; the default context rounds at 28
+    digits.
     """
-    window = Window(k, one)
-    yield from window.terms
+    sweep = Window(k, start, cast)
+    yield from sweep.terms
     while True:
-        yield window.advance()
+        yield sweep.advance()
 
 
 def term_naive(k: int, n: int) -> int:
@@ -114,31 +133,49 @@ def term_naive(k: int, n: int) -> int:
     first = initial_terms(k)
     if n < k:
         return first[n]
-    window = Window(k)
-    while window.head_index < n:
-        value = window.advance()
+    sweep = Window(k)
+    while sweep.head_index < n:
+        value = sweep.advance()
     return value
 
 
 def range_terms(k: int, n0: int, n1: int) -> List[int]:
-    """Terms F_{n0} .. F_{n1} from a single iterative sweep."""
+    """Terms F_{n0} .. F_{n1}: a jump to F_{n0}, then a sweep of additions."""
     validate_range(k, n0, n1)
-    return list(islice(iter_terms(k), n0, n1 + 1))
+    return list(islice(iter_terms(k, n0), n1 - n0 + 1))
 
 
-def term_fast(k: int, n: int) -> int:
-    """n-th term via x^n modulo the characteristic polynomial.
+def window(k: int, n: int, count: int) -> List[int]:
+    """Terms F_n .. F_{n+count-1} from the one residue x^n mod the char poly.
 
-    Computes x^n mod (x^k - x^(k-1) - ... - x - 1) by square-and-multiply,
-    then combines the residue's coefficients linearly with the initial
-    terms.  O(k^2 log n) big-integer multiplications, which makes huge
-    single indices (n in the millions) practical.
+    F_{n+s} is the top coefficient of x^s * (x^n mod the char poly), so
+    past the exponentiation the run costs only additions: O(k + count).
     """
     validate_order(k)
     _validate_index(n)
-    residue = _x_pow_mod(n, k)
-    first = initial_terms(k)
-    return sum(c * f for c, f in zip(residue, first) if c)
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
+    return _run_from_residue(_x_pow_mod(n, k), count)[:count]
+
+
+def term_fast(k: int, n: int) -> int:
+    """n-th term via x^m modulo the characteristic polynomial, m = n // 2.
+
+    Computes r = x^m mod (x^k - x^(k-1) - ... - x - 1) by left-to-right
+    square-and-multiply, each square one big-integer multiplication by
+    Kronecker substitution plus an O(k) reduction.  With n = 2m + t,
+    x^n = x^m * x^(m+t) gives F_n = sum_i r_i F_{m+t+i}, and that run of
+    k terms follows from r in additions; so the last step is k products
+    of half-size operands, not a full-size square.  O(log n) squares of
+    about k times the term size, which makes huge single indices (n in
+    the millions) practical.
+    """
+    validate_order(k)
+    _validate_index(n)
+    m, t = divmod(n, 2)
+    r = _x_pow_mod(m, k)
+    run = _run_from_residue(r, t + k)
+    return sum(c * f for c, f in zip(r, run[t:]) if c)
 
 
 def _validate_index(n: int) -> None:
@@ -149,37 +186,81 @@ def _validate_index(n: int) -> None:
 
 
 def _x_pow_mod(n: int, k: int) -> List[int]:
-    """Coefficients (little-endian, length k) of x^n mod the char poly."""
-    result = [1] + [0] * (k - 1)  # the polynomial 1
-    base = [0, 1] + [0] * (k - 2)  # the polynomial x
-    e = n
-    while e:
-        if e & 1:
-            result = _polymul_mod(result, base, k)
-        e >>= 1
-        if e:
-            base = _polymul_mod(base, base, k)
-    return result
+    """Coefficients (little-endian, length k) of x^n mod the char poly.
 
-
-def _polymul_mod(a: List[int], b: List[int], k: int) -> List[int]:
-    """Product of two degree-<k polynomials, reduced mod the char poly.
-
-    Reduction uses x^d = x^(d-1) + x^(d-2) + ... + x^(d-k) for d >= k,
-    folding high coefficients downward.
+    Left-to-right square-and-multiply: a square per bit of n after the
+    leading one, then a multiply by x where the bit is set.
     """
-    prod = [0] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
+    if n == 0:
+        return [1] + [0] * (k - 1)
+    residue = [0, 1] + [0] * (k - 2)  # the polynomial x
+    for bit in bin(n)[3:]:
+        residue = _square_mod(residue, k)
+        if bit == "1":
+            residue = _times_x(residue)
+    return residue
+
+
+def _times_x(a: List[int]) -> List[int]:
+    """x * a reduced mod the char poly: x^k folds to 1 + x + ... + x^(k-1)."""
+    top = a[-1]
+    return [top] + [c + top for c in a[:-1]]
+
+
+def _square_mod(a: List[int], k: int) -> List[int]:
+    """a^2 reduced mod the char poly, for nonnegative coefficients.
+
+    Kronecker substitution: the coefficients go into byte-aligned slots of
+    one integer, wide enough that no coefficient of the square (a sum of at
+    most k products) carries into the next slot, so one big-integer square
+    gives all 2k-1 coefficients.  Degrees d >= k are then folded down with
+    x^d = x^(d-1) + ... + x^(d-k), in two running-sum passes: top-down,
+    each high coefficient collects the folded ones above it; then the low
+    coefficient i collects the high ones of degree k .. min(i+k, 2k-2).
+    """
+    width = (2 * max(a).bit_length() + k.bit_length() + 8) // 8  # bytes
+    packed = bytearray(k * width)
+    for i, c in enumerate(a):
+        packed[i * width : (i + 1) * width] = c.to_bytes(width, "little")
+    value = int.from_bytes(packed, "little")
+    del packed  # free each temporary early: they hold k times a term
+    value *= value
+    size = (2 * k - 1) * width
+    square = memoryview(value.to_bytes(size, "little"))
+    del value
+    prod = [
+        int.from_bytes(square[i : i + width], "little")
+        for i in range(0, size, width)
+    ]
+    above = 0  # sum of the folded coefficients of degree > d
     for d in range(2 * k - 2, k - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for p in range(1, k + 1):
-                prod[d - p] += c
-    return prod[:k]
+        prod[d] += above
+        above += prod[d]
+    below = 0  # sum of the folded coefficients of degree k .. i+k
+    for i in range(k - 1):
+        below += prod[k + i]
+        prod[i] += below
+    prod[k - 1] += below
+    del prod[k:]
+    return prod
+
+
+def _run_from_residue(r: List[int], length: int) -> List[int]:
+    """F_m, F_{m+1}, ..., at least ``length`` terms, from r = x^m mod the char poly.
+
+    F_{m+s} is the top coefficient of x^s * r.  Unrolling the multiply by
+    x gives F_{m+s} = r_{k-1-s} + F_m + ... + F_{m+s-1} for s < k, and the
+    recurrence gives the terms after that.
+    """
+    k = len(r)
+    run, total = [], 0
+    for c in reversed(r):
+        run.append(c + total)
+        total += run[-1]
+    for s in range(k, length):
+        run.append(total)
+        total += total - run[s - k]
+    return run
 
 
 def term_matrix(k: int, n: int) -> int:

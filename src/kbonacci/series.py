@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from .rational import Rational, format_ratio
-from .sequence import range_terms, validate_order
+from .sequence import range_terms, term_fast, validate_order
 
 __all__ = [
     "SeriesPoint",
@@ -116,7 +116,7 @@ def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
         raise ValueError(
             f"tail bound needs n_trunc >= k-1 = {k - 1}, got {n_trunc}"
         )
-    f_next = range_terms(k, n_trunc + 1, n_trunc + 1)[0]
+    f_next = term_fast(k, n_trunc + 1)
     return Fraction(f_next) / eta ** (n_trunc + 1) * eta / (eta - 2)
 
 

@@ -42,6 +42,12 @@ class TestConfigValidation:
             dict(k_values=[1]),
             dict(n_values=[-1]),
             dict(methods=["fastest"]),
+            dict(n_values=["5"]),
+            dict(k_values=[True]),
+            dict(repetitions="2"),
+            dict(repetitions=True),
+            dict(methods=[["naive"]]),
+            dict(k_values=5),
         ],
     )
     def test_rejects_bad_fields(self, bad):

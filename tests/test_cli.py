@@ -1,12 +1,13 @@
 import json
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 import kbonacci.cli as cli
 from kbonacci.bench import METHODS
 from kbonacci.classic_sums import ClassicReport, FixedReal
-from kbonacci.sequence import range_terms, term_fast
+from kbonacci.sequence import iter_terms, range_terms, term_fast
 from kbonacci.series import EvalReport, SeriesPoint, evaluate
 
 
@@ -75,6 +76,22 @@ class TestSeq:
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
         assert out == "".join(f"{value}\n" for value in range_terms(k, n0, n1))
+
+    @pytest.mark.parametrize(
+        "k,n0,n1", [(2, 3000, 3040), (5, 1234, 1300), (16, 4000, 4040), (40, 777, 900)]
+    )
+    def test_windows_longer_than_k_match_the_sweep_from_zero(self, capsys, k, n0, n1):
+        argv = ["seq", "-k", str(k), "--from", str(n0), "--to", str(n1)]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        terms = islice(iter_terms(k), n0, n1 + 1)
+        assert out == "".join(f"{value}\n" for value in terms)
+
+    def test_far_window_matches_term_fast(self, capsys):
+        argv = ["seq", "-k", "3", "--from", "300000", "--to", "300003"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{term_fast(3, n)}\n" for n in range(300_000, 300_004))
 
     @pytest.mark.parametrize(
         "k,n0,n1,message",
@@ -301,6 +318,28 @@ class TestBench:
         path.write_text(json.dumps({"k_values": [], "n_values": [1]}))
         code, _, err = run(capsys, ["bench", "--config", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (
+                {"k_values": [2], "n_values": ["5"]},
+                "n_values must be a list of int",
+            ),
+            (
+                {"k_values": [2], "n_values": [5], "repetitions": "2"},
+                "repetitions must be an int",
+            ),
+            ([1, 2], "bench config must be a JSON object"),
+        ],
+    )
+    def test_malformed_config_is_usage_error(self, capsys, tmp_path, content, message):
+        # exit 1 means a verification FAIL, so a bad config must not reach it
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, ["bench", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
 
 class TestDispatch:

@@ -2,10 +2,13 @@ from decimal import Decimal, localcontext
 from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from kbonacci.rational import EXACT_CONTEXT
+from kbonacci.rational import EXACT_CONTEXT, to_decimal
 from kbonacci.sequence import (
     Window,
+    _square_mod,
+    _times_x,
     initial_terms,
     iter_terms,
     range_terms,
@@ -13,6 +16,7 @@ from kbonacci.sequence import (
     term_matrix,
     term_naive,
     validate_order,
+    window,
 )
 
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21]
@@ -135,10 +139,18 @@ class TestWindow:
     @pytest.mark.parametrize("k", [2, 3, 16])
     def test_decimal_sweep_matches_int_sweep(self, k):
         with localcontext(EXACT_CONTEXT):
-            values = list(islice(iter_terms(k, Decimal(1)), 3000))
+            values = list(islice(iter_terms(k, 0, to_decimal), 3000))
         assert all(type(v) is Decimal for v in values)
         assert [int(v) for v in values] == range_terms(k, 0, 2999)
         assert [str(v) for v in values[:9]] == [str(v) for v in range_terms(k, 0, 8)]
+
+    @pytest.mark.parametrize("k", [2, 3, 16])
+    def test_decimal_sweep_from_n0(self, k):
+        # seeds far above Decimal's 28-digit default context
+        with localcontext(EXACT_CONTEXT):
+            values = list(islice(iter_terms(k, 2500, to_decimal), 500))
+        assert all(type(v) is Decimal for v in values)
+        assert [str(v) for v in values] == [str(v) for v in range_terms(k, 0, 2999)[2500:]]
 
 
 class TestRecurrenceProperty:
@@ -175,3 +187,116 @@ class TestGrowth:
         values = range_terms(k, 0, 300)
         for n in range(k - 1, 300):
             assert values[n] <= values[n + 1] <= 2 * values[n]
+
+
+def schoolbook_mul_mod(a, b, k):
+    """Product of two degree-<k polynomials, reduced mod the char poly.
+
+    The O(k^2) reference for the kernel: every product, then each degree
+    d >= k folded into d-1 .. d-k from the top down.
+    """
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d]
+        if c:
+            prod[d] = 0
+            for p in range(1, k + 1):
+                prod[d - p] += c
+    return prod[:k]
+
+
+def sweep_from_zero(k, stop):
+    """F_0 .. F_{stop-1} by additions from the initial terms alone."""
+    return list(islice(iter_terms(k), stop))
+
+
+@st.composite
+def order_and_index(draw):
+    k = draw(st.integers(2, 140))
+    n = draw(
+        st.one_of(
+            st.integers(0, 3000),
+            st.integers(0, k - 1),
+            st.just(k - 1),
+            st.builds(
+                lambda j, d: 2**j + d, st.integers(1, 11), st.sampled_from([-1, 1])
+            ),
+        )
+    )
+    return k, n
+
+
+@st.composite
+def residue(draw, k, bits):
+    """k nonnegative coefficients, zeros and widths from 0 to ``bits``."""
+    widths = st.integers(0, bits)
+    return [
+        draw(st.one_of(st.just(0), widths.flatmap(lambda b: st.integers(0, 2**b))))
+        for _ in range(k)
+    ]
+
+
+class TestKernelOracles:
+    @settings(deadline=None)
+    @given(order_and_index())
+    @example((2, 0))
+    @example((140, 139))
+    @example((140, 2049))
+    @example((3, 2047))
+    def test_fast_equals_naive(self, kn):
+        k, n = kn
+        assert term_fast(k, n) == term_naive(k, n)
+
+    @settings(deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 1500), st.integers(1, 60))
+    @example(2, 0, 1)
+    @example(40, 39, 60)
+    def test_window_is_a_slice_of_the_sweep(self, k, n, count):
+        assert window(k, n, count) == sweep_from_zero(k, n + count)[n:]
+
+    @settings(deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 1500), st.integers(0, 80))
+    def test_range_from_n0_is_a_slice_of_the_sweep(self, k, n0, extra):
+        n1 = n0 + extra
+        assert range_terms(k, n0, n1) == sweep_from_zero(k, n1 + 1)[n0:]
+
+    @pytest.mark.parametrize("count", [0, -1, True, 1.0])
+    def test_window_rejects_bad_counts(self, count):
+        with pytest.raises(ValueError):
+            window(3, 10, count)
+
+    @settings(deadline=None)
+    @given(st.integers(2, 70).flatmap(lambda k: st.tuples(st.just(k), residue(k, 300))))
+    def test_square_matches_schoolbook(self, ka):
+        k, a = ka
+        assert _square_mod(a, k) == schoolbook_mul_mod(a, a, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 17, 64, 100])
+    @pytest.mark.parametrize("bits", [*range(1, 17), 64, 1000, 1001, 1002])
+    def test_square_of_all_ones_coefficients(self, k, bits):
+        # the middle coefficient of the square is k(2^b - 1)^2, which needs
+        # 2b + bitlen(k) bits unless k is a power of two: a narrower slot
+        # carries into its neighbour here
+        a = [2**bits - 1] * k
+        assert _square_mod(a, k) == schoolbook_mul_mod(a, a, k)
+
+    @pytest.mark.parametrize("k", [2, 5, 33])
+    def test_square_with_very_uneven_widths(self, k):
+        for top in range(k):
+            a = [1] * k
+            a[top] = 3**5000
+            assert _square_mod(a, k) == schoolbook_mul_mod(a, a, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 9])
+    def test_times_x_matches_schoolbook(self, k):
+        x = [0, 1] + [0] * (k - 2)
+        a = [7**i for i in range(k)]
+        assert _times_x(a) == schoolbook_mul_mod(a, x, k)
+
+    def test_matrix_spot_check_at_k64(self):
+        for n in (63, 64, 200, 301):
+            assert term_fast(64, n) == term_matrix(64, n)

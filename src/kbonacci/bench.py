@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
 from .sequence import term_fast, term_matrix, term_naive, validate_order
@@ -234,13 +234,21 @@ def parse_report(document: str, format: str) -> List[BenchRecord]:
 
 
 def load_config(path: str) -> BenchConfig:
-    """Read a BenchConfig from a JSON file with the field names as keys."""
+    """Read a BenchConfig from a JSON file with the field names as keys.
+
+    Any other key is a ValueError, so a misspelled one cannot silently
+    leave its field at the default.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):
         raise ValueError(
             f"bench config must be a JSON object, got {type(raw).__name__}"
         )
+    known = [field.name for field in fields(BenchConfig)]
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(f"unknown bench config keys {unknown}; expected {known}")
     try:
         return BenchConfig(
             k_values=raw["k_values"],

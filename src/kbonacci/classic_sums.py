@@ -117,15 +117,27 @@ def sqrt5(d: int) -> FixedReal:
 
 
 def alternating_reciprocal_sum(n_terms: int, d: int) -> FixedReal:
-    """Sum of (-1)^n / (F_n * F_{n+2}) for n = 1 .. n_terms, d digits."""
+    """Sum of (-1)^n / (F_n * F_{n+2}) for n = 1 .. n_terms, d digits.
+
+    Each term is 10^d // (F_n F_{n+2}) ulps with one ulp of error when the
+    division is inexact, as ``FixedReal.reciprocal_of_int`` would give.
+    The products grow with n, so once one exceeds 10^d it and every later
+    term truncate to 0 with one ulp each.
+    """
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
     fib = range_terms(2, 0, n_terms + 2)
-    acc = FixedReal(0, d, 0)
+    one = 10**d
+    mantissa = err_ulps = 0
     for n in range(1, n_terms + 1):
-        term = FixedReal.reciprocal_of_int(fib[n] * fib[n + 2], d)
-        acc = acc - term if n % 2 else acc + term
-    return acc
+        den = fib[n] * fib[n + 2]
+        if den > one:
+            err_ulps += n_terms - n + 1
+            break
+        quotient, rem = divmod(one, den)
+        err_ulps += rem != 0
+        mantissa += -quotient if n % 2 else quotient
+    return FixedReal(mantissa, d, err_ulps)
 
 
 def millin_type_sum(m_terms: int, d: int) -> FixedReal:

@@ -13,6 +13,19 @@ that the closed form and the partial sum differ by no more than the tail
 bound -- an identity that must hold, and that the test suite checks across
 wide (k, eta, N) grids.
 
+The partial sums come from the identity behind the closed form.  With
+x = 1/eta the series is G(x) = x^(k-1) / C(x), C(x) = 1 - x - ... - x^k,
+and multiplying the truncation P_N(x) by C(x) cancels every coefficient
+up to x^N except x^(k-1) (present once N >= k-1):
+
+    P_N(x) C(x) = x^(k-1) - sum_{m=N+1}^{N+k} x^m sum_{i=max(0,m-k)}^{N} F_i.
+
+So P_N needs only the last k terms F_{N-k+1} .. F_N, which one jump-ahead
+(``sequence.window``) returns together with F_{N+1} for the tail bound.
+A report costs O(log N) big-integer squares for the jump and O(k)
+products and a few gcds of O(N log eta)-bit integers, against N + 1
+rational multiply-adds, each with its own gcd, for a sweep of the terms.
+
 The eta > 2 restriction is the domain on which the geometric tail argument
 works; no claim is made below it.
 """
@@ -24,7 +37,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from .rational import Rational, format_ratio
-from .sequence import range_terms, term_fast, validate_order
+from .sequence import term_fast, validate_order, window
 
 __all__ = [
     "SeriesPoint",
@@ -91,15 +104,17 @@ def closed_form(point: SeriesPoint) -> Rational:
 
 
 def partial_sum(point: SeriesPoint, n_trunc: int) -> Rational:
-    """Exact sum of F_n / eta^n for n = 0 .. n_trunc."""
-    if n_trunc < 0:
-        raise ValueError(f"truncation index must be >= 0, got {n_trunc}")
-    inv = 1 / point.eta
-    # Horner from the top keeps every step a single multiply-add.
-    acc = Fraction(0)
-    for f in reversed(range_terms(point.k, 0, n_trunc)):
-        acc = acc * inv + f
-    return acc
+    """Exact sum of F_n / eta^n for n = 0 .. n_trunc.
+
+    The closed form of the truncation (module docstring) from the last k
+    terms F_{N-k+1} .. F_N, taken from one ``window`` call; zero below
+    N = k-1, where every term is.
+    """
+    _check_partial_index(n_trunc)
+    k = point.k
+    if n_trunc < k - 1:
+        return Fraction(0)
+    return _partial_from_run(point, n_trunc, window(k, n_trunc - k + 1, k))
 
 
 def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
@@ -111,20 +126,23 @@ def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
 
         (F_{N+1} / eta^(N+1)) * 1 / (1 - 2/eta).
     """
-    k, eta = point.k, point.eta
-    if n_trunc < k - 1:
-        raise ValueError(
-            f"tail bound needs n_trunc >= k-1 = {k - 1}, got {n_trunc}"
-        )
-    f_next = term_fast(k, n_trunc + 1)
-    return Fraction(f_next) / eta ** (n_trunc + 1) * eta / (eta - 2)
+    _check_tail_index(point, n_trunc)
+    return _tail_from_term(point, n_trunc, term_fast(point.k, n_trunc + 1))
 
 
 def evaluate(point: SeriesPoint, n_trunc: int) -> EvalReport:
-    """Partial sum, closed form, and tail bound bundled into one report."""
-    partial = partial_sum(point, n_trunc)
+    """Partial sum, closed form, and tail bound bundled into one report.
+
+    One ``window`` call returns F_{N-k+1} .. F_{N+1}: the first k terms
+    give the closed-form partial sum, the last one the tail bound.
+    """
+    _check_partial_index(n_trunc)
+    _check_tail_index(point, n_trunc)
+    k = point.k
+    run = window(k, n_trunc - k + 1, k + 1)
+    partial = _partial_from_run(point, n_trunc, run[:k])
     closed = closed_form(point)
-    bound = tail_bound(point, n_trunc)
+    bound = _tail_from_term(point, n_trunc, run[k])
     residual = closed - partial
     return EvalReport(
         point=point,
@@ -138,36 +156,63 @@ def evaluate(point: SeriesPoint, n_trunc: int) -> EvalReport:
 
 
 def evaluate_range(point: SeriesPoint, n_max: int) -> Iterator[EvalReport]:
-    """Reports for every truncation index N = k-1 .. n_max, incrementally.
+    """``evaluate(point, N)`` for every truncation index N = k-1 .. n_max.
 
-    One sweep of the term list and running powers of 1/eta make this
-    O(n_max) rational operations total, against O(n_max^2) for repeated
-    calls to ``evaluate``.  Yields exactly what ``evaluate`` would.
+    Each report comes from its own ``evaluate`` call, one jump and one
+    closed-form sum, so the range has no summation path of its own.
     """
-    k, eta = point.k, point.eta
+    k = point.k
     if n_max < k - 1:
         raise ValueError(f"n_max must be >= k-1 = {k - 1}, got {n_max}")
-    terms = range_terms(k, 0, n_max + 1)
-    closed = closed_form(point)
-    geo = eta / (eta - 2)
-    inv = 1 / eta
-    acc = Fraction(0)
-    inv_pow = Fraction(1)  # inv^n for the current n
-    for n in range(n_max + 1):
-        acc += terms[n] * inv_pow
-        inv_pow *= inv
-        if n >= k - 1:
-            bound = terms[n + 1] * inv_pow * geo
-            residual = closed - acc
-            yield EvalReport(
-                point=point,
-                n_trunc=n,
-                partial=acc,
-                closed=closed,
-                tail_bound=bound,
-                residual=residual,
-                passed=abs(residual) <= bound,
-            )
+    for n in range(k - 1, n_max + 1):
+        yield evaluate(point, n)
+
+
+def _check_partial_index(n_trunc: int) -> None:
+    if n_trunc < 0:
+        raise ValueError(f"truncation index must be >= 0, got {n_trunc}")
+
+
+def _check_tail_index(point: SeriesPoint, n_trunc: int) -> None:
+    k = point.k
+    if n_trunc < k - 1:
+        raise ValueError(
+            f"tail bound needs n_trunc >= k-1 = {k - 1}, got {n_trunc}"
+        )
+
+
+def _partial_from_run(point: SeriesPoint, n_trunc: int, run) -> Rational:
+    """P_N for N >= k-1 from run = F_{N-k+1} .. F_N, with eta = p/q.
+
+    Times p^(N+k), the identity in the module docstring reads
+    P_N = num / (p^N den), where den = p^k - sum_{i=1}^{k} q^i p^(k-i)
+    (positive because eta > 2) and
+
+        num = q^(k-1) p^(N+1) - q^(N+1) sum_{j=1}^{k} q^(j-1) p^(k-j) T_j,
+
+    T_j = F_{N+j-k} + ... + F_N being the suffix sums of the run.  The
+    first part is the closed form p q^(k-1) / den, so P_N is built as the
+    closed form minus (q/p)^N * q * (the sum over j) / den.  Fraction then
+    reduces by gcds with den, with the term-sized sum and with the closed
+    form's small denominator; reducing num over p^N den would take one gcd
+    of two O(N log p)-bit integers, several times slower for a large p.
+    """
+    k, p, q = point.k, point.eta.numerator, point.eta.denominator
+    # Horner in p over j = 1 .. k for both sums; T_{j+1} = T_j - run[j-1]
+    suffix = sum(run)
+    acc, den, q_pow = 0, 1, 1
+    for oldest in run:
+        acc = acc * p + q_pow * suffix
+        suffix -= oldest
+        q_pow *= q
+        den = den * p - q_pow
+    omitted = Fraction(q, p) ** n_trunc * Fraction(q * acc, den)
+    return closed_form(point) - omitted
+
+
+def _tail_from_term(point: SeriesPoint, n_trunc: int, f_next: int) -> Rational:
+    eta = point.eta
+    return Fraction(f_next) / eta ** (n_trunc + 1) * eta / (eta - 2)
 
 
 def converge_until(point: SeriesPoint, epsilon: Union[Rational, int]) -> EvalReport:

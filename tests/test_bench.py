@@ -19,12 +19,16 @@ from kbonacci.sequence import term_fast, term_matrix, term_naive
 COLUMNS = ["method", "k", "n", "rep", "wall_time", "result_digits", "checksum"]
 
 
-def small_config(**overrides):
+def small_config_dict(**overrides):
     base = dict(
         k_values=[2], n_values=[0, 40], repetitions=2, methods=["naive", "polymod"]
     )
     base.update(overrides)
-    return BenchConfig(**base)
+    return base
+
+
+def small_config(**overrides):
+    return BenchConfig(**small_config_dict(**overrides))
 
 
 class TestConfigValidation:
@@ -48,11 +52,16 @@ class TestConfigValidation:
             dict(repetitions=True),
             dict(methods=[["naive"]]),
             dict(k_values=5),
+            # misspelled keys must not fall back to their defaults
+            {"k_values": [2], "n_values": [5], "repetition": 3, "method": ["naive"]},
         ],
     )
-    def test_rejects_bad_fields(self, bad):
+    def test_rejects_bad_fields(self, bad, tmp_path):
+        # through the JSON file, which is where a user's fields come from
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(small_config_dict(**bad)))
         with pytest.raises(ValueError):
-            small_config(**bad)
+            load_config(str(path))
 
 
 class TestRunBench:

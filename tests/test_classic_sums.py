@@ -114,7 +114,30 @@ class TestFixedReal:
         assert FixedReal(1, 6, 3).error_bound() == Fraction(3, 10**6)
 
 
+def alternating_sum_by_fixed_reals(n_terms: int, d: int) -> FixedReal:
+    """The term-by-term FixedReal loop, the oracle for the integer one."""
+    fib = range_terms(2, 0, n_terms + 2)
+    acc = FixedReal(0, d, 0)
+    for n in range(1, n_terms + 1):
+        term = FixedReal.reciprocal_of_int(fib[n] * fib[n + 2], d)
+        acc = acc - term if n % 2 else acc + term
+    return acc
+
+
 class TestAlternatingSum:
+    @pytest.mark.parametrize(
+        "n_terms,d",
+        # (8192, 2601), (4096, 1663) and (128, 56) are verify_classic's
+        # (terms, working digits) at 2595, 1657 and 50 digits; most terms of
+        # (2048, 333) and (30, 4) are below one ulp; (3, 1) meets a product
+        # equal to 10^d (F_3 F_5 = 10); (1, 1) is one exact term
+        [(8192, 2601), (4096, 1663), (2048, 333), (128, 56), (3, 1), (30, 4), (1, 1)],
+    )
+    def test_equals_fixed_real_loop(self, n_terms, d):
+        assert alternating_reciprocal_sum(n_terms, d) == alternating_sum_by_fixed_reals(
+            n_terms, d
+        )
+
     def test_single_term_is_exact(self):
         v = alternating_reciprocal_sum(1, 8)
         assert v.to_fraction() == Fraction(-1, 2)

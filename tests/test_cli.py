@@ -331,6 +331,10 @@ class TestBench:
                 "repetitions must be an int",
             ),
             ([1, 2], "bench config must be a JSON object"),
+            (
+                {"k_values": [2], "n_values": [5], "repetition": 3, "method": ["naive"]},
+                "unknown bench config keys ['method', 'repetition']",
+            ),
         ],
     )
     def test_malformed_config_is_usage_error(self, capsys, tmp_path, content, message):

@@ -1,8 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from kbonacci.rational import parse_rational
+from kbonacci import cli
+from kbonacci.rational import format_ratio, parse_rational
+from kbonacci.sequence import range_terms, term_fast
 from kbonacci.series import (
     SeriesPoint,
     closed_form,
@@ -15,6 +19,42 @@ from kbonacci.series import (
 
 P210 = SeriesPoint(k=2, eta=Fraction(10))
 P310 = SeriesPoint(k=3, eta=Fraction(10))
+
+
+def horner_partial_sum(point, n_trunc):
+    """Sum of F_n / eta^n for n = 0 .. n_trunc by Horner's rule over the terms.
+
+    The oracle for the closed-form ``partial_sum``: N + 1 rational
+    multiply-adds over the sweep from F_0, quadratic in N.
+    """
+    inv = 1 / point.eta
+    acc = Fraction(0)
+    for f in reversed(range_terms(point.k, 0, n_trunc)):
+        acc = acc * inv + f
+    return acc
+
+
+@st.composite
+def point_and_index(draw):
+    """(k, eta, N): eta just above 2, with 30-bit p and q, or an integer."""
+    k = draw(st.integers(2, 40))
+    eta = draw(
+        st.one_of(
+            st.integers(1, 2**30).map(lambda q: 2 + Fraction(1, q)),
+            st.integers(2**28, 2**29 - 1).flatmap(
+                lambda q: st.integers(2 * q + 1, 2**30 - 1).map(lambda p: Fraction(p, q))
+            ),
+            st.integers(3, 1000).map(Fraction),
+        )
+    )
+    n = draw(
+        st.one_of(
+            st.integers(0, 400),
+            st.integers(0, k - 1),
+            st.sampled_from([k - 1, k]),
+        )
+    )
+    return SeriesPoint(k=k, eta=eta), n
 
 
 class TestSeriesPoint:
@@ -147,6 +187,69 @@ class TestEvaluate:
             assert parse_rational(doc[field]) is not None
         assert parse_rational(doc["partial"]) == partial_sum(P210, 10)
         assert parse_rational(doc["closed"]) == Fraction(10, 89)
+
+
+class TestOracles:
+    @settings(deadline=None)
+    @given(point_and_index())
+    @example((SeriesPoint(k=40, eta=Fraction(2**30 - 1, 2**29 - 1)), 400))
+    @example((SeriesPoint(k=40, eta=Fraction(3)), 38))
+    @example((SeriesPoint(k=40, eta=2 + Fraction(1, 2**30)), 39))
+    @example((SeriesPoint(k=2, eta=Fraction(1001, 500)), 0))
+    def test_partial_sum_equals_horner(self, case):
+        point, n = case
+        assert partial_sum(point, n) == horner_partial_sum(point, n)
+
+    @settings(deadline=None)
+    @given(point_and_index())
+    @example((SeriesPoint(k=40, eta=Fraction(2**30 - 1, 2**29 - 1)), 400))
+    @example((SeriesPoint(k=2, eta=Fraction(3)), 1))
+    def test_evaluate_equals_oracles(self, case):
+        point, n = case
+        k, eta = point.k, point.eta
+        n = max(n, k - 1)
+        report = evaluate(point, n)
+        assert report.partial == horner_partial_sum(point, n)
+        f_next = term_fast(k, n + 1)
+        assert report.tail_bound == f_next / eta ** (n + 1) / (1 - 2 / eta)
+        assert report.residual == closed_form(point) - report.partial
+        assert report.passed
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [
+            (-1, "truncation index must be >= 0, got -1"),
+            (2, "tail bound needs n_trunc >= k-1 = 3, got 2"),
+        ],
+    )
+    def test_evaluate_below_first_valid_index(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate(SeriesPoint(k=4, eta=Fraction(3)), n)
+
+
+class TestGfPartialField:
+    """The CLI's ``partial`` field, text and JSON, against the Horner oracle."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gf", "-k", "3", "--eta", "7/3", "-N", "300"],
+            ["gf", "-k", "6", "--eta", "600834261/150208565", "-N", "260", "--json"],
+            ["gf", "-k", "8", "--eta", "3", "--epsilon", "1/" + "1" + "0" * 60],
+            ["gf", "-k", "5", "--eta", "2001/1000", "--epsilon", "1/1000", "--json"],
+        ],
+    )
+    def test_partial_equals_oracle(self, capsys, argv):
+        code = cli.parse_and_dispatch(argv)
+        out = capsys.readouterr().out
+        if "--json" in argv:
+            doc = json.loads(out)
+        else:
+            assert out.splitlines()[-1] == "PASS"
+            doc = dict(line.split(" = ") for line in out.splitlines()[:-1])
+        point = SeriesPoint(k=int(argv[2]), eta=parse_rational(argv[4]))
+        assert code == 0
+        assert doc["partial"] == format_ratio(horner_partial_sum(point, int(doc["N"])))
 
 
 class TestEvaluateRange:

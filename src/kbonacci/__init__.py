@@ -12,10 +12,8 @@ from .bench import (
 )
 from .classic_sums import (
     ClassicReport,
-    FixedReal,
     alternating_reciprocal_sum,
     millin_type_sum,
-    sqrt5,
     verify_classic,
 )
 from .decimal_identity import (
@@ -30,12 +28,6 @@ from .rational import (
     Rational,
     format_ratio,
     parse_rational,
-    rat_add,
-    rat_cmp,
-    rat_div,
-    rat_mul,
-    rat_pow,
-    rat_sub,
     to_decimal_string,
 )
 from .sequence import (
@@ -66,7 +58,6 @@ __all__ = [
     "BenchRecord",
     "ClassicReport",
     "EvalReport",
-    "FixedReal",
     "MethodMismatchError",
     "Rational",
     "RepunitDenominator",
@@ -89,17 +80,10 @@ __all__ = [
     "parse_rational",
     "parse_report",
     "partial_sum",
-    "rat_add",
-    "rat_cmp",
-    "rat_div",
-    "rat_mul",
-    "rat_pow",
-    "rat_sub",
     "range_terms",
     "reciprocal_digits",
     "repunit_denominator",
     "run_bench",
-    "sqrt5",
     "term_fast",
     "term_matrix",
     "term_naive",

@@ -1,10 +1,16 @@
-"""Numerical verification of two classical Fibonacci reciprocal sums.
+"""Exact verification of two classical Fibonacci reciprocal sums.
 
-Targets: the alternating sum of 1/(F_n * F_{n+2}) equals 2 - sqrt(5),
-and the sum of 1/F_{2^n} over n >= 0 equals (7 - sqrt(5)) / 2.  Both
-targets are irrational, so unlike the rest of this package the checks
-here are tolerance-based: fixed-point decimal arithmetic with an
-explicit worst-case error budget, one ulp per inexact operation.
+Targets: the alternating sum of 1/(F_n * F_{n+2}) over n >= 1 equals
+2 - sqrt(5), and the sum of 1/F_{2^n} over n >= 0 equals (7 - sqrt(5)) / 2.
+Both truncated sums telescope to closed forms in a couple of terms:
+
+    sum_{n=1}^{N} (-1)^n / (F_n F_{n+2}) = 2 - F_{2N+3} / (F_{N+1} F_{N+2}),
+    sum_{n=0}^{M} 1 / F_{2^n}            = 3 - F_{2^M - 1} / F_{2^M}   (M >= 1),
+
+the second from I. J. Good, Fibonacci Quart. 12 (1974) 346.  So each
+partial sum is an exact rational, and its distance to the irrational
+target is compared with integer square roots: no tolerance, no error
+budget.
 
 The alternating sum starts at n = 1.  Writing it from n = 0 would
 divide by F_0 = 0; the n = 1 start is what actually produces the
@@ -18,12 +24,10 @@ from fractions import Fraction
 from math import isqrt
 
 from .rational import Rational, to_decimal_string
-from .sequence import range_terms, term_fast
+from .sequence import term_fast, window
 
 __all__ = [
-    "FixedReal",
     "ClassicReport",
-    "sqrt5",
     "alternating_reciprocal_sum",
     "millin_type_sum",
     "verify_classic",
@@ -31,148 +35,77 @@ __all__ = [
 
 IDENTITIES = ("alternating", "millin")
 
-# Growth caps for the term-selection loops in verify_classic; generous
-# for any digit count this package is asked for.
-_MAX_ALTERNATING_TERMS = 1 << 20
+# Known defect (ROADMAP item 4): the Millin search stops at 1/F_{2^16}, and
+# F_{2^17} has 27,393 digits, so from about 27.4k digits on the true identity
+# is reported as FAIL.  The benchmark pins that FAIL, so lifting the cap waits
+# on a benchmark change.
 _MAX_MILLIN_TERMS = 16
 
 
-@dataclass(frozen=True)
-class FixedReal:
-    """value = mantissa / 10^scale, with a worst-case error budget.
-
-    err_ulps bounds the absolute distance to the intended real value in
-    units of 10^(-scale).  Exact operations (add, negate) only carry
-    existing budgets forward; truncating ones add one ulp.
-    """
-
-    mantissa: int
-    scale: int
-    err_ulps: int = 0
-
-    def __post_init__(self):
-        if self.scale < 1:
-            raise ValueError(f"scale must be >= 1, got {self.scale}")
-        if self.err_ulps < 0:
-            raise ValueError(f"negative error budget {self.err_ulps}")
-
-    @classmethod
-    def from_int(cls, value: int, scale: int) -> "FixedReal":
-        return cls(value * 10**scale, scale, 0)
-
-    @classmethod
-    def reciprocal_of_int(cls, den: int, scale: int) -> "FixedReal":
-        """1/den truncated to scale digits; exact when den divides 10^scale."""
-        if den < 1:
-            raise ValueError(f"denominator must be >= 1, got {den}")
-        mant, rem = divmod(10**scale, den)
-        return cls(mant, scale, 0 if rem == 0 else 1)
-
-    def _require_same_scale(self, other: "FixedReal"):
-        if self.scale != other.scale:
-            raise ValueError(
-                f"scale mismatch: {self.scale} vs {other.scale}"
-            )
-
-    def __add__(self, other: "FixedReal") -> "FixedReal":
-        self._require_same_scale(other)
-        return FixedReal(
-            self.mantissa + other.mantissa,
-            self.scale,
-            self.err_ulps + other.err_ulps,
-        )
-
-    def __neg__(self) -> "FixedReal":
-        return FixedReal(-self.mantissa, self.scale, self.err_ulps)
-
-    def __sub__(self, other: "FixedReal") -> "FixedReal":
-        return self + (-other)
-
-    def div_int(self, den: int) -> "FixedReal":
-        """Divide by a positive integer, truncating toward zero."""
-        if den < 1:
-            raise ValueError(f"denominator must be >= 1, got {den}")
-        sign = -1 if self.mantissa < 0 else 1
-        mant, rem = divmod(abs(self.mantissa), den)
-        # old error shrinks by den but never rounds away; truncation
-        # itself costs at most one more ulp
-        err = -(-self.err_ulps // den) + (0 if rem == 0 else 1)
-        return FixedReal(sign * mant, self.scale, err)
-
-    def to_fraction(self) -> Rational:
-        return Fraction(self.mantissa, 10**self.scale)
-
-    def error_bound(self) -> Rational:
-        return Fraction(self.err_ulps, 10**self.scale)
-
-    def to_decimal_string(self) -> str:
-        return to_decimal_string(self.to_fraction(), self.scale)
-
-
-def sqrt5(d: int) -> FixedReal:
-    """sqrt(5) truncated to d digits; off by less than one ulp."""
-    if d < 1:
-        raise ValueError(f"digit count must be >= 1, got {d}")
-    return FixedReal(isqrt(5 * 10 ** (2 * d)), d, 1)
-
-
-def alternating_reciprocal_sum(n_terms: int, d: int) -> FixedReal:
-    """Sum of (-1)^n / (F_n * F_{n+2}) for n = 1 .. n_terms, d digits.
-
-    Each term is 10^d // (F_n F_{n+2}) ulps with one ulp of error when the
-    division is inexact, as ``FixedReal.reciprocal_of_int`` would give.
-    The products grow with n, so once one exceeds 10^d it and every later
-    term truncate to 0 with one ulp each.
-    """
+def alternating_reciprocal_sum(n_terms: int) -> Rational:
+    """Exact sum of (-1)^n / (F_n * F_{n+2}) for n = 1 .. n_terms."""
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
-    fib = range_terms(2, 0, n_terms + 2)
-    one = 10**d
-    mantissa = err_ulps = 0
-    for n in range(1, n_terms + 1):
-        den = fib[n] * fib[n + 2]
-        if den > one:
-            err_ulps += n_terms - n + 1
-            break
-        quotient, rem = divmod(one, den)
-        err_ulps += rem != 0
-        mantissa += -quotient if n % 2 else quotient
-    return FixedReal(mantissa, d, err_ulps)
+    a, b = window(2, n_terms + 1, 2)
+    # F_{2N+3} = F_{N+1}^2 + F_{N+2}^2
+    return 2 - Fraction(a * a + b * b, a * b)
 
 
-def millin_type_sum(m_terms: int, d: int) -> FixedReal:
-    """Sum of 1 / F_{2^n} for n = 0 .. m_terms, d digits."""
+def millin_type_sum(m_terms: int) -> Rational:
+    """Exact sum of 1 / F_{2^n} for n = 0 .. m_terms."""
     if m_terms < 0:
         raise ValueError(f"term count must be >= 0, got {m_terms}")
-    acc = FixedReal(0, d, 0)
-    for n in range(m_terms + 1):
-        acc = acc + FixedReal.reciprocal_of_int(term_fast(2, 2**n), d)
-    return acc
+    if m_terms == 0:
+        return Fraction(1)
+    a, b = window(2, 2**m_terms - 1, 2)
+    return 3 - Fraction(a, b)
+
+
+def _scaled_difference(x: Rational, a: int, c: int, w: int) -> int:
+    """(x - (a - sqrt 5)/c) * 10^w truncated toward zero, exactly.
+
+    With x = p/q the scaled difference is (A + sqrt B)/(qc), where
+    A = (pc - aq) 10^w and B = 5 (q 10^w)^2.  B is five times a nonzero
+    square, so sqrt B lies strictly between s = isqrt(B) and s + 1: the
+    difference is positive with floor (A + s) // (qc) when A + s >= 0, and
+    negative with |difference| flooring to (-A - s - 1) // (qc) otherwise.
+    """
+    p, q = x.numerator, x.denominator
+    scale = 10**w
+    bound = (p * c - a * q) * scale + isqrt(5 * (q * scale) ** 2)
+    if bound >= 0:
+        return bound // (q * c)
+    return -((-bound - 1) // (q * c))
 
 
 @dataclass(frozen=True)
 class ClassicReport:
-    """Outcome of one tolerance-based verification."""
+    """Outcome of one exact verification.
+
+    ``value`` is the exact partial sum; ``target`` is the irrational
+    limit truncated toward zero to ``digits`` digits; ``abs_diff`` is the
+    distance from ``value`` to the limit itself, truncated to
+    ``digits + 6`` digits.  ``passed`` says that distance is below
+    10^(-digits+2), which the truncated distance decides exactly: the
+    distance is irrational, so it never equals the threshold.
+    """
 
     identity: str
     terms: int
     digits: int
-    value: FixedReal
-    target: FixedReal
+    value: Rational
+    target: Rational
     abs_diff: Rational
-    error_budget: Rational
     passed: bool
 
     def to_json_dict(self) -> dict:
-        # value and target rendered at the requested precision; the
-        # difference at working precision, where it is visible
         return {
             "identity": self.identity,
             "terms": self.terms,
             "digits": self.digits,
-            "value": to_decimal_string(self.value.to_fraction(), self.digits),
-            "target": to_decimal_string(self.target.to_fraction(), self.digits),
-            "abs_diff": to_decimal_string(self.abs_diff, self.value.scale),
+            "value": to_decimal_string(self.value, self.digits),
+            "target": to_decimal_string(self.target, self.digits),
+            "abs_diff": to_decimal_string(self.abs_diff, self.digits + 6),
             "pass": self.passed,
         }
 
@@ -184,12 +117,11 @@ def _alternating_terms_needed(threshold_den: int) -> int:
     term, 1/(F_{N+1} * F_{N+3}).
     """
     n = 4
-    while n < _MAX_ALTERNATING_TERMS:
-        fib = range_terms(2, n + 1, n + 3)
+    while True:
+        fib = window(2, n + 1, 3)
         if fib[0] * fib[2] > threshold_den:
             return n
         n *= 2
-    return n
 
 
 def _millin_terms_needed(threshold_den: int) -> int:
@@ -207,36 +139,32 @@ def _millin_terms_needed(threshold_den: int) -> int:
 def verify_classic(identity: str, d: int) -> ClassicReport:
     """Check one identity to precision d; pass when within 10^(-d+2).
 
-    Works internally at d+6 digits so truncation noise stays far below
-    the pass threshold; the threshold is widened by the tracked error
-    budget of both sides.
+    The sum is taken far enough that its omitted tail is under an eighth
+    of that threshold (up to the Millin cap), then its exact distance to
+    the target is truncated at d+6 digits; the verdict is exact.
     """
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; expected one of {IDENTITIES}")
     if d < 4:
         raise ValueError(f"digit count must be >= 4, got {d}")
-    work = d + 6
-    threshold = Fraction(1, 10 ** (d - 2))
-    # term enough that the omitted tail is under an eighth of the threshold
     tail_den = 8 * 10 ** (d - 2)
-    root = sqrt5(work)
+    # the target is (a - sqrt 5) / c
     if identity == "alternating":
         terms = _alternating_terms_needed(tail_den)
-        value = alternating_reciprocal_sum(terms, work)
-        target = FixedReal.from_int(2, work) - root
+        value = alternating_reciprocal_sum(terms)
+        a, c = 2, 1
     else:
         terms = _millin_terms_needed(tail_den)
-        value = millin_type_sum(terms, work)
-        target = (FixedReal.from_int(7, work) - root).div_int(2)
-    abs_diff = abs(value.to_fraction() - target.to_fraction())
-    budget = value.error_bound() + target.error_bound()
+        value = millin_type_sum(terms)
+        a, c = 7, 2
+    work = d + 6
+    diff = abs(_scaled_difference(value, a, c, work))
     return ClassicReport(
         identity=identity,
         terms=terms,
         digits=d,
         value=value,
-        target=target,
-        abs_diff=abs_diff,
-        error_budget=budget,
-        passed=abs_diff <= threshold + budget,
+        target=Fraction(-_scaled_difference(Fraction(0), a, c, d), 10**d),
+        abs_diff=Fraction(diff, 10**work),
+        passed=diff < 10**8,
     )

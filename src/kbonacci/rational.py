@@ -3,9 +3,8 @@
 ``Rational`` is the standard library's ``fractions.Fraction``, which keeps
 values normalized exactly as this package requires: denominator >= 1,
 gcd(|num|, den) == 1, zero as 0/1.  The helpers here add the pieces the
-rest of the package needs on top of that: named operations, strict "p/q"
-parsing for command-line input, and reproducible truncating decimal
-rendering.
+rest of the package needs on top of that: strict "p/q" parsing for
+command-line input and reproducible truncating decimal rendering.
 
 Every big integer the CLI prints goes through ``int_to_str``.  CPython
 before 3.12 converts int to str in quadratic time (the subquadratic path
@@ -27,12 +26,6 @@ Rational = Fraction
 
 __all__ = [
     "Rational",
-    "rat_add",
-    "rat_sub",
-    "rat_mul",
-    "rat_div",
-    "rat_pow",
-    "rat_cmp",
     "parse_rational",
     "format_ratio",
     "to_decimal_string",
@@ -62,37 +55,6 @@ EXACT_CONTEXT = decimal.Context(
 _LEAF_BITS = 1 << 13
 
 _POW2 = {0: Decimal(2)}  # j -> 2**(2**j), filled on demand
-
-
-def rat_add(a: Rational, b: Rational) -> Rational:
-    return a + b
-
-
-def rat_sub(a: Rational, b: Rational) -> Rational:
-    return a - b
-
-
-def rat_mul(a: Rational, b: Rational) -> Rational:
-    return a * b
-
-
-def rat_div(a: Rational, b: Rational) -> Rational:
-    """Exact quotient; division by zero raises ZeroDivisionError."""
-    return a / b
-
-
-def rat_pow(a: Rational, e: int) -> Rational:
-    """a**e for integer e >= 0 (binary exponentiation; 0**0 == 1)."""
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    return a ** e
-
-
-def rat_cmp(a: Rational, b: Rational) -> int:
-    """-1, 0, or +1 as a <, ==, or > b."""
-    if a < b:
-        return -1
-    return 1 if a > b else 0
 
 
 def parse_rational(text: str) -> Rational:

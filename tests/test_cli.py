@@ -6,7 +6,7 @@ import pytest
 
 import kbonacci.cli as cli
 from kbonacci.bench import METHODS
-from kbonacci.classic_sums import ClassicReport, FixedReal
+from kbonacci.classic_sums import ClassicReport
 from kbonacci.sequence import iter_terms, range_terms, term_fast
 from kbonacci.series import EvalReport, SeriesPoint, evaluate
 
@@ -237,6 +237,16 @@ class TestVerifyClassic:
         assert code == 0
         assert out.splitlines()[-1] == "PASS"
 
+    def test_alternating_at_thirty_thousand_digits(self, capsys):
+        # 131072 terms: a term-by-term sum would hold that many Fibonacci numbers
+        code, out, _ = run(
+            capsys, ["verify-classic", "--identity", "alternating", "--digits", "30000"]
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "terms = 131072"
+        assert lines[-1] == "PASS"
+
     def test_too_few_digits(self, capsys):
         code, _, err = run(
             capsys, ["verify-classic", "--identity", "millin", "--digits", "3"]
@@ -255,10 +265,9 @@ class TestVerifyClassic:
             identity="alternating",
             terms=4,
             digits=6,
-            value=FixedReal(0, 6),
-            target=FixedReal(10**6, 6),
+            value=Fraction(0),
+            target=Fraction(1),
             abs_diff=Fraction(1),
-            error_budget=Fraction(0),
             passed=False,
         )
         monkeypatch.setattr(cli, "verify_classic", lambda identity, d: broken)

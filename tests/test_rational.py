@@ -13,12 +13,6 @@ from kbonacci.rational import (
     format_ratio,
     int_to_str,
     parse_rational,
-    rat_add,
-    rat_cmp,
-    rat_div,
-    rat_mul,
-    rat_pow,
-    rat_sub,
     to_decimal,
     to_decimal_string,
 )
@@ -26,43 +20,11 @@ from kbonacci.rational import (
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=999
 )
-nonzero_rationals = rationals.filter(lambda f: f != 0)
 
 
 class TestOperations:
-    def test_add_example(self):
-        assert rat_add(Fraction(1, 10), Fraction(1, 100)) == Fraction(11, 100)
-
-    def test_mul_inverse_pair(self):
-        assert rat_mul(Fraction(10, 89), Fraction(89, 10)) == 1
-
-    def test_sub(self):
-        assert rat_sub(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
-
-    def test_div(self):
-        assert rat_div(Fraction(3, 4), Fraction(3, 2)) == Fraction(1, 2)
-
-    def test_div_by_zero_is_arithmetic_error(self):
-        with pytest.raises(ArithmeticError):
-            rat_div(Fraction(1), Fraction(0))
-
     def test_construction_normalizes(self):
         assert Fraction(90, 801) == Fraction(10, 89)
-
-    def test_pow_examples(self):
-        assert rat_pow(Fraction(1, 10), 3) == Fraction(1, 1000)
-        assert rat_pow(Fraction(10), 4) == 10000
-        assert rat_pow(Fraction(3, 2), 2) == Fraction(9, 4)
-        assert rat_pow(Fraction(0), 0) == 1
-
-    def test_pow_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            rat_pow(Fraction(2), -1)
-
-    def test_cmp(self):
-        assert rat_cmp(Fraction(2), Fraction(10, 89)) == 1
-        assert rat_cmp(Fraction(10, 89), Fraction(10, 89)) == 0
-        assert rat_cmp(Fraction(1, 889), Fraction(1, 89)) == -1
 
 
 class TestNormalizationProperties:
@@ -80,36 +42,6 @@ class TestNormalizationProperties:
     def test_renormalizing_is_idempotent(self, f):
         again = Fraction(f.numerator, f.denominator)
         assert (again.numerator, again.denominator) == (f.numerator, f.denominator)
-
-
-class TestFieldAxioms:
-    @given(rationals, rationals)
-    def test_add_commutes(self, a, b):
-        assert rat_add(a, b) == rat_add(b, a)
-
-    @given(rationals, rationals)
-    def test_mul_commutes(self, a, b):
-        assert rat_mul(a, b) == rat_mul(b, a)
-
-    @given(rationals, rationals, rationals)
-    def test_add_associates(self, a, b, c):
-        assert rat_add(rat_add(a, b), c) == rat_add(a, rat_add(b, c))
-
-    @given(rationals, rationals, rationals)
-    def test_mul_associates(self, a, b, c):
-        assert rat_mul(rat_mul(a, b), c) == rat_mul(a, rat_mul(b, c))
-
-    @given(rationals, rationals, rationals)
-    def test_mul_distributes_over_add(self, a, b, c):
-        assert rat_mul(a, rat_add(b, c)) == rat_add(rat_mul(a, b), rat_mul(a, c))
-
-    @given(nonzero_rationals)
-    def test_mul_inverse(self, a):
-        assert rat_mul(a, rat_div(Fraction(1), a)) == 1
-
-    @given(rationals)
-    def test_additive_inverse(self, a):
-        assert rat_add(a, rat_sub(Fraction(0), a)) == 0
 
 
 class TestParsing:

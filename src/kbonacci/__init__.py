@@ -1,94 +1,63 @@
-"""Exact k-bonacci numbers, their generating series, and decimal identities."""
+"""Exact k-bonacci numbers, their generating series, and decimal identities.
 
-from .bench import (
-    BenchConfig,
-    BenchRecord,
-    MethodMismatchError,
-    digit_count,
-    emit_report,
-    min_wall_times,
-    parse_report,
-    run_bench,
-)
-from .classic_sums import (
-    ClassicReport,
-    alternating_reciprocal_sum,
-    millin_type_sum,
-    verify_classic,
-)
-from .decimal_identity import (
-    RepunitDenominator,
-    digit_overlap_check,
-    identity_line,
-    reciprocal_digits,
-    repunit_denominator,
-    verify_decimal_identity,
-)
-from .rational import (
-    Rational,
-    format_ratio,
-    parse_rational,
-    to_decimal_string,
-)
-from .sequence import (
-    Window,
-    initial_terms,
-    iter_terms,
-    range_terms,
-    term_fast,
-    term_matrix,
-    term_naive,
-    window,
-)
-from .series import (
-    EvalReport,
-    SeriesPoint,
-    closed_form,
-    converge_until,
-    evaluate,
-    evaluate_range,
-    partial_sum,
-    tail_bound,
-)
+The namespace is lazy (PEP 562): ``import kbonacci`` loads no submodule,
+and a public name imports its defining module on first access, so a CLI
+run loads only what its subcommand uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchConfig",
-    "BenchRecord",
-    "ClassicReport",
-    "EvalReport",
-    "MethodMismatchError",
-    "Rational",
-    "RepunitDenominator",
-    "SeriesPoint",
-    "Window",
-    "alternating_reciprocal_sum",
-    "closed_form",
-    "converge_until",
-    "digit_count",
-    "digit_overlap_check",
-    "emit_report",
-    "evaluate",
-    "evaluate_range",
-    "format_ratio",
-    "identity_line",
-    "initial_terms",
-    "iter_terms",
-    "millin_type_sum",
-    "min_wall_times",
-    "parse_rational",
-    "parse_report",
-    "partial_sum",
-    "range_terms",
-    "reciprocal_digits",
-    "repunit_denominator",
-    "run_bench",
-    "term_fast",
-    "term_matrix",
-    "term_naive",
-    "to_decimal_string",
-    "verify_classic",
-    "verify_decimal_identity",
-    "window",
-]
+# public name -> defining submodule; __all__ and __getattr__ both read it
+_MODULE_OF = {
+    "BenchConfig": "bench",
+    "BenchRecord": "bench",
+    "MethodMismatchError": "bench",
+    "digit_count": "bench",
+    "emit_report": "bench",
+    "min_wall_times": "bench",
+    "parse_report": "bench",
+    "run_bench": "bench",
+    "ClassicReport": "classic_sums",
+    "alternating_reciprocal_sum": "classic_sums",
+    "millin_type_sum": "classic_sums",
+    "verify_classic": "classic_sums",
+    "RepunitDenominator": "decimal_identity",
+    "digit_overlap_check": "decimal_identity",
+    "identity_line": "decimal_identity",
+    "reciprocal_digits": "decimal_identity",
+    "repunit_denominator": "decimal_identity",
+    "verify_decimal_identity": "decimal_identity",
+    "Rational": "rational",
+    "format_ratio": "rational",
+    "parse_rational": "rational",
+    "to_decimal_string": "rational",
+    "Window": "sequence",
+    "initial_terms": "sequence",
+    "iter_terms": "sequence",
+    "range_terms": "sequence",
+    "term_fast": "sequence",
+    "term_matrix": "sequence",
+    "term_naive": "sequence",
+    "window": "sequence",
+    "EvalReport": "series",
+    "SeriesPoint": "series",
+    "closed_form": "series",
+    "converge_until": "series",
+    "evaluate": "series",
+    "evaluate_range": "series",
+    "partial_sum": "series",
+    "tail_bound": "series",
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value

@@ -1,7 +1,8 @@
 """Timing harness for the three term-computation strategies.
 
 Runs a (method, k, n) grid with repetitions on a monotonic clock and
-emits machine-readable reports.  Correctness is enforced while timing:
+emits machine-readable reports; methods are looked up by name in
+``sequence.METHODS``.  Correctness is enforced while timing:
 every method must produce the same term for the same (k, n), compared
 through a 64-bit checksum so reports never carry million-digit
 integers.  Full-value equality for small n is asserted in the test
@@ -21,10 +22,9 @@ import time
 from dataclasses import dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
-from .sequence import term_fast, term_matrix, term_naive, validate_order
+from .sequence import METHODS, validate_order
 
 __all__ = [
-    "METHOD_NAMES",
     "BenchConfig",
     "BenchRecord",
     "MethodMismatchError",
@@ -35,15 +35,6 @@ __all__ = [
     "digit_count",
     "load_config",
 ]
-
-# The term-method registry: bench runs and the CLI's --method look
-# strategies up here at call time.
-METHODS = {
-    "naive": term_naive,
-    "matrix": term_matrix,
-    "polymod": term_fast,
-}
-METHOD_NAMES = tuple(METHODS)
 
 _CHECKSUM_MASK = (1 << 64) - 1
 
@@ -95,7 +86,7 @@ class BenchConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(
-                f"unknown methods {unknown}; expected subset of {METHOD_NAMES}"
+                f"unknown methods {unknown}; expected subset of {tuple(METHODS)}"
             )
 
 
@@ -254,7 +245,7 @@ def load_config(path: str) -> BenchConfig:
             k_values=raw["k_values"],
             n_values=raw["n_values"],
             repetitions=raw.get("repetitions", 1),
-            methods=raw.get("methods", list(METHOD_NAMES)),
+            methods=raw.get("methods", list(METHODS)),
         )
     except KeyError as missing:
         raise ValueError(f"bench config missing key {missing}") from None

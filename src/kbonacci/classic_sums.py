@@ -35,11 +35,17 @@ __all__ = [
 
 IDENTITIES = ("alternating", "millin")
 
-# Known defect (ROADMAP item 4): the Millin search stops at 1/F_{2^16}, and
+# Known defect (ROADMAP item 1): the Millin search stops at 1/F_{2^16}, and
 # F_{2^17} has 27,393 digits, so from about 27.4k digits on the true identity
 # is reported as FAIL.  The benchmark pins that FAIL, so lifting the cap waits
 # on a benchmark change.
 _MAX_MILLIN_TERMS = 16
+
+# Largest accepted digit count.  The run grows about quadratically in d
+# (1.7 s at 100k digits and 6.2 s at 200k on CPython 3.11, 2 cores), so a
+# request far above this would run for hours; it is refused before any
+# arithmetic instead.
+_MAX_DIGITS = 200_000
 
 
 def alternating_reciprocal_sum(n_terms: int) -> Rational:
@@ -141,12 +147,15 @@ def verify_classic(identity: str, d: int) -> ClassicReport:
 
     The sum is taken far enough that its omitted tail is under an eighth
     of that threshold (up to the Millin cap), then its exact distance to
-    the target is truncated at d+6 digits; the verdict is exact.
+    the target is truncated at d+6 digits; the verdict is exact.  d must
+    lie in 4 .. 200000 (``_MAX_DIGITS``).
     """
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; expected one of {IDENTITIES}")
     if d < 4:
         raise ValueError(f"digit count must be >= 4, got {d}")
+    if d > _MAX_DIGITS:
+        raise ValueError(f"digit count must be <= {_MAX_DIGITS}, got {d}")
     tail_den = 8 * 10 ** (d - 2)
     # the target is (a - sqrt 5) / c
     if identity == "alternating":

@@ -19,6 +19,9 @@ Three evaluation strategies are provided:
   with ``term_naive``, as an independent implementation for
   cross-checking.
 
+``METHODS`` is the one registry of these strategies by name: the CLI's
+``term --method`` and the ``bench`` harness look them up there.
+
 ``window`` jumps ahead: it returns F_n .. F_{n+count-1} from the one
 residue x^n, in additions after the exponentiation.  ``Window``,
 ``iter_terms`` and ``range_terms`` start from such a jump and sweep the
@@ -33,8 +36,8 @@ CLI streams ``seq`` in ``decimal.Decimal`` under
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import islice
-from typing import Iterator, List
 
 __all__ = [
     "validate_order",
@@ -47,6 +50,7 @@ __all__ = [
     "term_matrix",
     "range_terms",
     "iter_terms",
+    "METHODS",
 ]
 
 
@@ -67,7 +71,7 @@ def validate_range(k: int, n0: int, n1: int) -> None:
     validate_order(k)
 
 
-def initial_terms(k: int) -> List[int]:
+def initial_terms(k: int) -> list[int]:
     """First k terms of the order-k sequence: k-1 zeros, then a one."""
     validate_order(k)
     return [0] * (k - 1) + [1]
@@ -97,7 +101,7 @@ class Window:
         self._sum = sum(self._buf)  # sum of the k buffered terms
 
     @property
-    def terms(self) -> List[int]:
+    def terms(self) -> list[int]:
         """Buffered terms in chronological order, oldest first."""
         i = self._oldest
         return self._buf[i:] + self._buf[:i]
@@ -139,13 +143,13 @@ def term_naive(k: int, n: int) -> int:
     return value
 
 
-def range_terms(k: int, n0: int, n1: int) -> List[int]:
+def range_terms(k: int, n0: int, n1: int) -> list[int]:
     """Terms F_{n0} .. F_{n1}: a jump to F_{n0}, then a sweep of additions."""
     validate_range(k, n0, n1)
     return list(islice(iter_terms(k, n0), n1 - n0 + 1))
 
 
-def window(k: int, n: int, count: int) -> List[int]:
+def window(k: int, n: int, count: int) -> list[int]:
     """Terms F_n .. F_{n+count-1} from the one residue x^n mod the char poly.
 
     F_{n+s} is the top coefficient of x^s * (x^n mod the char poly), so
@@ -185,7 +189,7 @@ def _validate_index(n: int) -> None:
         raise ValueError(f"negative indices are not defined, got {n}")
 
 
-def _x_pow_mod(n: int, k: int) -> List[int]:
+def _x_pow_mod(n: int, k: int) -> list[int]:
     """Coefficients (little-endian, length k) of x^n mod the char poly.
 
     Left-to-right square-and-multiply: a square per bit of n after the
@@ -201,13 +205,13 @@ def _x_pow_mod(n: int, k: int) -> List[int]:
     return residue
 
 
-def _times_x(a: List[int]) -> List[int]:
+def _times_x(a: list[int]) -> list[int]:
     """x * a reduced mod the char poly: x^k folds to 1 + x + ... + x^(k-1)."""
     top = a[-1]
     return [top] + [c + top for c in a[:-1]]
 
 
-def _square_mod(a: List[int], k: int) -> List[int]:
+def _square_mod(a: list[int], k: int) -> list[int]:
     """a^2 reduced mod the char poly, for nonnegative coefficients.
 
     Kronecker substitution: the coefficients go into byte-aligned slots of
@@ -245,7 +249,7 @@ def _square_mod(a: List[int], k: int) -> List[int]:
     return prod
 
 
-def _run_from_residue(r: List[int], length: int) -> List[int]:
+def _run_from_residue(r: list[int], length: int) -> list[int]:
     """F_m, F_{m+1}, ..., at least ``length`` terms, from r = x^m mod the char poly.
 
     F_{m+s} is the top coefficient of x^s * r.  Unrolling the multiply by
@@ -286,10 +290,19 @@ def term_matrix(k: int, n: int) -> int:
     return power[k - 1][0]
 
 
-def _identity(k: int) -> List[List[int]]:
+def _identity(k: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def _matmul(a: List[List[int]], b: List[List[int]], k: int) -> List[List[int]]:
+def _matmul(a: list[list[int]], b: list[list[int]], k: int) -> list[list[int]]:
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+# callers look a strategy up here at call time, so one patched entry
+# reaches the CLI and bench alike
+METHODS = {
+    "naive": term_naive,
+    "matrix": term_matrix,
+    "polymod": term_fast,
+}

@@ -14,6 +14,7 @@ from kbonacci.bench import (
     parse_report,
     run_bench,
 )
+from kbonacci import sequence
 from kbonacci.sequence import term_fast, term_matrix, term_naive
 
 COLUMNS = ["method", "k", "n", "rep", "wall_time", "result_digits", "checksum"]
@@ -97,6 +98,15 @@ class TestRunBench:
         for k in (2, 3, 4):
             for n in (0, 1, 999, 2000):
                 assert term_naive(k, n) == term_matrix(k, n) == term_fast(k, n)
+
+    def test_uses_the_sequence_registry(self):
+        # one registry: patching bench.METHODS patches what the CLI sees
+        assert bench.METHODS is sequence.METHODS
+        assert sequence.METHODS == {
+            "naive": term_naive,
+            "matrix": term_matrix,
+            "polymod": term_fast,
+        }
 
     def test_mismatch_aborts(self, monkeypatch):
         monkeypatch.setitem(bench.METHODS, "matrix", lambda k, n: 12345)

@@ -1,12 +1,21 @@
+import argparse
+import ast
+import importlib
 import json
+import os
+import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
+import kbonacci
 import kbonacci.cli as cli
 from kbonacci.bench import METHODS
-from kbonacci.classic_sums import ClassicReport
+from kbonacci.classic_sums import IDENTITIES, ClassicReport
 from kbonacci.sequence import iter_terms, range_terms, term_fast
 from kbonacci.series import EvalReport, SeriesPoint, evaluate
 
@@ -188,7 +197,7 @@ class TestGf:
             residual=Fraction(1),
             passed=False,
         )
-        monkeypatch.setattr(cli, "evaluate", lambda point, n: broken)
+        monkeypatch.setattr("kbonacci.series.evaluate", lambda point, n: broken)
         code, out, _ = run(capsys, ["gf", "-k", "2", "--eta", "10", "-N", "5"])
         assert code == 1
         assert out.splitlines()[-1] == "FAIL"
@@ -214,7 +223,9 @@ class TestVerifyDecimal:
         assert code == 2
 
     def test_failure_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "verify_decimal_identity", lambda k: False)
+        monkeypatch.setattr(
+            "kbonacci.decimal_identity.verify_decimal_identity", lambda k: False
+        )
         code, out, _ = run(capsys, ["verify-decimal", "-k", "2"])
         assert code == 1
         assert out.splitlines()[-1].endswith("FAIL")
@@ -254,11 +265,32 @@ class TestVerifyClassic:
         assert code == 2
         assert "usage:" in err
 
+    def test_too_many_digits(self, capsys):
+        code, out, err = run(
+            capsys, ["verify-classic", "--identity", "alternating", "--digits", "200001"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "error: digit count must be <= 200000, got 200001\nusage:"
+        )
+
     def test_unknown_identity(self, capsys):
         code, _, _ = run(
             capsys, ["verify-classic", "--identity", "golden", "--digits", "8"]
         )
         assert code == 2
+
+    def test_identity_choices_are_the_library_identities(self):
+        parser = cli.build_parser()
+        (commands,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        (identity,) = [
+            a
+            for a in commands.choices["verify-classic"]._actions
+            if a.dest == "identity"
+        ]
+        assert tuple(identity.choices) == IDENTITIES
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         broken = ClassicReport(
@@ -270,7 +302,9 @@ class TestVerifyClassic:
             abs_diff=Fraction(1),
             passed=False,
         )
-        monkeypatch.setattr(cli, "verify_classic", lambda identity, d: broken)
+        monkeypatch.setattr(
+            "kbonacci.classic_sums.verify_classic", lambda identity, d: broken
+        )
         code, out, _ = run(
             capsys, ["verify-classic", "--identity", "alternating", "--digits", "6"]
         )
@@ -388,3 +422,79 @@ class TestDispatch:
             cli.main()
         assert exc.value.code == 0
         assert capsys.readouterr().out == "13\n"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(code):
+    """Run code in a new interpreter without site, which preloads modules."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+class TestStartup:
+    # what term and seq do not use; each would only add start-up time
+    UNUSED = (
+        "kbonacci.bench",
+        "kbonacci.classic_sums",
+        "kbonacci.series",
+        "kbonacci.decimal_identity",
+        "dataclasses",
+        "inspect",
+        "json",
+        "csv",
+        "typing",
+    )
+
+    @pytest.mark.parametrize(
+        "argv,out",
+        [
+            (["term", "-k", "2", "-n", "10"], "55\n"),
+            (["seq", "-k", "3", "--from", "5", "--to", "9"], "4\n7\n13\n24\n44\n"),
+        ],
+        ids=["term", "seq"],
+    )
+    def test_term_and_seq_load_only_what_they_use(self, argv, out):
+        proc = fresh_python(
+            "import sys\n"
+            "from kbonacci.cli import parse_and_dispatch\n"
+            f"code = parse_and_dispatch({argv!r})\n"
+            f"loaded = sorted(set({self.UNUSED!r}) & set(sys.modules))\n"
+            "sys.stderr.write(repr((code, loaded)))\n"
+        )
+        assert proc.stdout == out
+        assert ast.literal_eval(proc.stderr) == (0, [])
+
+    def test_package_import_loads_no_submodule(self):
+        proc = fresh_python(
+            "import sys\n"
+            "import kbonacci\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('kbonacci.'))\n"
+            "before = loaded()\n"
+            "kbonacci.term_fast\n"
+            "sys.stderr.write(repr((before, loaded())))\n"
+        )
+        assert ast.literal_eval(proc.stderr) == ([], ["kbonacci.sequence"])
+
+    def test_public_names_are_their_defining_modules_objects(self):
+        defined = set()
+        for info in pkgutil.iter_modules(kbonacci.__path__):
+            module = importlib.import_module(f"kbonacci.{info.name}")
+            for name in set(getattr(module, "__all__", ())) & set(kbonacci.__all__):
+                assert getattr(kbonacci, name) is getattr(module, name)
+                defined.add(name)
+        assert sorted(defined) == kbonacci.__all__
+        namespace = {}
+        exec("from kbonacci import *", namespace)
+        for name in kbonacci.__all__:
+            assert namespace[name] is getattr(kbonacci, name)
+        with pytest.raises(AttributeError):
+            kbonacci.no_such_name

@@ -14,23 +14,25 @@ handler imports its library module (and json) in its own body.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from decimal import localcontext
 
-from .rational import (
-    EXACT_CONTEXT,
-    Rational,
-    format_ratio,
-    int_to_str,
-    parse_rational,
-    to_decimal,
-)
+from .rational import EXACT_CONTEXT, Rational, format_ratio, parse_rational, to_decimal
 from .sequence import METHODS, iter_terms, validate_range
 
 __all__ = ["build_parser", "parse_and_dispatch", "main"]
 
 # tail-bound target when gf is given neither -N nor --epsilon
 _DEFAULT_EPSILON = Rational(1, 10**30)
+
+# F_n < 2^n, so F_n has at most n*log10(2) + 1 digits.  term and seq refuse
+# an index whose bound passes _MAX_DIGITS before any arithmetic, rather than
+# run for minutes: 3.1M digits take about a second, and time and memory grow
+# with the size of the result.
+_MAX_DIGITS = 10**7
+_MAX_INDEX = int(_MAX_DIGITS / math.log10(2))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     term = sub.add_parser("term", help="print one term F_n")
     term.add_argument("-k", type=int, required=True, help="recurrence order, >= 2")
-    term.add_argument("-n", type=int, required=True, help="term index, >= 0")
+    term.add_argument("-n", type=int, required=True, help=f"term index, 0 to {_MAX_INDEX}")
     term.add_argument(
         "--method",
         choices=sorted(METHODS),
@@ -98,18 +100,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_index_bound(n: int) -> None:
+    if n > _MAX_INDEX:
+        raise ValueError(
+            f"index must be <= {_MAX_INDEX}, got {n}: F_n may have more than {_MAX_DIGITS} digits"
+        )
+
+
 def _cmd_term(args) -> int:
-    print(int_to_str(METHODS[args.method](args.k, args.n)))
+    # every method returns a Decimal here, whose str() is linear; the kernel
+    # runs its top squares in it
+    _check_index_bound(args.n)
+    with localcontext(EXACT_CONTEXT):
+        print(METHODS[args.method](args.k, args.n, to_decimal))
     return 0
 
 
 def _cmd_seq(args) -> int:
-    from decimal import localcontext
     from itertools import islice
 
     # jump to F_start, then sweep in exact Decimal: str(Decimal) is linear,
     # and to_decimal converts the big seed terms in subquadratic time
     validate_range(args.k, args.start, args.stop)
+    _check_index_bound(args.stop)
     with localcontext(EXACT_CONTEXT):
         terms = iter_terms(args.k, args.start, to_decimal)
         for value in islice(terms, args.stop - args.start + 1):

@@ -6,13 +6,18 @@ gcd(|num|, den) == 1, zero as 0/1.  The helpers here add the pieces the
 rest of the package needs on top of that: strict "p/q" parsing for
 command-line input and reproducible truncating decimal rendering.
 
-Every big integer the CLI prints goes through ``int_to_str``.  CPython
-before 3.12 converts int to str in quadratic time (the subquadratic path
-came with gh-90716), so large values are converted to ``Decimal`` by
-divide and conquer instead: libmpdec multiplies big operands with a
-number-theoretic transform, and ``str(Decimal)`` is linear.  All of that
-arithmetic runs in ``EXACT_CONTEXT``, where a rounding raises instead of
-producing wrong digits.
+CPython before 3.12 converts int to str in quadratic time (the
+subquadratic path came with gh-90716), while libmpdec multiplies big
+operands with a number-theoretic transform and ``str(Decimal)`` is
+linear.  So every big int the CLI prints goes through ``int_to_str``,
+which converts it to ``Decimal`` by divide and conquer (``to_decimal``),
+and the big terms never become ints at all: ``term`` gets F_n from the
+kernel as a ``Decimal`` (``sequence.term_fast`` with
+``cast=to_decimal``), and ``seq`` sweeps in ``Decimal`` from converted
+seed terms.  All of that arithmetic runs in ``EXACT_CONTEXT``, where a
+rounding raises instead of producing wrong digits.  The way back,
+``int(Decimal)``, is quadratic on CPython 3.11 too, so nothing here
+converts a ``Decimal`` to int.
 """
 
 from __future__ import annotations

@@ -8,11 +8,16 @@ Three evaluation strategies are provided:
 
 * ``term_fast`` -- x^m modulo the characteristic polynomial
   x^k - x^(k-1) - ... - x - 1 for m = n // 2, by left-to-right
-  square-and-multiply.  Each square is one big-integer multiplication by
+  square-and-multiply.  Each square is one big multiplication by
   Kronecker substitution (coefficients packed into the slots of one
-  integer) followed by an O(k) reduction; each multiply by x is k
+  number) followed by an O(k) reduction; each multiply by x is k
   additions.  A final dot product of k half-size products gives F_n.
-  O(log n) squares of about k times the term size.
+  O(log n) squares of about k times the term size.  Asked for a
+  ``Decimal`` (``cast=rational.to_decimal``, as the CLI does), it runs
+  the squares from about 10k-digit coefficients on in ``Decimal``:
+  libmpdec multiplies big operands with a number-theoretic transform,
+  CPython's int with Karatsuba, and the Decimal result prints in linear
+  time.
 * ``term_naive`` -- iterate a sliding window of the last k terms from the
   initial terms; linear in n.
 * ``term_matrix`` -- k x k companion-matrix power.  O(k^3 log n); kept,
@@ -27,16 +32,18 @@ residue x^n, in additions after the exponentiation.  ``Window``,
 ``iter_terms`` and ``range_terms`` start from such a jump and sweep the
 rest by additions, so a range far from 0 costs no sweep from F_0.
 
-All functions are pure and operate on plain Python integers, so results
-are exact at any size.  ``Window`` and ``iter_terms`` also sweep in any
-other exact additive type that ``cast`` converts the seed terms to (the
-CLI streams ``seq`` in ``decimal.Decimal`` under
-``rational.EXACT_CONTEXT``, since ``str()`` of a Decimal is linear).
+All functions are pure and by default operate on plain Python integers,
+so results are exact at any size.  The three term strategies, ``Window``
+and ``iter_terms`` also compute in any other exact type that ``cast``
+converts ints to; the CLI prints ``term`` and streams ``seq`` in
+``decimal.Decimal`` under ``rational.EXACT_CONTEXT``, since ``str()`` of
+a Decimal is linear.  ``window`` and ``range_terms`` always return ints.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from decimal import Context, Decimal, Inexact, getcontext
 from itertools import islice
 
 __all__ = [
@@ -52,6 +59,14 @@ __all__ = [
     "iter_terms",
     "METHODS",
 ]
+
+# term_fast with a cast (the CLI's Decimal) converts the residue before the
+# first square with a coefficient this wide, about 10k digits.  Below it,
+# Decimal's cost per operation in the O(k) additions and conversions of each
+# step outweighs its faster product: switching on the packed size (k times
+# this) instead made the term requests with k >= 16 and under 20k digits
+# slower.
+_CAST_BITS = 33_000
 
 
 def validate_order(k: int) -> int:
@@ -131,13 +146,15 @@ def iter_terms(k: int, start: int = 0, cast=int) -> Iterator[int]:
         yield sweep.advance()
 
 
-def term_naive(k: int, n: int) -> int:
-    """n-th term by window iteration from the initial terms; O(n)."""
+def term_naive(k: int, n: int, cast=int):
+    """n-th term by window iteration from the initial terms; O(n).
+
+    ``cast`` converts the initial terms, as in ``Window``.
+    """
     _validate_index(n)
-    first = initial_terms(k)
+    sweep = Window(k, 0, cast)
     if n < k:
-        return first[n]
-    sweep = Window(k)
+        return sweep.terms[n]
     while sweep.head_index < n:
         value = sweep.advance()
     return value
@@ -162,24 +179,35 @@ def window(k: int, n: int, count: int) -> list[int]:
     return _run_from_residue(_x_pow_mod(n, k), count)[:count]
 
 
-def term_fast(k: int, n: int) -> int:
+def term_fast(k: int, n: int, cast=int):
     """n-th term via x^m modulo the characteristic polynomial, m = n // 2.
 
     Computes r = x^m mod (x^k - x^(k-1) - ... - x - 1) by left-to-right
-    square-and-multiply, each square one big-integer multiplication by
-    Kronecker substitution plus an O(k) reduction.  With n = 2m + t,
+    square-and-multiply, each square one big multiplication by Kronecker
+    substitution plus an O(k) reduction.  With n = 2m + t,
     x^n = x^m * x^(m+t) gives F_n = sum_i r_i F_{m+t+i}, and that run of
     k terms follows from r in additions; so the last step is k products
     of half-size operands, not a full-size square.  O(log n) squares of
     about k times the term size, which makes huge single indices (n in
     the millions) practical.
+
+    The default returns an int and runs in ints throughout.  Any other
+    ``cast`` (``rational.to_decimal``) converts the residue once its
+    coefficients reach ``_CAST_BITS`` bits, so the top squares and the
+    final products run in that type, and F_n comes back in it; a residue
+    that stays smaller leaves one int result to convert.  For ``Decimal``
+    that means libmpdec's number-theoretic-transform products and a
+    result whose ``str()`` is linear; the Decimal squares need a context
+    that traps ``Inexact``, such as ``rational.EXACT_CONTEXT``, and raise
+    ValueError under any other (the default context rounds at 28 digits).
     """
     validate_order(k)
     _validate_index(n)
     m, t = divmod(n, 2)
-    r = _x_pow_mod(m, k)
+    r = _x_pow_mod(m, k, cast)
     run = _run_from_residue(r, t + k)
-    return sum(c * f for c, f in zip(r, run[t:]) if c)
+    value = sum(c * f for c, f in zip(r, run[t:]) if c)
+    return cast(value) if type(value) is int else value
 
 
 def _validate_index(n: int) -> None:
@@ -189,16 +217,21 @@ def _validate_index(n: int) -> None:
         raise ValueError(f"negative indices are not defined, got {n}")
 
 
-def _x_pow_mod(n: int, k: int) -> list[int]:
+def _x_pow_mod(n: int, k: int, cast=int) -> list:
     """Coefficients (little-endian, length k) of x^n mod the char poly.
 
     Left-to-right square-and-multiply: a square per bit of n after the
-    leading one, then a multiply by x where the bit is set.
+    leading one, then a multiply by x where the bit is set.  A ``cast``
+    other than int converts the residue, once, before the first square
+    whose operand has a coefficient of ``_CAST_BITS`` bits or more.
     """
     if n == 0:
         return [1] + [0] * (k - 1)
     residue = [0, 1] + [0] * (k - 2)  # the polynomial x
+    pending = cast is not int
     for bit in bin(n)[3:]:
+        if pending and max(residue).bit_length() >= _CAST_BITS:
+            residue, pending = [cast(c) for c in residue], False
         residue = _square_mod(residue, k)
         if bit == "1":
             residue = _times_x(residue)
@@ -211,31 +244,20 @@ def _times_x(a: list[int]) -> list[int]:
     return [top] + [c + top for c in a[:-1]]
 
 
-def _square_mod(a: list[int], k: int) -> list[int]:
+def _square_mod(a: list, k: int) -> list:
     """a^2 reduced mod the char poly, for nonnegative coefficients.
 
-    Kronecker substitution: the coefficients go into byte-aligned slots of
-    one integer, wide enough that no coefficient of the square (a sum of at
-    most k products) carries into the next slot, so one big-integer square
-    gives all 2k-1 coefficients.  Degrees d >= k are then folded down with
+    Kronecker substitution: the coefficients go into the slots of one
+    number, wide enough that no coefficient of the square (a sum of at
+    most k products) carries into the next slot, so one big
+    multiplication gives all 2k-1 coefficients: byte slots of an int for
+    int coefficients, decimal-digit slots of a ``Decimal`` for ``Decimal``
+    ones.  Degrees d >= k are then folded down with
     x^d = x^(d-1) + ... + x^(d-k), in two running-sum passes: top-down,
     each high coefficient collects the folded ones above it; then the low
     coefficient i collects the high ones of degree k .. min(i+k, 2k-2).
     """
-    width = (2 * max(a).bit_length() + k.bit_length() + 8) // 8  # bytes
-    packed = bytearray(k * width)
-    for i, c in enumerate(a):
-        packed[i * width : (i + 1) * width] = c.to_bytes(width, "little")
-    value = int.from_bytes(packed, "little")
-    del packed  # free each temporary early: they hold k times a term
-    value *= value
-    size = (2 * k - 1) * width
-    square = memoryview(value.to_bytes(size, "little"))
-    del value
-    prod = [
-        int.from_bytes(square[i : i + width], "little")
-        for i in range(0, size, width)
-    ]
+    prod = _int_square_slots(a, k) if type(a[0]) is int else _decimal_square_slots(a, k)
     above = 0  # sum of the folded coefficients of degree > d
     for d in range(2 * k - 2, k - 1, -1):
         prod[d] += above
@@ -247,6 +269,66 @@ def _square_mod(a: list[int], k: int) -> list[int]:
     prod[k - 1] += below
     del prod[k:]
     return prod
+
+
+def _int_square_slots(a: list[int], k: int) -> list[int]:
+    """The 2k-1 coefficients of a^2, through one int square."""
+    width = (2 * max(a).bit_length() + k.bit_length() + 8) // 8  # bytes
+    packed = bytearray(k * width)
+    for i, c in enumerate(a):
+        packed[i * width : (i + 1) * width] = c.to_bytes(width, "little")
+    value = int.from_bytes(packed, "little")
+    del packed  # free each temporary early: they hold k times a term
+    value *= value
+    size = (2 * k - 1) * width
+    square = memoryview(value.to_bytes(size, "little"))
+    del value
+    return [
+        int.from_bytes(square[i : i + width], "little")
+        for i in range(0, size, width)
+    ]
+
+
+def _decimal_square_slots(a: list[Decimal], k: int) -> list[Decimal]:
+    """The 2k-1 coefficients of a^2, through one ``Decimal`` square.
+
+    Each coefficient of the square is below k * 10^(2D) for D-digit
+    coefficients, so slots of 2D + len(str(k)) digits hold it.
+    """
+    if not getcontext().traps[Inexact]:
+        # under a rounding context the digits would come out wrong silently
+        raise ValueError(
+            "Decimal terms need a context that traps Inexact, such as rational.EXACT_CONTEXT"
+        )
+    width = 2 * (max(a).adjusted() + 1) + len(str(k))  # digits
+    packed = _join_slots(a, width)
+    square = packed * packed
+    del packed  # free each temporary early, as in the int path
+    return _split_slots(square, width, 2 * k - 1)
+
+
+def _join_slots(a: list[Decimal], width: int) -> Decimal:
+    """sum_i a_i 10^(i*width), joined by halves: each digit moves O(log k) times."""
+    if len(a) == 1:
+        return a[0]
+    half = len(a) // 2
+    return _join_slots(a[:half], width) + _join_slots(a[half:], width).shift(half * width)
+
+
+def _split_slots(x: Decimal, width: int, count: int) -> list[Decimal]:
+    """The ``count`` slots of ``width`` digits of x, lowest first, split by halves.
+
+    ``shift`` moves coefficient digits without rounding and cuts its
+    result to the context's precision from the top, so under a precision
+    of p digits ``x.shift(0)`` is x mod 10^p, and ``x.shift(-p)`` is
+    x // 10^p.
+    """
+    if count == 1:
+        return [x]
+    half = count // 2
+    low = x.shift(0, Context(prec=half * width))
+    high = x.shift(-half * width)
+    return _split_slots(low, width, half) + _split_slots(high, width, count - half)
 
 
 def _run_from_residue(r: list[int], length: int) -> list[int]:
@@ -267,12 +349,13 @@ def _run_from_residue(r: list[int], length: int) -> list[int]:
     return run
 
 
-def term_matrix(k: int, n: int) -> int:
+def term_matrix(k: int, n: int, cast=int):
     """n-th term via the k x k companion-matrix power; O(k^3 log n).
 
     The advance matrix has a first row of ones (summing the window) above
     a shifted identity; its n-th power applied to the initial window
     (1, 0, ..., 0) leaves F_n in the last slot, i.e. entry [k-1][0].
+    The result passes through ``cast``.
     """
     validate_order(k)
     _validate_index(n)
@@ -287,7 +370,7 @@ def term_matrix(k: int, n: int) -> int:
         e >>= 1
         if e:
             step = _matmul(step, step, k)
-    return power[k - 1][0]
+    return cast(power[k - 1][0])
 
 
 def _identity(k: int) -> list[list[int]]:
@@ -300,7 +383,7 @@ def _matmul(a: list[list[int]], b: list[list[int]], k: int) -> list[list[int]]:
 
 
 # callers look a strategy up here at call time, so one patched entry
-# reaches the CLI and bench alike
+# reaches the CLI and bench alike; each takes (k, n, cast=int)
 METHODS = {
     "naive": term_naive,
     "matrix": term_matrix,

@@ -215,6 +215,6 @@ class TestVerifyClassic:
         f = window(2, 2**20 + 1, 3)
         assert _alternating_terms_needed(f[0] * f[2]) == 2**21
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP 4: Millin cap")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 1: Millin cap")
     def test_millin_above_the_cap_passes(self):
         assert verify_classic("millin", 30000).passed

@@ -2,6 +2,7 @@ import argparse
 import ast
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -14,8 +15,10 @@ import pytest
 
 import kbonacci
 import kbonacci.cli as cli
+from kbonacci import sequence
 from kbonacci.bench import METHODS
 from kbonacci.classic_sums import IDENTITIES, ClassicReport
+from kbonacci.rational import int_to_str
 from kbonacci.sequence import iter_terms, range_terms, term_fast
 from kbonacci.series import EvalReport, SeriesPoint, evaluate
 
@@ -64,6 +67,77 @@ class TestTerm:
         code, out, err = run(capsys, ["term", "-k", "2", "-n", "300000"])
         assert (code, err) == (0, "")
         assert out == str(term_fast(2, 300_000)) + "\n"
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_top_of_the_render_range_matches_the_int_kernel(self, capsys, k):
+        code, out, err = run(capsys, ["term", "-k", str(k), "-n", "1500000"])
+        assert (code, err) == (0, "")
+        assert out == int_to_str(term_fast(k, 1_500_000)) + "\n"
+
+    @pytest.mark.parametrize(
+        "k,n,in_decimal",
+        [(2, 190_139, False), (2, 190_140, True), (3, 150_155, False), (3, 150_156, True)],
+    )
+    def test_either_side_of_the_decimal_switch(self, capsys, monkeypatch, k, n, in_decimal):
+        squares = []
+        square = sequence._decimal_square_slots
+        monkeypatch.setattr(
+            sequence, "_decimal_square_slots", lambda a, k: squares.append(k) or square(a, k)
+        )
+        code, out, err = run(capsys, ["term", "-k", str(k), "-n", str(n)])
+        assert (code, err) == (0, "")
+        assert bool(squares) is in_decimal
+        assert out == int_to_str(term_fast(k, n)) + "\n"
+
+    @pytest.mark.parametrize(
+        "method,k,n",
+        [("naive", 2, 0), ("naive", 2, 30_000), ("naive", 7, 5_000),
+         ("matrix", 4, 3), ("matrix", 2, 30_000), ("matrix", 5, 3_000)],
+    )
+    def test_oracle_methods_print_their_int_result(self, capsys, method, k, n):
+        code, out, err = run(capsys, ["term", "-k", str(k), "-n", str(n), "--method", method])
+        assert (code, err) == (0, "")
+        assert out == int_to_str(METHODS[method](k, n)) + "\n"
+
+
+BOUND = 33_219_280  # the largest index whose bound n*log10(2) is at most 10^7 digits
+
+
+class TestIndexBound:
+    def test_bound_is_ten_million_digits(self):
+        assert cli._MAX_INDEX == BOUND
+        assert BOUND * math.log10(2) <= 10**7 < (BOUND + 1) * math.log10(2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["term", "-k", "2", "-n", str(BOUND + 1)],
+            ["term", "-k", "3", "-n", str(BOUND + 1), "--method", "naive"],
+            ["term", "-k", "2", "-n", "9" * 400],
+            ["seq", "-k", "2", "--from", "0", "--to", str(BOUND + 1)],
+            ["seq", "-k", "5", "--from", str(BOUND + 1), "--to", str(BOUND + 1)],
+        ],
+    )
+    def test_refused_before_any_arithmetic(self, capsys, monkeypatch, argv):
+        def arithmetic(*args):
+            raise AssertionError("the refused request ran")
+
+        for name in METHODS:
+            monkeypatch.setitem(METHODS, name, arithmetic)
+        monkeypatch.setattr(cli, "iter_terms", arithmetic)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        index = argv[argv.index("-n" if argv[0] == "term" else "--to") + 1]
+        message = f"index must be <= {BOUND}, got {index}: F_n may have more than 10000000 digits"
+        assert err.startswith(f"error: {message}\n")
+        assert "usage:" in err
+
+    def test_largest_index_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setitem(METHODS, "polymod", lambda k, n, cast: cast(n))
+        monkeypatch.setattr(cli, "iter_terms", lambda k, start, cast: iter([cast(start)]))
+        assert run(capsys, ["term", "-k", "2", "-n", str(BOUND)]) == (0, f"{BOUND}\n", "")
+        argv = ["seq", "-k", "2", "--from", str(BOUND), "--to", str(BOUND)]
+        assert run(capsys, argv) == (0, f"{BOUND}\n", "")
 
 
 class TestSeq:

@@ -1,10 +1,12 @@
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kbonacci.rational import EXACT_CONTEXT, to_decimal
+from kbonacci import sequence
+from kbonacci.rational import EXACT_CONTEXT, int_to_str, to_decimal
 from kbonacci.sequence import (
     Window,
     _square_mod,
@@ -300,3 +302,85 @@ class TestKernelOracles:
     def test_matrix_spot_check_at_k64(self):
         for n in (63, 64, 200, 301):
             assert term_fast(64, n) == term_matrix(64, n)
+
+
+def square_in(cast, a, k):
+    """``_square_mod`` of a with its coefficients passed through ``cast``, as ints."""
+    with localcontext(EXACT_CONTEXT):
+        square = _square_mod([cast(c) for c in a], k)
+    if cast is to_decimal:
+        # exponent 0: the Decimal prints as its plain digits
+        assert all(type(c) is Decimal and c.as_tuple().exponent == 0 for c in square)
+    return [int(c) for c in square]
+
+
+def decimal_term(method, k, n, cast_bits=sequence._CAST_BITS):
+    """``str`` of F_n from ``method`` in Decimal, with the kernel's switch at ``cast_bits``."""
+    with mock.patch.object(sequence, "_CAST_BITS", cast_bits), localcontext(EXACT_CONTEXT):
+        value = method(k, n, to_decimal)
+    assert type(value) is Decimal
+    return str(value)
+
+
+class TestDecimalKernel:
+    @settings(deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 4000), st.integers(0, 800))
+    @example(2, 0, 0)
+    @example(2, 4000, 0)
+    @example(40, 39, 1)
+    @example(3, 4000, 800)
+    def test_decimal_term_equals_int_term(self, k, n, cast_bits):
+        # the operand of the last square has coefficients of about
+        # n/4 * log2(rho_k) < 1000 bits here, so a switch at 0 to 800 bits
+        # puts n on either side of it
+        assert decimal_term(term_fast, k, n, cast_bits) == int_to_str(term_fast(k, n))
+
+    @settings(deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 400))
+    @example(2, 0)
+    @example(40, 39)
+    @example(40, 40)
+    def test_every_method_agrees_with_the_oracles(self, k, n):
+        expected = str(term_naive(k, n))
+        assert expected == str(term_matrix(k, n))
+        for method in (term_fast, term_naive, term_matrix):
+            assert decimal_term(method, k, n, cast_bits=0) == expected
+
+    @pytest.mark.parametrize("k,n", [(2, 190_140), (3, 150_156), (16, 100_000)])
+    def test_decimal_term_above_the_real_switch(self, k, n):
+        assert decimal_term(term_fast, k, n) == int_to_str(term_fast(k, n))
+
+    @pytest.mark.parametrize("prec", [28, 10**6])
+    def test_decimal_squares_refuse_a_rounding_context(self, prec):
+        with mock.patch.object(sequence, "_CAST_BITS", 0), localcontext(Context(prec=prec)):
+            with pytest.raises(ValueError, match="traps Inexact"):
+                term_fast(2, 1000, to_decimal)
+
+    def test_defaults_stay_int(self):
+        # above the switch, where a cast would take the Decimal path
+        assert type(term_fast(2, 200_000)) is int
+        assert {type(t) for t in window(2, 200_000, 3)} == {int}
+        assert {type(t) for t in range_terms(2, 200_000, 200_002)} == {int}
+
+    @settings(deadline=None)
+    @given(st.integers(2, 70).flatmap(lambda k: st.tuples(st.just(k), residue(k, 300))))
+    def test_decimal_square_matches_schoolbook(self, ka):
+        k, a = ka
+        assert square_in(to_decimal, a, k) == schoolbook_mul_mod(a, a, k)
+
+    @pytest.mark.parametrize("cast", [int, to_decimal], ids=["int", "decimal"])
+    @pytest.mark.parametrize("k", [2, 3, 5, 9, 10, 11, 64, 100])
+    @pytest.mark.parametrize("digits", [1, 2, 3, 7, 19, 20, 300, 301])
+    def test_square_of_all_nines_coefficients(self, cast, k, digits):
+        # the middle coefficient of the square is k(10^D - 1)^2, which needs
+        # 2D + len(str(k)) digits unless k is a power of ten: a narrower
+        # decimal slot carries into its neighbour here
+        a = [10**digits - 1] * k
+        assert square_in(cast, a, k) == schoolbook_mul_mod(a, a, k)
+
+    @pytest.mark.parametrize("k", [2, 5, 33])
+    def test_decimal_square_with_very_uneven_widths(self, k):
+        for top in range(k):
+            a = [1] * k
+            a[top] = 3**5000
+            assert square_in(to_decimal, a, k) == schoolbook_mul_mod(a, a, k)

@@ -4,13 +4,24 @@ Targets: the alternating sum of 1/(F_n * F_{n+2}) over n >= 1 equals
 2 - sqrt(5), and the sum of 1/F_{2^n} over n >= 0 equals (7 - sqrt(5)) / 2.
 Both truncated sums telescope to closed forms in a couple of terms:
 
-    sum_{n=1}^{N} (-1)^n / (F_n F_{n+2}) = 2 - F_{2N+3} / (F_{N+1} F_{N+2}),
+    sum_{n=1}^{N} (-1)^n / (F_n F_{n+2}) = 2 - F_{2N+3} / (F_{N+1} F_{N+2})
+                                         = -F_N^2 / (F_{N+1} F_{N+2}),
     sum_{n=0}^{M} 1 / F_{2^n}            = 3 - F_{2^M - 1} / F_{2^M}   (M >= 1),
 
 the second from I. J. Good, Fibonacci Quart. 12 (1974) 346.  So each
-partial sum is an exact rational, and its distance to the irrational
-target is compared with integer square roots: no tolerance, no error
-budget.
+partial sum is an exact rational p/q, kept as two ints.
+
+Its distance to the irrational target (a - sqrt 5)/c is decided with
+integer arithmetic: no tolerance, no error budget.  ``verify_classic``
+takes every printed line and the verdict from one integer square root
+s = isqrt(5 10^(2W)) and one division v = |p| 10^W // q, at
+W = d + 6 + ``_GUARD_DIGITS`` digits.  The value's and the target's
+d-digit truncations follow from them exactly; the distance's truncation
+at d + 6 digits, and with it the verdict, follows unless a truncation
+boundary falls inside an interval of c + 1 units of 10^-W, and then the
+exact ``_scaled_difference`` decides it.  The lines are rendered from
+those scaled ints, so no ``Fraction`` normalises an O(d)-digit number
+and nothing divides by a big power of ten.
 
 The alternating sum starts at n = 1.  Writing it from n = 0 would
 divide by F_0 = 0; the n = 1 start is what actually produces the
@@ -23,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .rational import Rational, to_decimal_string
+from .rational import Rational, int_to_str
 from .sequence import term_fast, window
 
 __all__ = [
@@ -42,29 +53,43 @@ IDENTITIES = ("alternating", "millin")
 _MAX_MILLIN_TERMS = 16
 
 # Largest accepted digit count.  The run grows about quadratically in d
-# (1.7 s at 100k digits and 6.2 s at 200k on CPython 3.11, 2 cores), so a
-# request far above this would run for hours; it is refused before any
-# arithmetic instead.
+# (alternating: 0.6 s at 100k digits and 1.9 s at 200k, process wall on
+# CPython 3.11, 2 cores; most of it the one division by q), so a request far
+# above this would run for hours; it is refused before any arithmetic
+# instead.
 _MAX_DIGITS = 200_000
+
+# Digits carried past the d + 6 that abs_diff prints.  The distance's
+# truncation falls back to the exact _scaled_difference only when a boundary
+# lies within c + 1 units of 10^-W of it, about once in 10^_GUARD_DIGITS.
+_GUARD_DIGITS = 8
 
 
 def alternating_reciprocal_sum(n_terms: int) -> Rational:
     """Exact sum of (-1)^n / (F_n * F_{n+2}) for n = 1 .. n_terms."""
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
+    return Fraction(*_alternating_parts(n_terms))
+
+
+def _alternating_parts(n_terms: int) -> tuple[int, int]:
     a, b = window(2, n_terms + 1, 2)
-    # F_{2N+3} = F_{N+1}^2 + F_{N+2}^2
-    return 2 - Fraction(a * a + b * b, a * b)
+    # 2 - (a^2 + b^2)/(ab) = -(b - a)^2/(ab), and b - a = F_N
+    return -((b - a) ** 2), a * b
 
 
 def millin_type_sum(m_terms: int) -> Rational:
     """Exact sum of 1 / F_{2^n} for n = 0 .. m_terms."""
     if m_terms < 0:
         raise ValueError(f"term count must be >= 0, got {m_terms}")
+    return Fraction(*_millin_parts(m_terms))
+
+
+def _millin_parts(m_terms: int) -> tuple[int, int]:
     if m_terms == 0:
-        return Fraction(1)
+        return 1, 1
     a, b = window(2, 2**m_terms - 1, 2)
-    return 3 - Fraction(a, b)
+    return 3 * b - a, b
 
 
 def _scaled_difference(x: Rational, a: int, c: int, w: int) -> int:
@@ -84,34 +109,59 @@ def _scaled_difference(x: Rational, a: int, c: int, w: int) -> int:
     return -((-bound - 1) // (q * c))
 
 
+def _fixed(n: int, digits: int) -> str:
+    """n / 10^digits with exactly ``digits`` fraction digits."""
+    text = int_to_str(abs(n)).rjust(digits + 1, "0")
+    return f"{'-' if n < 0 else ''}{text[:-digits]}.{text[-digits:]}"
+
+
 @dataclass(frozen=True)
 class ClassicReport:
     """Outcome of one exact verification.
 
-    ``value`` is the exact partial sum; ``target`` is the irrational
-    limit truncated toward zero to ``digits`` digits; ``abs_diff`` is the
-    distance from ``value`` to the limit itself, truncated to
-    ``digits + 6`` digits.  ``passed`` says that distance is below
-    10^(-digits+2), which the truncated distance decides exactly: the
-    distance is irrational, so it never equals the threshold.
+    The partial sum is ``numerator / denominator``.  ``scaled_value`` and
+    ``scaled_target`` are it and the irrational limit times 10^digits,
+    truncated toward zero; ``scaled_diff`` is the distance from the partial
+    sum to the limit itself times 10^(digits + 6), truncated.  ``passed``
+    says that distance is below 10^(-digits+2), which the truncated
+    distance decides exactly: the distance is irrational, so it never
+    equals the threshold.  ``value``, ``target`` and ``abs_diff`` are the
+    same three numbers as exact fractions.
     """
 
     identity: str
     terms: int
     digits: int
-    value: Rational
-    target: Rational
-    abs_diff: Rational
+    numerator: int
+    denominator: int
+    scaled_value: int
+    scaled_target: int
+    scaled_diff: int
     passed: bool
 
+    @property
+    def value(self) -> Rational:
+        return Fraction(self.numerator, self.denominator)
+
+    @property
+    def target(self) -> Rational:
+        return Fraction(self.scaled_target, 10**self.digits)
+
+    @property
+    def abs_diff(self) -> Rational:
+        return Fraction(self.scaled_diff, 10 ** (self.digits + 6))
+
     def to_json_dict(self) -> dict:
+        # the same strings as rational.to_decimal_string of the three
+        # fractions; neither partial sum ever truncates to zero, so the sign
+        # of scaled_value is the sign of the value
         return {
             "identity": self.identity,
             "terms": self.terms,
             "digits": self.digits,
-            "value": to_decimal_string(self.value, self.digits),
-            "target": to_decimal_string(self.target, self.digits),
-            "abs_diff": to_decimal_string(self.abs_diff, self.digits + 6),
+            "value": _fixed(self.scaled_value, self.digits),
+            "target": _fixed(self.scaled_target, self.digits),
+            "abs_diff": _fixed(self.scaled_diff, self.digits + 6),
             "pass": self.passed,
         }
 
@@ -145,10 +195,21 @@ def _millin_terms_needed(threshold_den: int) -> int:
 def verify_classic(identity: str, d: int) -> ClassicReport:
     """Check one identity to precision d; pass when within 10^(-d+2).
 
-    The sum is taken far enough that its omitted tail is under an eighth
-    of that threshold (up to the Millin cap), then its exact distance to
-    the target is truncated at d+6 digits; the verdict is exact.  d must
-    lie in 4 .. 200000 (``_MAX_DIGITS``).
+    The sum p/q is taken far enough that its omitted tail is under an
+    eighth of that threshold (up to the Millin cap).  With W = d + 6 + g
+    (g = ``_GUARD_DIGITS``), s = isqrt(5 10^(2W)) and v = |p| 10^W // q,
+    sqrt(5) 10^W lies strictly inside (s, s + 1) and |p/q| 10^W in
+    [v, v + 1), so:
+
+    * the value truncated to d digits is v // 10^(W-d), with the sign of p;
+    * the target (a - sqrt 5)/c times 10^W lies inside an open interval
+      between consecutive multiples of 1/c, so its truncation is exact too;
+    * (p/q - target) c 10^W lies strictly inside an interval of width
+      c + 1, and when no multiple of c 10^g falls in it, the truncated
+      distance at d + 6 digits, and so the verdict, follows from either
+      end; otherwise the exact ``_scaled_difference`` gives it.
+
+    d must lie in 4 .. 200000 (``_MAX_DIGITS``).
     """
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; expected one of {IDENTITIES}")
@@ -160,20 +221,38 @@ def verify_classic(identity: str, d: int) -> ClassicReport:
     # the target is (a - sqrt 5) / c
     if identity == "alternating":
         terms = _alternating_terms_needed(tail_den)
-        value = alternating_reciprocal_sum(terms)
+        p, q = _alternating_parts(terms)
         a, c = 2, 1
     else:
         terms = _millin_terms_needed(tail_den)
-        value = millin_type_sum(terms)
+        p, q = _millin_parts(terms)
         a, c = 7, 2
     work = d + 6
-    diff = abs(_scaled_difference(value, a, c, work))
+    scale = 10 ** (work + _GUARD_DIGITS)  # 10^W
+    s = isqrt(5 * scale * scale)
+    v = abs(p) * scale // q
+    cut = 10 ** (6 + _GUARD_DIGITS)  # from W digits down to d
+    if a * scale > s:  # a > sqrt 5: the target is positive
+        target = (a * scale - s - 1) // (c * cut)
+    else:
+        target = -((s - a * scale) // (c * cut))
+    # c p/q 10^W lies in [x, x + c], so (c p/q - a + sqrt 5) 10^W lies
+    # strictly inside (lo, hi)
+    x = c * v if p > 0 else -c * (v + 1)
+    lo = x + s - a * scale
+    hi = lo + c + 1
+    step = c * 10**_GUARD_DIGITS  # from W digits down to d + 6
+    diff = max(lo, -hi, 0) // step
+    if diff != max(-lo, hi) // step:
+        diff = abs(_scaled_difference(Fraction(p, q), a, c, work))
     return ClassicReport(
         identity=identity,
         terms=terms,
         digits=d,
-        value=value,
-        target=Fraction(-_scaled_difference(Fraction(0), a, c, d), 10**d),
-        abs_diff=Fraction(diff, 10**work),
+        numerator=p,
+        denominator=q,
+        scaled_value=v // cut if p > 0 else -(v // cut),
+        scaled_target=target,
+        scaled_diff=diff,
         passed=diff < 10**8,
     )

@@ -30,9 +30,20 @@ _DEFAULT_EPSILON = Rational(1, 10**30)
 # F_n < 2^n, so F_n has at most n*log10(2) + 1 digits.  term and seq refuse
 # an index whose bound passes _MAX_DIGITS before any arithmetic, rather than
 # run for minutes: 3.1M digits take about a second, and time and memory grow
-# with the size of the result.
+# with the size of the result.  digits refuses more than _MAX_DIGITS digits.
 _MAX_DIGITS = 10**7
 _MAX_INDEX = int(_MAX_DIGITS / math.log10(2))
+# term's oracle methods are far slower than the kernel: naive sweeps every
+# term up to F_n (time about n^2), and matrix multiplies k x k matrices of
+# F_n-sized entries (k^3 products a step; 95 s at k = 2, n = 33219280).  Each
+# is refused above the index where, at k = 2, it takes about as long as the
+# kernel's largest request (1.6 s): naive 1.5 s (2.0 s at k = 64) and matrix
+# 1.8 s (6.5 s at k = 3), on a 2-core host.
+_ORACLE_MAX_INDEX = {"naive": 250_000, "matrix": 2_500_000}
+# seq prints N1 - N0 + 1 terms of at most N1*log10(2) + 1 digits each, and
+# refuses a range whose bound on that total passes this: seq -k 3 --from 0
+# --to 20000 prints 5.3e7 digits against a bound of 1.2e8.
+_MAX_SEQ_DIGITS = 10**9
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     term = sub.add_parser("term", help="print one term F_n")
     term.add_argument("-k", type=int, required=True, help="recurrence order, >= 2")
-    term.add_argument("-n", type=int, required=True, help=f"term index, 0 to {_MAX_INDEX}")
+    term.add_argument(
+        "-n",
+        type=int,
+        required=True,
+        help=f"term index, 0 to {_MAX_INDEX}; with --method naive to"
+        f" {_ORACLE_MAX_INDEX['naive']}, with matrix to {_ORACLE_MAX_INDEX['matrix']}",
+    )
     term.add_argument(
         "--method",
         choices=sorted(METHODS),
@@ -55,7 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
     seq = sub.add_parser("seq", help="print a range of terms, one per line")
     seq.add_argument("-k", type=int, required=True)
     seq.add_argument("--from", dest="start", type=int, required=True, metavar="N0")
-    seq.add_argument("--to", dest="stop", type=int, required=True, metavar="N1")
+    seq.add_argument(
+        "--to",
+        dest="stop",
+        type=int,
+        required=True,
+        metavar="N1",
+        help=f"last index, at most {_MAX_INDEX}, with (N1 - N0 + 1) * N1 * log10(2)"
+        f" at most {_MAX_SEQ_DIGITS} digits",
+    )
 
     gf = sub.add_parser("gf", help="evaluate the generating series at eta")
     gf.add_argument("-k", type=int, required=True)
@@ -91,7 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     digits = sub.add_parser("digits", help="decimal digits of 1/D_k")
     digits.add_argument("-k", type=int, required=True)
-    digits.add_argument("-m", type=int, required=True, help="how many digits")
+    digits.add_argument(
+        "-m", type=int, required=True, help=f"how many digits, 1 to {_MAX_DIGITS}"
+    )
 
     bench = sub.add_parser("bench", help="run a timing grid from a JSON config")
     bench.add_argument("--config", required=True, help="path to a JSON config file")
@@ -111,6 +138,9 @@ def _cmd_term(args) -> int:
     # every method returns a Decimal here, whose str() is linear; the kernel
     # runs its top squares in it
     _check_index_bound(args.n)
+    limit = _ORACLE_MAX_INDEX.get(args.method, _MAX_INDEX)
+    if args.n > limit:
+        raise ValueError(f"index must be <= {limit} with --method {args.method}, got {args.n}")
     with localcontext(EXACT_CONTEXT):
         print(METHODS[args.method](args.k, args.n, to_decimal))
     return 0
@@ -123,6 +153,12 @@ def _cmd_seq(args) -> int:
     # and to_decimal converts the big seed terms in subquadratic time
     validate_range(args.k, args.start, args.stop)
     _check_index_bound(args.stop)
+    bound = (args.stop - args.start + 1) * args.stop * math.log10(2)
+    if bound > _MAX_SEQ_DIGITS:
+        raise ValueError(
+            f"range {args.start}..{args.stop} may print {bound:.3g} digits,"
+            f" more than {_MAX_SEQ_DIGITS}"
+        )
     with localcontext(EXACT_CONTEXT):
         terms = iter_terms(args.k, args.start, to_decimal)
         for value in islice(terms, args.stop - args.start + 1):
@@ -186,6 +222,8 @@ def _cmd_verify_classic(args) -> int:
 def _cmd_digits(args) -> int:
     from .decimal_identity import reciprocal_digits, repunit_denominator
 
+    if args.m > _MAX_DIGITS:
+        raise ValueError(f"digit count must be <= {_MAX_DIGITS}, got {args.m}")
     print(reciprocal_digits(repunit_denominator(args.k).value, args.m))
     return 0
 

@@ -74,12 +74,12 @@ def reciprocal_digits(den: int, m: int) -> str:
     if m < 1:
         raise ValueError(f"digit count must be >= 1, got {m}")
     rem = 1 % den
-    out = []
+    out = bytearray()  # a byte a digit, where a list of strs holds a pointer each
     for _ in range(m):
         rem *= 10
         digit, rem = divmod(rem, den)
-        out.append(chr(ord("0") + digit))
-    return "".join(out)
+        out.append(48 + digit)  # ord("0") + digit
+    return out.decode()
 
 
 def digit_overlap_check(k: int, m: int) -> bool:

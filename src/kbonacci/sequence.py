@@ -99,7 +99,10 @@ class Window:
     F_start .. F_{start+k-1}.  ``advance`` produces the next term and
     slides the window one step, reusing a ring buffer of k slots so memory
     stays O(k * term size).  ``cast`` converts the k seed terms; later
-    terms are their sums, so they share its result type.
+    terms are their sums, so they share its result type.  ``Decimal``
+    sums are exact only under a context that traps ``Inexact``, such as
+    ``rational.EXACT_CONTEXT``, so a ``Decimal`` cast under any other
+    (the default context rounds at 28 digits) raises ValueError.
     """
 
     __slots__ = ("order", "head_index", "_buf", "_oldest", "_sum")
@@ -112,6 +115,8 @@ class Window:
         self.order = k
         self.head_index = start + k - 1
         self._buf = [cast(t) for t in seed]
+        if type(self._buf[0]) is Decimal:
+            _require_exact_context()
         self._oldest = 0  # index into _buf of the oldest term
         self._sum = sum(self._buf)  # sum of the k buffered terms
 
@@ -136,9 +141,8 @@ def iter_terms(k: int, start: int = 0, cast=int) -> Iterator[int]:
 
     The first k terms come from one jump-ahead (``window``) and pass
     through ``cast``; the rest are sums of those.  A ``Decimal`` sweep
-    (``cast=rational.to_decimal``) is exact only under an exact context
-    such as ``rational.EXACT_CONTEXT``; the default context rounds at 28
-    digits.
+    (``cast=rational.to_decimal``) needs an exact context, as in
+    ``Window``: the first ``next`` raises ValueError under any other.
     """
     sweep = Window(k, start, cast)
     yield from sweep.terms
@@ -149,7 +153,8 @@ def iter_terms(k: int, start: int = 0, cast=int) -> Iterator[int]:
 def term_naive(k: int, n: int, cast=int):
     """n-th term by window iteration from the initial terms; O(n).
 
-    ``cast`` converts the initial terms, as in ``Window``.
+    ``cast`` converts the initial terms, as in ``Window``, and a
+    ``Decimal`` one needs an exact context.
     """
     _validate_index(n)
     sweep = Window(k, 0, cast)
@@ -295,16 +300,20 @@ def _decimal_square_slots(a: list[Decimal], k: int) -> list[Decimal]:
     Each coefficient of the square is below k * 10^(2D) for D-digit
     coefficients, so slots of 2D + len(str(k)) digits hold it.
     """
-    if not getcontext().traps[Inexact]:
-        # under a rounding context the digits would come out wrong silently
-        raise ValueError(
-            "Decimal terms need a context that traps Inexact, such as rational.EXACT_CONTEXT"
-        )
+    _require_exact_context()
     width = 2 * (max(a).adjusted() + 1) + len(str(k))  # digits
     packed = _join_slots(a, width)
     square = packed * packed
     del packed  # free each temporary early, as in the int path
     return _split_slots(square, width, 2 * k - 1)
+
+
+def _require_exact_context() -> None:
+    if not getcontext().traps[Inexact]:
+        # under a rounding context the digits would come out wrong silently
+        raise ValueError(
+            "Decimal terms need a context that traps Inexact, such as rational.EXACT_CONTEXT"
+        )
 
 
 def _join_slots(a: list[Decimal], width: int) -> Decimal:

@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kbonacci import classic_sums
 from kbonacci.classic_sums import (
     _alternating_terms_needed,
     _scaled_difference,
@@ -218,3 +219,105 @@ class TestVerifyClassic:
     @pytest.mark.xfail(strict=True, reason="ROADMAP 1: Millin cap")
     def test_millin_above_the_cap_passes(self):
         assert verify_classic("millin", 30000).passed
+
+
+def exact_lines(identity: str, d: int, terms: int) -> tuple:
+    """The report's three numbers and its JSON document, by the exact
+    ``_scaled_difference`` path alone: one Fraction sum, two isqrt-based
+    truncations and ``to_decimal_string``."""
+    if identity == "alternating":
+        value, a, c = alternating_reciprocal_sum(terms), 2, 1
+    else:
+        value, a, c = millin_type_sum(terms), 7, 2
+    target = Fraction(-_scaled_difference(Fraction(0), a, c, d), 10**d)
+    diff = abs(_scaled_difference(value, a, c, d + 6))
+    abs_diff = Fraction(diff, 10 ** (d + 6))
+    doc = {
+        "identity": identity,
+        "terms": terms,
+        "digits": d,
+        "value": to_decimal_string(value, d),
+        "target": to_decimal_string(target, d),
+        "abs_diff": to_decimal_string(abs_diff, d + 6),
+        "pass": diff < 10**8,
+    }
+    return (value, target, abs_diff), doc
+
+
+def assert_matches_exact_path(report):
+    numbers, doc = exact_lines(report.identity, report.digits, report.terms)
+    assert (report.value, report.target, report.abs_diff) == numbers
+    assert report.to_json_dict() == doc
+    assert report.passed is doc["pass"]
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The argument tuples of every call verify_classic makes to the exact path."""
+    calls = []
+    exact = classic_sums._scaled_difference
+    monkeypatch.setattr(
+        classic_sums, "_scaled_difference", lambda *a: calls.append(a) or exact(*a)
+    )
+    return calls
+
+
+class TestSharedRootFastPath:
+    """verify_classic's lines from one isqrt and one division, against the
+    exact _scaled_difference path they replace."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(["alternating", "millin"]), st.integers(4, 3000))
+    def test_lines_and_verdict_match_the_exact_path(self, identity, d):
+        assert_matches_exact_path(verify_classic(identity, d))
+
+    def test_typical_requests_take_no_fallback(self, fallbacks):
+        for identity in ("alternating", "millin"):
+            for d in range(4, 200):
+                verify_classic(identity, d)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("identity", ["alternating", "millin"])
+    def test_without_guard_digits_every_distance_falls_back(
+        self, identity, monkeypatch, fallbacks
+    ):
+        # with g = 0 the interval of c + 1 units always holds a multiple of
+        # c, so every distance comes from the exact path
+        fast = [verify_classic(identity, d).to_json_dict() for d in range(4, 120)]
+        fallbacks.clear()
+        monkeypatch.setattr(classic_sums, "_GUARD_DIGITS", 0)
+        slow = []
+        for d in range(4, 120):
+            report = verify_classic(identity, d)
+            assert_matches_exact_path(report)
+            slow.append(report.to_json_dict())
+        assert slow == fast
+        assert len(fallbacks) == len(fast)
+
+    @pytest.mark.parametrize("identity", ["alternating", "millin"])
+    def test_one_guard_digit_decides_most_lines_exactly(self, identity, monkeypatch, fallbacks):
+        # with g = 1 a truncation boundary is often near the distance, so a
+        # bound off by one unit would show; the fast path still decides most
+        monkeypatch.setattr(classic_sums, "_GUARD_DIGITS", 1)
+        for d in range(4, 400):
+            assert_matches_exact_path(verify_classic(identity, d))
+        assert 0 < len(fallbacks) < 396 // 2
+
+    @pytest.mark.parametrize(
+        "identity,d,passed",
+        [
+            ("millin", 27394, True),
+            ("millin", 27395, False),
+            ("millin", 28000, False),
+            ("millin", 33333, False),
+            ("millin", 40000, False),
+            ("alternating", 30000, True),
+            ("alternating", 100000, True),
+        ],
+    )
+    def test_large_requests_print_what_the_exact_path_prints(self, identity, d, passed):
+        # the verdict turn of the capped Millin sum, the FAILs above it that
+        # perfbench pins, and the alternating sum at large d
+        report = verify_classic(identity, d)
+        assert report.passed is passed
+        assert_matches_exact_path(report)

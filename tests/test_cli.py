@@ -305,6 +305,97 @@ class TestVerifyDecimal:
         assert out.splitlines()[-1].endswith("FAIL")
 
 
+class TestResourceGuards:
+    """A-priori bounds that refuse a request with exit 2 before any arithmetic."""
+
+    @staticmethod
+    def forbid_arithmetic(monkeypatch):
+        def arithmetic(*args):
+            raise AssertionError("the refused request ran")
+
+        for name in METHODS:
+            monkeypatch.setitem(METHODS, name, arithmetic)
+        monkeypatch.setattr(cli, "iter_terms", arithmetic)
+        monkeypatch.setattr("kbonacci.decimal_identity.reciprocal_digits", arithmetic)
+        monkeypatch.setattr("kbonacci.decimal_identity.repunit_denominator", arithmetic)
+
+    def refused(self, capsys, monkeypatch, argv, message):
+        self.forbid_arithmetic(monkeypatch)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}\nusage:")
+
+    @pytest.mark.parametrize(
+        "method,k,n",
+        [("naive", 2, 250_001), ("naive", 64, 250_001), ("naive", 3, BOUND),
+         ("matrix", 2, 2_500_001), ("matrix", 16, 2_500_001), ("matrix", 2, BOUND)],
+    )
+    def test_oracle_method_index_bounds(self, capsys, monkeypatch, method, k, n):
+        assert cli._ORACLE_MAX_INDEX == {"naive": 250_000, "matrix": 2_500_000}
+        argv = ["term", "-k", str(k), "-n", str(n), "--method", method]
+        limit = cli._ORACLE_MAX_INDEX[method]
+        message = f"index must be <= {limit} with --method {method}, got {n}"
+        self.refused(capsys, monkeypatch, argv, message)
+
+    def test_oracle_bounds_leave_the_kernel(self, capsys, monkeypatch):
+        for name in METHODS:
+            monkeypatch.setitem(METHODS, name, lambda k, n, cast, name=name: f"{name} {n}")
+        for method, n in (("naive", 250_000), ("matrix", 2_500_000), ("polymod", 2_500_001)):
+            argv = ["term", "-k", "2", "-n", str(n), "--method", method]
+            assert run(capsys, argv) == (0, f"{method} {n}\n", "")
+
+    def test_digits_bound(self, capsys, monkeypatch):
+        for m in ("10000001", "9" * 40):
+            argv = ["digits", "-k", "2", "-m", m]
+            self.refused(capsys, monkeypatch, argv, f"digit count must be <= 10000000, got {m}")
+
+    def test_digits_at_the_bound_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr("kbonacci.decimal_identity.reciprocal_digits", lambda den, m: str(m))
+        assert run(capsys, ["digits", "-k", "2", "-m", "10000000"]) == (0, "10000000\n", "")
+
+    def test_seq_output_bound_covers_the_largest_render_request(self):
+        largest = 20_001 * 20_000 * math.log10(2)  # seq 0..20000: 5.3e7 digits at k = 3
+        assert largest < cli._MAX_SEQ_DIGITS / 8
+
+    @pytest.mark.parametrize(
+        "start,stop,shown",
+        [(0, 60_000, "1.08e+09"), (20_000_000, 20_000_200, "1.21e+09"), (0, BOUND, "3.32e+14")],
+    )
+    def test_seq_output_bound(self, capsys, monkeypatch, start, stop, shown):
+        argv = ["seq", "-k", "2", "--from", str(start), "--to", str(stop)]
+        message = f"range {start}..{stop} may print {shown} digits, more than 1000000000"
+        self.refused(capsys, monkeypatch, argv, message)
+
+    def test_at_the_index_bound_a_hundred_terms_fit(self, capsys, monkeypatch):
+        # each term there may have 10^7 digits, so 100 of them reach 10^9
+        monkeypatch.setattr(cli, "iter_terms", lambda k, n0, cast: iter(range(n0, n0 + 200)))
+        argv = ["seq", "-k", "2", "--from", str(BOUND - 99), "--to", str(BOUND)]
+        code, out, _ = run(capsys, argv)
+        assert (code, out.split()) == (0, [str(n) for n in range(BOUND - 99, BOUND + 1)])
+        argv = ["seq", "-k", "2", "--from", str(BOUND - 100), "--to", str(BOUND)]
+        message = f"range {BOUND - 100}..{BOUND} may print 1.01e+09 digits, more than 1000000000"
+        self.refused(capsys, monkeypatch, argv, message)
+
+    def test_seq_from_zero_just_inside_and_outside_the_output_bound(self, capsys, monkeypatch):
+        # 57636 * 57635 * log10(2) = 999976750; 57637 * 57636 * log10(2) = 1000011450
+        monkeypatch.setattr(cli, "iter_terms", lambda k, n0, cast: iter(()))
+        assert run(capsys, ["seq", "-k", "2", "--from", "0", "--to", "57635"]) == (0, "", "")
+        argv = ["seq", "-k", "2", "--from", "0", "--to", "57636"]
+        message = "range 0..57636 may print 1e+09 digits, more than 1000000000"
+        self.refused(capsys, monkeypatch, argv, message)
+
+    def test_help_states_the_bounds(self, capsys):
+        for command, text in (
+            ("term", "with --method naive to 250000, with matrix to 2500000"),
+            ("seq", "at most 1000000000 digits"),
+            ("digits", "how many digits, 1 to 10000000"),
+        ):
+            code, out, _ = run(capsys, [command, "--help"])
+            assert code == 0
+            help_text = " ".join(out.split())
+            assert text in help_text, command
+
+
 class TestVerifyClassic:
     def test_alternating_passes(self, capsys):
         code, out, _ = run(
@@ -371,9 +462,11 @@ class TestVerifyClassic:
             identity="alternating",
             terms=4,
             digits=6,
-            value=Fraction(0),
-            target=Fraction(1),
-            abs_diff=Fraction(1),
+            numerator=0,
+            denominator=1,
+            scaled_value=0,
+            scaled_target=10**6,
+            scaled_diff=10**12,
             passed=False,
         )
         monkeypatch.setattr(

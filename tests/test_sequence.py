@@ -154,6 +154,31 @@ class TestWindow:
         assert all(type(v) is Decimal for v in values)
         assert [str(v) for v in values] == [str(v) for v in range_terms(k, 0, 2999)[2500:]]
 
+    F203 = 1188518561323126046432205871807859915657177
+
+    @pytest.mark.parametrize("prec", [28, 10**6])
+    def test_decimal_sweeps_refuse_a_rounding_context(self, prec):
+        # under the default context F_203 used to come out as 1.188...E+42
+        with localcontext(Context(prec=prec)):
+            with pytest.raises(ValueError, match="traps Inexact"):
+                list(islice(iter_terms(2, 200, to_decimal), 3, 4))
+            with pytest.raises(ValueError, match="traps Inexact"):
+                Window(3, 0, to_decimal)
+            with pytest.raises(ValueError, match="traps Inexact"):
+                term_naive(2, 203, to_decimal)
+
+    def test_decimal_sweep_under_the_exact_context_is_f203(self):
+        with localcontext(EXACT_CONTEXT):
+            (value,) = islice(iter_terms(2, 200, to_decimal), 3, 4)
+            assert term_naive(2, 203, to_decimal) == value
+        assert value == Decimal(self.F203) == Decimal(term_fast(2, 203))
+        assert str(value) == str(self.F203)
+
+    def test_int_sweeps_need_no_exact_context(self):
+        with localcontext(Context(prec=28)):
+            assert list(islice(iter_terms(2, 200), 3, 4)) == [self.F203]
+            assert term_naive(2, 203) == self.F203
+
 
 class TestRecurrenceProperty:
     @pytest.mark.parametrize("k", range(2, 9))

@@ -31,7 +31,6 @@ _MODULE_OF = {
     "format_ratio": "rational",
     "parse_rational": "rational",
     "to_decimal_string": "rational",
-    "Window": "sequence",
     "initial_terms": "sequence",
     "iter_terms": "sequence",
     "range_terms": "sequence",

@@ -69,11 +69,11 @@ def alternating_reciprocal_sum(n_terms: int) -> Rational:
     """Exact sum of (-1)^n / (F_n * F_{n+2}) for n = 1 .. n_terms."""
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
-    return Fraction(*_alternating_parts(n_terms))
+    return Fraction(*_alternating_parts(*window(2, n_terms + 1, 2)))
 
 
-def _alternating_parts(n_terms: int) -> tuple[int, int]:
-    a, b = window(2, n_terms + 1, 2)
+def _alternating_parts(a: int, b: int) -> tuple[int, int]:
+    """Numerator and denominator of the sum to N from a = F_{N+1}, b = F_{N+2}."""
     # 2 - (a^2 + b^2)/(ab) = -(b - a)^2/(ab), and b - a = F_N
     return -((b - a) ** 2), a * b
 
@@ -166,17 +166,18 @@ class ClassicReport:
         }
 
 
-def _alternating_terms_needed(threshold_den: int) -> int:
+def _alternating_terms_needed(threshold_den: int) -> tuple[int, list[int]]:
     """Smallest checked N whose first omitted term is below 1/threshold_den.
 
     The alternating series' truncation error is bounded by the next
-    term, 1/(F_{N+1} * F_{N+3}).
+    term, 1/(F_{N+1} * F_{N+3}).  Returns N with [F_{N+1}, F_{N+2}]: the
+    sum needs them, and the search's last window already holds them.
     """
     n = 4
     while True:
         fib = window(2, n + 1, 3)
         if fib[0] * fib[2] > threshold_den:
-            return n
+            return n, fib[:2]
         n *= 2
 
 
@@ -220,8 +221,8 @@ def verify_classic(identity: str, d: int) -> ClassicReport:
     tail_den = 8 * 10 ** (d - 2)
     # the target is (a - sqrt 5) / c
     if identity == "alternating":
-        terms = _alternating_terms_needed(tail_den)
-        p, q = _alternating_parts(terms)
+        terms, run = _alternating_terms_needed(tail_den)
+        p, q = _alternating_parts(*run)
         a, c = 2, 1
     else:
         terms = _millin_terms_needed(tail_den)

@@ -19,7 +19,7 @@ import os
 import sys
 from decimal import localcontext
 
-from .rational import EXACT_CONTEXT, Rational, format_ratio, parse_rational, to_decimal
+from .rational import EXACT_CONTEXT, Rational, parse_rational, to_decimal
 from .sequence import METHODS, iter_terms, validate_range
 
 __all__ = ["build_parser", "parse_and_dispatch", "main"]
@@ -180,13 +180,9 @@ def _cmd_gf(args) -> int:
 
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
-        print(f"k = {report.point.k}")
-        print(f"eta = {format_ratio(report.point.eta)}")
-        print(f"N = {report.n_trunc}")
-        print(f"partial = {format_ratio(report.partial)}")
-        print(f"closed = {format_ratio(report.closed)}")
-        print(f"tail_bound = {format_ratio(report.tail_bound)}")
-        print(f"residual = {format_ratio(report.residual)}")
+        doc = report.to_json_dict()
+        for key in ("k", "eta", "N", "partial", "closed", "tail_bound", "residual"):
+            print(f"{key} = {doc[key]}")
         print("PASS" if report.passed else "FAIL")
     return 0 if report.passed else 1
 
@@ -254,11 +250,6 @@ def parse_and_dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # int_to_str keeps its str() calls short, but D_k is built from and
-    # printed as a k-digit string; lift CPython's int/str digit limit
-    # before any handler runs
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     try:
         return _HANDLERS[args.command](args)
     except ValueError as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rational import int_to_str
 from .sequence import validate_order
 from .series import SeriesPoint, closed_form, converge_until
 
@@ -41,23 +42,25 @@ class RepunitDenominator:
         return self.value
 
     def __str__(self) -> str:
-        return str(self.value)
+        return int_to_str(self.value)
 
 
 def repunit_denominator(k: int) -> RepunitDenominator:
     """D_k built two independent ways, which must agree.
 
     Route one writes the digits directly; route two evaluates
-    (8*10^k + 1) / 9, checking the division is exact.
+    (8*10^k + 1) / 9, checking the division is exact.  The two meet as
+    digit strings, rendered by ``int_to_str``, so no k-digit string passes
+    through ``int()``.
     """
     validate_order(k)
-    from_digits = int("8" * (k - 1) + "9")
+    from_digits = "8" * (k - 1) + "9"
     nine_d, rem = divmod(8 * 10**k + 1, 9)
     assert rem == 0, f"8*10^{k}+1 not divisible by 9"
-    assert from_digits == nine_d, (
-        f"digit construction {from_digits} != algebraic value {nine_d}"
+    assert int_to_str(nine_d) == from_digits, (
+        f"digit construction != algebraic value for k = {k}"
     )
-    return RepunitDenominator(k=k, value=from_digits)
+    return RepunitDenominator(k=k, value=nine_d)
 
 
 def verify_decimal_identity(k: int) -> bool:
@@ -104,11 +107,10 @@ def digit_overlap_check(k: int, m: int) -> bool:
     )
     summed = report.partial / 10
     scaled = summed.numerator * 10**m // summed.denominator
-    return f"{scaled:0{m}d}" == reciprocal_digits(d, m)
+    return int_to_str(scaled).zfill(m) == reciprocal_digits(d, m)
 
 
 def identity_line(k: int, passed: bool) -> str:
     """Display line for one order's identity check."""
-    d = repunit_denominator(k).value
     verdict = "PASS" if passed else "FAIL"
-    return f"1/{d} == sum F_n^(k)/10^(n+1): {verdict}"
+    return f"1/{repunit_denominator(k)} == sum F_n^(k)/10^(n+1): {verdict}"

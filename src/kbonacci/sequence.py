@@ -18,8 +18,8 @@ Three evaluation strategies are provided:
   libmpdec multiplies big operands with a number-theoretic transform,
   CPython's int with Karatsuba, and the Decimal result prints in linear
   time.
-* ``term_naive`` -- iterate a sliding window of the last k terms from the
-  initial terms; linear in n.
+* ``term_naive`` -- item n of the sweep ``iter_terms`` from the initial
+  terms; linear in n.
 * ``term_matrix`` -- k x k companion-matrix power.  O(k^3 log n); kept,
   with ``term_naive``, as an independent implementation for
   cross-checking.
@@ -27,14 +27,15 @@ Three evaluation strategies are provided:
 ``METHODS`` is the one registry of these strategies by name: the CLI's
 ``term --method`` and the ``bench`` harness look them up there.
 
-``window`` jumps ahead: it returns F_n .. F_{n+count-1} from the one
-residue x^n, in additions after the exponentiation.  ``Window``,
-``iter_terms`` and ``range_terms`` start from such a jump and sweep the
-rest by additions, so a range far from 0 costs no sweep from F_0.
+``iter_terms`` is the one forward sweep of the recurrence: a ring of the
+k most recent terms, each new term their sum.  Started above 0 it jumps
+ahead first, taking its k seed terms from the one residue x^n, so a range
+far from 0 costs no sweep from F_0.  ``window`` and ``range_terms`` are
+runs of that sweep, and ``term_naive`` is one item of it from 0.
 
 All functions are pure and by default operate on plain Python integers,
-so results are exact at any size.  The three term strategies, ``Window``
-and ``iter_terms`` also compute in any other exact type that ``cast``
+so results are exact at any size.  The three term strategies and
+``iter_terms`` also compute in any other exact type that ``cast``
 converts ints to; the CLI prints ``term`` and streams ``seq`` in
 ``decimal.Decimal`` under ``rational.EXACT_CONTEXT``, since ``str()`` of
 a Decimal is linear.  ``window`` and ``range_terms`` always return ints.
@@ -44,13 +45,12 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from decimal import Context, Decimal, Inexact, getcontext
-from itertools import islice
+from itertools import cycle, islice
 
 __all__ = [
     "validate_order",
     "validate_range",
     "initial_terms",
-    "Window",
     "window",
     "term_naive",
     "term_fast",
@@ -92,77 +92,43 @@ def initial_terms(k: int) -> list[int]:
     return [0] * (k - 1) + [1]
 
 
-class Window:
-    """Sliding window of the k most recent terms.
-
-    Holds terms F_{n-k+1} .. F_n where n is ``head_index``, starting with
-    F_start .. F_{start+k-1}.  ``advance`` produces the next term and
-    slides the window one step, reusing a ring buffer of k slots so memory
-    stays O(k * term size).  ``cast`` converts the k seed terms; later
-    terms are their sums, so they share its result type.  ``Decimal``
-    sums are exact only under a context that traps ``Inexact``, such as
-    ``rational.EXACT_CONTEXT``, so a ``Decimal`` cast under any other
-    (the default context rounds at 28 digits) raises ValueError.
-    """
-
-    __slots__ = ("order", "head_index", "_buf", "_oldest", "_sum")
-
-    def __init__(self, k: int, start: int = 0, cast=int):
-        _validate_index(start)
-        # from 0 the seed is the initial terms themselves, which keeps
-        # term_naive, an oracle for the kernel, off the kernel
-        seed = initial_terms(k) if start == 0 else window(k, start, k)
-        self.order = k
-        self.head_index = start + k - 1
-        self._buf = [cast(t) for t in seed]
-        if type(self._buf[0]) is Decimal:
-            _require_exact_context()
-        self._oldest = 0  # index into _buf of the oldest term
-        self._sum = sum(self._buf)  # sum of the k buffered terms
-
-    @property
-    def terms(self) -> list[int]:
-        """Buffered terms in chronological order, oldest first."""
-        i = self._oldest
-        return self._buf[i:] + self._buf[:i]
-
-    def advance(self) -> int:
-        """Slide one step; return the newly produced term."""
-        new = self._sum
-        self._sum += new - self._buf[self._oldest]
-        self._buf[self._oldest] = new
-        self._oldest = (self._oldest + 1) % self.order
-        self.head_index += 1
-        return new
-
-
 def iter_terms(k: int, start: int = 0, cast=int) -> Iterator[int]:
     """Yield F_start, F_{start+1}, ... indefinitely.
 
-    The first k terms come from one jump-ahead (``window``) and pass
-    through ``cast``; the rest are sums of those.  A ``Decimal`` sweep
-    (``cast=rational.to_decimal``) needs an exact context, as in
-    ``Window``: the first ``next`` raises ValueError under any other.
+    The package's one forward sweep of the recurrence: a ring of the k
+    most recent terms, each new term their running sum, so memory stays
+    O(k * term size).  From 0 the seed is ``initial_terms(k)`` itself,
+    which keeps ``term_naive``, an oracle for the kernel, off the kernel;
+    from any other start it is the k terms of one jump-ahead.  ``cast``
+    converts the k seed terms, and later terms are their sums, so they
+    share its result type.  ``Decimal`` sums are exact only under a
+    context that traps ``Inexact``, such as ``rational.EXACT_CONTEXT``, so
+    with a ``Decimal`` cast the first ``next`` raises ValueError under any
+    other (the default context rounds at 28 digits).
     """
-    sweep = Window(k, start, cast)
-    yield from sweep.terms
-    while True:
-        yield sweep.advance()
+    validate_order(k)
+    _validate_index(start)
+    seed = initial_terms(k) if start == 0 else _run_from_residue(_x_pow_mod(start, k))
+    ring = [cast(t) for t in seed]
+    if type(ring[0]) is Decimal:
+        _require_exact_context()
+    yield from ring
+    total = sum(ring)
+    for oldest in cycle(range(k)):
+        new = total
+        yield new
+        total += new - ring[oldest]
+        ring[oldest] = new
 
 
 def term_naive(k: int, n: int, cast=int):
-    """n-th term by window iteration from the initial terms; O(n).
+    """n-th term as item n of ``iter_terms(k, 0, cast)``; O(n) additions.
 
-    ``cast`` converts the initial terms, as in ``Window``, and a
-    ``Decimal`` one needs an exact context.
+    ``cast`` converts the initial terms, and a ``Decimal`` one needs an
+    exact context, as in ``iter_terms``.
     """
     _validate_index(n)
-    sweep = Window(k, 0, cast)
-    if n < k:
-        return sweep.terms[n]
-    while sweep.head_index < n:
-        value = sweep.advance()
-    return value
+    return next(islice(iter_terms(k, 0, cast), n, None))
 
 
 def range_terms(k: int, n0: int, n1: int) -> list[int]:
@@ -172,16 +138,14 @@ def range_terms(k: int, n0: int, n1: int) -> list[int]:
 
 
 def window(k: int, n: int, count: int) -> list[int]:
-    """Terms F_n .. F_{n+count-1} from the one residue x^n mod the char poly.
+    """Terms F_n .. F_{n+count-1}: the first ``count`` items of ``iter_terms(k, n)``.
 
-    F_{n+s} is the top coefficient of x^s * (x^n mod the char poly), so
-    past the exponentiation the run costs only additions: O(k + count).
+    Past the one exponentiation of x^n the run costs only additions:
+    O(k + count).
     """
-    validate_order(k)
-    _validate_index(n)
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
-    return _run_from_residue(_x_pow_mod(n, k), count)[:count]
+    return list(islice(iter_terms(k, n), count))
 
 
 def term_fast(k: int, n: int, cast=int):
@@ -190,11 +154,11 @@ def term_fast(k: int, n: int, cast=int):
     Computes r = x^m mod (x^k - x^(k-1) - ... - x - 1) by left-to-right
     square-and-multiply, each square one big multiplication by Kronecker
     substitution plus an O(k) reduction.  With n = 2m + t,
-    x^n = x^m * x^(m+t) gives F_n = sum_i r_i F_{m+t+i}, and that run of
-    k terms follows from r in additions; so the last step is k products
-    of half-size operands, not a full-size square.  O(log n) squares of
-    about k times the term size, which makes huge single indices (n in
-    the millions) practical.
+    x^n = x^m * x^(m+t) gives F_n = sum_i r_i F_{m+t+i}.  F_m .. F_{m+k-1}
+    follow from r in additions, and for odd n the one more term F_{m+k} is
+    their sum; so the last step is k products of half-size operands, not a
+    full-size square.  O(log n) squares of about k times the term size,
+    which makes huge single indices (n in the millions) practical.
 
     The default returns an int and runs in ints throughout.  Any other
     ``cast`` (``rational.to_decimal``) converts the residue once its
@@ -210,7 +174,9 @@ def term_fast(k: int, n: int, cast=int):
     _validate_index(n)
     m, t = divmod(n, 2)
     r = _x_pow_mod(m, k, cast)
-    run = _run_from_residue(r, t + k)
+    run = _run_from_residue(r)
+    if t:
+        run.append(sum(run))  # F_{m+k}
     value = sum(c * f for c, f in zip(r, run[t:]) if c)
     return cast(value) if type(value) is int else value
 
@@ -340,21 +306,16 @@ def _split_slots(x: Decimal, width: int, count: int) -> list[Decimal]:
     return _split_slots(low, width, half) + _split_slots(high, width, count - half)
 
 
-def _run_from_residue(r: list[int], length: int) -> list[int]:
-    """F_m, F_{m+1}, ..., at least ``length`` terms, from r = x^m mod the char poly.
+def _run_from_residue(r: list[int]) -> list[int]:
+    """F_m .. F_{m+k-1} from r = x^m mod the char poly.
 
     F_{m+s} is the top coefficient of x^s * r.  Unrolling the multiply by
-    x gives F_{m+s} = r_{k-1-s} + F_m + ... + F_{m+s-1} for s < k, and the
-    recurrence gives the terms after that.
+    x gives F_{m+s} = r_{k-1-s} + F_m + ... + F_{m+s-1} for s < k.
     """
-    k = len(r)
     run, total = [], 0
     for c in reversed(r):
         run.append(c + total)
         total += run[-1]
-    for s in range(k, length):
-        run.append(total)
-        total += total - run[s - k]
     return run
 
 

@@ -214,7 +214,22 @@ class TestVerifyClassic:
         # the doubling search used to stop at 2^20 terms, a false FAIL from
         # about 438k digits on
         f = window(2, 2**20 + 1, 3)
-        assert _alternating_terms_needed(f[0] * f[2]) == 2**21
+        terms, _ = _alternating_terms_needed(f[0] * f[2])
+        assert terms == 2**21
+
+    @pytest.mark.parametrize("d", [50, 3000, 30000])
+    def test_alternating_takes_its_last_window_once(self, d, monkeypatch):
+        # the search's last window holds F_{N+1} and F_{N+2}, which the sum
+        # reuses instead of a second jump to the same index
+        calls = []
+
+        def spy(k, n, count):
+            calls.append(n)
+            return window(k, n, count)
+
+        monkeypatch.setattr(classic_sums, "window", spy)
+        report = verify_classic("alternating", d)
+        assert calls.count(report.terms + 1) == 1
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP 1: Millin cap")
     def test_millin_above_the_cap_passes(self):

@@ -63,7 +63,7 @@ class TestTerm:
             argv = ["term", "-k", "2", "-n", "1", "--method", name]
             assert parser.parse_args(argv).method == name
 
-    def test_big_term_matches_str(self, capsys):
+    def test_big_term_matches_str(self, capsys, lifted_str_limit):
         code, out, err = run(capsys, ["term", "-k", "2", "-n", "300000"])
         assert (code, err) == (0, "")
         assert out == str(term_fast(2, 300_000)) + "\n"
@@ -170,7 +170,7 @@ class TestSeq:
         terms = islice(iter_terms(k), n0, n1 + 1)
         assert out == "".join(f"{value}\n" for value in terms)
 
-    def test_far_window_matches_term_fast(self, capsys):
+    def test_far_window_matches_term_fast(self, capsys, lifted_str_limit):
         argv = ["seq", "-k", "3", "--from", "300000", "--to", "300003"]
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
@@ -216,7 +216,7 @@ class TestGf:
         assert doc["pass"] is True
         assert "PASS" not in out.replace('"pass"', "")
 
-    def test_big_json_matches_str(self, capsys):
+    def test_big_json_matches_str(self, capsys, lifted_str_limit):
         eta = Fraction(3_000_003, 1_000_000)
         argv = ["gf", "-k", "4", "--eta", "3000003/1000000", "-N", "1500", "--json"]
         code, out, _ = run(capsys, argv)
@@ -291,6 +291,11 @@ class TestVerifyDecimal:
         assert lines[0].startswith("1/89 ")
         assert lines[4].startswith("1/888889 ")
         assert lines[-1] == "PASS"
+
+    def test_order_beyond_the_str_limit(self, capsys):
+        code, out, err = run(capsys, ["verify-decimal", "-k", "4400"])
+        assert (code, err) == (0, "")
+        assert out == f"1/{'8' * 4399}9 == sum F_n^(k)/10^(n+1): PASS\n"
 
     def test_backwards_sweep_rejected(self, capsys):
         code, _, err = run(capsys, ["verify-decimal", "-k", "5", "--max-k", "3"])
@@ -483,6 +488,12 @@ class TestDigits:
     def test_prints_digit_string(self, capsys):
         code, out, _ = run(capsys, ["digits", "-k", "2", "-m", "10"])
         assert (code, out) == (0, "0112359550\n")
+
+    def test_order_beyond_the_str_limit(self, capsys):
+        # D_k has 4400 digits, past CPython's default int/str limit, which
+        # the CLI leaves in force
+        code, out, err = run(capsys, ["digits", "-k", "4400", "-m", "20"])
+        assert (code, out, err) == (0, "0" * 20 + "\n", "")
 
     def test_bad_digit_count(self, capsys):
         code, _, _ = run(capsys, ["digits", "-k", "2", "-m", "0"])

@@ -106,3 +106,22 @@ class TestIdentityLine:
 
     def test_fail_format(self):
         assert identity_line(3, False) == "1/889 == sum F_n^(k)/10^(n+1): FAIL"
+
+
+class TestBeyondTheStrLimit:
+    """Orders and digit counts past CPython's default 4300-digit int/str limit,
+    which the suite keeps in force (tests/conftest.py)."""
+
+    K = 5000
+
+    def test_repunit_denominator(self):
+        d = repunit_denominator(self.K)
+        assert 9 * d.value == 8 * 10**self.K + 1
+        assert str(d) == "8" * (self.K - 1) + "9"
+
+    def test_identity_line(self):
+        line = identity_line(self.K, verify_decimal_identity(self.K))
+        assert line == f"1/{'8' * (self.K - 1)}9 == sum F_n^(k)/10^(n+1): PASS"
+
+    def test_digit_overlap_check(self):
+        assert digit_overlap_check(2, self.K)

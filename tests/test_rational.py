@@ -1,6 +1,5 @@
 import decimal
 import random
-import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -105,19 +104,9 @@ class TestDecimalRendering:
         assert abs(reread - f) < Fraction(1, 10**d)
 
 
+@pytest.mark.usefixtures("lifted_str_limit")  # for the oracle str()
 class TestIntToStr:
     """int_to_str against str() as the oracle."""
-
-    @pytest.fixture(autouse=True, scope="class")
-    def lift_str_limit(self):
-        # the oracle str() needs CPython's int-to-str digit limit lifted
-        if not hasattr(sys, "set_int_max_str_digits"):
-            yield
-            return
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        yield
-        sys.set_int_max_str_digits(old)
 
     @given(st.integers(0, 6 * _LEAF_BITS), st.integers(0, 2**32), st.booleans())
     def test_matches_str_across_widths(self, width, seed, negative):

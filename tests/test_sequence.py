@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from kbonacci import sequence
 from kbonacci.rational import EXACT_CONTEXT, int_to_str, to_decimal
 from kbonacci.sequence import (
-    Window,
     _square_mod,
     _times_x,
     initial_terms,
@@ -112,27 +111,17 @@ class TestRangeTerms:
 
 
 class TestWindow:
+    # the ring of the k most recent terms that iter_terms sweeps
     @pytest.mark.parametrize("k", [2, 3, 4, 7])
     def test_starts_at_initial_terms(self, k):
-        w = Window(k)
-        assert w.terms == initial_terms(k)
-        assert w.head_index == k - 1
+        assert list(islice(iter_terms(k), k)) == initial_terms(k)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 7])
     def test_advance_keeps_recurrence(self, k):
-        w = Window(k)
-        for _ in range(50):
-            before = w.terms
-            new = w.advance()
-            assert new == sum(before)
-            assert len(w.terms) == k
-            assert w.terms == (before + [new])[1:]
-
-    def test_head_index_tracks_advances(self):
-        w = Window(4)
-        for _ in range(10):
-            w.advance()
-        assert w.head_index == 3 + 10
+        for start in (0, 1000):
+            values = list(islice(iter_terms(k, start), k + 50))
+            for i in range(k, k + 50):
+                assert values[i] == sum(values[i - k : i])
 
     def test_iter_terms_prefix(self):
         it = iter_terms(2)
@@ -163,7 +152,7 @@ class TestWindow:
             with pytest.raises(ValueError, match="traps Inexact"):
                 list(islice(iter_terms(2, 200, to_decimal), 3, 4))
             with pytest.raises(ValueError, match="traps Inexact"):
-                Window(3, 0, to_decimal)
+                next(iter_terms(3, 0, to_decimal))
             with pytest.raises(ValueError, match="traps Inexact"):
                 term_naive(2, 203, to_decimal)
 
@@ -178,6 +167,42 @@ class TestWindow:
         with localcontext(Context(prec=28)):
             assert list(islice(iter_terms(2, 200), 3, 4)) == [self.F203]
             assert term_naive(2, 203) == self.F203
+
+
+class TestOneSweep:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: next(iter_terms(1, 5)),
+            lambda: window(1, 5, 3),
+            lambda: next(iter_terms(2, -1)),
+        ],
+        ids=["iter_terms-order", "window-order", "iter_terms-index"],
+    )
+    def test_bad_order_or_index_rejected(self, call):
+        # the order is checked before the jump-ahead sees it
+        with pytest.raises(ValueError):
+            call()
+
+    @settings(deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 300), st.integers(1, 40))
+    @example(2, 0, 1)
+    @example(12, 11, 40)
+    @example(12, 300, 40)
+    def test_window_matches_range_and_matrix(self, k, n, count):
+        run = window(k, n, count)
+        assert run == range_terms(k, n, n + count - 1)
+        assert run == [term_matrix(k, i) for i in range(n, n + count)]
+
+    def test_naive_stays_off_the_kernel(self):
+        def kernel(*args):
+            raise AssertionError("term_naive reached the kernel")
+
+        with mock.patch.object(sequence, "_x_pow_mod", kernel), mock.patch.object(
+            sequence, "_run_from_residue", kernel
+        ):
+            assert [term_naive(2, n) for n in range(9)] == FIB
+            assert term_naive(2, 203) == TestWindow.F203
 
 
 class TestRecurrenceProperty:

@@ -13,15 +13,14 @@ the minimum is the conventional noise floor for wall-clock microbench
 numbers.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
+from .rational import to_decimal
 from .sequence import METHODS, validate_order
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
 ]
 
 _CHECKSUM_MASK = (1 << 64) - 1
-
-_COLUMNS = ("method", "k", "n", "rep", "wall_time", "result_digits", "checksum")
 
 
 class MethodMismatchError(AssertionError):
@@ -97,6 +94,8 @@ def _of_type(value, kind) -> bool:
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One timed call; the fields in this order are the report's columns."""
+
     method: str
     k: int
     n: int
@@ -104,6 +103,9 @@ class BenchRecord:
     wall_time: float
     result_digits: int
     checksum: int
+
+
+_COLUMNS = tuple(field.name for field in fields(BenchRecord))
 
 
 def digit_count(value: int) -> int:
@@ -114,15 +116,7 @@ def digit_count(value: int) -> int:
     """
     if value < 0:
         raise ValueError(f"expected non-negative value, got {value}")
-    if value == 0:
-        return 1
-    # bit_length * log10(2), then settle the off-by-one exactly
-    digits = value.bit_length() * 30103 // 100000
-    while 10**digits <= value:
-        digits += 1
-    while digits > 1 and 10 ** (digits - 1) > value:
-        digits -= 1
-    return digits
+    return to_decimal(value).adjusted() + 1
 
 
 def run_bench(config: BenchConfig) -> List[BenchRecord]:
@@ -175,29 +169,15 @@ def min_wall_times(records: Sequence[BenchRecord]) -> Dict[Tuple[str, int, int],
 
 
 def emit_report(records: Sequence[BenchRecord], format: str) -> str:
-    """Serialize records, column order fixed as method,k,n,rep,wall_time,result_digits,checksum."""
+    """Serialize records, one column or key per ``BenchRecord`` field, in field order."""
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.method,
-                    rec.k,
-                    rec.n,
-                    rec.rep,
-                    repr(rec.wall_time),
-                    rec.result_digits,
-                    rec.checksum,
-                ]
-            )
+        writer.writerows(astuple(rec) for rec in records)  # floats as repr()
         return out.getvalue()
     if format == "json":
-        payload = [
-            {col: getattr(rec, col) for col in _COLUMNS} for rec in records
-        ]
-        return json.dumps(payload, indent=2)
+        return json.dumps([asdict(rec) for rec in records], indent=2)
     raise ValueError(f"unknown format {format!r}; expected 'csv' or 'json'")
 
 
@@ -207,16 +187,11 @@ def parse_report(document: str, format: str) -> List[BenchRecord]:
         rows = list(csv.reader(io.StringIO(document)))
         if not rows or tuple(rows[0]) != _COLUMNS:
             raise ValueError("missing or malformed CSV header")
+        # each field's type parses its cell: without postponed annotations
+        # in this module, field.type is the class itself
+        kinds = [field.type for field in fields(BenchRecord)]
         return [
-            BenchRecord(
-                method=row[0],
-                k=int(row[1]),
-                n=int(row[2]),
-                rep=int(row[3]),
-                wall_time=float(row[4]),
-                result_digits=int(row[5]),
-                checksum=int(row[6]),
-            )
+            BenchRecord(*(kind(cell) for kind, cell in zip(kinds, row)))
             for row in rows[1:]
         ]
     if format == "json":

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .rational import Rational, int_to_str
-from .sequence import term_fast, window
+from .rational import Rational, fixed_point
+from .sequence import window
 
 __all__ = [
     "ClassicReport",
@@ -82,13 +82,13 @@ def millin_type_sum(m_terms: int) -> Rational:
     """Exact sum of 1 / F_{2^n} for n = 0 .. m_terms."""
     if m_terms < 0:
         raise ValueError(f"term count must be >= 0, got {m_terms}")
-    return Fraction(*_millin_parts(m_terms))
-
-
-def _millin_parts(m_terms: int) -> tuple[int, int]:
     if m_terms == 0:
-        return 1, 1
-    a, b = window(2, 2**m_terms - 1, 2)
+        return Fraction(1)
+    return Fraction(*_millin_parts(*window(2, 2**m_terms - 1, 2)))
+
+
+def _millin_parts(a: int, b: int) -> tuple[int, int]:
+    """Numerator and denominator of the sum to M >= 1 from a = F_{2^M - 1}, b = F_{2^M}."""
     return 3 * b - a, b
 
 
@@ -107,12 +107,6 @@ def _scaled_difference(x: Rational, a: int, c: int, w: int) -> int:
     if bound >= 0:
         return bound // (q * c)
     return -((-bound - 1) // (q * c))
-
-
-def _fixed(n: int, digits: int) -> str:
-    """n / 10^digits with exactly ``digits`` fraction digits."""
-    text = int_to_str(abs(n)).rjust(digits + 1, "0")
-    return f"{'-' if n < 0 else ''}{text[:-digits]}.{text[-digits:]}"
 
 
 @dataclass(frozen=True)
@@ -159,9 +153,9 @@ class ClassicReport:
             "identity": self.identity,
             "terms": self.terms,
             "digits": self.digits,
-            "value": _fixed(self.scaled_value, self.digits),
-            "target": _fixed(self.scaled_target, self.digits),
-            "abs_diff": _fixed(self.scaled_diff, self.digits + 6),
+            "value": fixed_point(self.scaled_value, self.digits),
+            "target": fixed_point(self.scaled_target, self.digits),
+            "abs_diff": fixed_point(self.scaled_diff, self.digits + 6),
             "pass": self.passed,
         }
 
@@ -181,16 +175,20 @@ def _alternating_terms_needed(threshold_den: int) -> tuple[int, list[int]]:
         n *= 2
 
 
-def _millin_terms_needed(threshold_den: int) -> int:
+def _millin_terms_needed(threshold_den: int) -> tuple[int, list[int]]:
     """Smallest M whose first omitted term 1/F_{2^(M+1)} is below 1/threshold_den.
 
     Later omitted terms shrink so fast their total stays under twice
-    the first one.
+    the first one.  Each step takes a = F_{2^M - 1} and b = F_{2^M} from
+    one window, and F_{2^(M+1)} = b (b + 2a); returns M with [a, b],
+    which the sum needs.  Stops at the cap.
     """
     m = 1
-    while m < _MAX_MILLIN_TERMS and term_fast(2, 2 ** (m + 1)) <= threshold_den:
+    while True:
+        a, b = run = window(2, 2**m - 1, 2)
+        if m == _MAX_MILLIN_TERMS or b * (b + 2 * a) > threshold_den:
+            return m, run
         m += 1
-    return m
 
 
 def verify_classic(identity: str, d: int) -> ClassicReport:
@@ -225,8 +223,8 @@ def verify_classic(identity: str, d: int) -> ClassicReport:
         p, q = _alternating_parts(*run)
         a, c = 2, 1
     else:
-        terms = _millin_terms_needed(tail_den)
-        p, q = _millin_parts(terms)
+        terms, run = _millin_terms_needed(tail_den)
+        p, q = _millin_parts(*run)
         a, c = 7, 2
     work = d + 6
     scale = 10 ** (work + _GUARD_DIGITS)  # 10^W

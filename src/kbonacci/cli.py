@@ -44,6 +44,26 @@ _ORACLE_MAX_INDEX = {"naive": 250_000, "matrix": 2_500_000}
 # refuses a range whose bound on that total passes this: seq -k 3 --from 0
 # --to 20000 prints 5.3e7 digits against a bound of 1.2e8.
 _MAX_SEQ_DIGITS = 10**9
+# Every -k and --max-k is refused above this order.  A run or residue holds
+# k terms, and D_k has k digits, so the cheapest request of each subcommand
+# grows with k: at k = 500000, seq --from 5 --to 5 takes 3.7 s and 80 MB,
+# verify-decimal 1.4 s, and term -n 0 0.2 s; at 100000 each takes under
+# 0.8 s (process wall, CPython 3.11, 2 cores).
+_MAX_ORDER = 100_000
+# verify-decimal prints D_k for each order in -k .. --max-k, and refuses a
+# sweep whose bound on those digits, (orders) * max_k, passes this.  An order
+# near 100000 takes about 0.2 s, so the top of the bound is about 2 s, and
+# -k 2 --max-k 1000 (1e6) takes 0.2 s.
+_MAX_SWEEP_DIGITS = 10**6
+# digits divides a remainder of up to k + 1 digits by D_k once per digit,
+# about (170 + k) ns a digit, and refuses m * k above this: at the bound
+# k = 1000 takes 1.1 s and k = 10000 0.7 s, and m = 10^7 fits at k = 2.
+_MAX_DIVISION_WORK = 10**9
+# --method matrix multiplies k x k matrices, k^3 products a step, and is
+# refused when k^3 * n (n = 0 counted as 1: the matrices alone hold k^2
+# entries) passes this, 8 * 2500000 at k = 2.  At the bound k = 2 takes
+# 2.4 s, k = 3 at n = 740740 1.7 s, and k = 271 at n = 1 1.6 s.
+_MAX_MATRIX_WORK = 2 * 10**7
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,15 +72,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact k-bonacci terms, series evaluation, and identity checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    order_help = f"recurrence order, 2 to {_MAX_ORDER}"
 
     term = sub.add_parser("term", help="print one term F_n")
-    term.add_argument("-k", type=int, required=True, help="recurrence order, >= 2")
+    term.add_argument("-k", type=int, required=True, help=order_help)
     term.add_argument(
         "-n",
         type=int,
         required=True,
         help=f"term index, 0 to {_MAX_INDEX}; with --method naive to"
-        f" {_ORACLE_MAX_INDEX['naive']}, with matrix to {_ORACLE_MAX_INDEX['matrix']}",
+        f" {_ORACLE_MAX_INDEX['naive']}, with matrix to {_ORACLE_MAX_INDEX['matrix']}"
+        f" and k^3 * n at most {_MAX_MATRIX_WORK}",
     )
     term.add_argument(
         "--method",
@@ -70,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     seq = sub.add_parser("seq", help="print a range of terms, one per line")
-    seq.add_argument("-k", type=int, required=True)
+    seq.add_argument("-k", type=int, required=True, help=order_help)
     seq.add_argument("--from", dest="start", type=int, required=True, metavar="N0")
     seq.add_argument(
         "--to",
@@ -83,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     gf = sub.add_parser("gf", help="evaluate the generating series at eta")
-    gf.add_argument("-k", type=int, required=True)
+    gf.add_argument("-k", type=int, required=True, help=order_help)
     gf.add_argument(
         "--eta",
         type=parse_rational,
@@ -91,22 +113,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation point as 'p/q' or an integer, must be > 2",
     )
     cutoff = gf.add_mutually_exclusive_group()
-    cutoff.add_argument("-N", dest="n_trunc", type=int, help="fixed truncation index")
+    # the bound is series._MAX_PARTIAL_DIGITS, spelled out so the parser
+    # loads no series
+    cutoff.add_argument(
+        "-N",
+        dest="n_trunc",
+        type=int,
+        help="fixed truncation index, with (N + k) * log10 p at most 200000 digits"
+        " for eta = p/q",
+    )
     cutoff.add_argument(
         "--epsilon",
         type=parse_rational,
-        help="grow N until the tail bound is at most this ('p/q')",
+        help="grow N until the tail bound is at most this ('p/q'), within the same bound",
     )
     gf.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     vdec = sub.add_parser("verify-decimal", help="check the 1/D_k digit identity")
-    vdec.add_argument("-k", type=int, required=True)
+    vdec.add_argument("-k", type=int, required=True, help=order_help)
     vdec.add_argument(
         "--max-k",
         dest="max_k",
         type=int,
         default=None,
-        help="check every order from -k to this, with a summary verdict",
+        help="check every order from -k to this, with a summary verdict;"
+        f" (orders) * max-k at most {_MAX_SWEEP_DIGITS}",
     )
 
     vcls = sub.add_parser("verify-classic", help="check a classic Fibonacci sum")
@@ -115,9 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
     vcls.add_argument("--digits", type=int, required=True, help="precision, 4 to 200000")
 
     digits = sub.add_parser("digits", help="decimal digits of 1/D_k")
-    digits.add_argument("-k", type=int, required=True)
+    digits.add_argument("-k", type=int, required=True, help=order_help)
     digits.add_argument(
-        "-m", type=int, required=True, help=f"how many digits, 1 to {_MAX_DIGITS}"
+        "-m",
+        type=int,
+        required=True,
+        help=f"how many digits, 1 to {_MAX_DIGITS}, with m * k at most {_MAX_DIVISION_WORK}",
     )
 
     bench = sub.add_parser("bench", help="run a timing grid from a JSON config")
@@ -125,6 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser
+
+
+def _check_order(k: int) -> None:
+    if k > _MAX_ORDER:
+        raise ValueError(f"order must be <= {_MAX_ORDER}, got {k}")
 
 
 def _check_index_bound(n: int) -> None:
@@ -137,10 +176,16 @@ def _check_index_bound(n: int) -> None:
 def _cmd_term(args) -> int:
     # every method returns a Decimal here, whose str() is linear; the kernel
     # runs its top squares in it
+    _check_order(args.k)
     _check_index_bound(args.n)
     limit = _ORACLE_MAX_INDEX.get(args.method, _MAX_INDEX)
     if args.n > limit:
         raise ValueError(f"index must be <= {limit} with --method {args.method}, got {args.n}")
+    if args.method == "matrix" and args.k**3 * max(args.n, 1) > _MAX_MATRIX_WORK:
+        raise ValueError(
+            f"k^3 * n must be <= {_MAX_MATRIX_WORK} with --method matrix,"
+            f" got {args.k}^3 * {args.n}"
+        )
     with localcontext(EXACT_CONTEXT):
         print(METHODS[args.method](args.k, args.n, to_decimal))
     return 0
@@ -151,6 +196,7 @@ def _cmd_seq(args) -> int:
 
     # jump to F_start, then sweep in exact Decimal: str(Decimal) is linear,
     # and to_decimal converts the big seed terms in subquadratic time
+    _check_order(args.k)
     validate_range(args.k, args.start, args.stop)
     _check_index_bound(args.stop)
     bound = (args.stop - args.start + 1) * args.stop * math.log10(2)
@@ -169,6 +215,7 @@ def _cmd_seq(args) -> int:
 def _cmd_gf(args) -> int:
     from .series import SeriesPoint, converge_until, evaluate
 
+    _check_order(args.k)
     point = SeriesPoint(k=args.k, eta=args.eta)
     if args.n_trunc is not None:
         report = evaluate(point, args.n_trunc)
@@ -193,6 +240,13 @@ def _cmd_verify_decimal(args) -> int:
     last = args.k if args.max_k is None else args.max_k
     if last < args.k:
         raise ValueError(f"--max-k {last} is below -k {args.k}")
+    _check_order(last)
+    bound = (last - args.k + 1) * last
+    if bound > _MAX_SWEEP_DIGITS:
+        raise ValueError(
+            f"orders {args.k}..{last} may print {bound} digits of D_k,"
+            f" more than {_MAX_SWEEP_DIGITS}"
+        )
     results = []
     for k in range(args.k, last + 1):
         ok = verify_decimal_identity(k)
@@ -220,6 +274,12 @@ def _cmd_digits(args) -> int:
 
     if args.m > _MAX_DIGITS:
         raise ValueError(f"digit count must be <= {_MAX_DIGITS}, got {args.m}")
+    _check_order(args.k)
+    if args.m * args.k > _MAX_DIVISION_WORK:
+        raise ValueError(
+            f"m * k must be <= {_MAX_DIVISION_WORK}, got {args.m} * {args.k}:"
+            " the long division takes a step of k digits per digit"
+        )
     print(reciprocal_digits(repunit_denominator(args.k).value, args.m))
     return 0
 

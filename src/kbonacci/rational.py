@@ -17,7 +17,10 @@ kernel as a ``Decimal`` (``sequence.term_fast`` with
 seed terms.  All of that arithmetic runs in ``EXACT_CONTEXT``, where a
 rounding raises instead of producing wrong digits.  The way back,
 ``int(Decimal)``, is quadratic on CPython 3.11 too, so nothing here
-converts a ``Decimal`` to int.
+converts a ``Decimal`` to int.  ``fixed_point`` renders every fixed-point
+decimal the package prints.  In the other direction, ``parse_rational``
+reads digit strings of any length through ``str_to_int``, which keeps
+each ``int()`` call under CPython's 4300-digit int/str limit.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ __all__ = [
     "EXACT_CONTEXT",
     "to_decimal",
     "int_to_str",
+    "str_to_int",
+    "fixed_point",
 ]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -58,6 +63,8 @@ EXACT_CONTEXT = decimal.Context(
 # Below this width str() and Decimal(int) are as fast as splitting further,
 # and str() stays under CPython's default 4300-digit conversion limit.
 _LEAF_BITS = 1 << 13
+# int() of a digit string up to this length, under that limit too
+_LEAF_DIGITS = 2048
 
 _POW2 = {0: Decimal(2)}  # j -> 2**(2**j), filled on demand
 
@@ -71,9 +78,12 @@ def parse_rational(text: str) -> Rational:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"expected an integer or p/q fraction, got {text!r}")
-    if "/" in s and int(s.split("/")[1]) == 0:
+    num, _, den = s.partition("/")
+    den = str_to_int(den) if den else 1
+    if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(s)
+    sign = -1 if num[0] == "-" else 1
+    return Fraction(sign * str_to_int(num.lstrip("+-")), den)
 
 
 def to_decimal(n: int) -> Decimal:
@@ -109,6 +119,18 @@ def int_to_str(n: int) -> str:
     return str(to_decimal(n))
 
 
+def str_to_int(digits: str) -> int:
+    """``int(digits)`` of a string of decimal digits, however long.
+
+    Splits in halves down to pieces ``int()`` takes under CPython's
+    int/str limit, then joins them with powers of ten.
+    """
+    if len(digits) <= _LEAF_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return str_to_int(digits[:-half]) * 10**half + str_to_int(digits[-half:])
+
+
 def format_ratio(value: Rational) -> str:
     """Canonical "p/q" form, always with an explicit denominator."""
     return f"{int_to_str(value.numerator)}/{int_to_str(value.denominator)}"
@@ -122,7 +144,12 @@ def to_decimal_string(value: Rational, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError(f"digit count must be >= 1, got {digits}")
-    sign = "-" if value < 0 else ""
-    scaled = abs(value.numerator) * 10 ** digits // value.denominator
-    text = int_to_str(scaled).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    # the sign is the value's, so a small negative value prints as -0.000
+    scaled = abs(value.numerator) * 10**digits // value.denominator
+    return ("-" if value < 0 else "") + fixed_point(scaled, digits)
+
+
+def fixed_point(n: int, digits: int) -> str:
+    """n / 10^digits with exactly ``digits`` fraction digits, for digits >= 1."""
+    text = int_to_str(abs(n)).rjust(digits + 1, "0")
+    return f"{'-' if n < 0 else ''}{text[:-digits]}.{text[-digits:]}"

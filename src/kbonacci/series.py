@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, log10
 from typing import Iterator, Union
 
 from .rational import Rational, format_ratio
@@ -49,6 +50,15 @@ __all__ = [
     "evaluate_range",
     "converge_until",
 ]
+
+# Largest partial sum a report may need, in digits: P_N has a denominator
+# of about (N + k) log10 p digits for eta = p/q (p > q, as eta > 2).  The
+# time grows about quadratically in it (the gcds of Fraction): eta = 3 at
+# N = 200000 (95k digits) takes 0.6 s, at N = 600000 (286k digits) 3.1 s,
+# and eta = 1000000001/500000000 at N = 30000 (270k digits) 1.5 s, process
+# wall on CPython 3.11, 2 cores.  evaluate refuses a larger N, and
+# converge_until stops before a check at one, with ValueError.
+_MAX_PARTIAL_DIGITS = 200_000
 
 
 @dataclass(frozen=True)
@@ -72,8 +82,9 @@ class SeriesPoint:
 class EvalReport:
     """Comparison of a partial sum against the closed form.
 
-    ``residual`` is closed - partial; ``passed`` records whether the
-    residual is within the rigorous tail bound for the truncation index.
+    ``residual`` is closed - partial, the omitted part the partial sum is
+    built from; ``passed`` records whether it is within the rigorous tail
+    bound for the truncation index.
     """
 
     point: SeriesPoint
@@ -106,15 +117,15 @@ def closed_form(point: SeriesPoint) -> Rational:
 def partial_sum(point: SeriesPoint, n_trunc: int) -> Rational:
     """Exact sum of F_n / eta^n for n = 0 .. n_trunc.
 
-    The closed form of the truncation (module docstring) from the last k
-    terms F_{N-k+1} .. F_N, taken from one ``window`` call; zero below
-    N = k-1, where every term is.
+    The closed form minus the omitted part (module docstring), from the
+    last k terms F_{N-k+1} .. F_N, taken from one ``window`` call; zero
+    below N = k-1, where every term is.
     """
     _check_partial_index(n_trunc)
     k = point.k
     if n_trunc < k - 1:
         return Fraction(0)
-    return _partial_from_run(point, n_trunc, window(k, n_trunc - k + 1, k))
+    return closed_form(point) - _omitted(point, n_trunc, window(k, n_trunc - k + 1, k))
 
 
 def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
@@ -134,25 +145,16 @@ def evaluate(point: SeriesPoint, n_trunc: int) -> EvalReport:
     """Partial sum, closed form, and tail bound bundled into one report.
 
     One ``window`` call returns F_{N-k+1} .. F_{N+1}: the first k terms
-    give the closed-form partial sum, the last one the tail bound.
+    give the omitted part of the closed form, the last one the tail bound.
+    N must be at least k-1, and the partial sum, about (N + k) log10 p
+    digits for eta = p/q, at most ``_MAX_PARTIAL_DIGITS`` digits;
+    otherwise ValueError.
     """
     _check_partial_index(n_trunc)
     _check_tail_index(point, n_trunc)
-    k = point.k
-    run = window(k, n_trunc - k + 1, k + 1)
-    partial = _partial_from_run(point, n_trunc, run[:k])
-    closed = closed_form(point)
-    bound = _tail_from_term(point, n_trunc, run[k])
-    residual = closed - partial
-    return EvalReport(
-        point=point,
-        n_trunc=n_trunc,
-        partial=partial,
-        closed=closed,
-        tail_bound=bound,
-        residual=residual,
-        passed=abs(residual) <= bound,
-    )
+    _check_partial_digits(point, n_trunc)
+    run = window(point.k, n_trunc - point.k + 1, point.k + 1)
+    return _report(point, n_trunc, run, _tail_from_term(point, n_trunc, run[-1]))
 
 
 def evaluate_range(point: SeriesPoint, n_max: int) -> Iterator[EvalReport]:
@@ -181,8 +183,32 @@ def _check_tail_index(point: SeriesPoint, n_trunc: int) -> None:
         )
 
 
-def _partial_from_run(point: SeriesPoint, n_trunc: int, run) -> Rational:
-    """P_N for N >= k-1 from run = F_{N-k+1} .. F_N, with eta = p/q.
+def _check_partial_digits(point: SeriesPoint, n_trunc: int) -> None:
+    digits = ceil((n_trunc + point.k) * log10(point.eta.numerator))
+    if digits > _MAX_PARTIAL_DIGITS:
+        raise ValueError(
+            f"a partial sum to N = {n_trunc} has about {digits} digits,"
+            f" more than {_MAX_PARTIAL_DIGITS}"
+        )
+
+
+def _report(point: SeriesPoint, n_trunc: int, run: list[int], bound: Rational) -> EvalReport:
+    """The report at N from run = F_{N-k+1} .. F_{N+1} and its tail bound."""
+    residual = _omitted(point, n_trunc, run[:-1])
+    closed = closed_form(point)
+    return EvalReport(
+        point=point,
+        n_trunc=n_trunc,
+        partial=closed - residual,
+        closed=closed,
+        tail_bound=bound,
+        residual=residual,
+        passed=abs(residual) <= bound,
+    )
+
+
+def _omitted(point: SeriesPoint, n_trunc: int, run) -> Rational:
+    """Closed form - P_N for N >= k-1 from run = F_{N-k+1} .. F_N, with eta = p/q.
 
     Times p^(N+k), the identity in the module docstring reads
     P_N = num / (p^N den), where den = p^k - sum_{i=1}^{k} q^i p^(k-i)
@@ -191,8 +217,8 @@ def _partial_from_run(point: SeriesPoint, n_trunc: int, run) -> Rational:
         num = q^(k-1) p^(N+1) - q^(N+1) sum_{j=1}^{k} q^(j-1) p^(k-j) T_j,
 
     T_j = F_{N+j-k} + ... + F_N being the suffix sums of the run.  The
-    first part is the closed form p q^(k-1) / den, so P_N is built as the
-    closed form minus (q/p)^N * q * (the sum over j) / den.  Fraction then
+    first part is the closed form p q^(k-1) / den, so the omitted part is
+    (q/p)^N * q * (the sum over j) / den.  Fraction then
     reduces by gcds with den, with the term-sized sum and with the closed
     form's small denominator; reducing num over p^N den would take one gcd
     of two O(N log p)-bit integers, several times slower for a large p.
@@ -206,8 +232,7 @@ def _partial_from_run(point: SeriesPoint, n_trunc: int, run) -> Rational:
         suffix -= oldest
         q_pow *= q
         den = den * p - q_pow
-    omitted = Fraction(q, p) ** n_trunc * Fraction(q * acc, den)
-    return closed_form(point) - omitted
+    return Fraction(q, p) ** n_trunc * Fraction(q * acc, den)
 
 
 def _tail_from_term(point: SeriesPoint, n_trunc: int, f_next: int) -> Rational:
@@ -220,12 +245,19 @@ def converge_until(point: SeriesPoint, epsilon: Union[Rational, int]) -> EvalRep
 
     Returns the first *checked* truncation index that qualifies, not the
     minimal one.  Terminates for every epsilon > 0 because the bound
-    shrinks geometrically.
+    shrinks geometrically.  Each check is one ``window`` call for
+    F_{N-k+1} .. F_{N+1}, and the report comes from the last one.  A
+    search that would check an N whose partial sum passes
+    ``_MAX_PARTIAL_DIGITS`` digits raises ValueError first.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     n = max(point.k - 1, 1)
-    while tail_bound(point, n) > epsilon:
+    while True:
+        _check_partial_digits(point, n)
+        run = window(point.k, n - point.k + 1, point.k + 1)
+        bound = _tail_from_term(point, n, run[-1])
+        if bound <= epsilon:
+            return _report(point, n, run, bound)
         n *= 2
-    return evaluate(point, n)

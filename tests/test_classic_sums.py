@@ -231,6 +231,24 @@ class TestVerifyClassic:
         report = verify_classic("alternating", d)
         assert calls.count(report.terms + 1) == 1
 
+    @pytest.mark.parametrize("d", [4, 50, 3000, 27000, 30000])
+    def test_millin_takes_one_window_per_step(self, d, monkeypatch):
+        # step M jumps once, to F_{2^M - 1} and F_{2^M}, and tests
+        # F_{2^(M+1)} = F_{2^M} (F_{2^M} + 2 F_{2^M - 1}); the sum reuses the
+        # last pair, so nothing jumps after the search
+        calls = []
+
+        def spy(k, n, count):
+            calls.append((k, n, count))
+            return window(k, n, count)
+
+        monkeypatch.setattr(classic_sums, "window", spy)
+        report = verify_classic("millin", d)
+        assert calls == [(2, 2**m - 1, 2) for m in range(1, report.terms + 1)]
+        assert not hasattr(classic_sums, "term_fast")
+        monkeypatch.undo()
+        assert report.value == millin_type_sum(report.terms)
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP 1: Millin cap")
     def test_millin_above_the_cap_passes(self):
         assert verify_classic("millin", 30000).passed

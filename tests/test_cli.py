@@ -1,6 +1,7 @@
 import argparse
 import ast
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -15,10 +16,10 @@ import pytest
 
 import kbonacci
 import kbonacci.cli as cli
-from kbonacci import sequence
+from kbonacci import sequence, series
 from kbonacci.bench import METHODS
 from kbonacci.classic_sums import IDENTITIES, ClassicReport
-from kbonacci.rational import int_to_str
+from kbonacci.rational import int_to_str, parse_rational
 from kbonacci.sequence import iter_terms, range_terms, term_fast
 from kbonacci.series import EvalReport, SeriesPoint, evaluate
 
@@ -261,6 +262,15 @@ class TestGf:
         )
         assert code == 2
 
+    def test_epsilon_past_the_str_limit(self, capsys):
+        # 5000 digits: int() and Fraction(str) would refuse it under the
+        # default int/str limit
+        eps = "1/1" + "0" * 5000
+        code, out, _ = run(capsys, ["gf", "-k", "2", "--eta", "3", "--epsilon", eps])
+        assert (code, out.splitlines()[-1]) == (0, "PASS")
+        doc = dict(line.split(" = ") for line in out.splitlines()[:-1])
+        assert parse_rational(doc["tail_bound"]) <= Fraction(1, 10**5000)
+
     def test_failed_report_exits_one(self, capsys, monkeypatch):
         broken = EvalReport(
             point=SeriesPoint(k=2, eta=Fraction(10)),
@@ -323,6 +333,9 @@ class TestResourceGuards:
         monkeypatch.setattr(cli, "iter_terms", arithmetic)
         monkeypatch.setattr("kbonacci.decimal_identity.reciprocal_digits", arithmetic)
         monkeypatch.setattr("kbonacci.decimal_identity.repunit_denominator", arithmetic)
+        monkeypatch.setattr("kbonacci.decimal_identity.verify_decimal_identity", arithmetic)
+        monkeypatch.setattr("kbonacci.series.window", arithmetic)
+        monkeypatch.setattr("kbonacci.series.term_fast", arithmetic)
 
     def refused(self, capsys, monkeypatch, argv, message):
         self.forbid_arithmetic(monkeypatch)
@@ -389,11 +402,130 @@ class TestResourceGuards:
         message = "range 0..57636 may print 1e+09 digits, more than 1000000000"
         self.refused(capsys, monkeypatch, argv, message)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["term", "-k", "100001", "-n", "0"],
+            ["term", "-k", "3000000", "-n", "0", "--method", "naive"],
+            ["seq", "-k", "100001", "--from", "0", "--to", "0"],
+            ["gf", "-k", "100001", "--eta", "3"],
+            ["verify-decimal", "-k", "100001"],
+            ["verify-decimal", "-k", "99999", "--max-k", "100001"],
+            ["digits", "-k", "100001", "-m", "1"],
+        ],
+    )
+    def test_order_bound(self, capsys, monkeypatch, argv):
+        assert cli._MAX_ORDER == 100_000
+        k = argv[argv.index("--max-k" if "--max-k" in argv else "-k") + 1]
+        self.refused(capsys, monkeypatch, argv, f"order must be <= 100000, got {k}")
+
+    def test_largest_order_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setitem(METHODS, "polymod", lambda k, n, cast: cast(k))
+        assert run(capsys, ["term", "-k", "100000", "-n", "0"]) == (0, "100000\n", "")
+        monkeypatch.setattr("kbonacci.decimal_identity.reciprocal_digits", lambda den, m: str(m))
+        assert run(capsys, ["digits", "-k", "100000", "-m", "10000"]) == (0, "10000\n", "")
+
+    @pytest.mark.parametrize(
+        "k,m", [(100_000, 10_001), (1001, 1_000_000), (101, 10**7), (10**5, 10**7)]
+    )
+    def test_digits_division_bound(self, capsys, monkeypatch, k, m):
+        assert cli._MAX_DIVISION_WORK == 10**9
+        argv = ["digits", "-k", str(k), "-m", str(m)]
+        message = (
+            f"m * k must be <= 1000000000, got {m} * {k}:"
+            " the long division takes a step of k digits per digit"
+        )
+        self.refused(capsys, monkeypatch, argv, message)
+
+    def test_digits_division_bound_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr("kbonacci.decimal_identity.reciprocal_digits", lambda den, m: str(m))
+        for k, m in ((1000, 1_000_000), (100, 10**7), (3, 10**7)):
+            argv = ["digits", "-k", str(k), "-m", str(m)]
+            assert run(capsys, argv) == (0, f"{m}\n", "")
+
+    @pytest.mark.parametrize("k,n", [(3, 740_741), (16, 4883), (272, 0), (272, 1), (1000, 5)])
+    def test_matrix_work_bound(self, capsys, monkeypatch, k, n):
+        assert cli._MAX_MATRIX_WORK == 2 * 10**7
+        argv = ["term", "-k", str(k), "-n", str(n), "--method", "matrix"]
+        message = f"k^3 * n must be <= 20000000 with --method matrix, got {k}^3 * {n}"
+        self.refused(capsys, monkeypatch, argv, message)
+
+    def test_matrix_work_bound_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setitem(METHODS, "matrix", lambda k, n, cast: f"{k} {n}")
+        for k, n in ((2, 2_500_000), (3, 740_740), (16, 4882), (271, 1), (271, 0)):
+            argv = ["term", "-k", str(k), "-n", str(n), "--method", "matrix"]
+            assert run(capsys, argv) == (0, f"{k} {n}\n", "")
+
+    @pytest.mark.parametrize("k,last,shown", [(2, 1001, 1001000), (99_990, 100_000, 1100000)])
+    def test_verify_decimal_sweep_bound(self, capsys, monkeypatch, k, last, shown):
+        assert cli._MAX_SWEEP_DIGITS == 10**6
+        argv = ["verify-decimal", "-k", str(k), "--max-k", str(last)]
+        message = f"orders {k}..{last} may print {shown} digits of D_k, more than 1000000"
+        self.refused(capsys, monkeypatch, argv, message)
+
+    def test_verify_decimal_sweep_at_the_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr("kbonacci.decimal_identity.verify_decimal_identity", lambda k: True)
+        monkeypatch.setattr("kbonacci.decimal_identity.identity_line", lambda k, ok: str(k))
+        code, out, _ = run(capsys, ["verify-decimal", "-k", "2", "--max-k", "1000"])
+        assert (code, out.split()) == (0, [*map(str, range(2, 1001)), "PASS"])
+
+    @pytest.mark.parametrize(
+        "eta,n,digits", [("3", 419_179, 200_001), ("2000001/1000000", 31_739, 200_001)]
+    )
+    def test_gf_partial_sum_bound(self, capsys, monkeypatch, eta, n, digits):
+        argv = ["gf", "-k", "2", "--eta", eta, "-N", str(n)]
+        message = f"a partial sum to N = {n} has about {digits} digits, more than 200000"
+        self.refused(capsys, monkeypatch, argv, message)
+
+    def test_gf_partial_sum_bound_is_inclusive(self, capsys, monkeypatch):
+        reached = []
+        monkeypatch.setattr("kbonacci.series.window", lambda k, n, count: reached.append(n) or 1 / 0)
+        for eta, n in (("3", 419_178), ("2000001/1000000", 31_738)):
+            with pytest.raises(ZeroDivisionError):
+                cli.parse_and_dispatch(["gf", "-k", "2", "--eta", eta, "-N", str(n)])
+        assert reached == [419_177, 31_737]
+
+    def test_epsilon_search_stops_before_the_bound(self, capsys):
+        # eta = 2000001/1000000: each doubling checks the bound before its
+        # jump, and N = 32768 would need 206485 digits
+        eps = "1/1" + "0" * 5000
+        argv = ["gf", "-k", "2", "--eta", "2000001/1000000", "--epsilon", eps]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        message = "a partial sum to N = 32768 has about 206485 digits, more than 200000"
+        assert err.startswith(f"error: {message}\nusage:")
+
+    def test_epsilon_of_two_hundred_thousand_digits_is_refused(self, capsys, monkeypatch):
+        # a tail bound that never shrinks: the search doubles N = 1, 2, 4, ...
+        # until the check refuses 2^19, before its jump
+        calls = []
+
+        def window(k, n, count):
+            calls.append(n)
+            assert len(calls) <= 19, "the search ran past the bound"
+            return [0] * count
+
+        self.forbid_arithmetic(monkeypatch)
+        monkeypatch.setattr("kbonacci.series.window", window)
+        monkeypatch.setattr("kbonacci.series._tail_from_term", lambda *args: 1)
+        argv = ["gf", "-k", "2", "--eta", "3", "--epsilon", "1/1" + "0" * 200_000]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        message = "a partial sum to N = 524288 has about 250150 digits, more than 200000"
+        assert err.startswith(f"error: {message}\nusage:")
+
     def test_help_states_the_bounds(self, capsys):
         for command, text in (
             ("term", "with --method naive to 250000, with matrix to 2500000"),
+            ("term", "k^3 * n at most 20000000"),
+            ("term", "recurrence order, 2 to 100000"),
             ("seq", "at most 1000000000 digits"),
+            ("seq", "recurrence order, 2 to 100000"),
+            # the parser spells out series._MAX_PARTIAL_DIGITS
+            ("gf", f"(N + k) * log10 p at most {series._MAX_PARTIAL_DIGITS} digits"),
+            ("verify-decimal", "(orders) * max-k at most 1000000"),
             ("digits", "how many digits, 1 to 10000000"),
+            ("digits", "m * k at most 1000000000"),
         ):
             code, out, _ = run(capsys, [command, "--help"])
             assert code == 0
@@ -676,3 +808,53 @@ class TestStartup:
             assert namespace[name] is getattr(kbonacci, name)
         with pytest.raises(AttributeError):
             kbonacci.no_such_name
+
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded from its path and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module up by name while it builds Request
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class ReachedArithmetic(Exception):
+    pass
+
+
+class TestBenchmarkRequests:
+    """Every request the benchmark sends passes every guard of the CLI."""
+
+    @pytest.fixture
+    def kernels_fail(self, monkeypatch):
+        def arithmetic(*args):
+            raise ReachedArithmetic
+
+        for name in METHODS:
+            monkeypatch.setitem(METHODS, name, arithmetic)
+        monkeypatch.setattr(cli, "iter_terms", arithmetic)
+        # gf runs its search, cheap at these sizes, so that the guard sees
+        # every N it checks; only the report is forbidden
+        monkeypatch.setattr("kbonacci.series._report", arithmetic)
+        monkeypatch.setattr("kbonacci.decimal_identity.verify_decimal_identity", arithmetic)
+        monkeypatch.setattr("kbonacci.decimal_identity.reciprocal_digits", arithmetic)
+        monkeypatch.setattr("kbonacci.classic_sums.window", arithmetic)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("workload", ["term-kernel", "term-render", "verdicts"])
+    def test_every_request_reaches_the_arithmetic(
+        self, kernels_fail, capsys, monkeypatch, workload, seed
+    ):
+        workloads = load_workloads(monkeypatch)
+        assert workload in workloads.WORKLOADS
+        requests = workloads.build_pass(workload, seed, 0)
+        assert len(requests) > 10
+        for request in requests:
+            with pytest.raises(ReachedArithmetic):
+                cli.parse_and_dispatch(list(request.argv))
+        assert capsys.readouterr().err == ""

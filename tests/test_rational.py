@@ -9,9 +9,12 @@ from hypothesis import given, strategies as st
 from kbonacci.rational import (
     EXACT_CONTEXT,
     _LEAF_BITS,
+    _LEAF_DIGITS,
+    fixed_point,
     format_ratio,
     int_to_str,
     parse_rational,
+    str_to_int,
     to_decimal,
     to_decimal_string,
 )
@@ -69,6 +72,17 @@ class TestParsing:
     def test_format_parse_round_trip(self, f):
         assert parse_rational(format_ratio(f)) == f
 
+    def test_digits_past_the_str_limit(self):
+        # under the default int/str limit, which int() and Fraction(str)
+        # would hit; a run of n sevens is 7 (10^n - 1) / 9
+        sevens = lambda n: 7 * (10**n - 1) // 9
+        assert parse_rational("-" + "7" * 9000 + "/1" + "0" * 5000) == Fraction(
+            -sevens(9000), 10**5000
+        )
+        assert parse_rational("+" + "7" * 4301) == sevens(4301)
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational("1/" + "0" * 5000)
+
     def test_format_always_has_denominator(self):
         assert format_ratio(Fraction(10)) == "10/1"
         assert format_ratio(Fraction(-3, 7)) == "-3/7"
@@ -89,6 +103,17 @@ class TestDecimalRendering:
         with pytest.raises(ValueError):
             to_decimal_string(Fraction(1, 3), 0)
 
+    def test_small_negative_keeps_its_sign(self):
+        assert to_decimal_string(Fraction(-1, 10**9), 3) == "-0.000"
+        assert fixed_point(0, 3) == "0.000"
+
+    @pytest.mark.parametrize(
+        "n,digits,text",
+        [(0, 1, "0.0"), (5, 3, "0.005"), (-5, 3, "-0.005"), (123456, 2, "1234.56"), (-10**6, 6, "-1.000000")],
+    )
+    def test_fixed_point(self, n, digits, text):
+        assert fixed_point(n, digits) == text
+
     def test_prefix_stability(self):
         short = to_decimal_string(Fraction(1, 7), 8)
         long = to_decimal_string(Fraction(1, 7), 20)
@@ -102,6 +127,22 @@ class TestDecimalRendering:
         if rendered.startswith("-"):
             reread = -reread
         assert abs(reread - f) < Fraction(1, 10**d)
+
+
+@pytest.mark.usefixtures("lifted_str_limit")  # for the oracle int()
+class TestStrToInt:
+    @pytest.mark.parametrize(
+        "length",
+        [1, _LEAF_DIGITS, _LEAF_DIGITS + 1, 2 * _LEAF_DIGITS + 1, 4300, 4301, 50_000],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_int(self, length, seed):
+        rng = random.Random(length * 10 + seed)
+        digits = "".join(rng.choice("0123456789") for _ in range(length))
+        assert str_to_int(digits) == int(digits)
+
+    def test_leading_zeros(self):
+        assert str_to_int("0" * 10_000 + "12") == 12
 
 
 @pytest.mark.usefixtures("lifted_str_limit")  # for the oracle str()

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kbonacci import cli
+from kbonacci import cli, series
 from kbonacci.rational import format_ratio, parse_rational
-from kbonacci.sequence import range_terms, term_fast
+from kbonacci.sequence import range_terms, term_fast, window
 from kbonacci.series import (
     SeriesPoint,
     closed_form,
@@ -212,7 +212,8 @@ class TestOracles:
         assert report.partial == horner_partial_sum(point, n)
         f_next = term_fast(k, n + 1)
         assert report.tail_bound == f_next / eta ** (n + 1) / (1 - 2 / eta)
-        assert report.residual == closed_form(point) - report.partial
+        assert report.closed == closed_form(point)
+        assert report.residual == report.closed - report.partial
         assert report.passed
 
     @pytest.mark.parametrize(
@@ -289,6 +290,84 @@ class TestConvergeUntil:
     def test_nonpositive_epsilon_rejected(self, eps):
         with pytest.raises(ValueError):
             converge_until(P210, eps)
+
+    @pytest.mark.parametrize(
+        "point,eps",
+        [
+            (P210, Fraction(1)),
+            (P210, Fraction(1, 10**40)),
+            (SeriesPoint(k=8, eta=Fraction(3)), Fraction(1, 10**300)),
+            (SeriesPoint(k=5, eta=Fraction(2001, 1000)), Fraction(1, 1000)),
+        ],
+    )
+    def test_one_window_per_doubling_step(self, monkeypatch, point, eps):
+        # each check jumps once, to F_{N-k+1} .. F_{N+1}, and the report
+        # comes from the last of those runs, not from a second jump
+        calls = []
+
+        def spy(k, n, count):
+            calls.append((k, n, count))
+            return window(k, n, count)
+
+        def no_term_fast(*args):
+            raise AssertionError("converge_until called term_fast")
+
+        monkeypatch.setattr(series, "window", spy)
+        monkeypatch.setattr(series, "term_fast", no_term_fast)
+        report = converge_until(point, eps)
+        monkeypatch.undo()
+        k, n0 = point.k, max(point.k - 1, 1)
+        checked = [n0 << i for i in range(len(calls))]
+        assert calls == [(k, n - k + 1, k + 1) for n in checked]
+        assert checked[-1] == report.n_trunc
+        assert report == evaluate(point, report.n_trunc)
+        if len(checked) > 1:
+            assert tail_bound(point, checked[-2]) > eps >= report.tail_bound
+
+
+class TestPartialSumBound:
+    """Reports whose partial sum passes _MAX_PARTIAL_DIGITS are refused."""
+
+    @pytest.fixture
+    def no_window(self, monkeypatch):
+        def window_call(k, n, count):
+            raise ZeroDivisionError  # stands for the jump the check lets through
+
+        monkeypatch.setattr(series, "window", window_call)
+
+    @pytest.mark.parametrize(
+        "k,eta,last,digits",
+        [
+            (2, Fraction(3), 419_178, 200_001),
+            (8, Fraction(3), 419_172, 200_001),
+            (2, Fraction(10**9 + 1, 10**8), 22_220, 200_008),
+        ],
+    )
+    def test_evaluate(self, no_window, k, eta, last, digits):
+        assert series._MAX_PARTIAL_DIGITS == 200_000
+        point = SeriesPoint(k=k, eta=eta)
+        with pytest.raises(ZeroDivisionError):
+            evaluate(point, last)
+        message = f"a partial sum to N = {last + 1} has about {digits} digits, more than 200000"
+        with pytest.raises(ValueError, match=message):
+            evaluate(point, last + 1)
+
+    def test_search_stops_before_the_jump(self, monkeypatch):
+        # a tail bound that never shrinks: the search doubles until the check
+        # refuses N = 2^19, before its jump
+        calls = []
+
+        def window_call(k, n, count):
+            calls.append(n)
+            assert len(calls) <= 19, "the search ran past the bound"
+            return [0] * count
+
+        monkeypatch.setattr(series, "window", window_call)
+        monkeypatch.setattr(series, "term_fast", None)  # no other jump
+        monkeypatch.setattr(series, "_tail_from_term", lambda *args: Fraction(1))
+        with pytest.raises(ValueError, match="a partial sum to N = 524288 has about 250150 digits"):
+            converge_until(SeriesPoint(k=2, eta=Fraction(3)), Fraction(1, 10**10))
+        assert calls == [(1 << i) - 1 for i in range(19)]
 
 
 class TestShiftedSumIdentity:

@@ -6,7 +6,9 @@ emits machine-readable reports; methods are looked up by name in
 every method must produce the same term for the same (k, n), compared
 through a 64-bit checksum so reports never carry million-digit
 integers.  Full-value equality for small n is asserted in the test
-suite, where it is cheap.
+suite, where it is cheap.  A config whose cells or repetitions pass the
+CLI's bounds (``bounds.check_term``) is refused with ValueError before
+anything runs.
 
 When comparing times across methods use the minimum over repetitions;
 the minimum is the conventional noise floor for wall-clock microbench
@@ -21,7 +23,8 @@ from dataclasses import asdict, astuple, dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
 from .rational import to_decimal
-from .sequence import METHODS, validate_order
+from .bounds import check_term
+from .sequence import METHODS
 
 __all__ = [
     "BenchConfig",
@@ -36,6 +39,9 @@ __all__ = [
 ]
 
 _CHECKSUM_MASK = (1 << 64) - 1
+# min-of-reps needs a handful, and each repetition of a cell may take as long
+# as the largest term request check_term accepts, about 2 s
+_MAX_REPETITIONS = 100
 
 
 class MethodMismatchError(AssertionError):
@@ -73,18 +79,20 @@ class BenchConfig:
             raise ValueError("n_values must be non-empty")
         if not self.methods:
             raise ValueError("methods must be non-empty")
-        for k in self.k_values:
-            validate_order(k)
-        for n in self.n_values:
-            if n < 0:
-                raise ValueError(f"term index must be >= 0, got {n}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if not 1 <= self.repetitions <= _MAX_REPETITIONS:
+            raise ValueError(
+                f"repetitions must be 1 to {_MAX_REPETITIONS}, got {self.repetitions}"
+            )
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(
                 f"unknown methods {unknown}; expected subset of {tuple(METHODS)}"
             )
+        # the CLI's term bounds, so no cell runs longer than its largest term
+        for k in self.k_values:
+            for n in self.n_values:
+                for method in self.methods:
+                    check_term(k, n, method)
 
 
 def _of_type(value, kind) -> bool:

@@ -7,8 +7,9 @@ output with a PASS or FAIL line so shell scripts can `tail -1`.  With
 the document.
 
 Start-up is part of every request's time, so the module level imports only
-what building the parser and the term/seq handlers need; every other
-handler imports its library module (and json) in its own body.
+what building the parser and the term/seq handlers need (``bounds``,
+``rational`` and ``sequence``); every other handler imports its library
+module (and json) in its own body.
 """
 
 from __future__ import annotations
@@ -19,6 +20,17 @@ import os
 import sys
 from decimal import localcontext
 
+from .bounds import (
+    _MAX_DIGITS,
+    _MAX_INDEX,
+    _MAX_MATRIX_WORK,
+    _MAX_ORDER,
+    _ORACLE_MAX_INDEX,
+    _check_index_bound,
+    _check_order,
+    check_jump,
+    check_term,
+)
 from .rational import EXACT_CONTEXT, Rational, parse_rational, to_decimal
 from .sequence import METHODS, iter_terms, validate_range
 
@@ -27,29 +39,12 @@ __all__ = ["build_parser", "parse_and_dispatch", "main"]
 # tail-bound target when gf is given neither -N nor --epsilon
 _DEFAULT_EPSILON = Rational(1, 10**30)
 
-# F_n < 2^n, so F_n has at most n*log10(2) + 1 digits.  term and seq refuse
-# an index whose bound passes _MAX_DIGITS before any arithmetic, rather than
-# run for minutes: 3.1M digits take about a second, and time and memory grow
-# with the size of the result.  digits refuses more than _MAX_DIGITS digits.
-_MAX_DIGITS = 10**7
-_MAX_INDEX = int(_MAX_DIGITS / math.log10(2))
-# term's oracle methods are far slower than the kernel: naive sweeps every
-# term up to F_n (time about n^2), and matrix multiplies k x k matrices of
-# F_n-sized entries (k^3 products a step; 95 s at k = 2, n = 33219280).  Each
-# is refused above the index where, at k = 2, it takes about as long as the
-# kernel's largest request (1.6 s): naive 1.5 s (2.0 s at k = 64) and matrix
-# 1.8 s (6.5 s at k = 3), on a 2-core host.
-_ORACLE_MAX_INDEX = {"naive": 250_000, "matrix": 2_500_000}
+# The order, digit and index bounds, and term's and the jump-ahead's, are
+# stated in bounds, where bench reads them too.
 # seq prints N1 - N0 + 1 terms of at most N1*log10(2) + 1 digits each, and
 # refuses a range whose bound on that total passes this: seq -k 3 --from 0
 # --to 20000 prints 5.3e7 digits against a bound of 1.2e8.
 _MAX_SEQ_DIGITS = 10**9
-# Every -k and --max-k is refused above this order.  A run or residue holds
-# k terms, and D_k has k digits, so the cheapest request of each subcommand
-# grows with k: at k = 500000, seq --from 5 --to 5 takes 3.7 s and 80 MB,
-# verify-decimal 1.4 s, and term -n 0 0.2 s; at 100000 each takes under
-# 0.8 s (process wall, CPython 3.11, 2 cores).
-_MAX_ORDER = 100_000
 # verify-decimal prints D_k for each order in -k .. --max-k, and refuses a
 # sweep whose bound on those digits, (orders) * max_k, passes this.  An order
 # near 100000 takes about 0.2 s, so the top of the bound is about 2 s, and
@@ -59,11 +54,6 @@ _MAX_SWEEP_DIGITS = 10**6
 # about (170 + k) ns a digit, and refuses m * k above this: at the bound
 # k = 1000 takes 1.1 s and k = 10000 0.7 s, and m = 10^7 fits at k = 2.
 _MAX_DIVISION_WORK = 10**9
-# --method matrix multiplies k x k matrices, k^3 products a step, and is
-# refused when k^3 * n (n = 0 counted as 1: the matrices alone hold k^2
-# entries) passes this, 8 * 2500000 at k = 2.  At the bound k = 2 takes
-# 2.4 s, k = 3 at n = 740740 1.7 s, and k = 271 at n = 1 1.6 s.
-_MAX_MATRIX_WORK = 2 * 10**7
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help=f"term index, 0 to {_MAX_INDEX}; with --method naive to"
         f" {_ORACLE_MAX_INDEX['naive']}, with matrix to {_ORACLE_MAX_INDEX['matrix']}"
-        f" and k^3 * n at most {_MAX_MATRIX_WORK}",
+        f" and k^3 * n at most {_MAX_MATRIX_WORK}; with polymod at a modelled cost"
+        f" at most that of -k 2 -n {_MAX_INDEX}",
     )
     term.add_argument(
         "--method",
@@ -101,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="N1",
         help=f"last index, at most {_MAX_INDEX}, with (N1 - N0 + 1) * N1 * log10(2)"
-        f" at most {_MAX_SEQ_DIGITS} digits",
+        f" at most {_MAX_SEQ_DIGITS} digits, and the jump to N0 at a modelled cost"
+        f" at most that of -k 2 --from {_MAX_INDEX}",
     )
 
     gf = sub.add_parser("gf", help="evaluate the generating series at eta")
@@ -161,31 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_order(k: int) -> None:
-    if k > _MAX_ORDER:
-        raise ValueError(f"order must be <= {_MAX_ORDER}, got {k}")
-
-
-def _check_index_bound(n: int) -> None:
-    if n > _MAX_INDEX:
-        raise ValueError(
-            f"index must be <= {_MAX_INDEX}, got {n}: F_n may have more than {_MAX_DIGITS} digits"
-        )
-
-
 def _cmd_term(args) -> int:
     # every method returns a Decimal here, whose str() is linear; the kernel
     # runs its top squares in it
-    _check_order(args.k)
-    _check_index_bound(args.n)
-    limit = _ORACLE_MAX_INDEX.get(args.method, _MAX_INDEX)
-    if args.n > limit:
-        raise ValueError(f"index must be <= {limit} with --method {args.method}, got {args.n}")
-    if args.method == "matrix" and args.k**3 * max(args.n, 1) > _MAX_MATRIX_WORK:
-        raise ValueError(
-            f"k^3 * n must be <= {_MAX_MATRIX_WORK} with --method matrix,"
-            f" got {args.k}^3 * {args.n}"
-        )
+    check_term(args.k, args.n, args.method)
     with localcontext(EXACT_CONTEXT):
         print(METHODS[args.method](args.k, args.n, to_decimal))
     return 0
@@ -194,8 +165,8 @@ def _cmd_term(args) -> int:
 def _cmd_seq(args) -> int:
     from itertools import islice
 
-    # jump to F_start, then sweep in exact Decimal: str(Decimal) is linear,
-    # and to_decimal converts the big seed terms in subquadratic time
+    # jump to F_start, whose top squares run in Decimal, then sweep in exact
+    # Decimal: str(Decimal) is linear
     _check_order(args.k)
     validate_range(args.k, args.start, args.stop)
     _check_index_bound(args.stop)
@@ -205,6 +176,7 @@ def _cmd_seq(args) -> int:
             f"range {args.start}..{args.stop} may print {bound:.3g} digits,"
             f" more than {_MAX_SEQ_DIGITS}"
         )
+    check_jump(args.k, args.start)
     with localcontext(EXACT_CONTEXT):
         terms = iter_terms(args.k, args.start, to_decimal)
         for value in islice(terms, args.stop - args.start + 1):

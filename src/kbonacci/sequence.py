@@ -17,7 +17,9 @@ Three evaluation strategies are provided:
   the squares from about 10k-digit coefficients on in ``Decimal``:
   libmpdec multiplies big operands with a number-theoretic transform,
   CPython's int with Karatsuba, and the Decimal result prints in linear
-  time.
+  time.  For k >= 20 with n/(k+1) at most 250 k it takes the generating
+  function's binomial sum instead: about n/(k+1) steps on numbers of the
+  term's size, which beats squares of k times that size where k is large.
 * ``term_naive`` -- item n of the sweep ``iter_terms`` from the initial
   terms; linear in n.
 * ``term_matrix`` -- k x k companion-matrix power.  O(k^3 log n); kept,
@@ -30,8 +32,10 @@ Three evaluation strategies are provided:
 ``iter_terms`` is the one forward sweep of the recurrence: a ring of the
 k most recent terms, each new term their sum.  Started above 0 it jumps
 ahead first, taking its k seed terms from the one residue x^n, so a range
-far from 0 costs no sweep from F_0.  ``window`` and ``range_terms`` are
-runs of that sweep, and ``term_naive`` is one item of it from 0.
+far from 0 costs no sweep from F_0; with a ``Decimal`` cast the top
+squares of that jump run in ``Decimal`` too.  ``window`` and
+``range_terms`` are runs of that sweep, and ``term_naive`` is one item of
+it from 0.
 
 All functions are pure and by default operate on plain Python integers,
 so results are exact at any size.  The three term strategies and
@@ -43,6 +47,7 @@ a Decimal is linear.  ``window`` and ``range_terms`` always return ints.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from decimal import Context, Decimal, Inexact, getcontext
 from itertools import cycle, islice
@@ -67,6 +72,26 @@ __all__ = [
 # this) instead made the term requests with k >= 16 and under 20k digits
 # slower.
 _CAST_BITS = 33_000
+# iter_terms with a cast switches its jump-ahead at this much narrower width:
+# the k seed terms all come out in the cast's type, so converting them would
+# cost what term's one result costs, k times over.  The benchmark's seq
+# requests (k = 3 to 16, N0 = 2e4 to 1e5, two passes, in process) took 0.30 s
+# at 1000 bits, 0.31 s at 2000, 0.33 s at 500 and 0.38 s at 8000, against
+# 0.81 s at 33000 and 1.26 s for an int jump with converted seeds; seq -k 1000
+# --from 30000 --to 30000 took 1.5 s at 1000 bits, 2.0 s at 2000 and 35 s
+# with the int jump.  Width 0 would put the smallest squares in Decimal too:
+# seq -k 100000 --from 5 took 1.79 s there instead of 0.54 s.
+_SEED_CAST_BITS = 1_000
+# term_fast takes the binomial sum for k >= _BINOMIAL_ORDER while
+# n/(k+1) <= _BINOMIAL_STEPS * k.  Timed against the kernel (with the CLI's
+# Decimal cast, CPython 3.11, 2 cores), the sum won from k = 20 on: 21 ms
+# against 31 at k = 20, n = 30000; 0.42 s against 0.55 s at k = 28,
+# n = 200000; 13 ms against 0.2 s at k = 64, n = 40000; 1 ms against 41 s at
+# k = 1000, n = 66000.  It lost below: 70 against 52 ms at k = 16,
+# n = 60000.  The two drew level at about n/(k+1) = 250 k for k = 20 to 48:
+# the sum grows as n^2/(k+1), the kernel about as k n.
+_BINOMIAL_ORDER = 20
+_BINOMIAL_STEPS = 250
 
 
 def validate_order(k: int) -> int:
@@ -99,17 +124,22 @@ def iter_terms(k: int, start: int = 0, cast=int) -> Iterator[int]:
     most recent terms, each new term their running sum, so memory stays
     O(k * term size).  From 0 the seed is ``initial_terms(k)`` itself,
     which keeps ``term_naive``, an oracle for the kernel, off the kernel;
-    from any other start it is the k terms of one jump-ahead.  ``cast``
-    converts the k seed terms, and later terms are their sums, so they
-    share its result type.  ``Decimal`` sums are exact only under a
+    from any other start it is the k terms of one jump-ahead, whose
+    squares switch to ``cast`` at ``_SEED_CAST_BITS``-bit coefficients, as
+    ``term_fast``'s do at ``_CAST_BITS``.  ``cast`` converts the k seed
+    terms if the jump stayed in int, and later terms are their sums, so
+    they share its result type.  ``Decimal`` sums are exact only under a
     context that traps ``Inexact``, such as ``rational.EXACT_CONTEXT``, so
     with a ``Decimal`` cast the first ``next`` raises ValueError under any
     other (the default context rounds at 28 digits).
     """
     validate_order(k)
     _validate_index(start)
-    seed = initial_terms(k) if start == 0 else _run_from_residue(_x_pow_mod(start, k))
-    ring = [cast(t) for t in seed]
+    if start == 0:
+        seed = initial_terms(k)
+    else:
+        seed = _run_from_residue(_x_pow_mod(start, k, cast, _SEED_CAST_BITS))
+    ring = [cast(t) for t in seed] if type(seed[0]) is int else seed
     if type(ring[0]) is Decimal:
         _require_exact_context()
     yield from ring
@@ -160,6 +190,11 @@ def term_fast(k: int, n: int, cast=int):
     full-size square.  O(log n) squares of about k times the term size,
     which makes huge single indices (n in the millions) practical.
 
+    For k >= ``_BINOMIAL_ORDER`` with n/(k+1) <= ``_BINOMIAL_STEPS`` * k it
+    takes ``_binomial_term`` instead, about n/(k+1) steps on numbers of the
+    term's size, and converts its int result once with ``cast``.  This
+    rule never takes the sum for k <= 3.
+
     The default returns an int and runs in ints throughout.  Any other
     ``cast`` (``rational.to_decimal``) converts the residue once its
     coefficients reach ``_CAST_BITS`` bits, so the top squares and the
@@ -172,8 +207,10 @@ def term_fast(k: int, n: int, cast=int):
     """
     validate_order(k)
     _validate_index(n)
+    if _takes_binomial(k, n):
+        return cast(_binomial_term(k, n))
     m, t = divmod(n, 2)
-    r = _x_pow_mod(m, k, cast)
+    r = _x_pow_mod(m, k, cast, _CAST_BITS)
     run = _run_from_residue(r)
     if t:
         run.append(sum(run))  # F_{m+k}
@@ -188,20 +225,54 @@ def _validate_index(n: int) -> None:
         raise ValueError(f"negative indices are not defined, got {n}")
 
 
-def _x_pow_mod(n: int, k: int, cast=int) -> list:
+def _takes_binomial(k: int, n: int) -> bool:
+    return k >= _BINOMIAL_ORDER and n // (k + 1) <= _BINOMIAL_STEPS * k
+
+
+def _binomial_term(k: int, n: int) -> int:
+    """F_n from the generating function's binomial sum; n/(k+1) steps.
+
+    Multiplied by 1 - x, the generating function x^(k-1)/(1 - x - ... - x^k)
+    becomes x^(k-1)(1 - x)/(1 - 2x + x^(k+1)), and expanding
+    1/(1 - 2x + x^(k+1)) = sum_m (2x - x^(k+1))^m gives F_n = c_{N+1} - c_N
+    for N = n - k, where c_M = sum_j (-1)^j C(M - kj, j) 2^(M-(k+1)j).
+    With a_j = N + 1 - kj, 2 C(a_j, j) - C(a_j - 1, j) = d_j =
+    C(a_j, j)(a_j + j)/a_j, so 2F_n = sum_j (-1)^j d_j 2^(N+1-(k+1)j): one
+    Horner sum in powers of 2^(k+1).  Each d_{j+1} comes from d_j: the two
+    binomials share all but min(j, k) + 1 factors of their numerator and
+    denominator products, and those cancel, so a step is one product and
+    one exact division by products of min(j, k) + 3 small factors.
+    """
+    top = n - k + 1  # N + 1
+    if top <= 0:
+        return int(top == 0)  # F_{k-1} = 1 and zeros before it
+    steps = top // (k + 1)
+    d = acc = 1
+    a = top
+    for j in range(steps):
+        b = a - k  # a_{j+1}
+        num = math.prod(range(b - j, min(b, a - j) + 1)) * (b + j + 1) * a
+        den = (j + 1) * math.prod(range(max(b, a - j) + 1, a + 1)) * b * (a + j)
+        d = d * num // den
+        acc = (acc << (k + 1)) + (d if j % 2 else -d)
+        a = b
+    return (acc << (top - (k + 1) * steps)) >> 1
+
+
+def _x_pow_mod(n: int, k: int, cast, cast_bits: int) -> list:
     """Coefficients (little-endian, length k) of x^n mod the char poly.
 
     Left-to-right square-and-multiply: a square per bit of n after the
     leading one, then a multiply by x where the bit is set.  A ``cast``
     other than int converts the residue, once, before the first square
-    whose operand has a coefficient of ``_CAST_BITS`` bits or more.
+    whose operand has a coefficient of ``cast_bits`` bits or more.
     """
     if n == 0:
         return [1] + [0] * (k - 1)
     residue = [0, 1] + [0] * (k - 2)  # the polynomial x
     pending = cast is not int
     for bit in bin(n)[3:]:
-        if pending and max(residue).bit_length() >= _CAST_BITS:
+        if pending and max(residue).bit_length() >= cast_bits:
             residue, pending = [cast(c) for c in residue], False
         residue = _square_mod(residue, k)
         if bit == "1":

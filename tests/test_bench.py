@@ -55,6 +55,14 @@ class TestConfigValidation:
             dict(k_values=5),
             # misspelled keys must not fall back to their defaults
             {"k_values": [2], "n_values": [5], "repetition": 3, "method": ["naive"]},
+            # the CLI's order, index, oracle, matrix and cost bounds
+            dict(k_values=[100_001], n_values=[0]),
+            dict(n_values=[10**9], methods=["naive"]),
+            dict(n_values=[33_219_281], methods=["polymod"]),
+            dict(n_values=[250_001], methods=["naive"]),
+            dict(k_values=[3], n_values=[740_741], methods=["matrix"]),
+            dict(k_values=[3], n_values=[17_488_316], methods=["polymod"]),
+            dict(repetitions=101),
         ],
     )
     def test_rejects_bad_fields(self, bad, tmp_path):
@@ -63,6 +71,14 @@ class TestConfigValidation:
         path.write_text(json.dumps(small_config_dict(**bad)))
         with pytest.raises(ValueError):
             load_config(str(path))
+
+
+def test_accepts_the_edges_of_every_bound():
+    # built, not run
+    small_config(k_values=[100_000], n_values=[0], methods=["polymod"], repetitions=100)
+    small_config(k_values=[2], n_values=[250_000], methods=["naive"])
+    small_config(k_values=[3], n_values=[740_740], methods=["matrix"])
+    small_config(k_values=[2, 3], n_values=[17_488_315], methods=["polymod"])
 
 
 class TestRunBench:

@@ -101,6 +101,40 @@ class TestTerm:
         assert out == int_to_str(METHODS[method](k, n)) + "\n"
 
 
+def sparse_term_mod(k, n, p=2**61 - 1):
+    """F_n mod p from F_n = 2F_{n-1} - F_{n-k-1}, independent of the kernel."""
+    f = [0] * (k - 1) + [1, 1]  # F_0 .. F_k
+    for i in range(k + 1, n + 1):
+        f.append((2 * f[i - 1] - f[i - k - 1]) % p)
+    return f[n]
+
+
+def decimal_mod(text, p=2**61 - 1):
+    """int(text) mod p, a chunk at a time under the int/str limit."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        value = (value * 10 ** len(chunk) + int(chunk)) % p
+    return value
+
+
+class TestLargeOrders:
+    @pytest.mark.parametrize("k,n", [(1000, 100_000), (100_000, 300_000), (20, 105_000)])
+    def test_term_mod_a_prime(self, capsys, k, n):
+        # the generating function's binomial sum: milliseconds where the
+        # kernel takes minutes at the first two
+        code, out, err = run(capsys, ["term", "-k", str(k), "-n", str(n)])
+        assert (code, err) == (0, "")
+        assert decimal_mod(out.strip()) == sparse_term_mod(k, n)
+
+    def test_seq_mod_a_prime_past_the_seed_width(self, capsys):
+        code, out, err = run(capsys, ["seq", "-k", "1000", "--from", "5000", "--to", "5002"])
+        assert (code, err) == (0, "")
+        assert [decimal_mod(line) for line in out.split()] == [
+            sparse_term_mod(1000, n) for n in range(5000, 5003)
+        ]
+
+
 BOUND = 33_219_280  # the largest index whose bound n*log10(2) is at most 10^7 digits
 
 
@@ -514,10 +548,42 @@ class TestResourceGuards:
         message = "a partial sum to N = 524288 has about 250150 digits, more than 200000"
         assert err.startswith(f"error: {message}\nusage:")
 
+    @pytest.mark.parametrize(
+        "argv,accepted",
+        [
+            (["term", "-k", "3", "-n", "17488315"], True),
+            (["term", "-k", "3", "-n", "17488316"], False),
+            (["term", "-k", "100000", "-n", "7123592"], True),
+            (["term", "-k", "100000", "-n", "7123593"], False),
+            (["seq", "-k", "100000", "--from", "397", "--to", "397"], True),
+            (["seq", "-k", "100000", "--from", "398", "--to", "398"], False),
+            (["seq", "-k", "3", "--from", "17488316", "--to", "17488316"], False),
+        ],
+    )
+    def test_cost_bound(self, capsys, monkeypatch, argv, accepted):
+        k, n = argv[2], argv[4]
+        if accepted:
+            monkeypatch.setitem(METHODS, "polymod", lambda k, n, cast: cast(n))
+            monkeypatch.setattr(cli, "iter_terms", lambda k, start, cast: iter([cast(start)]))
+            assert run(capsys, argv) == (0, f"{n}\n", "")
+        else:
+            what, kind = (
+                (f"F_n at k = {k}, n = {n}", "term")
+                if argv[0] == "term"
+                else (f"the jump to n = {n} at k = {k}", "jump")
+            )
+            message = (
+                f"{what} has a modelled cost of 1.01 times the most a {kind} may cost,"
+                f" that of k = 2, n = {BOUND}"
+            )
+            self.refused(capsys, monkeypatch, argv, message)
+
     def test_help_states_the_bounds(self, capsys):
         for command, text in (
             ("term", "with --method naive to 250000, with matrix to 2500000"),
             ("term", "k^3 * n at most 20000000"),
+            ("term", "with polymod at a modelled cost at most that of -k 2 -n 33219280"),
+            ("seq", "the jump to N0 at a modelled cost at most that of -k 2 --from 33219280"),
             ("term", "recurrence order, 2 to 100000"),
             ("seq", "at most 1000000000 digits"),
             ("seq", "recurrence order, 2 to 100000"),
@@ -687,6 +753,28 @@ class TestBench:
             (
                 {"k_values": [2], "n_values": [5], "repetition": 3, "method": ["naive"]},
                 "unknown bench config keys ['method', 'repetition']",
+            ),
+            # used to run until it was killed
+            (
+                {"k_values": [2], "n_values": [10**9], "methods": ["naive"]},
+                "index must be <= 33219280, got 1000000000",
+            ),
+            (
+                {"k_values": [2], "n_values": [250_001], "methods": ["naive"]},
+                "index must be <= 250000 with --method naive, got 250001",
+            ),
+            (
+                {"k_values": [16], "n_values": [4883], "methods": ["matrix"]},
+                "k^3 * n must be <= 20000000 with --method matrix, got 16^3 * 4883",
+            ),
+            (
+                {"k_values": [28], "n_values": [33_219_280], "methods": ["polymod"]},
+                "F_n at k = 28, n = 33219280 has a modelled cost of 20.17 times",
+            ),
+            ({"k_values": [100_001], "n_values": [0]}, "order must be <= 100000, got 100001"),
+            (
+                {"k_values": [2], "n_values": [5], "repetitions": 101},
+                "repetitions must be 1 to 100, got 101",
             ),
         ],
     )

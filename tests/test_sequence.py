@@ -1,3 +1,4 @@
+from contextlib import nullcontext
 from decimal import Context, Decimal, localcontext
 from itertools import islice
 from unittest import mock
@@ -5,9 +6,10 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kbonacci import sequence
+from kbonacci import bounds, sequence
 from kbonacci.rational import EXACT_CONTEXT, int_to_str, to_decimal
 from kbonacci.sequence import (
+    _binomial_term,
     _square_mod,
     _times_x,
     initial_terms,
@@ -434,3 +436,98 @@ class TestDecimalKernel:
             a = [1] * k
             a[top] = 3**5000
             assert square_in(to_decimal, a, k) == schoolbook_mul_mod(a, a, k)
+
+
+def forced(path):
+    """A patch that sends every ``term_fast`` call down one path, or none for "rule"."""
+    if path == "binomial":
+        return mock.patch.multiple(sequence, _BINOMIAL_ORDER=2, _BINOMIAL_STEPS=10**9)
+    if path == "kernel":
+        return mock.patch.object(sequence, "_BINOMIAL_ORDER", 10**9)
+    return nullcontext()
+
+
+class TestBinomialBranch:
+    @pytest.mark.parametrize("k", range(2, 31))
+    def test_binomial_sum_is_the_sweep(self, k):
+        # n from 0 takes in the zeros before F_{k-1}, F_{k-1} = 1 and every
+        # residue of N + 1 modulo k + 1, where the last Horner step differs
+        assert [_binomial_term(k, n) for n in range(400)] == sweep_from_zero(k, 400)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(2, 60),
+        st.integers(0, 2500),
+        st.sampled_from(["binomial", "kernel", "rule"]),
+        st.sampled_from([int, to_decimal]),
+    )
+    @example(2, 2500, "binomial", int)
+    @example(60, 59, "binomial", to_decimal)
+    @example(20, 2500, "rule", to_decimal)
+    @example(19, 2500, "rule", to_decimal)
+    def test_either_path_equals_the_oracles(self, k, n, path, cast):
+        expected = term_naive(k, n)
+        if n <= 600:
+            assert term_matrix(k, n) == expected
+        with forced(path), localcontext(EXACT_CONTEXT):
+            value = term_fast(k, n, cast)
+        assert type(value) is (int if cast is int else Decimal)
+        if cast is int:
+            assert value == expected
+        else:
+            assert str(value) == int_to_str(expected)
+
+    def test_rule(self):
+        assert sequence._takes_binomial(20, 105_000)  # n/(k+1) = 5000 = 250 k
+        assert not sequence._takes_binomial(20, 105_021)
+        assert not sequence._takes_binomial(19, 0)
+        assert sequence._takes_binomial(100_000, bounds._MAX_INDEX)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_never_for_k_up_to_three(self, k):
+        for n in (0, 1, 10, 10**4, 10**6, bounds._MAX_INDEX):
+            assert not sequence._takes_binomial(k, n)
+
+    @pytest.mark.parametrize("k,n", [(20, 105_000), (20, 105_021), (64, 40_000), (256, 8000)])
+    def test_paths_agree_at_scale(self, k, n):
+        with forced("kernel"):
+            kernel = term_fast(k, n)
+        with forced("binomial"):
+            assert term_fast(k, n) == kernel
+        assert term_fast(k, n) == kernel
+
+
+class TestDecimalSeed:
+    @settings(deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 6000), st.integers(1, 40))
+    @example(2, 1, 1)
+    @example(2, 3000, 5)  # the operand of the last square has 1040-bit coefficients
+    @example(16, 2200, 20)
+    @example(40, 6000, 40)
+    def test_seed_in_decimal_equals_the_int_window(self, k, n0, count):
+        with localcontext(EXACT_CONTEXT):
+            values = list(islice(iter_terms(k, n0, to_decimal), count))
+        assert all(type(v) is Decimal for v in values)
+        assert [str(v) for v in values] == [int_to_str(v) for v in window(k, n0, count)]
+
+    @pytest.mark.parametrize("k,n0", [(2, 3000), (3, 2500), (16, 2200)])
+    def test_jump_crosses_the_seed_width(self, k, n0):
+        squares = []
+        square = sequence._decimal_square_slots
+        with mock.patch.object(
+            sequence, "_decimal_square_slots", lambda a, k: squares.append(k) or square(a, k)
+        ), localcontext(EXACT_CONTEXT):
+            values = list(islice(iter_terms(k, n0, to_decimal), k + 2))
+        assert squares, "the jump never reached the seed width"
+        assert [str(v) for v in values] == [int_to_str(v) for v in window(k, n0, k + 2)]
+
+    @pytest.mark.parametrize("prec", [28, 10**6])
+    def test_decimal_seed_refuses_a_rounding_context(self, prec):
+        with localcontext(Context(prec=prec)):
+            with pytest.raises(ValueError, match="traps Inexact"):
+                next(iter_terms(2, 3000, to_decimal))
+
+    def test_int_windows_stay_int(self):
+        # far above the seed width: window, range_terms and gf keep int jumps
+        assert {type(t) for t in window(3, 5000, 4)} == {int}
+        assert {type(t) for t in range_terms(16, 5000, 5003)} == {int}

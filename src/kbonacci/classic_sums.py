@@ -30,7 +30,7 @@ quoted value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -109,9 +109,14 @@ def _scaled_difference(x: Rational, a: int, c: int, w: int) -> int:
     return -((-bound - 1) // (q * c))
 
 
-@dataclass(frozen=True)
-class ClassicReport:
-    """Outcome of one exact verification.
+class ClassicReport(
+    namedtuple(
+        "ClassicReport",
+        "identity terms digits numerator denominator scaled_value scaled_target"
+        " scaled_diff passed",
+    )
+):
+    """Outcome of one exact verification, an immutable named tuple.
 
     The partial sum is ``numerator / denominator``.  ``scaled_value`` and
     ``scaled_target`` are it and the irrational limit times 10^digits,
@@ -123,15 +128,7 @@ class ClassicReport:
     same three numbers as exact fractions.
     """
 
-    identity: str
-    terms: int
-    digits: int
-    numerator: int
-    denominator: int
-    scaled_value: int
-    scaled_target: int
-    scaled_diff: int
-    passed: bool
+    __slots__ = ()
 
     @property
     def value(self) -> Rational:

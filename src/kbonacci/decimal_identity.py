@@ -8,18 +8,20 @@ familiar fact that 1/89 opens with the Fibonacci numbers 0, 1, 1, 2, 3,
 
 Verification here is exact rational equality (the eta = 10 closed form
 of the generating series against 1/D_k).  The digit-level operations are
-a second, independent route used for display and cross-checking: long
-division on one side, exact truncated summation on the other.
+a second, independent route used for display and cross-checking: one
+exact division of 10^m by D_k on one side, exact truncated summation on
+the other.  Only those two checks need ``series``, and they import it in
+their bodies, so ``digits`` loads no ``series``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from decimal import localcontext
 from fractions import Fraction
 
-from .rational import int_to_str
+from .rational import EXACT_CONTEXT, int_to_str, to_decimal
 from .sequence import validate_order
-from .series import SeriesPoint, closed_form, converge_until
 
 __all__ = [
     "RepunitDenominator",
@@ -31,12 +33,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RepunitDenominator:
-    """The denominator D_k: k-1 eights then a nine, as an integer."""
+class RepunitDenominator(namedtuple("RepunitDenominator", "k value")):
+    """The denominator D_k: k-1 eights then a nine, as an integer.
 
-    k: int
-    value: int
+    An immutable named tuple of the order k and D_k; ``int()`` gives D_k
+    and ``str()`` its digits.
+    """
+
+    __slots__ = ()
 
     def __int__(self) -> int:
         return self.value
@@ -65,28 +69,32 @@ def repunit_denominator(k: int) -> RepunitDenominator:
 
 def verify_decimal_identity(k: int) -> bool:
     """True iff closed_form(k, 10) / 10 equals 1/D_k exactly."""
+    from .series import SeriesPoint, closed_form
+
     d = repunit_denominator(k).value
     lhs = closed_form(SeriesPoint(k=k, eta=Fraction(10))) / 10
     return lhs == Fraction(1, d)
 
 
 def reciprocal_digits(den: int, m: int) -> str:
-    """First m decimal digits of 1/den after the point, by long division."""
+    """First m decimal digits of 1/den after the point, from one exact division.
+
+    The digits are floor(10^m / den), zero-padded to m, for den >= 2, and
+    m zeros for den = 1.  libmpdec divides 10^m by den exactly, with a
+    number-theoretic transform for big operands, where a long division
+    takes one Python-level step per digit.  den reaches ``Decimal`` through
+    ``to_decimal``, since ``Decimal(int)`` is quadratic in the digits.
+    """
     if den < 1:
         raise ValueError(f"denominator must be >= 1, got {den}")
     if m < 1:
         raise ValueError(f"digit count must be >= 1, got {m}")
-    rem = 1 % den
-    out = bytearray()  # a byte a digit, where a list of strs holds a pointer each
-    for _ in range(m):
-        rem *= 10
-        digit, rem = divmod(rem, den)
-        out.append(48 + digit)  # ord("0") + digit
-    return out.decode()
+    with localcontext(EXACT_CONTEXT):
+        return str(to_decimal(1 % den).scaleb(m) // to_decimal(den)).zfill(m)
 
 
 def digit_overlap_check(k: int, m: int) -> bool:
-    """Confirm the identity digit-by-digit, independently of long division.
+    """Confirm the identity digit-by-digit, independently of the division.
 
     Sums F_n / 10^(n+1) exactly out to a truncation point whose tail is
     provably too small to disturb the first m digits, truncates, and
@@ -97,6 +105,8 @@ def digit_overlap_check(k: int, m: int) -> bool:
     Keeping the omitted tail below half of 10^(-m)/D_k therefore pins
     floor(sum * 10^m) to floor(10^m / D_k).
     """
+    from .series import SeriesPoint, converge_until
+
     if m < 1:
         raise ValueError(f"digit count must be >= 1, got {m}")
     d = repunit_denominator(k).value

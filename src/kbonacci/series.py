@@ -32,11 +32,12 @@ works; no claim is made below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from math import ceil, log10
-from typing import Iterator, Union
 
+from .bounds import check_jump
 from .rational import Rational, format_ratio
 from .sequence import term_fast, validate_order, window
 
@@ -57,43 +58,41 @@ __all__ = [
 # N = 200000 (95k digits) takes 0.6 s, at N = 600000 (286k digits) 3.1 s,
 # and eta = 1000000001/500000000 at N = 30000 (270k digits) 1.5 s, process
 # wall on CPython 3.11, 2 cores.  evaluate refuses a larger N, and
-# converge_until stops before a check at one, with ValueError.
+# converge_until checks the largest N within the bound before it refuses,
+# with ValueError.
 _MAX_PARTIAL_DIGITS = 200_000
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
-    """Evaluation point of the series: order k >= 2 and rational eta > 2."""
+class SeriesPoint(namedtuple("SeriesPoint", "k eta")):
+    """Evaluation point of the series: order k >= 2 and rational eta > 2.
 
-    k: int
-    eta: Rational
+    An immutable named tuple, built by position or keyword; construction
+    checks the order and converts eta to ``Fraction``, and refuses eta <= 2
+    with ValueError.
+    """
 
-    def __post_init__(self):
-        validate_order(self.k)
-        eta = self.eta
+    __slots__ = ()
+
+    def __new__(cls, k: int, eta: Rational | int):
+        validate_order(k)
         if not isinstance(eta, Fraction):
             eta = Fraction(eta)
-            object.__setattr__(self, "eta", eta)
         if eta <= 2:
             raise ValueError(f"series requires eta > 2, got {eta}")
+        return super().__new__(cls, k, eta)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Comparison of a partial sum against the closed form.
+class EvalReport(
+    namedtuple("EvalReport", "point n_trunc partial closed tail_bound residual passed")
+):
+    """Comparison of a partial sum against the closed form, an immutable named tuple.
 
     ``residual`` is closed - partial, the omitted part the partial sum is
     built from; ``passed`` records whether it is within the rigorous tail
     bound for the truncation index.
     """
 
-    point: SeriesPoint
-    n_trunc: int
-    partial: Rational
-    closed: Rational
-    tail_bound: Rational
-    residual: Rational
-    passed: bool
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,10 +121,9 @@ def partial_sum(point: SeriesPoint, n_trunc: int) -> Rational:
     below N = k-1, where every term is.
     """
     _check_partial_index(n_trunc)
-    k = point.k
-    if n_trunc < k - 1:
+    if n_trunc < point.k - 1:
         return Fraction(0)
-    return closed_form(point) - _omitted(point, n_trunc, window(k, n_trunc - k + 1, k))
+    return closed_form(point) - _omitted(point, n_trunc, _run(point, n_trunc, point.k))
 
 
 def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
@@ -138,6 +136,7 @@ def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
         (F_{N+1} / eta^(N+1)) * 1 / (1 - 2/eta).
     """
     _check_tail_index(point, n_trunc)
+    check_jump(point.k, n_trunc - point.k + 1)
     return _tail_from_term(point, n_trunc, term_fast(point.k, n_trunc + 1))
 
 
@@ -146,14 +145,14 @@ def evaluate(point: SeriesPoint, n_trunc: int) -> EvalReport:
 
     One ``window`` call returns F_{N-k+1} .. F_{N+1}: the first k terms
     give the omitted part of the closed form, the last one the tail bound.
-    N must be at least k-1, and the partial sum, about (N + k) log10 p
-    digits for eta = p/q, at most ``_MAX_PARTIAL_DIGITS`` digits;
-    otherwise ValueError.
+    N must be at least k-1, the partial sum, about (N + k) log10 p digits
+    for eta = p/q, at most ``_MAX_PARTIAL_DIGITS`` digits, and the jump to
+    F_{N-k+1} within ``bounds.check_jump``; otherwise ValueError.
     """
     _check_partial_index(n_trunc)
     _check_tail_index(point, n_trunc)
     _check_partial_digits(point, n_trunc)
-    run = window(point.k, n_trunc - point.k + 1, point.k + 1)
+    run = _run(point, n_trunc, point.k + 1)
     return _report(point, n_trunc, run, _tail_from_term(point, n_trunc, run[-1]))
 
 
@@ -183,13 +182,37 @@ def _check_tail_index(point: SeriesPoint, n_trunc: int) -> None:
         )
 
 
+def _partial_digits(point: SeriesPoint, n_trunc: int) -> int:
+    return ceil((n_trunc + point.k) * log10(point.eta.numerator))
+
+
 def _check_partial_digits(point: SeriesPoint, n_trunc: int) -> None:
-    digits = ceil((n_trunc + point.k) * log10(point.eta.numerator))
-    if digits > _MAX_PARTIAL_DIGITS:
-        raise ValueError(
-            f"a partial sum to N = {n_trunc} has about {digits} digits,"
-            f" more than {_MAX_PARTIAL_DIGITS}"
-        )
+    if _partial_digits(point, n_trunc) > _MAX_PARTIAL_DIGITS:
+        raise _too_many_digits(point, n_trunc)
+
+
+def _too_many_digits(point: SeriesPoint, n_trunc: int) -> ValueError:
+    return ValueError(
+        f"a partial sum to N = {n_trunc} has about {_partial_digits(point, n_trunc)} digits,"
+        f" more than {_MAX_PARTIAL_DIGITS}"
+    )
+
+
+def _largest_partial_index(point: SeriesPoint) -> int:
+    """The largest N whose partial sum is within ``_MAX_PARTIAL_DIGITS`` digits."""
+    n = int(_MAX_PARTIAL_DIGITS / log10(point.eta.numerator)) - point.k
+    while _partial_digits(point, n) > _MAX_PARTIAL_DIGITS:
+        n -= 1
+    while _partial_digits(point, n + 1) <= _MAX_PARTIAL_DIGITS:
+        n += 1
+    return n
+
+
+def _run(point: SeriesPoint, n_trunc: int, count: int) -> list[int]:
+    """F_{N-k+1} and the count - 1 terms after it, from one jump within ``check_jump``."""
+    start = n_trunc - point.k + 1
+    check_jump(point.k, start)
+    return window(point.k, start, count)
 
 
 def _report(point: SeriesPoint, n_trunc: int, run: list[int], bound: Rational) -> EvalReport:
@@ -240,24 +263,39 @@ def _tail_from_term(point: SeriesPoint, n_trunc: int, f_next: int) -> Rational:
     return Fraction(f_next) / eta ** (n_trunc + 1) * eta / (eta - 2)
 
 
-def converge_until(point: SeriesPoint, epsilon: Union[Rational, int]) -> EvalReport:
+def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
     """First report, doubling N between checks, whose tail bound is <= epsilon.
 
     Returns the first *checked* truncation index that qualifies, not the
     minimal one.  Terminates for every epsilon > 0 because the bound
     shrinks geometrically.  Each check is one ``window`` call for
-    F_{N-k+1} .. F_{N+1}, and the report comes from the last one.  A
-    search that would check an N whose partial sum passes
-    ``_MAX_PARTIAL_DIGITS`` digits raises ValueError first.
+    F_{N-k+1} .. F_{N+1}, within ``bounds.check_jump``, and the report
+    comes from the last one.  When the next doubling would pass
+    ``_MAX_PARTIAL_DIGITS`` digits, the largest N within them is checked
+    last; the bound decreases in N for eta > 2, so if that N does not
+    qualify, none within the digit bound does, and the search raises
+    ValueError.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    n = max(point.k - 1, 1)
-    while True:
-        _check_partial_digits(point, n)
-        run = window(point.k, n - point.k + 1, point.k + 1)
-        bound = _tail_from_term(point, n, run[-1])
-        if bound <= epsilon:
-            return _report(point, n, run, bound)
+    n = first = max(point.k - 1, 1)
+    while _partial_digits(point, n) <= _MAX_PARTIAL_DIGITS:
+        report = _report_within(point, n, epsilon)
+        if report is not None:
+            return report
         n *= 2
+    top = _largest_partial_index(point)
+    # unless the first N already passed the bound, n // 2 was checked last
+    if n > first and top > n // 2:
+        report = _report_within(point, top, epsilon)
+        if report is not None:
+            return report
+    raise _too_many_digits(point, n)
+
+
+def _report_within(point: SeriesPoint, n_trunc: int, epsilon: Rational) -> EvalReport | None:
+    """The report at N if its tail bound is at most epsilon, else None."""
+    run = _run(point, n_trunc, point.k + 1)
+    bound = _tail_from_term(point, n_trunc, run[-1])
+    return _report(point, n_trunc, run, bound) if bound <= epsilon else None

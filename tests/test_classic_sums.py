@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kbonacci import classic_sums
 from kbonacci.classic_sums import (
+    ClassicReport,
     _alternating_terms_needed,
     _scaled_difference,
     alternating_reciprocal_sum,
@@ -128,6 +129,31 @@ class TestMillinSum:
             sums.append(acc)
         assert all(a < b for a, b in zip(sums, sums[1:]))
         assert all(s < target + Fraction(1, 10**12) for s in sums)
+
+
+class TestClassicReport:
+    """ClassicReport is an immutable named tuple."""
+
+    FIELDS = ("millin", 3, 4, 50, 21, 23809, 23819, 10136302, True)
+
+    def test_by_keyword_and_position(self):
+        report = ClassicReport(*self.FIELDS)
+        assert report == ClassicReport(**dict(zip(ClassicReport._fields, self.FIELDS)))
+        assert report == verify_classic("millin", 4)
+        assert report != verify_classic("millin", 5)
+        assert (report.value, report.target) == (Fraction(50, 21), Fraction(23819, 10**4))
+        assert report.abs_diff == Fraction(10136302, 10**10)
+
+    def test_repr(self):
+        assert repr(ClassicReport(*self.FIELDS)) == (
+            "ClassicReport(identity='millin', terms=3, digits=4, numerator=50, denominator=21,"
+            " scaled_value=23809, scaled_target=23819, scaled_diff=10136302, passed=True)"
+        )
+
+    @pytest.mark.parametrize("name", ["passed", "digits", "value", "other"])
+    def test_immutable(self, name):
+        with pytest.raises(AttributeError):
+            setattr(ClassicReport(*self.FIELDS), name, 0)
 
 
 class TestVerifyClassic:

@@ -467,7 +467,7 @@ class TestResourceGuards:
         argv = ["digits", "-k", str(k), "-m", str(m)]
         message = (
             f"m * k must be <= 1000000000, got {m} * {k}:"
-            " the long division takes a step of k digits per digit"
+            " the division of 10^m by D_k takes a time that grows as m * k"
         )
         self.refused(capsys, monkeypatch, argv, message)
 
@@ -531,12 +531,13 @@ class TestResourceGuards:
 
     def test_epsilon_of_two_hundred_thousand_digits_is_refused(self, capsys, monkeypatch):
         # a tail bound that never shrinks: the search doubles N = 1, 2, 4, ...
-        # until the check refuses 2^19, before its jump
+        # up to 2^18, checks the largest N within the bound, 419178, and
+        # refuses 2^19 without a jump to it
         calls = []
 
         def window(k, n, count):
             calls.append(n)
-            assert len(calls) <= 19, "the search ran past the bound"
+            assert len(calls) <= 20, "the search ran past the bound"
             return [0] * count
 
         self.forbid_arithmetic(monkeypatch)
@@ -547,6 +548,7 @@ class TestResourceGuards:
         assert (code, out) == (2, "")
         message = "a partial sum to N = 524288 has about 250150 digits, more than 200000"
         assert err.startswith(f"error: {message}\nusage:")
+        assert calls == [2**i - 1 for i in range(19)] + [419_177]
 
     @pytest.mark.parametrize(
         "argv,accepted",
@@ -577,6 +579,62 @@ class TestResourceGuards:
                 f" that of k = 2, n = {BOUND}"
             )
             self.refused(capsys, monkeypatch, argv, message)
+
+    @pytest.mark.parametrize(
+        "argv,n",
+        [
+            (["gf", "-k", "100000", "--eta", "3", "-N", "300000"], 200_001),
+            (["gf", "-k", "100000", "--eta", "3", "-N", "100397"], 398),
+        ],
+    )
+    def test_gf_jump_bound(self, capsys, monkeypatch, argv, n):
+        # the jump to F_{N-k+1} is bounded as seq's is, before any arithmetic
+        ratio = "433.75" if n == 200_001 else "1.01"
+        message = (
+            f"the jump to n = {n} at k = 100000 has a modelled cost of {ratio} times"
+            f" the most a jump may cost, that of k = 2, n = {BOUND}"
+        )
+        self.refused(capsys, monkeypatch, argv, message)
+
+    def test_gf_jump_bound_is_inclusive(self, capsys, monkeypatch):
+        reached = []
+        monkeypatch.setattr("kbonacci.series.window", lambda k, n, count: reached.append(n) or 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            cli.parse_and_dispatch(["gf", "-k", "100000", "--eta", "3", "-N", "100396"])
+        assert reached == [397]
+
+    def test_gf_epsilon_search_jump_bound(self, capsys, monkeypatch):
+        # a tail bound that never shrinks: the check at N = k - 1 jumps to
+        # n = 0, and the doubling to N = 199998 is refused before its jump
+        calls = []
+
+        def window(k, n, count):
+            calls.append(n)
+            return [0] * count
+
+        self.forbid_arithmetic(monkeypatch)
+        monkeypatch.setattr("kbonacci.series.window", window)
+        monkeypatch.setattr("kbonacci.series._tail_from_term", lambda *args: 1)
+        argv = ["gf", "-k", "100000", "--eta", "3", "--epsilon", "1/2"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        message = (
+            "the jump to n = 99999 at k = 100000 has a modelled cost of 216.95 times"
+            f" the most a jump may cost, that of k = 2, n = {BOUND}"
+        )
+        assert err.startswith(f"error: {message}\nusage:")
+        assert calls == [0]
+
+    def test_gf_epsilon_tries_the_largest_accepted_n(self, capsys):
+        # the doubling would refuse N = 32768 (206485 digits), but N = 31738,
+        # the largest within the digit bound, meets epsilon
+        eps = "1/1" + "0" * 2900
+        argv = ["gf", "-k", "2", "--eta", "2000001/1000000", "--epsilon", eps]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[2] == "N = 31738"
+        assert lines[-1] == "PASS"
 
     def test_help_states_the_bounds(self, capsys):
         for command, text in (
@@ -870,6 +928,30 @@ class TestStartup:
         )
         assert proc.stdout == out
         assert ast.literal_eval(proc.stderr) == (0, [])
+
+    @pytest.mark.parametrize(
+        "argv,absent,present",
+        [
+            (["gf", "-k", "2", "--eta", "3", "-N", "10"], ("json",), ()),
+            (["gf", "-k", "2", "--eta", "3", "-N", "10", "--json"], (), ("json",)),
+            (["verify-classic", "--identity", "alternating", "--digits", "8"], ("json",), ()),
+            (["verify-classic", "--identity", "millin", "--digits", "8"], ("json",), ()),
+            (["verify-decimal", "-k", "3"], ("json",), ("kbonacci.series",)),
+            (["digits", "-k", "2", "-m", "10"], ("json", "kbonacci.series"), ()),
+        ],
+        ids=["gf", "gf-json", "alternating", "millin", "verify-decimal", "digits"],
+    )
+    def test_verdicts_load_no_dataclasses(self, argv, absent, present):
+        # the report types are named tuples; json only for --json
+        absent = ("dataclasses", "inspect", "typing") + absent
+        proc = fresh_python(
+            "import sys\n"
+            "from kbonacci.cli import parse_and_dispatch\n"
+            f"code = parse_and_dispatch({argv!r})\n"
+            f"names = {absent + present!r}\n"
+            "sys.stderr.write(repr((code, sorted(set(names) & set(sys.modules)))))\n"
+        )
+        assert ast.literal_eval(proc.stderr) == (0, sorted(present))
 
     def test_package_import_loads_no_submodule(self):
         proc = fresh_python(

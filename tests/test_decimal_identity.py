@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kbonacci.decimal_identity import (
+    RepunitDenominator,
     digit_overlap_check,
     identity_line,
     reciprocal_digits,
@@ -11,6 +13,20 @@ from kbonacci.decimal_identity import (
 )
 from kbonacci.rational import to_decimal_string
 from kbonacci.series import SeriesPoint, closed_form
+
+
+def long_division_digits(den: int, m: int) -> str:
+    """First m digits of 1/den after the point, one divmod per digit.
+
+    The oracle for ``reciprocal_digits``, which divides once in Decimal.
+    """
+    rem = 1 % den
+    out = bytearray()
+    for _ in range(m):
+        rem *= 10
+        digit, rem = divmod(rem, den)
+        out.append(48 + digit)  # ord("0") + digit
+    return out.decode()
 
 
 class TestRepunitDenominator:
@@ -24,6 +40,16 @@ class TestRepunitDenominator:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             repunit_denominator(1)
+
+    def test_named_tuple(self):
+        d = repunit_denominator(3)
+        assert d == RepunitDenominator(3, 889) == RepunitDenominator(k=3, value=889)
+        assert d != repunit_denominator(4)
+        assert repr(d) == "RepunitDenominator(k=3, value=889)"
+        assert str(d) == "889"
+        for name in ("k", "value", "other"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, 1)
 
     @pytest.mark.parametrize("k", range(2, 65))
     def test_digit_shape(self, k):
@@ -68,6 +94,31 @@ class TestReciprocalDigits:
             reciprocal_digits(0, 5)
         with pytest.raises(ValueError):
             reciprocal_digits(89, 0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(den=st.integers(1, 10**40), m=st.integers(1, 120))
+    @example(den=1, m=1)
+    @example(den=1, m=50)
+    @example(den=10**7, m=7)
+    @example(den=10**7 + 1, m=6)
+    @example(den=10**40, m=3)
+    def test_against_long_division(self, den, m):
+        # den = 1 gives zeros, and den > 10^m a quotient padded from 0
+        assert reciprocal_digits(den, m) == long_division_digits(den, m)
+
+    @settings(deadline=None, max_examples=25)
+    @given(k=st.integers(2, 100_000), m=st.integers(1, 60))
+    @example(k=100_000, m=1)
+    @example(k=100_000, m=60)
+    @example(k=2, m=1)
+    def test_repunit_against_long_division(self, k, m):
+        d = repunit_denominator(k).value
+        assert reciprocal_digits(d, m) == long_division_digits(d, m)
+
+    @pytest.mark.parametrize("k,m", [(2, 20_000), (31, 5000), (36, 4000), (1000, 3000)])
+    def test_many_digits_against_long_division(self, k, m):
+        d = repunit_denominator(k).value
+        assert reciprocal_digits(d, m) == long_division_digits(d, m)
 
     def test_prefix_stability(self):
         assert reciprocal_digits(89, 30).startswith(reciprocal_digits(89, 12))

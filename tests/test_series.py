@@ -8,6 +8,7 @@ from kbonacci import cli, series
 from kbonacci.rational import format_ratio, parse_rational
 from kbonacci.sequence import range_terms, term_fast, window
 from kbonacci.series import (
+    EvalReport,
     SeriesPoint,
     closed_form,
     converge_until,
@@ -74,6 +75,44 @@ class TestSeriesPoint:
 
     def test_barely_inside_domain(self):
         SeriesPoint(k=2, eta=Fraction(201, 100))
+
+
+class TestReportTypes:
+    """SeriesPoint and EvalReport are immutable named tuples."""
+
+    def test_series_point_by_keyword_and_position(self):
+        pt = SeriesPoint(2, 10)
+        assert pt == SeriesPoint(k=2, eta=Fraction(10)) == SeriesPoint(2, eta=10)
+        assert (pt.k, pt.eta) == (2, Fraction(10))
+        assert pt != SeriesPoint(3, 10)
+        assert hash(pt) == hash(SeriesPoint(k=2, eta=10))
+        assert repr(pt) == "SeriesPoint(k=2, eta=Fraction(10, 1))"
+
+    def test_series_point_validates_positional_arguments(self):
+        with pytest.raises(ValueError, match="series requires eta > 2, got 2"):
+            SeriesPoint(2, 2)
+        with pytest.raises(ValueError):
+            SeriesPoint(1, 10)
+
+    def test_eval_report_by_keyword_and_position(self):
+        report = evaluate(P210, 5)
+        fields = (P210, 5, report.partial, report.closed, report.tail_bound, report.residual, True)
+        assert report == EvalReport(*fields)
+        assert report == EvalReport(**dict(zip(EvalReport._fields, fields)))
+        assert report != evaluate(P210, 6)
+        assert repr(report).startswith(
+            "EvalReport(point=SeriesPoint(k=2, eta=Fraction(10, 1)), n_trunc=5, partial=Fraction("
+        )
+
+    @pytest.mark.parametrize("name", ["k", "eta", "other"])
+    def test_series_point_is_immutable(self, name):
+        with pytest.raises(AttributeError):
+            setattr(P210, name, 3)
+
+    @pytest.mark.parametrize("name", ["n_trunc", "passed", "other"])
+    def test_eval_report_is_immutable(self, name):
+        with pytest.raises(AttributeError):
+            setattr(evaluate(P210, 5), name, 3)
 
 
 class TestClosedForm:
@@ -353,13 +392,14 @@ class TestPartialSumBound:
             evaluate(point, last + 1)
 
     def test_search_stops_before_the_jump(self, monkeypatch):
-        # a tail bound that never shrinks: the search doubles until the check
-        # refuses N = 2^19, before its jump
+        # a tail bound that never shrinks: the search doubles N up to 2^18,
+        # checks the largest N within the bound, 419178, and refuses
+        # N = 2^19 without its jump
         calls = []
 
         def window_call(k, n, count):
             calls.append(n)
-            assert len(calls) <= 19, "the search ran past the bound"
+            assert len(calls) <= 20, "the search ran past the bound"
             return [0] * count
 
         monkeypatch.setattr(series, "window", window_call)
@@ -367,7 +407,100 @@ class TestPartialSumBound:
         monkeypatch.setattr(series, "_tail_from_term", lambda *args: Fraction(1))
         with pytest.raises(ValueError, match="a partial sum to N = 524288 has about 250150 digits"):
             converge_until(SeriesPoint(k=2, eta=Fraction(3)), Fraction(1, 10**10))
-        assert calls == [(1 << i) - 1 for i in range(19)]
+        assert calls == [(1 << i) - 1 for i in range(19)] + [419_177]
+
+
+class TestJumpBound:
+    """Every jump the series makes is within bounds.check_jump, checked first."""
+
+    POINT = SeriesPoint(k=100_000, eta=Fraction(3))
+    MESSAGE = "the jump to n = 398 at k = 100000 has a modelled cost of 1.01 times"
+
+    @pytest.fixture
+    def no_jump(self, monkeypatch):
+        reached = []
+
+        def jump(k, n, *count):
+            reached.append(n)
+            raise ZeroDivisionError  # stands for the jump the check lets through
+
+        monkeypatch.setattr(series, "window", jump)
+        monkeypatch.setattr(series, "term_fast", jump)
+        return reached
+
+    @pytest.mark.parametrize("function", [evaluate, partial_sum, tail_bound])
+    def test_report_partial_sum_and_tail_bound(self, no_jump, function):
+        # the largest accepted jump starts at n = 397, which N = 100396 needs
+        with pytest.raises(ZeroDivisionError):
+            function(self.POINT, 100_396)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            function(self.POINT, 100_397)
+        assert no_jump == [100_397 if function is tail_bound else 397]
+
+    def test_search_step(self, monkeypatch):
+        # a tail bound that never shrinks: N = k - 1 jumps to n = 0, and
+        # N = 2(k - 1) is refused before its jump to n = 99999
+        calls = []
+
+        def window_call(k, n, count):
+            calls.append(n)
+            return [0] * count
+
+        monkeypatch.setattr(series, "window", window_call)
+        monkeypatch.setattr(series, "_tail_from_term", lambda *args: Fraction(1))
+        with pytest.raises(ValueError, match="the jump to n = 99999 at k = 100000"):
+            converge_until(self.POINT, Fraction(1, 2))
+        assert calls == [0]
+
+
+class TestLargestAcceptedIndex:
+    """When the doubling passes the digit bound, the search tries its largest N."""
+
+    @pytest.mark.parametrize(
+        "k,eta,top",
+        [
+            (2, Fraction(3), 419_178),
+            (8, Fraction(3), 419_172),
+            (2, Fraction(2_000_001, 1_000_000), 31_738),
+            (2, Fraction(10**9 + 1, 10**8), 22_220),
+        ],
+    )
+    def test_largest_partial_index(self, k, eta, top):
+        point = SeriesPoint(k=k, eta=eta)
+        assert series._largest_partial_index(point) == top
+        series._check_partial_digits(point, top)
+        with pytest.raises(ValueError):
+            series._check_partial_digits(point, top + 1)
+
+    def test_search_returns_the_largest_index(self):
+        # N = 32768 needs 206485 digits; N = 31738 meets epsilon within them
+        point = SeriesPoint(k=2, eta=Fraction(2_000_001, 1_000_000))
+        eps = Fraction(1, 10**2900)
+        report = converge_until(point, eps)
+        assert report.n_trunc == 31_738
+        assert report.passed
+        assert report.tail_bound <= eps < tail_bound(point, 16_384)
+
+    def test_search_refuses_when_the_largest_index_misses(self, monkeypatch):
+        calls = []
+
+        def window_call(k, n, count):
+            calls.append(n)
+            return [0] * count
+
+        monkeypatch.setattr(series, "window", window_call)
+        monkeypatch.setattr(series, "_tail_from_term", lambda *args: Fraction(1))
+        point = SeriesPoint(k=2, eta=Fraction(2_000_001, 1_000_000))
+        with pytest.raises(ValueError, match="a partial sum to N = 32768 has about 206485 digits"):
+            converge_until(point, Fraction(1, 2))
+        assert calls == [(1 << i) - 1 for i in range(15)] + [31_737]
+
+    def test_no_smaller_index_than_the_first_is_tried(self, monkeypatch):
+        # the first N = k - 1 already passes the bound: nothing is checked
+        monkeypatch.setattr(series, "window", None)
+        point = SeriesPoint(k=100_000, eta=Fraction(10**5 + 1))
+        with pytest.raises(ValueError, match="a partial sum to N = 99999 has about"):
+            converge_until(point, Fraction(1, 2))
 
 
 class TestShiftedSumIdentity:

@@ -19,11 +19,11 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, astuple, dataclass, fields
-from typing import Dict, List, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Sequence
 
+from .bounds import _MAX_REPETITIONS, check_term
 from .rational import to_decimal
-from .bounds import check_term
 from .sequence import METHODS
 
 __all__ = [
@@ -39,49 +39,42 @@ __all__ = [
 ]
 
 _CHECKSUM_MASK = (1 << 64) - 1
-# min-of-reps needs a handful, and each repetition of a cell may take as long
-# as the largest term request check_term accepts, about 2 s
-_MAX_REPETITIONS = 100
 
 
 class MethodMismatchError(AssertionError):
     """Two strategies disagreed on a term value.  Not a timing problem."""
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    k_values: Tuple[int, ...]
-    n_values: Tuple[int, ...]
-    repetitions: int
-    methods: Tuple[str, ...]
+class BenchConfig(namedtuple("BenchConfig", "k_values n_values repetitions methods")):
+    """A timing grid, validated on construction; the three lists become tuples."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, k_values, n_values, repetitions, methods):
         # the fields come from a user's JSON file: reject wrong types with
         # ValueError (a usage error), never let them raise TypeError later
-        for name, kind in (
-            ("k_values", int),
-            ("n_values", int),
-            ("methods", str),
+        for name, values, kind in (
+            ("k_values", k_values, int),
+            ("n_values", n_values, int),
+            ("methods", methods, str),
         ):
-            values = getattr(self, name)
             if not isinstance(values, (list, tuple)) or not all(
                 _of_type(v, kind) for v in values
             ):
                 raise ValueError(
                     f"{name} must be a list of {kind.__name__}, got {values!r}"
                 )
-            object.__setattr__(self, name, tuple(values))
-        if not _of_type(self.repetitions, int):
-            raise ValueError(f"repetitions must be an int, got {self.repetitions!r}")
-        if not self.k_values:
-            raise ValueError("k_values must be non-empty")
-        if not self.n_values:
-            raise ValueError("n_values must be non-empty")
-        if not self.methods:
-            raise ValueError("methods must be non-empty")
-        if not 1 <= self.repetitions <= _MAX_REPETITIONS:
+        if not _of_type(repetitions, int):
+            raise ValueError(f"repetitions must be an int, got {repetitions!r}")
+        self = super().__new__(
+            cls, tuple(k_values), tuple(n_values), repetitions, tuple(methods)
+        )
+        for name in ("k_values", "n_values", "methods"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
+        if not 1 <= repetitions <= _MAX_REPETITIONS:
             raise ValueError(
-                f"repetitions must be 1 to {_MAX_REPETITIONS}, got {self.repetitions}"
+                f"repetitions must be 1 to {_MAX_REPETITIONS}, got {repetitions}"
             )
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
@@ -93,6 +86,7 @@ class BenchConfig:
             for n in self.n_values:
                 for method in self.methods:
                     check_term(k, n, method)
+        return self
 
 
 def _of_type(value, kind) -> bool:
@@ -100,20 +94,16 @@ def _of_type(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(
+    namedtuple("BenchRecord", "method k n rep wall_time result_digits checksum")
+):
     """One timed call; the fields in this order are the report's columns."""
 
-    method: str
-    k: int
-    n: int
-    rep: int
-    wall_time: float
-    result_digits: int
-    checksum: int
+    __slots__ = ()
 
 
-_COLUMNS = tuple(field.name for field in fields(BenchRecord))
+# each column's type, which parses its CSV cell
+_COLUMN_TYPES = (str, int, int, int, float, int, int)
 
 
 def digit_count(value: int) -> int:
@@ -127,7 +117,7 @@ def digit_count(value: int) -> int:
     return to_decimal(value).adjusted() + 1
 
 
-def run_bench(config: BenchConfig) -> List[BenchRecord]:
+def run_bench(config: BenchConfig) -> list[BenchRecord]:
     """One record per (method, k, n, repetition), sequentially timed.
 
     Aborts with MethodMismatchError the moment two methods disagree on
@@ -136,7 +126,7 @@ def run_bench(config: BenchConfig) -> List[BenchRecord]:
     records = []
     for k in config.k_values:
         for n in config.n_values:
-            seen: Dict[str, int] = {}
+            seen: dict[str, int] = {}
             for method in config.methods:
                 func = METHODS[method]
                 for rep in range(config.repetitions):
@@ -166,9 +156,9 @@ def run_bench(config: BenchConfig) -> List[BenchRecord]:
     return records
 
 
-def min_wall_times(records: Sequence[BenchRecord]) -> Dict[Tuple[str, int, int], float]:
+def min_wall_times(records: Sequence[BenchRecord]) -> dict[tuple[str, int, int], float]:
     """Best (minimum) wall time per (method, k, n) cell."""
-    best: Dict[Tuple[str, int, int], float] = {}
+    best: dict[tuple[str, int, int], float] = {}
     for rec in records:
         key = (rec.method, rec.k, rec.n)
         if key not in best or rec.wall_time < best[key]:
@@ -181,25 +171,22 @@ def emit_report(records: Sequence[BenchRecord], format: str) -> str:
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_COLUMNS)
-        writer.writerows(astuple(rec) for rec in records)  # floats as repr()
+        writer.writerow(BenchRecord._fields)
+        writer.writerows(records)  # floats as repr()
         return out.getvalue()
     if format == "json":
-        return json.dumps([asdict(rec) for rec in records], indent=2)
+        return json.dumps([rec._asdict() for rec in records], indent=2)
     raise ValueError(f"unknown format {format!r}; expected 'csv' or 'json'")
 
 
-def parse_report(document: str, format: str) -> List[BenchRecord]:
+def parse_report(document: str, format: str) -> list[BenchRecord]:
     """Inverse of emit_report."""
     if format == "csv":
         rows = list(csv.reader(io.StringIO(document)))
-        if not rows or tuple(rows[0]) != _COLUMNS:
+        if not rows or tuple(rows[0]) != BenchRecord._fields:
             raise ValueError("missing or malformed CSV header")
-        # each field's type parses its cell: without postponed annotations
-        # in this module, field.type is the class itself
-        kinds = [field.type for field in fields(BenchRecord)]
         return [
-            BenchRecord(*(kind(cell) for kind, cell in zip(kinds, row)))
+            BenchRecord(*(kind(cell) for kind, cell in zip(_COLUMN_TYPES, row)))
             for row in rows[1:]
         ]
     if format == "json":
@@ -219,7 +206,7 @@ def load_config(path: str) -> BenchConfig:
         raise ValueError(
             f"bench config must be a JSON object, got {type(raw).__name__}"
         )
-    known = [field.name for field in fields(BenchConfig)]
+    known = list(BenchConfig._fields)
     unknown = sorted(set(raw) - set(known))
     if unknown:
         raise ValueError(f"unknown bench config keys {unknown}; expected {known}")

@@ -1,11 +1,13 @@
-"""Request bounds, stated once for the CLI and the bench harness.
+"""Every request limit, stated once for the CLI, the library and bench.
 
-``check_term`` refuses a term request and ``check_jump`` the jump-ahead of
-a ``seq`` range, with ValueError (exit 2 from the CLI), before any
-arithmetic.  Besides the order and index bounds and the oracle methods'
-bounds, each has a cost model of the path ``sequence`` takes, and refuses
-a request that the model puts above the same request at k = 2 and the
-index bound.  Timings are process wall on a 2-core host, CPython 3.11.
+It holds the order, index and digit bounds, the oracle methods' bounds,
+the term and jump cost model, seq's printed digits, the verify-decimal
+sweep, the digits division, the series partial sum, verify-classic's
+digits and bench's repetitions, each beside the measurement that sized it.
+``check_term``, ``check_seq``, ``check_sweep``, ``check_digits`` and
+``check_jump`` refuse a request with ValueError (exit 2 from the CLI)
+before any arithmetic.  Timings are process wall on a 2-core host,
+CPython 3.11.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 
 from .sequence import validate_range
 
-__all__ = ["check_term", "check_jump"]
+__all__ = ["check_term", "check_jump", "check_seq", "check_sweep", "check_digits"]
 
 # Every order is refused above this.  A run or residue holds k terms, and
 # D_k has k digits, so the cheapest request of each subcommand grows with k:
@@ -38,6 +40,38 @@ _ORACLE_MAX_INDEX = {"naive": 250_000, "matrix": 2_500_000}
 # bound k = 2 takes 2.4 s, k = 3 at n = 740740 1.7 s, and k = 271 at n = 1
 # 1.6 s.
 _MAX_MATRIX_WORK = 2 * 10**7
+# seq prints N1 - N0 + 1 terms of at most N1*log10(2) + 1 digits each, and
+# refuses a range whose bound on that total passes this: seq -k 3 --from 0
+# --to 20000 prints 5.3e7 digits against a bound of 1.2e8.
+_MAX_SEQ_DIGITS = 10**9
+# verify-decimal prints D_k for each order in -k .. --max-k, and refuses a
+# sweep whose bound on those digits, (orders) * max_k, passes this.  An order
+# near 100000 takes about 0.2 s, so the top of the bound is about 2 s, and
+# -k 2 --max-k 1000 (1e6) takes 0.2 s.
+_MAX_SWEEP_DIGITS = 10**6
+# digits divides 10^m by D_k once, exactly in Decimal, in a time that grows
+# about as m * k once k is large, and refuses m * k above this.  At the
+# bound's edges the division takes 36 ms at k = 1000, m = 10^6, 31 ms at
+# k = 100000, m = 10^4 and 45 ms at k = 2, m = 10^7; outside it,
+# k = 10000, m = 10^7 takes 3.0 s and k = 100000, m = 10^7 5.0 s (in
+# process, CPython 3.11, 2 cores).
+_MAX_DIVISION_WORK = 10**9
+# Largest partial sum a series report may need, in digits: P_N has a
+# denominator of about (N + k) log10 p digits for eta = p/q (p > q, as
+# eta > 2).  The time grows about quadratically in it (the gcds of
+# Fraction): eta = 3 at N = 200000 (95k digits) takes 0.6 s, at N = 600000
+# (286k digits) 3.1 s, and eta = 1000000001/500000000 at N = 30000 (270k
+# digits) 1.5 s.  series refuses a report whose partial sum passes it.
+_MAX_PARTIAL_DIGITS = 200_000
+# verify_classic's digit range.  The run grows about quadratically in d
+# (alternating: 0.6 s at 100k digits and 1.9 s at 200k; most of it the one
+# division by q), so a request far above this would run for hours; it is
+# refused before any arithmetic instead.
+_MIN_CLASSIC_DIGITS = 4
+_MAX_CLASSIC_DIGITS = 200_000
+# bench's min-of-reps needs a handful, and each repetition of a cell may
+# take as long as the largest term request check_term accepts, about 2 s.
+_MAX_REPETITIONS = 100
 
 
 def _kernel_cost(k: int, n: int) -> float:
@@ -116,7 +150,48 @@ def check_jump(k: int, n: int) -> None:
     validate_range(k, n, n)
     _check_order(k)
     _check_index_bound(n)
+    _check_jump_cost(k, n)
+
+
+def _check_jump_cost(k: int, n: int) -> None:
     _check_cost(_kernel_cost(k, n), f"the jump to n = {n} at k = {k}", "a jump")
+
+
+def check_seq(k: int, n0: int, n1: int) -> None:
+    """Raise ValueError unless ``seq`` of F_{n0} .. F_{n1}, jump included, is within the bounds."""
+    _check_order(k)
+    validate_range(k, n0, n1)
+    _check_index_bound(n1)
+    bound = (n1 - n0 + 1) * n1 * math.log10(2)
+    if bound > _MAX_SEQ_DIGITS:
+        raise ValueError(
+            f"range {n0}..{n1} may print {bound:.3g} digits, more than {_MAX_SEQ_DIGITS}"
+        )
+    _check_jump_cost(k, n0)
+
+
+def check_sweep(k: int, last: int) -> None:
+    """Raise ValueError unless ``verify-decimal`` of the orders k .. last is within the bounds."""
+    if last < k:
+        raise ValueError(f"--max-k {last} is below -k {k}")
+    _check_order(last)
+    bound = (last - k + 1) * last
+    if bound > _MAX_SWEEP_DIGITS:
+        raise ValueError(
+            f"orders {k}..{last} may print {bound} digits of D_k, more than {_MAX_SWEEP_DIGITS}"
+        )
+
+
+def check_digits(k: int, m: int) -> None:
+    """Raise ValueError unless ``digits`` of m digits of 1/D_k is within the bounds."""
+    if m > _MAX_DIGITS:
+        raise ValueError(f"digit count must be <= {_MAX_DIGITS}, got {m}")
+    _check_order(k)
+    if m * k > _MAX_DIVISION_WORK:
+        raise ValueError(
+            f"m * k must be <= {_MAX_DIVISION_WORK}, got {m} * {k}:"
+            " the division of 10^m by D_k takes a time that grows as m * k"
+        )
 
 
 def _check_cost(cost: float, what: str, kind: str) -> None:

@@ -34,6 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
+from .bounds import _MAX_CLASSIC_DIGITS, _MIN_CLASSIC_DIGITS
 from .rational import Rational, fixed_point
 from .sequence import window
 
@@ -51,13 +52,6 @@ IDENTITIES = ("alternating", "millin")
 # is reported as FAIL.  The benchmark pins that FAIL, so lifting the cap waits
 # on a benchmark change.
 _MAX_MILLIN_TERMS = 16
-
-# Largest accepted digit count.  The run grows about quadratically in d
-# (alternating: 0.6 s at 100k digits and 1.9 s at 200k, process wall on
-# CPython 3.11, 2 cores; most of it the one division by q), so a request far
-# above this would run for hours; it is refused before any arithmetic
-# instead.
-_MAX_DIGITS = 200_000
 
 # Digits carried past the d + 6 that abs_diff prints.  The distance's
 # truncation falls back to the exact _scaled_difference only when a boundary
@@ -205,14 +199,14 @@ def verify_classic(identity: str, d: int) -> ClassicReport:
       distance at d + 6 digits, and so the verdict, follows from either
       end; otherwise the exact ``_scaled_difference`` gives it.
 
-    d must lie in 4 .. 200000 (``_MAX_DIGITS``).
+    d must lie in ``bounds._MIN_CLASSIC_DIGITS`` .. ``bounds._MAX_CLASSIC_DIGITS``.
     """
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; expected one of {IDENTITIES}")
-    if d < 4:
-        raise ValueError(f"digit count must be >= 4, got {d}")
-    if d > _MAX_DIGITS:
-        raise ValueError(f"digit count must be <= {_MAX_DIGITS}, got {d}")
+    if d < _MIN_CLASSIC_DIGITS:
+        raise ValueError(f"digit count must be >= {_MIN_CLASSIC_DIGITS}, got {d}")
+    if d > _MAX_CLASSIC_DIGITS:
+        raise ValueError(f"digit count must be <= {_MAX_CLASSIC_DIGITS}, got {d}")
     tail_den = 8 * 10 ** (d - 2)
     # the target is (a - sqrt 5) / c
     if identity == "alternating":

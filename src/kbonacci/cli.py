@@ -9,57 +9,27 @@ the document.
 Start-up is part of every request's time, so the module level imports only
 what building the parser and the term/seq handlers need (``bounds``,
 ``rational`` and ``sequence``); every other handler imports its library
-module (and json, with --json) in its own body.  The verdict commands'
-modules (``series``, ``classic_sums``, ``decimal_identity``) define their
-reports as named tuples, so no handler but bench loads ``dataclasses``,
-``inspect`` or ``typing``, and ``digits`` loads no ``series``.
+module (and json, with --json) in its own body.  Reports and bench
+records are named tuples, so no handler loads ``dataclasses``, ``inspect``
+or ``typing``, and ``digits`` loads no ``series``.  Every limit the help
+states, and every check before arithmetic, comes from ``bounds``.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from decimal import localcontext
 
-from .bounds import (
-    _MAX_DIGITS,
-    _MAX_INDEX,
-    _MAX_MATRIX_WORK,
-    _MAX_ORDER,
-    _ORACLE_MAX_INDEX,
-    _check_index_bound,
-    _check_order,
-    check_jump,
-    check_term,
-)
+from . import bounds
 from .rational import EXACT_CONTEXT, Rational, parse_rational, to_decimal
-from .sequence import METHODS, iter_terms, validate_range
+from .sequence import METHODS, iter_terms
 
 __all__ = ["build_parser", "parse_and_dispatch", "main"]
 
 # tail-bound target when gf is given neither -N nor --epsilon
 _DEFAULT_EPSILON = Rational(1, 10**30)
-
-# The order, digit and index bounds, and term's and the jump-ahead's, are
-# stated in bounds, where bench reads them too.
-# seq prints N1 - N0 + 1 terms of at most N1*log10(2) + 1 digits each, and
-# refuses a range whose bound on that total passes this: seq -k 3 --from 0
-# --to 20000 prints 5.3e7 digits against a bound of 1.2e8.
-_MAX_SEQ_DIGITS = 10**9
-# verify-decimal prints D_k for each order in -k .. --max-k, and refuses a
-# sweep whose bound on those digits, (orders) * max_k, passes this.  An order
-# near 100000 takes about 0.2 s, so the top of the bound is about 2 s, and
-# -k 2 --max-k 1000 (1e6) takes 0.2 s.
-_MAX_SWEEP_DIGITS = 10**6
-# digits divides 10^m by D_k once, exactly in Decimal, in a time that grows
-# about as m * k once k is large, and refuses m * k above this.  At the
-# bound's edges the division takes 36 ms at k = 1000, m = 10^6, 31 ms at
-# k = 100000, m = 10^4 and 45 ms at k = 2, m = 10^7; outside it,
-# k = 10000, m = 10^7 takes 3.0 s and k = 100000, m = 10^7 5.0 s (in
-# process, CPython 3.11, 2 cores).
-_MAX_DIVISION_WORK = 10**9
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact k-bonacci terms, series evaluation, and identity checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    order_help = f"recurrence order, 2 to {_MAX_ORDER}"
+    order_help = f"recurrence order, 2 to {bounds._MAX_ORDER}"
 
     term = sub.add_parser("term", help="print one term F_n")
     term.add_argument("-k", type=int, required=True, help=order_help)
@@ -76,10 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
         "-n",
         type=int,
         required=True,
-        help=f"term index, 0 to {_MAX_INDEX}; with --method naive to"
-        f" {_ORACLE_MAX_INDEX['naive']}, with matrix to {_ORACLE_MAX_INDEX['matrix']}"
-        f" and k^3 * n at most {_MAX_MATRIX_WORK}; with polymod at a modelled cost"
-        f" at most that of -k 2 -n {_MAX_INDEX}",
+        help=f"term index, 0 to {bounds._MAX_INDEX}; with --method naive to"
+        f" {bounds._ORACLE_MAX_INDEX['naive']}, with matrix to"
+        f" {bounds._ORACLE_MAX_INDEX['matrix']} and k^3 * n at most {bounds._MAX_MATRIX_WORK};"
+        f" with polymod at a modelled cost at most that of -k 2 -n {bounds._MAX_INDEX}",
     )
     term.add_argument(
         "--method",
@@ -97,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         required=True,
         metavar="N1",
-        help=f"last index, at most {_MAX_INDEX}, with (N1 - N0 + 1) * N1 * log10(2)"
-        f" at most {_MAX_SEQ_DIGITS} digits, and the jump to N0 at a modelled cost"
-        f" at most that of -k 2 --from {_MAX_INDEX}",
+        help=f"last index, at most {bounds._MAX_INDEX}, with (N1 - N0 + 1) * N1 * log10(2)"
+        f" at most {bounds._MAX_SEQ_DIGITS} digits, and the jump to N0 at a modelled cost"
+        f" at most that of -k 2 --from {bounds._MAX_INDEX}",
     )
 
     gf = sub.add_parser("gf", help="evaluate the generating series at eta")
@@ -111,14 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation point as 'p/q' or an integer, must be > 2",
     )
     cutoff = gf.add_mutually_exclusive_group()
-    # the bound is series._MAX_PARTIAL_DIGITS, spelled out so the parser
-    # loads no series
     cutoff.add_argument(
         "-N",
         dest="n_trunc",
         type=int,
-        help="fixed truncation index, with (N + k) * log10 p at most 200000 digits"
-        " for eta = p/q",
+        help=f"fixed truncation index, with (N + k) * log10 p at most {bounds._MAX_PARTIAL_DIGITS}"
+        " digits for eta = p/q",
     )
     cutoff.add_argument(
         "--epsilon",
@@ -135,13 +103,18 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="check every order from -k to this, with a summary verdict;"
-        f" (orders) * max-k at most {_MAX_SWEEP_DIGITS}",
+        f" (orders) * max-k at most {bounds._MAX_SWEEP_DIGITS}",
     )
 
     vcls = sub.add_parser("verify-classic", help="check a classic Fibonacci sum")
     # classic_sums.IDENTITIES, spelled out so the parser loads no classic_sums
     vcls.add_argument("--identity", choices=("alternating", "millin"), required=True)
-    vcls.add_argument("--digits", type=int, required=True, help="precision, 4 to 200000")
+    vcls.add_argument(
+        "--digits",
+        type=int,
+        required=True,
+        help=f"precision, {bounds._MIN_CLASSIC_DIGITS} to {bounds._MAX_CLASSIC_DIGITS}",
+    )
 
     digits = sub.add_parser("digits", help="decimal digits of 1/D_k")
     digits.add_argument("-k", type=int, required=True, help=order_help)
@@ -149,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-m",
         type=int,
         required=True,
-        help=f"how many digits, 1 to {_MAX_DIGITS}, with m * k at most {_MAX_DIVISION_WORK}",
+        help=f"how many digits, 1 to {bounds._MAX_DIGITS},"
+        f" with m * k at most {bounds._MAX_DIVISION_WORK}",
     )
 
     bench = sub.add_parser("bench", help="run a timing grid from a JSON config")
@@ -162,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_term(args) -> int:
     # every method returns a Decimal here, whose str() is linear; the kernel
     # runs its top squares in it
-    check_term(args.k, args.n, args.method)
+    bounds.check_term(args.k, args.n, args.method)
     with localcontext(EXACT_CONTEXT):
         print(METHODS[args.method](args.k, args.n, to_decimal))
     return 0
@@ -173,16 +147,7 @@ def _cmd_seq(args) -> int:
 
     # jump to F_start, whose top squares run in Decimal, then sweep in exact
     # Decimal: str(Decimal) is linear
-    _check_order(args.k)
-    validate_range(args.k, args.start, args.stop)
-    _check_index_bound(args.stop)
-    bound = (args.stop - args.start + 1) * args.stop * math.log10(2)
-    if bound > _MAX_SEQ_DIGITS:
-        raise ValueError(
-            f"range {args.start}..{args.stop} may print {bound:.3g} digits,"
-            f" more than {_MAX_SEQ_DIGITS}"
-        )
-    check_jump(args.k, args.start)
+    bounds.check_seq(args.k, args.start, args.stop)
     with localcontext(EXACT_CONTEXT):
         terms = iter_terms(args.k, args.start, to_decimal)
         for value in islice(terms, args.stop - args.start + 1):
@@ -193,22 +158,18 @@ def _cmd_seq(args) -> int:
 def _cmd_gf(args) -> int:
     from .series import SeriesPoint, converge_until, evaluate
 
-    _check_order(args.k)
+    bounds._check_order(args.k)
     point = SeriesPoint(k=args.k, eta=args.eta)
     if args.n_trunc is not None:
         report = evaluate(point, args.n_trunc)
     else:
         epsilon = args.epsilon if args.epsilon is not None else _DEFAULT_EPSILON
         report = converge_until(point, epsilon)
-    if args.json:
-        import json
+    if not args.json:
+        return _print_verdict(report)
+    import json
 
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        doc = report.to_json_dict()
-        for key in ("k", "eta", "N", "partial", "closed", "tail_bound", "residual"):
-            print(f"{key} = {doc[key]}")
-        print("PASS" if report.passed else "FAIL")
+    print(json.dumps(report.to_json_dict(), indent=2))
     return 0 if report.passed else 1
 
 
@@ -216,15 +177,7 @@ def _cmd_verify_decimal(args) -> int:
     from .decimal_identity import identity_line, verify_decimal_identity
 
     last = args.k if args.max_k is None else args.max_k
-    if last < args.k:
-        raise ValueError(f"--max-k {last} is below -k {args.k}")
-    _check_order(last)
-    bound = (last - args.k + 1) * last
-    if bound > _MAX_SWEEP_DIGITS:
-        raise ValueError(
-            f"orders {args.k}..{last} may print {bound} digits of D_k,"
-            f" more than {_MAX_SWEEP_DIGITS}"
-        )
+    bounds.check_sweep(args.k, last)
     results = []
     for k in range(args.k, last + 1):
         ok = verify_decimal_identity(k)
@@ -239,25 +192,23 @@ def _cmd_verify_decimal(args) -> int:
 def _cmd_verify_classic(args) -> int:
     from .classic_sums import verify_classic
 
-    report = verify_classic(args.identity, args.digits)
+    return _print_verdict(verify_classic(args.identity, args.digits))
+
+
+def _print_verdict(report) -> int:
+    """Print ``key = value`` for each item of ``to_json_dict()`` but ``pass``, then the verdict."""
     doc = report.to_json_dict()
-    for key in ("identity", "terms", "digits", "value", "target", "abs_diff"):
-        print(f"{key} = {doc[key]}")
-    print("PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 1
+    passed = doc.pop("pass")
+    for key, value in doc.items():
+        print(f"{key} = {value}")
+    print("PASS" if passed else "FAIL")
+    return 0 if passed else 1
 
 
 def _cmd_digits(args) -> int:
     from .decimal_identity import reciprocal_digits, repunit_denominator
 
-    if args.m > _MAX_DIGITS:
-        raise ValueError(f"digit count must be <= {_MAX_DIGITS}, got {args.m}")
-    _check_order(args.k)
-    if args.m * args.k > _MAX_DIVISION_WORK:
-        raise ValueError(
-            f"m * k must be <= {_MAX_DIVISION_WORK}, got {args.m} * {args.k}:"
-            " the division of 10^m by D_k takes a time that grows as m * k"
-        )
+    bounds.check_digits(args.k, args.m)
     print(reciprocal_digits(repunit_denominator(args.k).value, args.m))
     return 0
 

@@ -17,7 +17,7 @@ their bodies, so ``digits`` loads no ``series``.
 from __future__ import annotations
 
 from collections import namedtuple
-from decimal import localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .rational import EXACT_CONTEXT, int_to_str, to_decimal
@@ -53,17 +53,17 @@ def repunit_denominator(k: int) -> RepunitDenominator:
     """D_k built two independent ways, which must agree.
 
     Route one writes the digits directly; route two evaluates
-    (8*10^k + 1) / 9, checking the division is exact.  The two meet as
-    digit strings, rendered by ``int_to_str``, so no k-digit string passes
-    through ``int()``.
+    (8*10^k + 1) / 9, checking the division is exact.  Route one meets it
+    when its digits times 9 equal 8*10^k + 1, checked in exact ``Decimal``
+    arithmetic, so no k-digit number passes between int and str.
     """
     validate_order(k)
-    from_digits = "8" * (k - 1) + "9"
     nine_d, rem = divmod(8 * 10**k + 1, 9)
     assert rem == 0, f"8*10^{k}+1 not divisible by 9"
-    assert int_to_str(nine_d) == from_digits, (
-        f"digit construction != algebraic value for k = {k}"
-    )
+    with localcontext(EXACT_CONTEXT):
+        assert Decimal("8" * (k - 1) + "9") * 9 == Decimal(8).scaleb(k) + 1, (
+            f"digit construction != algebraic value for k = {k}"
+        )
     return RepunitDenominator(k=k, value=nine_d)
 
 

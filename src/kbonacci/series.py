@@ -37,7 +37,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import ceil, log10
 
-from .bounds import check_jump
+from .bounds import _MAX_PARTIAL_DIGITS, check_jump
 from .rational import Rational, format_ratio
 from .sequence import term_fast, validate_order, window
 
@@ -51,17 +51,6 @@ __all__ = [
     "evaluate_range",
     "converge_until",
 ]
-
-# Largest partial sum a report may need, in digits: P_N has a denominator
-# of about (N + k) log10 p digits for eta = p/q (p > q, as eta > 2).  The
-# time grows about quadratically in it (the gcds of Fraction): eta = 3 at
-# N = 200000 (95k digits) takes 0.6 s, at N = 600000 (286k digits) 3.1 s,
-# and eta = 1000000001/500000000 at N = 30000 (270k digits) 1.5 s, process
-# wall on CPython 3.11, 2 cores.  evaluate refuses a larger N, and
-# converge_until checks the largest N within the bound before it refuses,
-# with ValueError.
-_MAX_PARTIAL_DIGITS = 200_000
-
 
 class SeriesPoint(namedtuple("SeriesPoint", "k eta")):
     """Evaluation point of the series: order k >= 2 and rational eta > 2.

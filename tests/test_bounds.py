@@ -1,6 +1,14 @@
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
 from kbonacci import bounds
+
+# Not a request limit: the Millin search's cap is the known false FAIL of
+# ROADMAP item 1, which caps a search instead of refusing a request.
+NOT_REQUEST_LIMITS = {("classic_sums", "_MAX_MILLIN_TERMS")}
 
 
 class TestCostBound:
@@ -40,3 +48,46 @@ class TestCostBound:
         for cost in (bounds._term_cost, bounds._kernel_cost):
             values = [cost(k, n) for n in range(0, self.M, self.M // 997)]
             assert values == sorted(values)
+
+
+def _is_limit(name: str) -> bool:
+    return "_MAX_" in name or "_MIN_" in name
+
+
+def test_every_request_limit_is_stated_in_bounds():
+    # every other module's top-level limit name is imported from bounds
+    imported = set()
+    for path in sorted(Path(bounds.__file__).parent.glob("*.py")):
+        name = path.stem
+        if name == "bounds":
+            continue
+        module = importlib.import_module(f"kbonacci.{name}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if _is_limit(alias.name):
+                        assert (node.module, node.level) == ("bounds", 1), (name, alias.name)
+                        value = getattr(module, alias.asname or alias.name)
+                        assert value == getattr(bounds, alias.name)
+                        imported.add((name, alias.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for bound in ast.walk(target):
+                        if isinstance(bound, ast.Name) and _is_limit(bound.id):
+                            assert (name, bound.id) in NOT_REQUEST_LIMITS, (name, bound.id)
+    for name, limit in NOT_REQUEST_LIMITS:
+        assert hasattr(importlib.import_module(f"kbonacci.{name}"), limit)
+    assert {
+        ("series", "_MAX_PARTIAL_DIGITS"),
+        ("classic_sums", "_MAX_CLASSIC_DIGITS"),
+        ("bench", "_MAX_REPETITIONS"),
+    } <= imported
+
+
+def test_seq_checks_the_order_before_the_range():
+    # seq refuses an absurd order before it looks at the range
+    with pytest.raises(ValueError, match="order must be <= 100000, got 100001"):
+        bounds.check_seq(100_001, 5, 3)
+    with pytest.raises(ValueError, match="invalid range: n0=5 > n1=3"):
+        bounds.check_seq(2, 5, 3)

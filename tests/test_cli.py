@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +17,7 @@ import pytest
 
 import kbonacci
 import kbonacci.cli as cli
-from kbonacci import sequence, series
+from kbonacci import bounds, sequence
 from kbonacci.bench import METHODS
 from kbonacci.classic_sums import IDENTITIES, ClassicReport
 from kbonacci.rational import int_to_str, parse_rational
@@ -140,7 +141,7 @@ BOUND = 33_219_280  # the largest index whose bound n*log10(2) is at most 10^7 d
 
 class TestIndexBound:
     def test_bound_is_ten_million_digits(self):
-        assert cli._MAX_INDEX == BOUND
+        assert bounds._MAX_INDEX == BOUND
         assert BOUND * math.log10(2) <= 10**7 < (BOUND + 1) * math.log10(2)
 
     @pytest.mark.parametrize(
@@ -383,9 +384,9 @@ class TestResourceGuards:
          ("matrix", 2, 2_500_001), ("matrix", 16, 2_500_001), ("matrix", 2, BOUND)],
     )
     def test_oracle_method_index_bounds(self, capsys, monkeypatch, method, k, n):
-        assert cli._ORACLE_MAX_INDEX == {"naive": 250_000, "matrix": 2_500_000}
+        assert bounds._ORACLE_MAX_INDEX == {"naive": 250_000, "matrix": 2_500_000}
         argv = ["term", "-k", str(k), "-n", str(n), "--method", method]
-        limit = cli._ORACLE_MAX_INDEX[method]
+        limit = bounds._ORACLE_MAX_INDEX[method]
         message = f"index must be <= {limit} with --method {method}, got {n}"
         self.refused(capsys, monkeypatch, argv, message)
 
@@ -407,7 +408,7 @@ class TestResourceGuards:
 
     def test_seq_output_bound_covers_the_largest_render_request(self):
         largest = 20_001 * 20_000 * math.log10(2)  # seq 0..20000: 5.3e7 digits at k = 3
-        assert largest < cli._MAX_SEQ_DIGITS / 8
+        assert largest < bounds._MAX_SEQ_DIGITS / 8
 
     @pytest.mark.parametrize(
         "start,stop,shown",
@@ -449,7 +450,7 @@ class TestResourceGuards:
         ],
     )
     def test_order_bound(self, capsys, monkeypatch, argv):
-        assert cli._MAX_ORDER == 100_000
+        assert bounds._MAX_ORDER == 100_000
         k = argv[argv.index("--max-k" if "--max-k" in argv else "-k") + 1]
         self.refused(capsys, monkeypatch, argv, f"order must be <= 100000, got {k}")
 
@@ -463,7 +464,7 @@ class TestResourceGuards:
         "k,m", [(100_000, 10_001), (1001, 1_000_000), (101, 10**7), (10**5, 10**7)]
     )
     def test_digits_division_bound(self, capsys, monkeypatch, k, m):
-        assert cli._MAX_DIVISION_WORK == 10**9
+        assert bounds._MAX_DIVISION_WORK == 10**9
         argv = ["digits", "-k", str(k), "-m", str(m)]
         message = (
             f"m * k must be <= 1000000000, got {m} * {k}:"
@@ -479,7 +480,7 @@ class TestResourceGuards:
 
     @pytest.mark.parametrize("k,n", [(3, 740_741), (16, 4883), (272, 0), (272, 1), (1000, 5)])
     def test_matrix_work_bound(self, capsys, monkeypatch, k, n):
-        assert cli._MAX_MATRIX_WORK == 2 * 10**7
+        assert bounds._MAX_MATRIX_WORK == 2 * 10**7
         argv = ["term", "-k", str(k), "-n", str(n), "--method", "matrix"]
         message = f"k^3 * n must be <= 20000000 with --method matrix, got {k}^3 * {n}"
         self.refused(capsys, monkeypatch, argv, message)
@@ -492,7 +493,7 @@ class TestResourceGuards:
 
     @pytest.mark.parametrize("k,last,shown", [(2, 1001, 1001000), (99_990, 100_000, 1100000)])
     def test_verify_decimal_sweep_bound(self, capsys, monkeypatch, k, last, shown):
-        assert cli._MAX_SWEEP_DIGITS == 10**6
+        assert bounds._MAX_SWEEP_DIGITS == 10**6
         argv = ["verify-decimal", "-k", str(k), "--max-k", str(last)]
         message = f"orders {k}..{last} may print {shown} digits of D_k, more than 1000000"
         self.refused(capsys, monkeypatch, argv, message)
@@ -637,24 +638,65 @@ class TestResourceGuards:
         assert lines[-1] == "PASS"
 
     def test_help_states_the_bounds(self, capsys):
+        # every number in the help is a bounds constant; the tests above pin
+        # their values
+        oracle = bounds._ORACLE_MAX_INDEX
         for command, text in (
-            ("term", "with --method naive to 250000, with matrix to 2500000"),
-            ("term", "k^3 * n at most 20000000"),
-            ("term", "with polymod at a modelled cost at most that of -k 2 -n 33219280"),
-            ("seq", "the jump to N0 at a modelled cost at most that of -k 2 --from 33219280"),
-            ("term", "recurrence order, 2 to 100000"),
-            ("seq", "at most 1000000000 digits"),
-            ("seq", "recurrence order, 2 to 100000"),
-            # the parser spells out series._MAX_PARTIAL_DIGITS
-            ("gf", f"(N + k) * log10 p at most {series._MAX_PARTIAL_DIGITS} digits"),
-            ("verify-decimal", "(orders) * max-k at most 1000000"),
-            ("digits", "how many digits, 1 to 10000000"),
-            ("digits", "m * k at most 1000000000"),
+            ("term", f"with --method naive to {oracle['naive']}, with matrix to {oracle['matrix']}"),
+            ("term", f"k^3 * n at most {bounds._MAX_MATRIX_WORK}"),
+            ("term", f"with polymod at a modelled cost at most that of -k 2 -n {bounds._MAX_INDEX}"),
+            ("seq", f"the jump to N0 at a modelled cost at most that of -k 2 --from {bounds._MAX_INDEX}"),
+            ("term", f"recurrence order, 2 to {bounds._MAX_ORDER}"),
+            ("seq", f"at most {bounds._MAX_SEQ_DIGITS} digits"),
+            ("seq", f"recurrence order, 2 to {bounds._MAX_ORDER}"),
+            ("gf", f"(N + k) * log10 p at most {bounds._MAX_PARTIAL_DIGITS} digits"),
+            ("verify-decimal", f"(orders) * max-k at most {bounds._MAX_SWEEP_DIGITS}"),
+            ("verify-classic", f"precision, {bounds._MIN_CLASSIC_DIGITS} to {bounds._MAX_CLASSIC_DIGITS}"),
+            ("digits", f"how many digits, 1 to {bounds._MAX_DIGITS}"),
+            ("digits", f"m * k at most {bounds._MAX_DIVISION_WORK}"),
         ):
             code, out, _ = run(capsys, [command, "--help"])
             assert code == 0
             help_text = " ".join(out.split())
             assert text in help_text, command
+        assert (bounds._MIN_CLASSIC_DIGITS, bounds._MAX_CLASSIC_DIGITS) == (4, 200_000)
+
+    def test_help_types_no_limit(self):
+        # a number of three or more digits in a help string's literal text
+        # would be a limit spelled out beside its bounds constant
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        helps = [
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.keyword) and node.arg == "help"
+        ]
+        assert len(helps) > 10
+        for value in helps:
+            for node in ast.walk(value):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    assert not re.search(r"\d{3}", node.value), node.value
+
+    @pytest.mark.parametrize(
+        "argv,check",
+        [
+            (["seq", "-k", "3", "--from", "5", "--to", "9"], "check_seq"),
+            (["verify-decimal", "-k", "3", "--max-k", "4"], "check_sweep"),
+            (["digits", "-k", "3", "-m", "10"], "check_digits"),
+        ],
+    )
+    def test_one_bounds_check_before_any_arithmetic(self, capsys, monkeypatch, argv, check):
+        calls = []
+
+        def refuse(*args):
+            calls.append(args)
+            raise ValueError("refused")
+
+        self.forbid_arithmetic(monkeypatch)
+        monkeypatch.setattr(bounds, check, refuse)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: refused\nusage:")
+        assert calls == [tuple(int(a) for a in argv[2::2])]
 
 
 class TestVerifyClassic:
@@ -952,6 +994,20 @@ class TestStartup:
             "sys.stderr.write(repr((code, sorted(set(names) & set(sys.modules)))))\n"
         )
         assert ast.literal_eval(proc.stderr) == (0, sorted(present))
+
+    def test_bench_loads_no_dataclasses(self, tmp_path):
+        # BenchConfig and BenchRecord are named tuples too
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"k_values": [2], "n_values": [10], "methods": ["polymod"]}))
+        proc = fresh_python(
+            "import sys\n"
+            "from kbonacci.cli import parse_and_dispatch\n"
+            f"code = parse_and_dispatch(['bench', '--config', {str(path)!r}])\n"
+            "names = ('dataclasses', 'inspect', 'typing')\n"
+            "sys.stderr.write(repr((code, sorted(set(names) & set(sys.modules)))))\n"
+        )
+        assert proc.stdout.splitlines()[0] == "method,k,n,rep,wall_time,result_digits,checksum"
+        assert ast.literal_eval(proc.stderr) == (0, [])
 
     def test_package_import_loads_no_submodule(self):
         proc = fresh_python(

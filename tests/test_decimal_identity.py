@@ -62,6 +62,12 @@ class TestRepunitDenominator:
     def test_nine_times_value(self, k):
         assert 9 * repunit_denominator(k).value == 8 * 10**k + 1
 
+    def test_largest_order_against_the_algebraic_value(self):
+        k = 100_000
+        d = repunit_denominator(k)
+        assert 9 * d.value == 8 * 10**k + 1
+        assert str(d) == "8" * (k - 1) + "9"
+
 
 class TestIdentity:
     @pytest.mark.parametrize("k", range(2, 17))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .sequence import validate_range
+from .sequence import validate_order, validate_range
 
 __all__ = ["check_term", "check_jump", "check_seq", "check_sweep", "check_digits"]
 
@@ -172,6 +172,7 @@ def check_seq(k: int, n0: int, n1: int) -> None:
 
 def check_sweep(k: int, last: int) -> None:
     """Raise ValueError unless ``verify-decimal`` of the orders k .. last is within the bounds."""
+    validate_order(k)
     if last < k:
         raise ValueError(f"--max-k {last} is below -k {k}")
     _check_order(last)

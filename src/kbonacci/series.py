@@ -20,11 +20,12 @@ up to x^N except x^(k-1) (present once N >= k-1):
 
     P_N(x) C(x) = x^(k-1) - sum_{m=N+1}^{N+k} x^m sum_{i=max(0,m-k)}^{N} F_i.
 
-So P_N needs only the last k terms F_{N-k+1} .. F_N, which one jump-ahead
-(``sequence.window``) returns together with F_{N+1} for the tail bound.
-A report costs O(log N) big-integer squares for the jump and O(k)
-products and a few gcds of O(N log eta)-bit integers, against N + 1
-rational multiply-adds, each with its own gcd, for a sweep of the terms.
+So P_N needs only the last k terms F_{N-k+1} .. F_N, and the tail bound
+F_{N+1}; every entry point reads them from one checked window
+(``_checked_run``, one ``sequence.window`` call).  A report costs O(log N)
+big-integer squares for the jump and O(k) products and a few gcds of
+O(N log eta)-bit integers, against N + 1 rational multiply-adds, each with
+its own gcd, for a sweep of the terms.
 
 The eta > 2 restriction is the domain on which the geometric tail argument
 works; no claim is made below it.
@@ -39,7 +40,7 @@ from math import ceil, log10
 
 from .bounds import _MAX_PARTIAL_DIGITS, check_jump
 from .rational import Rational, format_ratio
-from .sequence import term_fast, validate_order, window
+from .sequence import validate_order, window
 
 __all__ = [
     "SeriesPoint",
@@ -97,22 +98,25 @@ class EvalReport(
 
 
 def closed_form(point: SeriesPoint) -> Rational:
-    """Exact value of the full series: eta(eta-1) / ((eta-2) eta^k + 1)."""
-    eta = point.eta
-    return eta * (eta - 1) / ((eta - 2) * eta ** point.k + 1)
+    """Exact value of the full series: eta(eta-1) / ((eta-2) eta^k + 1).
+
+    For eta = p/q that is p q^(k-1) / den, den from ``_denominator``.
+    """
+    p, q = point.eta.numerator, point.eta.denominator
+    return Fraction(p * q ** (point.k - 1), _denominator(point))
 
 
 def partial_sum(point: SeriesPoint, n_trunc: int) -> Rational:
     """Exact sum of F_n / eta^n for n = 0 .. n_trunc.
 
-    The closed form minus the omitted part (module docstring), from the
-    last k terms F_{N-k+1} .. F_N, taken from one ``window`` call; zero
-    below N = k-1, where every term is.
+    Zero below N = k-1, where every term is, and ValueError below 0; from
+    k-1 on, the closed form minus the omitted part (module docstring),
+    within the checks of ``_checked_run``.
     """
     _check_partial_index(n_trunc)
     if n_trunc < point.k - 1:
         return Fraction(0)
-    return closed_form(point) - _omitted(point, n_trunc, _run(point, n_trunc, point.k))
+    return closed_form(point) - _omitted(point, n_trunc, _checked_run(point, n_trunc)[:-1])
 
 
 def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
@@ -123,25 +127,22 @@ def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
     first omitted term, giving
 
         (F_{N+1} / eta^(N+1)) * 1 / (1 - 2/eta).
+
+    F_{N+1} comes from ``_checked_run``, within its checks: eta^(N+1) has
+    about as many digits as the partial sum.
     """
-    _check_tail_index(point, n_trunc)
-    check_jump(point.k, n_trunc - point.k + 1)
-    return _tail_from_term(point, n_trunc, term_fast(point.k, n_trunc + 1))
+    return _tail_from_term(point, n_trunc, _checked_run(point, n_trunc)[-1])
 
 
 def evaluate(point: SeriesPoint, n_trunc: int) -> EvalReport:
     """Partial sum, closed form, and tail bound bundled into one report.
 
-    One ``window`` call returns F_{N-k+1} .. F_{N+1}: the first k terms
-    give the omitted part of the closed form, the last one the tail bound.
-    N must be at least k-1, the partial sum, about (N + k) log10 p digits
-    for eta = p/q, at most ``_MAX_PARTIAL_DIGITS`` digits, and the jump to
-    F_{N-k+1} within ``bounds.check_jump``; otherwise ValueError.
+    ValueError for N < 0 and within the checks of ``_checked_run``, whose
+    window gives the omitted part from its first k terms and the tail
+    bound from its last one.
     """
     _check_partial_index(n_trunc)
-    _check_tail_index(point, n_trunc)
-    _check_partial_digits(point, n_trunc)
-    run = _run(point, n_trunc, point.k + 1)
+    run = _checked_run(point, n_trunc)
     return _report(point, n_trunc, run, _tail_from_term(point, n_trunc, run[-1]))
 
 
@@ -163,45 +164,39 @@ def _check_partial_index(n_trunc: int) -> None:
         raise ValueError(f"truncation index must be >= 0, got {n_trunc}")
 
 
-def _check_tail_index(point: SeriesPoint, n_trunc: int) -> None:
-    k = point.k
-    if n_trunc < k - 1:
-        raise ValueError(
-            f"tail bound needs n_trunc >= k-1 = {k - 1}, got {n_trunc}"
-        )
-
-
 def _partial_digits(point: SeriesPoint, n_trunc: int) -> int:
     return ceil((n_trunc + point.k) * log10(point.eta.numerator))
 
 
-def _check_partial_digits(point: SeriesPoint, n_trunc: int) -> None:
-    if _partial_digits(point, n_trunc) > _MAX_PARTIAL_DIGITS:
-        raise _too_many_digits(point, n_trunc)
-
-
-def _too_many_digits(point: SeriesPoint, n_trunc: int) -> ValueError:
-    return ValueError(
-        f"a partial sum to N = {n_trunc} has about {_partial_digits(point, n_trunc)} digits,"
-        f" more than {_MAX_PARTIAL_DIGITS}"
-    )
-
-
 def _largest_partial_index(point: SeriesPoint) -> int:
     """The largest N whose partial sum is within ``_MAX_PARTIAL_DIGITS`` digits."""
-    n = int(_MAX_PARTIAL_DIGITS / log10(point.eta.numerator)) - point.k
-    while _partial_digits(point, n) > _MAX_PARTIAL_DIGITS:
-        n -= 1
+    # one below the estimate, so float rounding cannot put it past the bound
+    n = int(_MAX_PARTIAL_DIGITS / log10(point.eta.numerator)) - point.k - 1
     while _partial_digits(point, n + 1) <= _MAX_PARTIAL_DIGITS:
         n += 1
     return n
 
 
-def _run(point: SeriesPoint, n_trunc: int, count: int) -> list[int]:
-    """F_{N-k+1} and the count - 1 terms after it, from one jump within ``check_jump``."""
-    start = n_trunc - point.k + 1
-    check_jump(point.k, start)
-    return window(point.k, start, count)
+def _checked_run(point: SeriesPoint, n_trunc: int) -> list[int]:
+    """The window F_{N-k+1} .. F_{N+1}, the one source of every report's terms.
+
+    Refused with ValueError, in this order, unless N >= k-1, the partial
+    sum, about (N + k) log10 p digits for eta = p/q, has at most
+    ``_MAX_PARTIAL_DIGITS`` digits, and the jump to F_{N-k+1} is within
+    ``bounds.check_jump``.
+    """
+    k = point.k
+    if n_trunc < k - 1:
+        raise ValueError(f"tail bound needs n_trunc >= k-1 = {k - 1}, got {n_trunc}")
+    digits = _partial_digits(point, n_trunc)
+    if digits > _MAX_PARTIAL_DIGITS:
+        raise ValueError(
+            f"a partial sum to N = {n_trunc} has about {digits} digits,"
+            f" more than {_MAX_PARTIAL_DIGITS}"
+        )
+    start = n_trunc - k + 1
+    check_jump(k, start)
+    return window(k, start, k + 1)
 
 
 def _report(point: SeriesPoint, n_trunc: int, run: list[int], bound: Rational) -> EvalReport:
@@ -219,12 +214,23 @@ def _report(point: SeriesPoint, n_trunc: int, run: list[int], bound: Rational) -
     )
 
 
+def _denominator(point: SeriesPoint) -> int:
+    """den = p^k - sum_{i=1}^{k} q^i p^(k-i) for eta = p/q, positive as eta > 2.
+
+    The sum is geometric, q (p^k - q^k) / (p - q), so
+    den = ((p - 2q) p^k + q^(k+1)) / (p - q), an exact division.
+    """
+    k, p, q = point.k, point.eta.numerator, point.eta.denominator
+    den, rem = divmod((p - 2 * q) * p**k + q ** (k + 1), p - q)
+    assert rem == 0, f"(p - 2q) p^k + q^(k+1) not divisible by p - q for eta = {p}/{q}"
+    return den
+
+
 def _omitted(point: SeriesPoint, n_trunc: int, run) -> Rational:
     """Closed form - P_N for N >= k-1 from run = F_{N-k+1} .. F_N, with eta = p/q.
 
     Times p^(N+k), the identity in the module docstring reads
-    P_N = num / (p^N den), where den = p^k - sum_{i=1}^{k} q^i p^(k-i)
-    (positive because eta > 2) and
+    P_N = num / (p^N den), with den from ``_denominator`` and
 
         num = q^(k-1) p^(N+1) - q^(N+1) sum_{j=1}^{k} q^(j-1) p^(k-j) T_j,
 
@@ -235,16 +241,15 @@ def _omitted(point: SeriesPoint, n_trunc: int, run) -> Rational:
     form's small denominator; reducing num over p^N den would take one gcd
     of two O(N log p)-bit integers, several times slower for a large p.
     """
-    k, p, q = point.k, point.eta.numerator, point.eta.denominator
-    # Horner in p over j = 1 .. k for both sums; T_{j+1} = T_j - run[j-1]
+    p, q = point.eta.numerator, point.eta.denominator
+    # Horner in p over j = 1 .. k; T_{j+1} = T_j - run[j-1]
     suffix = sum(run)
-    acc, den, q_pow = 0, 1, 1
+    acc, q_pow = 0, 1
     for oldest in run:
         acc = acc * p + q_pow * suffix
         suffix -= oldest
         q_pow *= q
-        den = den * p - q_pow
-    return Fraction(q, p) ** n_trunc * Fraction(q * acc, den)
+    return Fraction(q, p) ** n_trunc * Fraction(q * acc, _denominator(point))
 
 
 def _tail_from_term(point: SeriesPoint, n_trunc: int, f_next: int) -> Rational:
@@ -257,34 +262,27 @@ def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
 
     Returns the first *checked* truncation index that qualifies, not the
     minimal one.  Terminates for every epsilon > 0 because the bound
-    shrinks geometrically.  Each check is one ``window`` call for
-    F_{N-k+1} .. F_{N+1}, within ``bounds.check_jump``, and the report
-    comes from the last one.  When the next doubling would pass
-    ``_MAX_PARTIAL_DIGITS`` digits, the largest N within them is checked
-    last; the bound decreases in N for eta > 2, so if that N does not
-    qualify, none within the digit bound does, and the search raises
-    ValueError.
+    shrinks geometrically.  The checks are N = k-1 (at least 1) and its
+    doublings, each one ``_checked_run`` whose window gives the tail bound
+    and, for the N that qualifies, the report.  The first doubling past
+    ``_MAX_PARTIAL_DIGITS`` digits is refused after the largest N within
+    them, unless that is below the first N: the bound decreases in N for
+    eta > 2, so no smaller N would qualify.  ValueError for epsilon <= 0
+    and within the checks of ``_checked_run``.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    n = first = max(point.k - 1, 1)
-    while _partial_digits(point, n) <= _MAX_PARTIAL_DIGITS:
-        report = _report_within(point, n, epsilon)
-        if report is not None:
-            return report
-        n *= 2
+    n = max(point.k - 1, 1)
     top = _largest_partial_index(point)
-    # unless the first N already passed the bound, n // 2 was checked last
-    if n > first and top > n // 2:
-        report = _report_within(point, top, epsilon)
-        if report is not None:
-            return report
-    raise _too_many_digits(point, n)
-
-
-def _report_within(point: SeriesPoint, n_trunc: int, epsilon: Rational) -> EvalReport | None:
-    """The report at N if its tail bound is at most epsilon, else None."""
-    run = _run(point, n_trunc, point.k + 1)
-    bound = _tail_from_term(point, n_trunc, run[-1])
-    return _report(point, n_trunc, run, bound) if bound <= epsilon else None
+    at = min(n - 1, top)  # no N below the first is checked
+    while True:
+        # the doublings within the digit bound, then the largest N within
+        # it, then the first doubling past it, which _checked_run refuses
+        at = min(n, top) if at < top else n
+        run = _checked_run(point, at)
+        bound = _tail_from_term(point, at, run[-1])
+        if bound <= epsilon:
+            return _report(point, at, run, bound)
+        if at == n:
+            n *= 2

@@ -370,7 +370,6 @@ class TestResourceGuards:
         monkeypatch.setattr("kbonacci.decimal_identity.repunit_denominator", arithmetic)
         monkeypatch.setattr("kbonacci.decimal_identity.verify_decimal_identity", arithmetic)
         monkeypatch.setattr("kbonacci.series.window", arithmetic)
-        monkeypatch.setattr("kbonacci.series.term_fast", arithmetic)
 
     def refused(self, capsys, monkeypatch, argv, message):
         self.forbid_arithmetic(monkeypatch)
@@ -497,6 +496,11 @@ class TestResourceGuards:
         argv = ["verify-decimal", "-k", str(k), "--max-k", str(last)]
         message = f"orders {k}..{last} may print {shown} digits of D_k, more than 1000000"
         self.refused(capsys, monkeypatch, argv, message)
+
+    @pytest.mark.parametrize("k", [0, -100_000_000])
+    def test_verify_decimal_checks_the_order_first(self, capsys, monkeypatch, k):
+        argv = ["verify-decimal", "-k", str(k), "--max-k", "2"]
+        self.refused(capsys, monkeypatch, argv, f"order must be >= 2, got {k}")
 
     def test_verify_decimal_sweep_at_the_bound(self, capsys, monkeypatch):
         monkeypatch.setattr("kbonacci.decimal_identity.verify_decimal_identity", lambda k: True)

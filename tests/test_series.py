@@ -348,11 +348,7 @@ class TestConvergeUntil:
             calls.append((k, n, count))
             return window(k, n, count)
 
-        def no_term_fast(*args):
-            raise AssertionError("converge_until called term_fast")
-
         monkeypatch.setattr(series, "window", spy)
-        monkeypatch.setattr(series, "term_fast", no_term_fast)
         report = converge_until(point, eps)
         monkeypatch.undo()
         k, n0 = point.k, max(point.k - 1, 1)
@@ -391,6 +387,16 @@ class TestPartialSumBound:
         with pytest.raises(ValueError, match=message):
             evaluate(point, last + 1)
 
+    @pytest.mark.parametrize("function", [partial_sum, tail_bound])
+    def test_partial_sum_and_tail_bound(self, no_window, function):
+        # eta^(N+1) in the tail bound has about as many digits as P_N
+        point = SeriesPoint(k=2, eta=Fraction(3))
+        with pytest.raises(ZeroDivisionError):
+            function(point, 419_178)
+        message = "a partial sum to N = 419179 has about 200001 digits, more than 200000"
+        with pytest.raises(ValueError, match=message):
+            function(point, 419_179)
+
     def test_search_stops_before_the_jump(self, monkeypatch):
         # a tail bound that never shrinks: the search doubles N up to 2^18,
         # checks the largest N within the bound, 419178, and refuses
@@ -403,7 +409,6 @@ class TestPartialSumBound:
             return [0] * count
 
         monkeypatch.setattr(series, "window", window_call)
-        monkeypatch.setattr(series, "term_fast", None)  # no other jump
         monkeypatch.setattr(series, "_tail_from_term", lambda *args: Fraction(1))
         with pytest.raises(ValueError, match="a partial sum to N = 524288 has about 250150 digits"):
             converge_until(SeriesPoint(k=2, eta=Fraction(3)), Fraction(1, 10**10))
@@ -425,7 +430,6 @@ class TestJumpBound:
             raise ZeroDivisionError  # stands for the jump the check lets through
 
         monkeypatch.setattr(series, "window", jump)
-        monkeypatch.setattr(series, "term_fast", jump)
         return reached
 
     @pytest.mark.parametrize("function", [evaluate, partial_sum, tail_bound])
@@ -435,7 +439,7 @@ class TestJumpBound:
             function(self.POINT, 100_396)
         with pytest.raises(ValueError, match=self.MESSAGE):
             function(self.POINT, 100_397)
-        assert no_jump == [100_397 if function is tail_bound else 397]
+        assert no_jump == [397]
 
     def test_search_step(self, monkeypatch):
         # a tail bound that never shrinks: N = k - 1 jumps to n = 0, and
@@ -468,9 +472,8 @@ class TestLargestAcceptedIndex:
     def test_largest_partial_index(self, k, eta, top):
         point = SeriesPoint(k=k, eta=eta)
         assert series._largest_partial_index(point) == top
-        series._check_partial_digits(point, top)
-        with pytest.raises(ValueError):
-            series._check_partial_digits(point, top + 1)
+        digits = series._partial_digits
+        assert digits(point, top) <= series._MAX_PARTIAL_DIGITS < digits(point, top + 1)
 
     def test_search_returns_the_largest_index(self):
         # N = 32768 needs 206485 digits; N = 31738 meets epsilon within them
@@ -501,6 +504,60 @@ class TestLargestAcceptedIndex:
         point = SeriesPoint(k=100_000, eta=Fraction(10**5 + 1))
         with pytest.raises(ValueError, match="a partial sum to N = 99999 has about"):
             converge_until(point, Fraction(1, 2))
+
+
+class TestOneWindow:
+    """Every entry point reads its terms from one window per checked N."""
+
+    def test_series_takes_no_other_terms(self):
+        assert not hasattr(series, "term_fast")
+        from_sequence = {
+            name for name, value in vars(series).items()
+            if getattr(value, "__module__", None) == "kbonacci.sequence"
+        }
+        assert from_sequence == {"validate_order", "window"}
+
+    @pytest.mark.parametrize(
+        "call,checked",
+        [
+            (lambda pt: evaluate(pt, 7), [7]),
+            (lambda pt: partial_sum(pt, 7), [7]),
+            (lambda pt: partial_sum(pt, 1), []),  # zero below N = k-1, no jump
+            (lambda pt: tail_bound(pt, 7), [7]),
+            (lambda pt: list(evaluate_range(pt, 5)), [2, 3, 4, 5]),
+            (lambda pt: converge_until(pt, Fraction(1, 10**6)), [2, 4, 8, 16, 32, 64]),
+        ],
+        ids=["evaluate", "partial_sum", "partial_sum_zero", "tail_bound", "evaluate_range",
+             "converge_until"],
+    )
+    def test_one_window_per_index(self, monkeypatch, call, checked):
+        calls = []
+
+        def spy(k, n, count):
+            calls.append((k, n, count))
+            return window(k, n, count)
+
+        monkeypatch.setattr(series, "window", spy)
+        point = SeriesPoint(k=3, eta=Fraction(5, 2))
+        call(point)
+        assert calls == [(3, n - 2, 4) for n in checked]
+
+
+class TestDenominator:
+    @settings(deadline=None)
+    @given(
+        st.integers(2, 60),
+        st.integers(1, 10**7).flatmap(
+            lambda q: st.tuples(st.integers(2 * q + 1, 2 * q + 10**7), st.just(q))
+        ),
+    )
+    def test_closed_form_of_the_geometric_sum(self, k, pq):
+        point = SeriesPoint(k=k, eta=Fraction(*pq))
+        p, q = point.eta.numerator, point.eta.denominator
+        den = p**k - sum(q**i * p ** (k - i) for i in range(1, k + 1))
+        assert series._denominator(point) == den > 0
+        eta = point.eta
+        assert closed_form(point) == eta * (eta - 1) / ((eta - 2) * eta**k + 1)
 
 
 class TestShiftedSumIdentity:

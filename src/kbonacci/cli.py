@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     gf.add_argument("-k", type=int, required=True, help=order_help)
     gf.add_argument(
         "--eta",
-        type=parse_rational,
+        type=_rational_arg,
         required=True,
         help="evaluation point as 'p/q' or an integer, must be > 2",
     )
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cutoff.add_argument(
         "--epsilon",
-        type=parse_rational,
+        type=_rational_arg,
         help="grow N until the tail bound is at most this ('p/q'), within the same bound",
     )
     gf.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -130,7 +130,19 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config", required=True, help="path to a JSON config file")
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    for subparser in sub.choices.values():
+        # a handler's refusal prints the usage of the subcommand it refused
+        subparser.set_defaults(usage=subparser.format_usage)
     return parser
+
+
+def _rational_arg(text: str) -> Rational:
+    # argparse reports a ValueError from a type as "invalid <name> value",
+    # hiding parse_rational's reason; ArgumentTypeError prints it instead
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_term(args) -> int:
@@ -243,7 +255,7 @@ def parse_and_dispatch(argv) -> int:
         return _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        sys.stderr.write(parser.format_usage())
+        sys.stderr.write(args.usage())
         return 2
     except BrokenPipeError:
         _hush_closed_pipe()

@@ -11,15 +11,16 @@ Three evaluation strategies are provided:
   square-and-multiply.  Each square is one big multiplication by
   Kronecker substitution (coefficients packed into the slots of one
   number) followed by an O(k) reduction; each multiply by x is k
-  additions.  A final dot product of k half-size products gives F_n.
-  O(log n) squares of about k times the term size.  Asked for a
-  ``Decimal`` (``cast=rational.to_decimal``, as the CLI does), it runs
-  the squares from about 10k-digit coefficients on in ``Decimal``:
-  libmpdec multiplies big operands with a number-theoretic transform,
-  CPython's int with Karatsuba, and the Decimal result prints in linear
-  time.  For k >= 20 with n/(k+1) at most 250 k it takes the generating
-  function's binomial sum instead: about n/(k+1) steps on numbers of the
-  term's size, which beats squares of k times that size where k is large.
+  additions.  A last step of ceil((k+t)/2) half-size products, for
+  n = 2m + t, gives F_n.  O(log n) squares of about k times the term
+  size.  Asked for a ``Decimal`` (``cast=rational.to_decimal``, as the CLI
+  does), it runs the squares from coefficients of min(33000, 2000 k) bits
+  on in ``Decimal``: libmpdec multiplies big operands with a
+  number-theoretic transform, CPython's int with Karatsuba, and the
+  Decimal result prints in linear time.  For k >= 20 with n/(k+1) at
+  most 200 k it takes the generating function's binomial sum instead:
+  about n/(k+1) steps on numbers of the term's size, which beats squares
+  of k times that size where k is large.
 * ``term_naive`` -- item n of the sweep ``iter_terms`` from the initial
   terms; linear in n.
 * ``term_matrix`` -- k x k companion-matrix power.  O(k^3 log n); kept,
@@ -66,12 +67,21 @@ __all__ = [
 ]
 
 # term_fast with a cast (the CLI's Decimal) converts the residue before the
-# first square with a coefficient this wide, about 10k digits.  Below it,
-# Decimal's cost per operation in the O(k) additions and conversions of each
-# step outweighs its faster product: switching on the packed size (k times
-# this) instead made the term requests with k >= 16 and under 20k digits
-# slower.
+# first square with a coefficient of _cast_bits(k) = min(_CAST_BITS,
+# _CAST_BITS_PER_ORDER * k) bits, so from k = 17 on at about 10k digits.
+# Below it, Decimal's cost per operation in the O(k) additions and
+# conversions of each step outweighs its faster product: switching on the
+# packed size (k times _CAST_BITS) instead made the term requests with
+# k >= 16 and under 20k digits slower.  For k = 2 and 3 converting a level
+# or two earlier pays: the k coefficients are a half or a quarter as wide
+# when converted, and Decimal squares them at about int's speed there
+# (k = 2: 0.57 against 0.45 ms at 16k bits, 1.1 against 1.7 ms at 32k
+# bits).  The 24 k = 2 and 3 terms of
+# three benchmark passes (n = 3e5 to 1.5e6, with str, CPython 3.11, 2
+# cores) took medians of 0.35 to 0.40 s at 1000 k to 4000 k bits against
+# 0.44 s at 33000 for k = 2, and 0.65 to 0.69 s against 0.76 s for k = 3.
 _CAST_BITS = 33_000
+_CAST_BITS_PER_ORDER = 2_000
 # iter_terms with a cast switches its jump-ahead at this much narrower width:
 # the k seed terms all come out in the cast's type, so converting them would
 # cost what term's one result costs, k times over.  The benchmark's seq
@@ -85,13 +95,15 @@ _SEED_CAST_BITS = 1_000
 # term_fast takes the binomial sum for k >= _BINOMIAL_ORDER while
 # n/(k+1) <= _BINOMIAL_STEPS * k.  Timed against the kernel (with the CLI's
 # Decimal cast, CPython 3.11, 2 cores), the sum won from k = 20 on: 21 ms
-# against 31 at k = 20, n = 30000; 0.42 s against 0.55 s at k = 28,
-# n = 200000; 13 ms against 0.2 s at k = 64, n = 40000; 1 ms against 41 s at
-# k = 1000, n = 66000.  It lost below: 70 against 52 ms at k = 16,
-# n = 60000.  The two drew level at about n/(k+1) = 250 k for k = 20 to 48:
-# the sum grows as n^2/(k+1), the kernel about as k n.
+# against 31 at k = 20, n = 30000; 13 ms against 0.2 s at k = 64,
+# n = 40000; 1 ms against 41 s at k = 1000, n = 66000.  It lost below: 70
+# against 52 ms at k = 16, n = 60000.  The sum grows as n^2/(k+1), the
+# kernel about as k n.  The two drew level at about n/(k+1) = 200 k for
+# k = 20 to 48: there the sum took 0.92, 1.02, 1.18 and 1.37 times the
+# kernel's time at 175 k, 200 k, 225 k and 250 k (mean of the ratios at 5
+# to 8 orders, each the best of 3).
 _BINOMIAL_ORDER = 20
-_BINOMIAL_STEPS = 250
+_BINOMIAL_STEPS = 200
 
 
 def validate_order(k: int) -> int:
@@ -126,7 +138,7 @@ def iter_terms(k: int, start: int = 0, cast=int) -> Iterator[int]:
     which keeps ``term_naive``, an oracle for the kernel, off the kernel;
     from any other start it is the k terms of one jump-ahead, whose
     squares switch to ``cast`` at ``_SEED_CAST_BITS``-bit coefficients, as
-    ``term_fast``'s do at ``_CAST_BITS``.  ``cast`` converts the k seed
+    ``term_fast``'s do at ``_cast_bits(k)``.  ``cast`` converts the k seed
     terms if the jump stayed in int, and later terms are their sums, so
     they share its result type.  ``Decimal`` sums are exact only under a
     context that traps ``Inexact``, such as ``rational.EXACT_CONTEXT``, so
@@ -183,12 +195,12 @@ def term_fast(k: int, n: int, cast=int):
 
     Computes r = x^m mod (x^k - x^(k-1) - ... - x - 1) by left-to-right
     square-and-multiply, each square one big multiplication by Kronecker
-    substitution plus an O(k) reduction.  With n = 2m + t,
-    x^n = x^m * x^(m+t) gives F_n = sum_i r_i F_{m+t+i}.  F_m .. F_{m+k-1}
-    follow from r in additions, and for odd n the one more term F_{m+k} is
-    their sum; so the last step is k products of half-size operands, not a
-    full-size square.  O(log n) squares of about k times the term size,
-    which makes huge single indices (n in the millions) practical.
+    substitution plus an O(k) reduction.  With n = 2m + t, F_n is the top
+    coefficient of x^t r^2 mod the char poly, and ``_top_of_square`` reads
+    it off in ceil((k+t)/2) products of half-size operands (F_m L_m at
+    k = 2), not a full-size square.  O(log n) squares of about k times the
+    term size, which makes huge single indices (n in the millions)
+    practical.
 
     For k >= ``_BINOMIAL_ORDER`` with n/(k+1) <= ``_BINOMIAL_STEPS`` * k it
     takes ``_binomial_term`` instead, about n/(k+1) steps on numbers of the
@@ -197,7 +209,7 @@ def term_fast(k: int, n: int, cast=int):
 
     The default returns an int and runs in ints throughout.  Any other
     ``cast`` (``rational.to_decimal``) converts the residue once its
-    coefficients reach ``_CAST_BITS`` bits, so the top squares and the
+    coefficients reach ``_cast_bits(k)`` bits, so the top squares and the
     final products run in that type, and F_n comes back in it; a residue
     that stays smaller leaves one int result to convert.  For ``Decimal``
     that means libmpdec's number-theoretic-transform products and a
@@ -210,11 +222,7 @@ def term_fast(k: int, n: int, cast=int):
     if _takes_binomial(k, n):
         return cast(_binomial_term(k, n))
     m, t = divmod(n, 2)
-    r = _x_pow_mod(m, k, cast, _CAST_BITS)
-    run = _run_from_residue(r)
-    if t:
-        run.append(sum(run))  # F_{m+k}
-    value = sum(c * f for c, f in zip(r, run[t:]) if c)
+    value = _top_of_square(_x_pow_mod(m, k, cast, _cast_bits(k)), t)
     return cast(value) if type(value) is int else value
 
 
@@ -223,6 +231,10 @@ def _validate_index(n: int) -> None:
         raise ValueError(f"index must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"negative indices are not defined, got {n}")
+
+
+def _cast_bits(k: int) -> int:
+    return min(_CAST_BITS, _CAST_BITS_PER_ORDER * k)
 
 
 def _takes_binomial(k: int, n: int) -> bool:
@@ -375,6 +387,37 @@ def _split_slots(x: Decimal, width: int, count: int) -> list[Decimal]:
     low = x.shift(0, Context(prec=half * width))
     high = x.shift(-half * width)
     return _split_slots(low, width, half) + _split_slots(high, width, count - half)
+
+
+def _top_of_square(r: list, t: int):
+    """F_{2m+t} = L(x^t r^2) from r = x^m mod the char poly, t in {0, 1}.
+
+    L reads the top coefficient mod the char poly, so L(x^d) = F_d, and
+    F_d = 0 for d < k - 1.  Split r = r_low + r' at h = (k - t) // 2:
+    r_low^2 x^t has degree at most k - 2, so L(x^t r^2) =
+    L(x^t r'^2) + 2 L(x^t r_low r').  With R_s = L(x^s r') from
+    ``_run_from_residue`` of r' (and R_k their sum), the first part is
+    sum_i r'_i R_{t+i}, and r'_{k-1-s} = R_s - (R_0 + ... + R_{s-1}); so
+    it regroups as sum_s R_s (R_{t+k-1-s} - sum_{s<s'<=k-1-h} R_{t+k-1-s'})
+    over s = 0 .. k-1-h, and the second part adds 2 r_{s-t} R_s for
+    t <= s < t+h.  That is k - h products of half-size operands, summed as
+    they come, where sum_i r_i F_{m+t+i} takes k.  At k = 2 it reads
+    F_{2m} = F_m L_m.
+    """
+    k = len(r)
+    h = (k - t) // 2
+    run = _run_from_residue([0] * h + r[h:])
+    if t:
+        run.append(sum(run))  # R_k
+    value = suffix = 0
+    for s in range(k - 1 - h, -1, -1):
+        partner = run[t + k - 1 - s]
+        factor = partner - suffix
+        if t <= s < t + h:
+            factor += 2 * r[s - t]
+        value += run[s] * factor
+        suffix += partner
+    return value
 
 
 def _run_from_residue(r: list[int]) -> list[int]:

@@ -242,14 +242,37 @@ def _omitted(point: SeriesPoint, n_trunc: int, run) -> Rational:
     of two O(N log p)-bit integers, several times slower for a large p.
     """
     p, q = point.eta.numerator, point.eta.denominator
-    # Horner in p over j = 1 .. k; T_{j+1} = T_j - run[j-1]
-    suffix = sum(run)
-    acc, q_pow = 0, 1
+    suffixes, suffix = [], sum(run)  # T_1 .. T_k; T_{j+1} = T_j - run[j-1]
     for oldest in run:
-        acc = acc * p + q_pow * suffix
+        suffixes.append(suffix)
         suffix -= oldest
-        q_pow *= q
+    acc = _weighted_sum(suffixes, p, q)
     return Fraction(q, p) ** n_trunc * Fraction(q * acc, _denominator(point))
+
+
+def _weighted_sum(values: list[int], p: int, q: int) -> int:
+    """sum_j p^(len-1-j) q^j values_j, joined by halves.
+
+    For blocks [lo, mid) and [mid, hi), S(lo, hi) = S(lo, mid) p^(hi-mid) +
+    q^(mid-lo) S(mid, hi).  Pairing neighbours level by level keeps the
+    operands of each product about the same size, where Horner's rule
+    multiplies an accumulator of up to k log p bits by p, k times: quadratic
+    in k.  Every block has the current size but the last, of ``last`` values.
+    """
+    blocks, size, last = values, 1, 1
+    p_size, q_size = p, q  # p^size, q^size
+    while len(blocks) > 1:
+        joined = [
+            blocks[i] * p_size + q_size * blocks[i + 1] for i in range(0, len(blocks) - 2, 2)
+        ]
+        if len(blocks) % 2:
+            joined.append(blocks[-1])
+        else:
+            joined.append(blocks[-2] * p**last + q_size * blocks[-1])
+            last += size
+        blocks, size = joined, 2 * size
+        p_size, q_size = p_size * p_size, q_size * q_size
+    return blocks[0]
 
 
 def _tail_from_term(point: SeriesPoint, n_trunc: int, f_next: int) -> Rational:

@@ -78,7 +78,9 @@ class TestTerm:
 
     @pytest.mark.parametrize(
         "k,n,in_decimal",
-        [(2, 190_139, False), (2, 190_140, True), (3, 150_155, False), (3, 150_156, True)],
+        # the first Decimal square needs a coefficient of min(33000, 2000 k)
+        # bits: 4000 at k = 2 and 6000 at k = 3
+        [(2, 23_047, False), (2, 23_048, True), (3, 27_307, False), (3, 27_308, True)],
     )
     def test_either_side_of_the_decimal_switch(self, capsys, monkeypatch, k, n, in_decimal):
         squares = []
@@ -917,6 +919,42 @@ class TestDispatch:
         code, out, _ = run(capsys, ["--help"])
         assert code == 0
         assert "term" in out and "bench" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["term", "-k", "2", "-n", "-1"],
+            ["seq", "-k", "2", "--from", "5", "--to", "3"],
+            ["gf", "-k", "2", "--eta", "2"],
+            ["verify-decimal", "-k", "1"],
+            ["verify-classic", "--identity", "millin", "--digits", "1"],
+            ["digits", "-k", "2", "-m", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_refusal_prints_the_subcommands_usage(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        message, usage = err.split("\n", 1)
+        assert message.startswith("error: ")
+        assert usage.startswith(f"usage: kbonacci {argv[0]} [-h]")
+        assert "{term,seq,gf" not in usage
+
+    @pytest.mark.parametrize(
+        "option,text,reason",
+        [
+            ("--eta", "3/0", "zero denominator in '3/0'"),
+            ("--eta", "2.5", "expected an integer or p/q fraction, got '2.5'"),
+            ("--epsilon", "1/0", "zero denominator in '1/0'"),
+            ("--epsilon", "1e-9", "expected an integer or p/q fraction, got '1e-9'"),
+        ],
+    )
+    def test_bad_rational_prints_its_reason(self, capsys, option, text, reason):
+        argv = ["gf", "-k", "2", "--eta", "3", option, text]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"kbonacci gf: error: argument {option}: {reason}\n")
+        assert "invalid" not in err
 
     def test_main_uses_argv(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.argv", ["kbonacci", "term", "-k", "2", "-n", "7"])

@@ -478,8 +478,8 @@ class TestBinomialBranch:
             assert str(value) == int_to_str(expected)
 
     def test_rule(self):
-        assert sequence._takes_binomial(20, 105_000)  # n/(k+1) = 5000 = 250 k
-        assert not sequence._takes_binomial(20, 105_021)
+        assert sequence._takes_binomial(20, 84_020)  # n // (k+1) = 4000 = 200 k
+        assert not sequence._takes_binomial(20, 84_021)
         assert not sequence._takes_binomial(19, 0)
         assert sequence._takes_binomial(100_000, bounds._MAX_INDEX)
 
@@ -488,13 +488,96 @@ class TestBinomialBranch:
         for n in (0, 1, 10, 10**4, 10**6, bounds._MAX_INDEX):
             assert not sequence._takes_binomial(k, n)
 
-    @pytest.mark.parametrize("k,n", [(20, 105_000), (20, 105_021), (64, 40_000), (256, 8000)])
+    @pytest.mark.parametrize(
+        "k,n",
+        [(20, 84_020), (20, 84_021), (20, 105_000), (20, 105_021), (64, 40_000), (256, 8000)],
+    )
     def test_paths_agree_at_scale(self, k, n):
         with forced("kernel"):
             kernel = term_fast(k, n)
         with forced("binomial"):
             assert term_fast(k, n) == kernel
         assert term_fast(k, n) == kernel
+
+
+def dot_product_step(r, t):
+    """The kernel's former last step, sum_i r_i F_{m+t+i}: k products."""
+    run = sequence._run_from_residue(r)
+    if t:
+        run.append(sum(run))  # F_{m+k}
+    return sum(c * f for c, f in zip(r, run[t:]))
+
+
+def dot_product_term(k, n, cast=int):
+    """F_n from the kernel's residue and ``dot_product_step``."""
+    m, t = divmod(n, 2)
+    return dot_product_step(sequence._x_pow_mod(m, k, cast, sequence._cast_bits(k)), t)
+
+
+class Counted(int):
+    """An int that counts the products of two ``Counted`` operands."""
+
+    products = 0
+
+    def __add__(self, other):
+        return Counted(int(self) + other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Counted(int(self) - other)
+
+    def __mul__(self, other):
+        if isinstance(other, Counted):
+            Counted.products += 1
+        return Counted(int(self) * other)
+
+    __rmul__ = __mul__
+
+
+class TestFoldedStep:
+    @settings(deadline=None)
+    @given(st.integers(2, 64), st.integers(0, 6000))
+    @example(2, 0)
+    @example(2, 1)
+    @example(64, 63)
+    @example(64, 6000)
+    @example(63, 5999)
+    def test_fold_equals_the_dot_product_and_the_sweep(self, k, n):
+        with forced("kernel"):
+            value = term_fast(k, n)
+        assert value == dot_product_term(k, n) == term_naive(k, n)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(2, 64),
+        st.integers(0, 6000),
+        st.sampled_from([int, to_decimal]),
+        st.integers(0, 1200),
+    )
+    @example(2, 6001, to_decimal, 0)
+    @example(3, 6000, to_decimal, 1200)
+    @example(64, 5999, to_decimal, 1)
+    def test_fold_in_either_type(self, k, n, cast, cast_bits):
+        # the residue's coefficients reach about n/2 * log2(rho_k) < 2100
+        # bits here, and the operand of its last square half that, so the
+        # patched switch falls on either side of the squares
+        expected = int_to_str(term_naive(k, n))
+        with forced("kernel"), mock.patch.object(sequence, "_CAST_BITS", cast_bits):
+            with localcontext(EXACT_CONTEXT):
+                value = term_fast(k, n, cast)
+                oracle = dot_product_term(k, n, cast)
+        assert type(value) is (int if cast is int else Decimal)
+        assert str(value) == str(oracle) == expected
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 17, 64])
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_last_step_makes_k_minus_half_products(self, k, t):
+        r = [7**i + 1 for i in range(k)]
+        Counted.products = 0
+        value = sequence._top_of_square([Counted(c) for c in r], t)
+        assert Counted.products == k - (k - t) // 2  # ceil((k + t) / 2)
+        assert value == dot_product_step(r, t)
 
 
 class TestDecimalSeed:

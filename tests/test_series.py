@@ -576,3 +576,45 @@ class TestShiftedSumIdentity:
                 r**p * partial_sum(pt, n - p) for p in range(1, k + 1)
             )
             assert lhs == rhs
+
+
+def horner_omitted(point, n_trunc, run):
+    """``series._omitted`` by the k-step Horner loop it used to run, quadratic in k."""
+    p, q = point.eta.numerator, point.eta.denominator
+    suffix = sum(run)
+    acc, q_pow = 0, 1
+    for oldest in run:
+        acc = acc * p + q_pow * suffix
+        suffix -= oldest
+        q_pow *= q
+    return Fraction(q, p) ** n_trunc * Fraction(q * acc, series._denominator(point))
+
+
+class TestOmittedByHalves:
+    @settings(deadline=None)
+    @given(
+        st.one_of(st.integers(2, 300), st.sampled_from([63, 64, 65, 127, 128, 129])),
+        st.one_of(
+            st.integers(1, 2**30).map(lambda q: 2 + Fraction(1, q)),
+            st.integers(1, 2**30).flatmap(
+                lambda q: st.integers(2 * q + 1, 5 * q).map(lambda p: Fraction(p, q))
+            ),
+            st.integers(3, 1000).map(Fraction),
+        ),
+        st.integers(0, 600),
+    )
+    @example(2, Fraction(3), 0)
+    @example(3, Fraction(7, 3), 1)
+    @example(300, Fraction(1000), 600)
+    def test_halves_equal_horner(self, k, eta, extra):
+        point = SeriesPoint(k=k, eta=eta)
+        n_trunc = k - 1 + extra
+        run = window(k, n_trunc - k + 1, k)
+        assert series._omitted(point, n_trunc, run) == horner_omitted(point, n_trunc, run)
+
+    @pytest.mark.parametrize("length", [*range(1, 40), 63, 64, 65, 1000])
+    def test_weighted_sum_of_every_length(self, length):
+        # distinct values and coprime p, q: a misplaced power shows
+        values = [3**j + j for j in range(length)]
+        expected = sum(7 ** (length - 1 - j) * 5**j * v for j, v in enumerate(values))
+        assert series._weighted_sum(values, 7, 5) == expected

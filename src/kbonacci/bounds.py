@@ -50,23 +50,21 @@ _MAX_SEQ_DIGITS = 10**9
 # -k 2 --max-k 1000 (1e6) takes 0.2 s.
 _MAX_SWEEP_DIGITS = 10**6
 # digits divides 10^m by D_k once, exactly in Decimal, in a time that grows
-# about as m * k once k is large, and refuses m * k above this.  At the
-# bound's edges the division takes 36 ms at k = 1000, m = 10^6, 31 ms at
-# k = 100000, m = 10^4 and 45 ms at k = 2, m = 10^7; outside it,
-# k = 10000, m = 10^7 takes 3.0 s and k = 100000, m = 10^7 5.0 s (in
-# process, CPython 3.11, 2 cores).
-_MAX_DIVISION_WORK = 10**9
+# about as m * min(k, _DIVISION_ORDERS), as libmpdec's division costs little
+# more for a longer D_k, and is refused above this.  At the bound k = 6000,
+# m = 10^7 takes 1.8 s, k = 10000, m = 6 * 10^6 1.75 s and k = 20000 or
+# 100000, m = 3 * 10^6 1.5 s; k = 100000, m = 6 * 10^6 takes 3.1 s.
+_DIVISION_ORDERS = 20_000
+_MAX_DIVISION_WORK = 6 * 10**10
 # Largest partial sum a series report may need, in digits: P_N has a
-# denominator of about (N + k) log10 p digits for eta = p/q (p > q, as
-# eta > 2).  The time grows about quadratically in it (the gcds of
-# Fraction): eta = 3 at N = 200000 (95k digits) takes 0.6 s, at N = 600000
-# (286k digits) 3.1 s, and eta = 1000000001/500000000 at N = 30000 (270k
-# digits) 1.5 s.  series refuses a report whose partial sum passes it.
-_MAX_PARTIAL_DIGITS = 200_000
-# verify_classic's digit range.  The run grows about quadratically in d
-# (alternating: 0.6 s at 100k digits and 1.9 s at 200k; most of it the one
-# division by q), so a request far above this would run for hours; it is
-# refused before any arithmetic instead.
+# denominator of about (N + k) log10 p digits for eta = p/q.  The report's
+# own numbers take subquadratic time, and the jump to N dominates as k
+# grows: at the bound eta = 3 takes 0.35 s at k = 2, 1.4 s at k = 8 and
+# 4.0 s at k = 16.  series refuses a report whose partial sum passes it.
+_MAX_PARTIAL_DIGITS = 250_000
+# verify_classic's digit range.  The run grows faster than linearly in d
+# (alternating: 0.35 s at 100k digits and 0.6 s at 200k), so a request far
+# above this would run for minutes; it is refused before any arithmetic.
 _MIN_CLASSIC_DIGITS = 4
 _MAX_CLASSIC_DIGITS = 200_000
 # bench's min-of-reps needs a handful, and each repetition of a cell may
@@ -188,10 +186,10 @@ def check_digits(k: int, m: int) -> None:
     if m > _MAX_DIGITS:
         raise ValueError(f"digit count must be <= {_MAX_DIGITS}, got {m}")
     _check_order(k)
-    if m * k > _MAX_DIVISION_WORK:
+    if m * min(k, _DIVISION_ORDERS) > _MAX_DIVISION_WORK:
         raise ValueError(
-            f"m * k must be <= {_MAX_DIVISION_WORK}, got {m} * {k}:"
-            " the division of 10^m by D_k takes a time that grows as m * k"
+            f"m * min(k, {_DIVISION_ORDERS}) must be <= {_MAX_DIVISION_WORK}, got m = {m}, k = {k}:"
+            " the division of 10^m by D_k takes a time that grows as that"
         )
 
 

@@ -12,16 +12,23 @@ the second from I. J. Good, Fibonacci Quart. 12 (1974) 346.  So each
 partial sum is an exact rational p/q, kept as two ints.
 
 Its distance to the irrational target (a - sqrt 5)/c is decided with
-integer arithmetic: no tolerance, no error budget.  ``verify_classic``
-takes every printed line and the verdict from one integer square root
-s = isqrt(5 10^(2W)) and one division v = |p| 10^W // q, at
-W = d + 6 + ``_GUARD_DIGITS`` digits.  The value's and the target's
+exact integer arithmetic: no tolerance, no error budget.
+``verify_classic`` takes every printed line and the verdict from one
+square root s = floor(sqrt(5) 10^W) and one division v = |p| 10^W // q,
+at W = d + 6 + ``_GUARD_DIGITS`` digits.  The value's and the target's
 d-digit truncations follow from them exactly; the distance's truncation
 at d + 6 digits, and with it the verdict, follows unless a truncation
 boundary falls inside an interval of c + 1 units of 10^-W, and then the
-exact ``_scaled_difference`` decides it.  The lines are rendered from
-those scaled ints, so no ``Fraction`` normalises an O(d)-digit number
-and nothing divides by a big power of ten.
+exact ``_scaled_difference`` decides it.
+
+All of that runs in exact ``Decimal`` (libmpdec multiplies and divides
+big operands in subquadratic time, and ``str(Decimal)`` is linear): p
+and q are built from the two window terms they come from, each converted
+once, s comes from Newton's iteration for 1/sqrt 5 on rounded products
+and an exact fix-up (``_sqrt5_scaled``), and the three lines are
+rendered from the resulting integer Decimals.  So no int wider than a
+window term is converted to text, no ``Fraction`` normalises an
+O(d)-digit number, and no ``Decimal`` is converted back to int.
 
 The alternating sum starts at n = 1.  Writing it from n = 0 would
 divide by F_0 = 0; the n = 1 start is what actually produces the
@@ -30,12 +37,14 @@ quoted value.
 
 from __future__ import annotations
 
+import decimal
 from collections import namedtuple
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
 
 from .bounds import _MAX_CLASSIC_DIGITS, _MIN_CLASSIC_DIGITS
-from .rational import Rational, fixed_point
+from .rational import EXACT_CONTEXT, Rational, fixed_point, to_decimal
 from .sequence import window
 
 __all__ = [
@@ -115,11 +124,13 @@ class ClassicReport(
     The partial sum is ``numerator / denominator``.  ``scaled_value`` and
     ``scaled_target`` are it and the irrational limit times 10^digits,
     truncated toward zero; ``scaled_diff`` is the distance from the partial
-    sum to the limit itself times 10^(digits + 6), truncated.  ``passed``
-    says that distance is below 10^(-digits+2), which the truncated
-    distance decides exactly: the distance is irrational, so it never
-    equals the threshold.  ``value``, ``target`` and ``abs_diff`` are the
-    same three numbers as exact fractions.
+    sum to the limit itself times 10^(digits + 6), truncated.  The three
+    are integer ``Decimal``s, equal to the ints of the same value.
+    ``passed`` says that distance is below 10^(-digits+2), which the
+    truncated distance decides exactly: the distance is irrational, so it
+    never equals the threshold.  ``value``, ``target`` and ``abs_diff`` are
+    the same three numbers as exact fractions, converted on demand:
+    ``int(Decimal)`` is quadratic in the digits, so the CLI never asks.
     """
 
     __slots__ = ()
@@ -130,11 +141,11 @@ class ClassicReport(
 
     @property
     def target(self) -> Rational:
-        return Fraction(self.scaled_target, 10**self.digits)
+        return Fraction(int(self.scaled_target), 10**self.digits)
 
     @property
     def abs_diff(self) -> Rational:
-        return Fraction(self.scaled_diff, 10 ** (self.digits + 6))
+        return Fraction(int(self.scaled_diff), 10 ** (self.digits + 6))
 
     def to_json_dict(self) -> dict:
         # the same strings as rational.to_decimal_string of the three
@@ -170,16 +181,50 @@ def _millin_terms_needed(threshold_den: int) -> tuple[int, list[int]]:
     """Smallest M whose first omitted term 1/F_{2^(M+1)} is below 1/threshold_den.
 
     Later omitted terms shrink so fast their total stays under twice
-    the first one.  Each step takes a = F_{2^M - 1} and b = F_{2^M} from
-    one window, and F_{2^(M+1)} = b (b + 2a); returns M with [a, b],
-    which the sum needs.  Stops at the cap.
+    the first one.  Step M holds a = F_{2^M - 1} and b = F_{2^M}, from
+    a = b = 1 at M = 1, and doubles the index: F_{2n-1} = F_n^2 + F_{n-1}^2
+    and F_{2n} = F_n (F_n + 2 F_{n-1}), so the next pair is
+    (a^2 + b^2, b (b + 2a)) and its b is the term the step tests.  Returns
+    M with [a, b], which the sum needs.  Stops at the cap.
     """
-    m = 1
+    m, a, b = 1, 1, 1
     while True:
-        a, b = run = window(2, 2**m - 1, 2)
-        if m == _MAX_MILLIN_TERMS or b * (b + 2 * a) > threshold_den:
-            return m, run
-        m += 1
+        doubled = b * (b + 2 * a)
+        if m == _MAX_MILLIN_TERMS or doubled > threshold_den:
+            return m, [a, b]
+        m, a, b = m + 1, a * a + b * b, doubled
+
+
+def _sqrt5_scaled(w: int) -> Decimal:
+    """floor(sqrt(5) 10^w) as an integer ``Decimal``, in exact arithmetic.
+
+    Newton's iteration y <- y + y (1 - 5 y^2) / 2 for 1/sqrt 5 roughly
+    doubles the correct digits a step, so each step runs at about twice
+    the precision of the last, up to w + 10 digits, on rounded products:
+    a few multiplications of the final size, where libmpdec's own sqrt
+    divides at every step.  5 y 10^w, rounded to an integer, is then
+    within a unit or two of the root, and an exact fix-up on s^2 against
+    5 10^(2w) makes s^2 <= 5 10^(2w) < (s + 1)^2 hold.
+    """
+    top = w + 10
+    precisions = []
+    while top > 30:
+        precisions.append(top)
+        top = top // 2 + 2
+    rounded = decimal.Context(prec=34, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    y = rounded.create_decimal("0.4472135954999579392818347337462552")  # 1/sqrt 5
+    for prec in reversed(precisions):
+        rounded.prec = prec + 4
+        error = rounded.subtract(1, rounded.multiply(5, rounded.multiply(y, y)))
+        y = rounded.fma(rounded.multiply(y, error), Decimal("0.5"), y)
+    s = rounded.to_integral_value(rounded.scaleb(rounded.multiply(5, y), w))
+    with localcontext(EXACT_CONTEXT):
+        square, five = s * s, Decimal(5).scaleb(2 * w)
+        while square > five:
+            square, s = square - 2 * s + 1, s - 1
+        while square + 2 * s + 1 <= five:
+            square, s = square + 2 * s + 1, s + 1
+    return s
 
 
 def verify_classic(identity: str, d: int) -> ClassicReport:
@@ -187,9 +232,9 @@ def verify_classic(identity: str, d: int) -> ClassicReport:
 
     The sum p/q is taken far enough that its omitted tail is under an
     eighth of that threshold (up to the Millin cap).  With W = d + 6 + g
-    (g = ``_GUARD_DIGITS``), s = isqrt(5 10^(2W)) and v = |p| 10^W // q,
-    sqrt(5) 10^W lies strictly inside (s, s + 1) and |p/q| 10^W in
-    [v, v + 1), so:
+    (g = ``_GUARD_DIGITS``), s = floor(sqrt(5) 10^W) and
+    v = |p| 10^W // q, sqrt(5) 10^W lies strictly inside (s, s + 1) and
+    |p/q| 10^W in [v, v + 1), so:
 
     * the value truncated to d digits is v // 10^(W-d), with the sign of p;
     * the target (a - sqrt 5)/c times 10^W lies inside an open interval
@@ -199,7 +244,9 @@ def verify_classic(identity: str, d: int) -> ClassicReport:
       distance at d + 6 digits, and so the verdict, follows from either
       end; otherwise the exact ``_scaled_difference`` gives it.
 
-    d must lie in ``bounds._MIN_CLASSIC_DIGITS`` .. ``bounds._MAX_CLASSIC_DIGITS``.
+    Every one of those numbers is an exact integer ``Decimal`` (module
+    docstring).  d must lie in ``bounds._MIN_CLASSIC_DIGITS`` ..
+    ``bounds._MAX_CLASSIC_DIGITS``.
     """
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; expected one of {IDENTITIES}")
@@ -211,37 +258,40 @@ def verify_classic(identity: str, d: int) -> ClassicReport:
     # the target is (a - sqrt 5) / c
     if identity == "alternating":
         terms, run = _alternating_terms_needed(tail_den)
-        p, q = _alternating_parts(*run)
-        a, c = 2, 1
+        parts, a, c = _alternating_parts, 2, 1
     else:
         terms, run = _millin_terms_needed(tail_den)
-        p, q = _millin_parts(*run)
-        a, c = 7, 2
+        parts, a, c = _millin_parts, 7, 2
+    p, q = parts(*run)
     work = d + 6
-    scale = 10 ** (work + _GUARD_DIGITS)  # 10^W
-    s = isqrt(5 * scale * scale)
-    v = abs(p) * scale // q
-    cut = 10 ** (6 + _GUARD_DIGITS)  # from W digits down to d
-    if a * scale > s:  # a > sqrt 5: the target is positive
-        target = (a * scale - s - 1) // (c * cut)
-    else:
-        target = -((s - a * scale) // (c * cut))
-    # c p/q 10^W lies in [x, x + c], so (c p/q - a + sqrt 5) 10^W lies
-    # strictly inside (lo, hi)
-    x = c * v if p > 0 else -c * (v + 1)
-    lo = x + s - a * scale
-    hi = lo + c + 1
-    step = c * 10**_GUARD_DIGITS  # from W digits down to d + 6
-    diff = max(lo, -hi, 0) // step
-    if diff != max(-lo, hi) // step:
-        diff = abs(_scaled_difference(Fraction(p, q), a, c, work))
+    w = work + _GUARD_DIGITS
+    with localcontext(EXACT_CONTEXT):
+        dec_p, dec_q = parts(*map(to_decimal, run))
+        s = _sqrt5_scaled(w)
+        v = abs(dec_p).scaleb(w) // dec_q
+        cut = 10 ** (6 + _GUARD_DIGITS)  # from W digits down to d
+        a_scaled = Decimal(a).scaleb(w)
+        if a_scaled > s:  # a > sqrt 5: the target is positive
+            target = (a_scaled - s - 1) // (c * cut)
+        else:
+            target = -((s - a_scaled) // (c * cut))
+        # c p/q 10^W lies in [x, x + c], so (c p/q - a + sqrt 5) 10^W lies
+        # strictly inside (lo, hi)
+        x = c * v if p > 0 else -c * (v + 1)
+        lo = x + s - a_scaled
+        hi = lo + c + 1
+        step = c * 10**_GUARD_DIGITS  # from W digits down to d + 6
+        diff = max(lo, -hi, Decimal(0)) // step
+        if diff != max(-lo, hi) // step:
+            diff = to_decimal(abs(_scaled_difference(Fraction(p, q), a, c, work)))
+        value = v // cut if p > 0 else -(v // cut)
     return ClassicReport(
         identity=identity,
         terms=terms,
         digits=d,
         numerator=p,
         denominator=q,
-        scaled_value=v // cut if p > 0 else -(v // cut),
+        scaled_value=value,
         scaled_target=target,
         scaled_diff=diff,
         passed=diff < 10**8,

@@ -1,10 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 for success (and verification PASS), 1 for a verification
-FAIL, 2 for usage errors.  Verification subcommands end their standard
-output with a PASS or FAIL line so shell scripts can `tail -1`.  With
---json (or bench's machine formats) the selected stream carries only
-the document.
+Exit codes: 0 for success (and PASS), 1 for a verification FAIL, 2 for
+usage errors.  Verification subcommands end their standard output with a
+PASS or FAIL line, for `tail -1`.  With --json (or bench's machine
+formats) the stream carries only the document.
 
 Start-up is part of every request's time, so the module level imports only
 what building the parser and the term/seq handlers need (``bounds``,
@@ -123,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         required=True,
         help=f"how many digits, 1 to {bounds._MAX_DIGITS},"
-        f" with m * k at most {bounds._MAX_DIVISION_WORK}",
+        f" with m * min(k, {bounds._DIVISION_ORDERS}) at most {bounds._MAX_DIVISION_WORK}",
     )
 
     bench = sub.add_parser("bench", help="run a timing grid from a JSON config")

@@ -2,25 +2,24 @@
 
 ``Rational`` is the standard library's ``fractions.Fraction``, which keeps
 values normalized exactly as this package requires: denominator >= 1,
-gcd(|num|, den) == 1, zero as 0/1.  The helpers here add the pieces the
-rest of the package needs on top of that: strict "p/q" parsing for
-command-line input and reproducible truncating decimal rendering.
+gcd(|num|, den) == 1, zero as 0/1.  The helpers add strict "p/q" parsing
+for command-line input and reproducible truncating decimal rendering.
 
 CPython before 3.12 converts int to str in quadratic time (the
 subquadratic path came with gh-90716), while libmpdec multiplies big
 operands with a number-theoretic transform and ``str(Decimal)`` is
-linear.  So every big int the CLI prints goes through ``int_to_str``,
-which converts it to ``Decimal`` by divide and conquer (``to_decimal``),
-and the big terms never become ints at all: ``term`` gets F_n from the
-kernel as a ``Decimal`` (``sequence.term_fast`` with
-``cast=to_decimal``), and ``seq`` sweeps in ``Decimal`` from converted
-seed terms.  All of that arithmetic runs in ``EXACT_CONTEXT``, where a
-rounding raises instead of producing wrong digits.  The way back,
-``int(Decimal)``, is quadratic on CPython 3.11 too, so nothing here
-converts a ``Decimal`` to int.  ``fixed_point`` renders every fixed-point
-decimal the package prints.  In the other direction, ``parse_rational``
-reads digit strings of any length through ``str_to_int``, which keeps
-each ``int()`` call under CPython's 4300-digit int/str limit.
+linear.  So the CLI prints Decimals.  The big terms never become ints:
+``term`` gets F_n from the kernel as a ``Decimal`` (``sequence.term_fast``
+with ``cast=to_decimal``), and ``seq`` sweeps in ``Decimal`` from
+converted seed terms.  ``gf`` and ``verify-classic`` build their big
+numbers in ``Decimal`` from terms and small factors, which ``to_decimal``
+converts by divide and conquer (``int_to_str`` renders an int so).  All
+of it runs in ``EXACT_CONTEXT``, where a rounding raises instead of
+producing wrong digits.  The way back, ``int(Decimal)``, is quadratic on
+CPython 3.11 too, so the CLI never takes it.  ``fixed_point`` renders
+every fixed-point decimal the package prints.  ``parse_rational`` reads
+digit strings of any length through ``str_to_int``, which keeps each
+``int()`` call under CPython's 4300-digit int/str limit.
 """
 
 from __future__ import annotations
@@ -146,10 +145,10 @@ def to_decimal_string(value: Rational, digits: int) -> str:
         raise ValueError(f"digit count must be >= 1, got {digits}")
     # the sign is the value's, so a small negative value prints as -0.000
     scaled = abs(value.numerator) * 10**digits // value.denominator
-    return ("-" if value < 0 else "") + fixed_point(scaled, digits)
+    return ("-" if value < 0 else "") + fixed_point(to_decimal(scaled), digits)
 
 
-def fixed_point(n: int, digits: int) -> str:
-    """n / 10^digits with exactly ``digits`` fraction digits, for digits >= 1."""
-    text = int_to_str(abs(n)).rjust(digits + 1, "0")
+def fixed_point(n: Decimal, digits: int) -> str:
+    """n / 10^digits with ``digits`` >= 1 fraction digits, for an integer ``Decimal`` n."""
+    text = str(n).lstrip("-").rjust(digits + 1, "0")
     return f"{'-' if n < 0 else ''}{text[:-digits]}.{text[-digits:]}"

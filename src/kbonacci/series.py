@@ -23,9 +23,17 @@ up to x^N except x^(k-1) (present once N >= k-1):
 So P_N needs only the last k terms F_{N-k+1} .. F_N, and the tail bound
 F_{N+1}; every entry point reads them from one checked window
 (``_checked_run``, one ``sequence.window`` call).  A report costs O(log N)
-big-integer squares for the jump and O(k) products and a few gcds of
-O(N log eta)-bit integers, against N + 1 rational multiply-adds, each with
-its own gcd, for a sweep of the terms.
+big-integer squares for the jump, O(k) products for the weighted sum of
+the run, and a few products of O(N log eta)-bit integers, against N + 1
+rational multiply-adds, each with its own gcd, for a sweep of the terms.
+
+Every number of a report is a cofactor no bigger than a term's size
+times p^e or q^(N+1), or a sum of two such.  Times p^N q^(N+1) each
+comes in lowest terms from gcds of those cofactors alone
+(``factored.strip_p_power`` and the gcds with den in ``_sums``), so no
+gcd of two p^N-sized numbers is taken, and ``EvalReport.to_json_dict``
+prints each in exact Decimal from the same factors (``factored``), so no
+p^N-sized int is converted to text.
 
 The eta > 2 restriction is the domain on which the geometric tail argument
 works; no claim is made below it.
@@ -36,9 +44,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from math import ceil, log10
+from math import ceil, gcd, log10
 
 from .bounds import _MAX_PARTIAL_DIGITS, check_jump
+from .factored import build, coprime, strip_p_power, text
 from .rational import Rational, format_ratio
 from .sequence import validate_order, window
 
@@ -85,38 +94,38 @@ class EvalReport(
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.point.k,
-            "eta": format_ratio(self.point.eta),
-            "N": self.n_trunc,
-            "partial": format_ratio(self.partial),
-            "closed": format_ratio(self.closed),
-            "tail_bound": format_ratio(self.tail_bound),
-            "residual": format_ratio(self.residual),
-            "pass": self.passed,
-        }
+        # a number the last report built is printed from its factors, once
+        # it is checked to be the field's value (factored.text)
+        key = (self.point, self.n_trunc)
+        doc = {"k": self.point.k, "eta": format_ratio(self.point.eta), "N": self.n_trunc}
+        for name in ("partial", "closed", "tail_bound", "residual"):
+            value = getattr(self, name)
+            doc[name] = text(key, name, value) or format_ratio(value)
+        doc["pass"] = self.passed
+        return doc
 
 
 def closed_form(point: SeriesPoint) -> Rational:
     """Exact value of the full series: eta(eta-1) / ((eta-2) eta^k + 1).
 
-    For eta = p/q that is p q^(k-1) / den, den from ``_denominator``.
+    For eta = p/q that is p q^(k-1) / den, den from ``_denominator``, in
+    lowest terms as den is prime to p and to q.
     """
     p, q = point.eta.numerator, point.eta.denominator
-    return Fraction(p * q ** (point.k - 1), _denominator(point))
+    return coprime(p * q ** (point.k - 1), _denominator(point))
 
 
 def partial_sum(point: SeriesPoint, n_trunc: int) -> Rational:
     """Exact sum of F_n / eta^n for n = 0 .. n_trunc.
 
     Zero below N = k-1, where every term is, and ValueError below 0; from
-    k-1 on, the closed form minus the omitted part (module docstring),
-    within the checks of ``_checked_run``.
+    k-1 on, from the last k terms (module docstring), within the checks of
+    ``_checked_run``.
     """
     _check_partial_index(n_trunc)
     if n_trunc < point.k - 1:
         return Fraction(0)
-    return closed_form(point) - _omitted(point, n_trunc, _checked_run(point, n_trunc)[:-1])
+    return _sums(point, n_trunc, _checked_run(point, n_trunc))[0]
 
 
 def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
@@ -200,25 +209,27 @@ def _checked_run(point: SeriesPoint, n_trunc: int) -> list[int]:
 
 
 def _report(point: SeriesPoint, n_trunc: int, run: list[int], bound: Rational) -> EvalReport:
-    """The report at N from run = F_{N-k+1} .. F_{N+1} and its tail bound."""
-    residual = _omitted(point, n_trunc, run[:-1])
-    closed = closed_form(point)
+    """The report at N from run = F_{N-k+1} .. F_{N+1} and the tail bound of F_{N+1}."""
+    partial, closed, residual, passed = _sums(point, n_trunc, run)
     return EvalReport(
         point=point,
         n_trunc=n_trunc,
-        partial=closed - residual,
+        partial=partial,
         closed=closed,
         tail_bound=bound,
         residual=residual,
-        passed=abs(residual) <= bound,
+        passed=passed,
     )
 
 
 def _denominator(point: SeriesPoint) -> int:
-    """den = p^k - sum_{i=1}^{k} q^i p^(k-i) for eta = p/q, positive as eta > 2.
+    """den = p^k - sum_{i=1}^{k} q^i p^(k-i) for eta = p/q, positive for eta > phi_k.
 
-    The sum is geometric, q (p^k - q^k) / (p - q), so
-    den = ((p - 2q) p^k + q^(k+1)) / (p - q), an exact division.
+    Times (q/p)^k it is the closed form's denominator (eta - 2) eta^k + 1,
+    which is positive exactly above the dominant root phi_k < 2 of the
+    recurrence.  The sum is geometric, q (p^k - q^k) / (p - q), so
+    den = ((p - 2q) p^k + q^(k+1)) / (p - q), an exact division.  den is
+    prime to p and to q, as den = -q^k (mod p) and den = p^k (mod q).
     """
     k, p, q = point.k, point.eta.numerator, point.eta.denominator
     den, rem = divmod((p - 2 * q) * p**k + q ** (k + 1), p - q)
@@ -226,28 +237,50 @@ def _denominator(point: SeriesPoint) -> int:
     return den
 
 
-def _omitted(point: SeriesPoint, n_trunc: int, run) -> Rational:
-    """Closed form - P_N for N >= k-1 from run = F_{N-k+1} .. F_N, with eta = p/q.
+def _sums(point: SeriesPoint, n_trunc: int, run: list[int]) -> tuple:
+    """P_N, the closed form, the omitted part closed - P_N and the verdict.
 
-    Times p^(N+k), the identity in the module docstring reads
-    P_N = num / (p^N den), with den from ``_denominator`` and
+    From run = F_{N-k+1} .. F_{N+1}; the verdict says the omitted part is
+    at most the tail bound of F_{N+1} (``_tail_from_term``).
 
-        num = q^(k-1) p^(N+1) - q^(N+1) sum_{j=1}^{k} q^(j-1) p^(k-j) T_j,
+    With eta = p/q, times p^(N+k) the identity in the module docstring
+    reads P_N = num / (p^N den), with den from ``_denominator`` and
+
+        num = q^(k-1) p^(N+1) - q^(N+1) acc,  acc = sum_{j=1}^{k} q^(j-1) p^(k-j) T_j,
 
     T_j = F_{N+j-k} + ... + F_N being the suffix sums of the run.  The
     first part is the closed form p q^(k-1) / den, so the omitted part is
-    (q/p)^N * q * (the sum over j) / den.  Fraction then
-    reduces by gcds with den, with the term-sized sum and with the closed
-    form's small denominator; reducing num over p^N den would take one gcd
-    of two O(N log p)-bit integers, several times slower for a large p.
+    q^(N+1) acc / (p^N den).  As den is prime to p and to q, each reduces
+    by a gcd with p^N, which for num is the one of acc (a prime l of p
+    divides p^(N+1) q^(k-1) more often than p^N), and a gcd with den, of
+    num mod den for P_N: gcds of cofactors of a term's size.
     """
-    p, q = point.eta.numerator, point.eta.denominator
-    suffixes, suffix = [], sum(run)  # T_1 .. T_k; T_{j+1} = T_j - run[j-1]
-    for oldest in run:
+    k, p, q = point.k, point.eta.numerator, point.eta.denominator
+    suffixes, suffix = [], run[-1]  # T_1 = F_{N+1} .. T_k; T_{j+1} = T_j - run[j-1]
+    for oldest in run[:-1]:
         suffixes.append(suffix)
         suffix -= oldest
     acc = _weighted_sum(suffixes, p, q)
-    return Fraction(q, p) ** n_trunc * Fraction(q * acc, _denominator(point))
+    den, head = _denominator(point), p * q ** (k - 1)  # closed = head / den
+    reduced, e, c = strip_p_power(acc, p, n_trunc)  # p^N / gcd(acc, p^N) = c p^e
+    n1 = n_trunc + 1
+    g_omitted = gcd(reduced, den)
+    g_partial = gcd(pow(p, n1, den) * q ** (k - 1) - pow(q, n1, den) * acc, den)
+
+    def sums(cast, power):
+        scale, omitted = power(p, e) * cast(c), power(q, n1) * cast(reduced)
+        scaled_den, g, h = scale * cast(den), cast(g_partial), cast(g_omitted)
+        return {
+            "partial": ((cast(head) * scale - omitted) // g, scaled_den // g),
+            "closed": (cast(head), cast(den)),
+            "residual": (omitted // h, scaled_den // h),
+        }
+
+    numbers = build((point, n_trunc), sums)
+    # times p^N / q^(N+1) the omitted part is acc / den and the tail bound
+    # F_{N+1} / (p - 2q), so the verdict takes no product of their size
+    verdict = acc * (p - 2 * q) <= run[-1] * den
+    return numbers["partial"], numbers["closed"], numbers["residual"], verdict
 
 
 def _weighted_sum(values: list[int], p: int, q: int) -> int:
@@ -276,8 +309,21 @@ def _weighted_sum(values: list[int], p: int, q: int) -> int:
 
 
 def _tail_from_term(point: SeriesPoint, n_trunc: int, f_next: int) -> Rational:
-    eta = point.eta
-    return Fraction(f_next) / eta ** (n_trunc + 1) * eta / (eta - 2)
+    """The tail bound F_{N+1} / eta^(N+1) * eta / (eta - 2) = F_{N+1} q^(N+1) / (p^N (p - 2q)).
+
+    q is prime to p and to p - 2q, so it reduces by gcds of F_{N+1} alone:
+    first with p - 2q, then with p^N (``strip_p_power``), which the rest of
+    p - 2q is then prime to.
+    """
+    p, q = point.eta.numerator, point.eta.denominator
+    g = gcd(f_next, p - 2 * q)
+    reduced, e, c = strip_p_power(f_next // g, p, n_trunc)
+    c *= (p - 2 * q) // g
+
+    def tail(cast, power):
+        return {"tail_bound": (cast(reduced) * power(q, n_trunc + 1), power(p, e) * cast(c))}
+
+    return build((point, n_trunc), tail)["tail_bound"]
 
 
 def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:

@@ -1,5 +1,7 @@
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +10,13 @@ from kbonacci import classic_sums
 from kbonacci.classic_sums import (
     ClassicReport,
     _alternating_terms_needed,
+    _millin_terms_needed,
     _scaled_difference,
     alternating_reciprocal_sum,
     millin_type_sum,
     verify_classic,
 )
-from kbonacci.rational import to_decimal_string
+from kbonacci.rational import to_decimal, to_decimal_string
 from kbonacci.sequence import range_terms, term_fast, term_naive, window
 
 
@@ -145,10 +148,19 @@ class TestClassicReport:
         assert report.abs_diff == Fraction(10136302, 10**10)
 
     def test_repr(self):
-        assert repr(ClassicReport(*self.FIELDS)) == (
+        # verify_classic's scaled numbers are integer Decimals, equal to the ints
+        assert repr(verify_classic("millin", 4)) == (
             "ClassicReport(identity='millin', terms=3, digits=4, numerator=50, denominator=21,"
-            " scaled_value=23809, scaled_target=23819, scaled_diff=10136302, passed=True)"
+            " scaled_value=Decimal('23809'), scaled_target=Decimal('23819'),"
+            " scaled_diff=Decimal('10136302'), passed=True)"
         )
+
+    @pytest.mark.parametrize("identity", ["alternating", "millin"])
+    @pytest.mark.parametrize("d", [4, 50, 5000])
+    def test_scaled_numbers_are_integer_decimals(self, identity, d):
+        report = verify_classic(identity, d)
+        for value in (report.scaled_value, report.scaled_target, report.scaled_diff):
+            assert isinstance(value, Decimal) and value.as_tuple().exponent == 0
 
     @pytest.mark.parametrize("name", ["passed", "digits", "value", "other"])
     def test_immutable(self, name):
@@ -259,21 +271,33 @@ class TestVerifyClassic:
 
     @pytest.mark.parametrize("d", [4, 50, 3000, 27000, 30000])
     def test_millin_takes_one_window_per_step(self, d, monkeypatch):
-        # step M jumps once, to F_{2^M - 1} and F_{2^M}, and tests
-        # F_{2^(M+1)} = F_{2^M} (F_{2^M} + 2 F_{2^M - 1}); the sum reuses the
-        # last pair, so nothing jumps after the search
+        # step M holds the window F_{2^M - 1}, F_{2^M} and tests
+        # F_{2^(M+1)} = F_{2^M} (F_{2^M} + 2 F_{2^M - 1}); each step doubles
+        # the index of its pair instead of jumping to it, so no step and
+        # nothing after the search calls window
         calls = []
-
-        def spy(k, n, count):
-            calls.append((k, n, count))
-            return window(k, n, count)
-
-        monkeypatch.setattr(classic_sums, "window", spy)
+        monkeypatch.setattr(classic_sums, "window", lambda *args: calls.append(args))
         report = verify_classic("millin", d)
-        assert calls == [(2, 2**m - 1, 2) for m in range(1, report.terms + 1)]
+        terms, run = _millin_terms_needed(8 * 10 ** (d - 2))
+        assert calls == []
         assert not hasattr(classic_sums, "term_fast")
         monkeypatch.undo()
+        assert terms == report.terms
+        assert run == window(2, 2**terms - 1, 2)
         assert report.value == millin_type_sum(report.terms)
+
+    @pytest.mark.parametrize(
+        "w", [0, 1, 2, 19, 20, 21, 22, 23, 50, 55, 56, 100, 113, 1000, 4301, 10**4, 36_758, 200_014]
+    )
+    def test_newton_root_is_the_integer_root(self, w):
+        s = classic_sums._sqrt5_scaled(w)
+        assert s.as_tuple().exponent == 0
+        assert s == to_decimal(isqrt(5 * 10 ** (2 * w)))
+
+    @settings(deadline=None)
+    @given(st.integers(0, 3000))
+    def test_newton_root_of_every_small_width(self, w):
+        assert classic_sums._sqrt5_scaled(w) == to_decimal(isqrt(5 * 10 ** (2 * w)))
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP 1: Millin cap")
     def test_millin_above_the_cap_passes(self):
@@ -361,6 +385,18 @@ class TestSharedRootFastPath:
         for d in range(4, 400):
             assert_matches_exact_path(verify_classic(identity, d))
         assert 0 < len(fallbacks) < 396 // 2
+
+    @pytest.mark.parametrize("identity,d", [("alternating", 5000), ("millin", 27400), ("millin", 40000)])
+    def test_large_requests_without_guard_digits_fall_back_alike(
+        self, identity, d, monkeypatch, fallbacks
+    ):
+        # the exact path takes over from the Decimal one at full size
+        fast = verify_classic(identity, d).to_json_dict()
+        monkeypatch.setattr(classic_sums, "_GUARD_DIGITS", 0)
+        report = verify_classic(identity, d)
+        assert len(fallbacks) == 1
+        assert report.to_json_dict() == fast
+        assert_matches_exact_path(report)
 
     @pytest.mark.parametrize(
         "identity,d,passed",

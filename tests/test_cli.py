@@ -21,7 +21,7 @@ from kbonacci import bounds, sequence
 from kbonacci.bench import METHODS
 from kbonacci.classic_sums import IDENTITIES, ClassicReport
 from kbonacci.rational import int_to_str, parse_rational
-from kbonacci.sequence import iter_terms, range_terms, term_fast
+from kbonacci.sequence import iter_terms, range_terms, term_fast, window
 from kbonacci.series import EvalReport, SeriesPoint, evaluate
 
 
@@ -462,20 +462,26 @@ class TestResourceGuards:
         assert run(capsys, ["digits", "-k", "100000", "-m", "10000"]) == (0, "10000\n", "")
 
     @pytest.mark.parametrize(
-        "k,m", [(100_000, 10_001), (1001, 1_000_000), (101, 10**7), (10**5, 10**7)]
+        "k,m",
+        [(6001, 10**7), (10_001, 6_000_001), (20_000, 3_000_001), (10**5, 3_000_001), (10**5, 10**7)],
     )
     def test_digits_division_bound(self, capsys, monkeypatch, k, m):
-        assert bounds._MAX_DIVISION_WORK == 10**9
+        assert (bounds._DIVISION_ORDERS, bounds._MAX_DIVISION_WORK) == (20_000, 6 * 10**10)
         argv = ["digits", "-k", str(k), "-m", str(m)]
         message = (
-            f"m * k must be <= 1000000000, got {m} * {k}:"
-            " the division of 10^m by D_k takes a time that grows as m * k"
+            f"m * min(k, 20000) must be <= 60000000000, got m = {m}, k = {k}:"
+            " the division of 10^m by D_k takes a time that grows as that"
         )
         self.refused(capsys, monkeypatch, argv, message)
 
     def test_digits_division_bound_is_inclusive(self, capsys, monkeypatch):
+        # digits -k 10000 -m 1000000, refused by a bound on m * k of 10^9,
+        # divides in 0.3 s
         monkeypatch.setattr("kbonacci.decimal_identity.reciprocal_digits", lambda den, m: str(m))
-        for k, m in ((1000, 1_000_000), (100, 10**7), (3, 10**7)):
+        for k, m in (
+            (10_000, 1_000_000), (6000, 10**7), (10_000, 6 * 10**6), (20_000, 3 * 10**6),
+            (10**5, 3 * 10**6), (3, 10**7),
+        ):
             argv = ["digits", "-k", str(k), "-m", str(m)]
             assert run(capsys, argv) == (0, f"{m}\n", "")
 
@@ -511,34 +517,34 @@ class TestResourceGuards:
         assert (code, out.split()) == (0, [*map(str, range(2, 1001)), "PASS"])
 
     @pytest.mark.parametrize(
-        "eta,n,digits", [("3", 419_179, 200_001), ("2000001/1000000", 31_739, 200_001)]
+        "eta,n,digits", [("3", 523_974, 250_001), ("2000001/1000000", 39_675, 250_006)]
     )
     def test_gf_partial_sum_bound(self, capsys, monkeypatch, eta, n, digits):
         argv = ["gf", "-k", "2", "--eta", eta, "-N", str(n)]
-        message = f"a partial sum to N = {n} has about {digits} digits, more than 200000"
+        message = f"a partial sum to N = {n} has about {digits} digits, more than 250000"
         self.refused(capsys, monkeypatch, argv, message)
 
     def test_gf_partial_sum_bound_is_inclusive(self, capsys, monkeypatch):
         reached = []
         monkeypatch.setattr("kbonacci.series.window", lambda k, n, count: reached.append(n) or 1 / 0)
-        for eta, n in (("3", 419_178), ("2000001/1000000", 31_738)):
+        for eta, n in (("3", 523_973), ("2000001/1000000", 39_674)):
             with pytest.raises(ZeroDivisionError):
                 cli.parse_and_dispatch(["gf", "-k", "2", "--eta", eta, "-N", str(n)])
-        assert reached == [419_177, 31_737]
+        assert reached == [523_972, 39_673]
 
     def test_epsilon_search_stops_before_the_bound(self, capsys):
         # eta = 2000001/1000000: each doubling checks the bound before its
-        # jump, and N = 32768 would need 206485 digits
+        # jump, and N = 65536 would need 412957 digits
         eps = "1/1" + "0" * 5000
         argv = ["gf", "-k", "2", "--eta", "2000001/1000000", "--epsilon", eps]
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
-        message = "a partial sum to N = 32768 has about 206485 digits, more than 200000"
+        message = "a partial sum to N = 65536 has about 412957 digits, more than 250000"
         assert err.startswith(f"error: {message}\nusage:")
 
     def test_epsilon_of_two_hundred_thousand_digits_is_refused(self, capsys, monkeypatch):
         # a tail bound that never shrinks: the search doubles N = 1, 2, 4, ...
-        # up to 2^18, checks the largest N within the bound, 419178, and
+        # up to 2^18, checks the largest N within the bound, 523973, and
         # refuses 2^19 without a jump to it
         calls = []
 
@@ -553,9 +559,9 @@ class TestResourceGuards:
         argv = ["gf", "-k", "2", "--eta", "3", "--epsilon", "1/1" + "0" * 200_000]
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
-        message = "a partial sum to N = 524288 has about 250150 digits, more than 200000"
+        message = "a partial sum to N = 524288 has about 250150 digits, more than 250000"
         assert err.startswith(f"error: {message}\nusage:")
-        assert calls == [2**i - 1 for i in range(19)] + [419_177]
+        assert calls == [2**i - 1 for i in range(19)] + [523_972]
 
     @pytest.mark.parametrize(
         "argv,accepted",
@@ -633,14 +639,14 @@ class TestResourceGuards:
         assert calls == [0]
 
     def test_gf_epsilon_tries_the_largest_accepted_n(self, capsys):
-        # the doubling would refuse N = 32768 (206485 digits), but N = 31738,
+        # the doubling would refuse N = 65536 (412957 digits), but N = 39674,
         # the largest within the digit bound, meets epsilon
-        eps = "1/1" + "0" * 2900
+        eps = "1/1" + "0" * 3600
         argv = ["gf", "-k", "2", "--eta", "2000001/1000000", "--epsilon", eps]
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
         lines = out.splitlines()
-        assert lines[2] == "N = 31738"
+        assert lines[2] == "N = 39674"
         assert lines[-1] == "PASS"
 
     def test_help_states_the_bounds(self, capsys):
@@ -659,7 +665,7 @@ class TestResourceGuards:
             ("verify-decimal", f"(orders) * max-k at most {bounds._MAX_SWEEP_DIGITS}"),
             ("verify-classic", f"precision, {bounds._MIN_CLASSIC_DIGITS} to {bounds._MAX_CLASSIC_DIGITS}"),
             ("digits", f"how many digits, 1 to {bounds._MAX_DIGITS}"),
-            ("digits", f"m * k at most {bounds._MAX_DIVISION_WORK}"),
+            ("digits", f"m * min(k, {bounds._DIVISION_ORDERS}) at most {bounds._MAX_DIVISION_WORK}"),
         ):
             code, out, _ = run(capsys, [command, "--help"])
             assert code == 0
@@ -786,6 +792,68 @@ class TestVerifyClassic:
         )
         assert code == 1
         assert out.splitlines()[-1] == "FAIL"
+
+
+class TestNoBigIntRendered:
+    """gf and verify-classic convert no int wider than the terms their numbers come from.
+
+    Their big numbers are powers of p and q (gf) or W-digit roots and
+    quotients (verify-classic), which they build in Decimal; what they
+    convert from int is the window's terms and sums over them, no wider
+    than the last term times p^k.
+    """
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        widths = []
+
+        def spy(original):
+            def convert(n):
+                widths.append(n.bit_length())
+                return original(n)
+
+            return convert
+
+        import kbonacci.classic_sums
+        import kbonacci.factored
+        import kbonacci.rational
+
+        for module in (kbonacci.rational, kbonacci.factored, kbonacci.classic_sums):
+            for name in ("to_decimal", "int_to_str"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(getattr(module, name)))
+        return widths
+
+    @pytest.mark.parametrize(
+        "k,eta,n",
+        [(2, "3", 20_000), (6, "586606005/146651501", 2642), (8, "12/5", 5000), (3, "64/3", 2)],
+    )
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_gf(self, capsys, widths, k, eta, n, as_json):
+        argv = ["gf", "-k", str(k), "--eta", eta, "-N", str(n)] + ["--json"] * as_json
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        point = SeriesPoint(k, parse_rational(eta))
+        p = point.eta.numerator
+        last = window(k, n - k + 1, k + 1)[-1]
+        allowed = last.bit_length() + k * p.bit_length() + k.bit_length()
+        # the spy sees the term-sized cofactors, and nothing wider
+        assert last.bit_length() // 2 <= max(widths) <= allowed
+        if n > 100:
+            # the partial sum's denominator, p^N den, is far wider
+            assert evaluate(point, n).partial.denominator.bit_length() > 2 * allowed
+
+    @pytest.mark.parametrize(
+        "identity,d", [("alternating", 50), ("alternating", 3000), ("millin", 500), ("millin", 20_000), ("millin", 40_000)]
+    )
+    def test_verify_classic(self, capsys, widths, identity, d):
+        code, out, _ = run(capsys, ["verify-classic", "--identity", identity, "--digits", str(d)])
+        terms = int(out.splitlines()[1].removeprefix("terms = "))
+        n = terms + 1 if identity == "alternating" else 2**terms - 1
+        allowed = max(window(2, n, 2)).bit_length()
+        assert 0 < max(widths) <= allowed
+        # the square root and the quotient have W = d + 14 digits
+        assert allowed < 3 * (d + 14)
 
 
 class TestDigits:
@@ -986,6 +1054,7 @@ class TestStartup:
         "kbonacci.bench",
         "kbonacci.classic_sums",
         "kbonacci.series",
+        "kbonacci.factored",
         "kbonacci.decimal_identity",
         "dataclasses",
         "inspect",
@@ -1111,7 +1180,8 @@ class TestBenchmarkRequests:
         monkeypatch.setattr("kbonacci.series._report", arithmetic)
         monkeypatch.setattr("kbonacci.decimal_identity.verify_decimal_identity", arithmetic)
         monkeypatch.setattr("kbonacci.decimal_identity.reciprocal_digits", arithmetic)
-        monkeypatch.setattr("kbonacci.classic_sums.window", arithmetic)
+        monkeypatch.setattr("kbonacci.classic_sums._alternating_terms_needed", arithmetic)
+        monkeypatch.setattr("kbonacci.classic_sums._millin_terms_needed", arithmetic)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("workload", ["term-kernel", "term-render", "verdicts"])

@@ -1,10 +1,11 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kbonacci import cli, series
+from kbonacci import cli, factored, series
 from kbonacci.rational import format_ratio, parse_rational
 from kbonacci.sequence import range_terms, term_fast, window
 from kbonacci.series import (
@@ -373,17 +374,17 @@ class TestPartialSumBound:
     @pytest.mark.parametrize(
         "k,eta,last,digits",
         [
-            (2, Fraction(3), 419_178, 200_001),
-            (8, Fraction(3), 419_172, 200_001),
-            (2, Fraction(10**9 + 1, 10**8), 22_220, 200_008),
+            (2, Fraction(3), 523_973, 250_001),
+            (8, Fraction(3), 523_967, 250_001),
+            (2, Fraction(10**9 + 1, 10**8), 27_775, 250_003),
         ],
     )
     def test_evaluate(self, no_window, k, eta, last, digits):
-        assert series._MAX_PARTIAL_DIGITS == 200_000
+        assert series._MAX_PARTIAL_DIGITS == 250_000
         point = SeriesPoint(k=k, eta=eta)
         with pytest.raises(ZeroDivisionError):
             evaluate(point, last)
-        message = f"a partial sum to N = {last + 1} has about {digits} digits, more than 200000"
+        message = f"a partial sum to N = {last + 1} has about {digits} digits, more than 250000"
         with pytest.raises(ValueError, match=message):
             evaluate(point, last + 1)
 
@@ -392,14 +393,14 @@ class TestPartialSumBound:
         # eta^(N+1) in the tail bound has about as many digits as P_N
         point = SeriesPoint(k=2, eta=Fraction(3))
         with pytest.raises(ZeroDivisionError):
-            function(point, 419_178)
-        message = "a partial sum to N = 419179 has about 200001 digits, more than 200000"
+            function(point, 523_973)
+        message = "a partial sum to N = 523974 has about 250001 digits, more than 250000"
         with pytest.raises(ValueError, match=message):
-            function(point, 419_179)
+            function(point, 523_974)
 
     def test_search_stops_before_the_jump(self, monkeypatch):
         # a tail bound that never shrinks: the search doubles N up to 2^18,
-        # checks the largest N within the bound, 419178, and refuses
+        # checks the largest N within the bound, 523973, and refuses
         # N = 2^19 without its jump
         calls = []
 
@@ -412,7 +413,7 @@ class TestPartialSumBound:
         monkeypatch.setattr(series, "_tail_from_term", lambda *args: Fraction(1))
         with pytest.raises(ValueError, match="a partial sum to N = 524288 has about 250150 digits"):
             converge_until(SeriesPoint(k=2, eta=Fraction(3)), Fraction(1, 10**10))
-        assert calls == [(1 << i) - 1 for i in range(19)] + [419_177]
+        assert calls == [(1 << i) - 1 for i in range(19)] + [523_972]
 
 
 class TestJumpBound:
@@ -463,10 +464,10 @@ class TestLargestAcceptedIndex:
     @pytest.mark.parametrize(
         "k,eta,top",
         [
-            (2, Fraction(3), 419_178),
-            (8, Fraction(3), 419_172),
-            (2, Fraction(2_000_001, 1_000_000), 31_738),
-            (2, Fraction(10**9 + 1, 10**8), 22_220),
+            (2, Fraction(3), 523_973),
+            (8, Fraction(3), 523_967),
+            (2, Fraction(2_000_001, 1_000_000), 39_674),
+            (2, Fraction(10**9 + 1, 10**8), 27_775),
         ],
     )
     def test_largest_partial_index(self, k, eta, top):
@@ -476,13 +477,13 @@ class TestLargestAcceptedIndex:
         assert digits(point, top) <= series._MAX_PARTIAL_DIGITS < digits(point, top + 1)
 
     def test_search_returns_the_largest_index(self):
-        # N = 32768 needs 206485 digits; N = 31738 meets epsilon within them
+        # N = 65536 needs 412957 digits; N = 39674 meets epsilon within them
         point = SeriesPoint(k=2, eta=Fraction(2_000_001, 1_000_000))
-        eps = Fraction(1, 10**2900)
+        eps = Fraction(1, 10**3600)
         report = converge_until(point, eps)
-        assert report.n_trunc == 31_738
+        assert report.n_trunc == 39_674
         assert report.passed
-        assert report.tail_bound <= eps < tail_bound(point, 16_384)
+        assert report.tail_bound <= eps < tail_bound(point, 32_768)
 
     def test_search_refuses_when_the_largest_index_misses(self, monkeypatch):
         calls = []
@@ -494,9 +495,9 @@ class TestLargestAcceptedIndex:
         monkeypatch.setattr(series, "window", window_call)
         monkeypatch.setattr(series, "_tail_from_term", lambda *args: Fraction(1))
         point = SeriesPoint(k=2, eta=Fraction(2_000_001, 1_000_000))
-        with pytest.raises(ValueError, match="a partial sum to N = 32768 has about 206485 digits"):
+        with pytest.raises(ValueError, match="a partial sum to N = 65536 has about 412957 digits"):
             converge_until(point, Fraction(1, 2))
-        assert calls == [(1 << i) - 1 for i in range(15)] + [31_737]
+        assert calls == [(1 << i) - 1 for i in range(16)] + [39_673]
 
     def test_no_smaller_index_than_the_first_is_tried(self, monkeypatch):
         # the first N = k - 1 already passes the bound: nothing is checked
@@ -579,7 +580,7 @@ class TestShiftedSumIdentity:
 
 
 def horner_omitted(point, n_trunc, run):
-    """``series._omitted`` by the k-step Horner loop it used to run, quadratic in k."""
+    """The omitted part closed - P_N by a k-step Horner loop, quadratic in k."""
     p, q = point.eta.numerator, point.eta.denominator
     suffix = sum(run)
     acc, q_pow = 0, 1
@@ -609,8 +610,8 @@ class TestOmittedByHalves:
     def test_halves_equal_horner(self, k, eta, extra):
         point = SeriesPoint(k=k, eta=eta)
         n_trunc = k - 1 + extra
-        run = window(k, n_trunc - k + 1, k)
-        assert series._omitted(point, n_trunc, run) == horner_omitted(point, n_trunc, run)
+        run = window(k, n_trunc - k + 1, k + 1)
+        assert series._sums(point, n_trunc, run)[2] == horner_omitted(point, n_trunc, run[:-1])
 
     @pytest.mark.parametrize("length", [*range(1, 40), 63, 64, 65, 1000])
     def test_weighted_sum_of_every_length(self, length):
@@ -618,3 +619,139 @@ class TestOmittedByHalves:
         values = [3**j + j for j in range(length)]
         expected = sum(7 ** (length - 1 - j) * 5**j * v for j, v in enumerate(values))
         assert series._weighted_sum(values, 7, 5) == expected
+
+
+def fraction_route(point, n_trunc):
+    """(partial, closed, tail bound, residual) by normalised Fraction arithmetic.
+
+    The route the reports took before they were built from their factors:
+    the closed form from eta, the omitted part by Horner's loop, the tail
+    bound from its formula, each reduced by Fraction's own gcds.
+    """
+    k, eta = point.k, point.eta
+    run = window(k, n_trunc - k + 1, k + 1)
+    closed = eta * (eta - 1) / ((eta - 2) * eta**k + 1)
+    residual = horner_omitted(point, n_trunc, run[:-1])
+    tail = Fraction(run[-1]) / eta ** (n_trunc + 1) * eta / (eta - 2)
+    return closed - residual, closed, tail, residual
+
+
+def omitted_numerator(point, n_trunc):
+    """acc, the run's weighted suffix sum (``series._sums``), by Horner's rule."""
+    p, q = point.eta.numerator, point.eta.denominator
+    run = window(point.k, n_trunc - point.k + 1, point.k)
+    suffix, acc, q_pow = sum(run), 0, 1
+    for oldest in run:
+        acc, suffix, q_pow = acc * p + q_pow * suffix, suffix - oldest, q_pow * q
+    return acc
+
+
+def valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
+# p times a smooth number, so that p shares factors with acc, with F_{N+1}
+# and (through 2) with p - 2q
+SMOOTH = [1, 2, 4, 6, 12, 30, 64, 210, 1024, 3**12, 2**10 * 3**5, 2**20]
+
+
+@st.composite
+def factored_point(draw):
+    """(k, eta, N): k up to 64, q up to 10^9, p often composite, N from k - 1."""
+    k = draw(st.integers(2, 64))
+    q = draw(st.integers(1, 10**9))
+    smooth = draw(st.sampled_from(SMOOTH))
+    p = smooth * ((2 * q) // smooth + 1 + draw(st.integers(0, 10**3)))
+    n = k - 1 + draw(st.one_of(st.integers(0, 3), st.integers(0, 400)))
+    return SeriesPoint(k=k, eta=Fraction(p, q)), n
+
+
+class TestFactoredReport:
+    """Reports built from factors equal the normalised Fraction route, and print as format_ratio."""
+
+    def check(self, point, n):
+        report = evaluate(point, n)
+        fields = (report.partial, report.closed, report.tail_bound, report.residual)
+        expected = fraction_route(point, n)
+        # Fraction equality compares numerators and denominators, so this
+        # also checks every field is in lowest terms
+        assert [(f.numerator, f.denominator) for f in fields] == [
+            (f.numerator, f.denominator) for f in expected
+        ]
+        doc = report.to_json_dict()
+        names = ("partial", "closed", "tail_bound", "residual")
+        assert [doc[name] for name in names] == [format_ratio(f) for f in expected]
+        assert report.passed
+
+    @settings(deadline=None, max_examples=150)
+    @given(factored_point())
+    @example((SeriesPoint(k=2, eta=Fraction(12, 5)), 1))
+    @example((SeriesPoint(k=6, eta=Fraction(586606005, 146651501)), 5))
+    @example((SeriesPoint(k=64, eta=Fraction(2**20, 3)), 63))
+    @example((SeriesPoint(k=3, eta=Fraction(30, 7)), 300))
+    def test_equals_the_fraction_route(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize(
+        "k,eta", [(2, Fraction(3)), (3, Fraction(3)), (2, Fraction(5, 2)), (4, Fraction(7, 3))]
+    )
+    def test_acc_with_a_high_p_adic_valuation(self, k, eta):
+        # gcd(acc, p^N) takes several steps of strip_p_power only when p
+        # divides acc several times; find such N and check them
+        point = SeriesPoint(k=k, eta=eta)
+        p = eta.numerator
+        found = [
+            n for n in range(k - 1, k + 400)
+            if valuation(omitted_numerator(point, n), p) >= 3
+        ]
+        assert len(found) >= 2
+        for n in found:
+            self.check(point, n)
+
+    def test_f_next_shares_factors_with_p_and_p_minus_2q(self):
+        # eta = 12/5: p - 2q = 2 divides every third F_{N+1}, and 12 = 2^2 * 3
+        point = SeriesPoint(k=2, eta=Fraction(12, 5))
+        for n in range(1, 60):
+            self.check(point, n)
+        assert {term_fast(2, n + 1) % 12 for n in range(1, 60)} >= {0, 2, 3}
+
+    def test_strip_p_power(self):
+        for p, x, n, expected in (
+            (12, 7, 5, (7, 5, 1)),
+            (12, 2**3 * 3**5 * 7, 5, (7, 0, 128)),  # five steps take 2^3 3^5
+            (12, 2**3 * 3**2 * 7, 5, (7, 3, 2)),  # two take 2^3 3^2: 12^5 / g = 2 * 12^3
+            (12, 12**9 * 5, 5, (12**4 * 5, 0, 1)),  # capped at n steps
+            (3, 3**40 * 2, 50, (2, 10, 1)),
+        ):
+            reduced, e, c = factored.strip_p_power(x, p, n)
+            assert (reduced, e, c) == expected
+            g = x // reduced
+            assert g == math.gcd(x, p**n) and c * p**e == p**n // g
+
+    def test_a_mutant_without_the_p_part_fails(self, monkeypatch):
+        # the checks above see a report whose p-part gcd is skipped
+        point = SeriesPoint(k=2, eta=Fraction(3))
+        n = next(
+            n for n in range(1, 400) if valuation(omitted_numerator(point, n), 3) >= 2
+        )
+        monkeypatch.setattr(series, "strip_p_power", lambda x, p, n: (x, n, 1))
+        with pytest.raises(AssertionError):
+            self.check(point, n)
+
+    def test_a_report_built_by_hand_prints_through_format_ratio(self):
+        # to_json_dict prints a field from its factors only when it is the
+        # value the last report built
+        report = evaluate(P310, 12)
+        other = report._replace(tail_bound=Fraction(1, 3), residual=report.residual * 2)
+        doc = other.to_json_dict()
+        assert doc["tail_bound"] == "1/3"
+        assert doc["residual"] == format_ratio(report.residual * 2)
+        assert doc["partial"] == format_ratio(report.partial)
+        evaluate(P210, 12)  # a new key replaces the parts
+        assert report.to_json_dict() == {
+            **doc, "tail_bound": format_ratio(report.tail_bound),
+            "residual": format_ratio(report.residual),
+        }

@@ -1,12 +1,13 @@
 """Every request limit, stated once for the CLI, the library and bench.
 
 It holds the order, index and digit bounds, the oracle methods' bounds,
-the term and jump cost model, seq's printed digits, the verify-decimal
+the term and jump cost models, seq's printed digits, the verify-decimal
 sweep, the digits division, the series partial sum, verify-classic's
 digits and bench's repetitions, each beside the measurement that sized it.
 ``check_term``, ``check_seq``, ``check_sweep``, ``check_digits`` and
 ``check_jump`` refuse a request with ValueError (exit 2 from the CLI)
-before any arithmetic.  Timings are process wall on a 2-core host,
+before any arithmetic, and ``largest_jump`` finds the top of
+``check_jump``'s range.  Timings are process wall on a 2-core host,
 CPython 3.11.
 """
 
@@ -16,7 +17,7 @@ import math
 
 from .sequence import validate_order, validate_range
 
-__all__ = ["check_term", "check_jump", "check_seq", "check_sweep", "check_digits"]
+__all__ = ["check_term", "check_jump", "largest_jump", "check_seq", "check_sweep", "check_digits"]
 
 # Every order is refused above this.  A run or residue holds k terms, and
 # D_k has k digits, so the cheapest request of each subcommand grows with k:
@@ -59,8 +60,9 @@ _MAX_DIVISION_WORK = 6 * 10**10
 # Largest partial sum a series report may need, in digits: P_N has a
 # denominator of about (N + k) log10 p digits for eta = p/q.  The report's
 # own numbers take subquadratic time, and the jump to N dominates as k
-# grows: at the bound eta = 3 takes 0.35 s at k = 2, 1.4 s at k = 8 and
-# 4.0 s at k = 16.  series refuses a report whose partial sum passes it.
+# grows: at the bound eta = 3 takes 0.35 s at k = 2 and 1.4 s at k = 8, and
+# from k = 16 check_jump stops N first.  series refuses a report whose
+# partial sum passes it.
 _MAX_PARTIAL_DIGITS = 250_000
 # verify_classic's digit range.  The run grows faster than linearly in d
 # (alternating: 0.35 s at 100k digits and 0.6 s at 200k), so a request far
@@ -80,10 +82,15 @@ def _kernel_cost(k: int, n: int) -> float:
     42 ns: term -k 2 -n 33219280 (4.6e7) takes 1.9 s, -k 16 -n 1250000
     (2.0e7) 1.1 s, and seq -k 100000 --from 400 --to 400 (4.6e7) 2.1 s.
     """
+    return k * (n * _log2_phi(k) + 64)
+
+
+def _log2_phi(k: int) -> float:
+    """log2 of the dominant root phi_k = 2 - phi_k^-k of the order-k recurrence."""
     phi = 2.0
     for _ in range(64):  # a contraction for every k >= 2
         phi = 2 - phi**-k
-    return k * (n * math.log2(phi) + 64)
+    return math.log2(phi)
 
 
 def _term_cost(k: int, n: int) -> float:
@@ -103,7 +110,8 @@ def _term_cost(k: int, n: int) -> float:
 # their own largest request accepted at k = 2, the index bound.  The jump
 # runs one more square than term, so at the same index it costs about twice
 # as much, but the same model and bound serve both: the ratio holds at
-# every k.
+# every k.  The int jump of series is held to the same bound in its own
+# model (check_jump).
 _MAX_COST = _kernel_cost(2, _MAX_INDEX)
 
 
@@ -139,20 +147,69 @@ def check_term(k: int, n: int, method: str = "polymod") -> None:
         _check_cost(_term_cost(k, n), f"F_n at k = {k}, n = {n}", "a term")
 
 
-def check_jump(k: int, n: int) -> None:
-    """Raise ValueError unless the jump-ahead of ``iter_terms(k, n)`` is within the bounds.
+_KARATSUBA = math.log2(3)
 
-    The order, the index, and ``_kernel_cost`` against that of k = 2,
-    n = _MAX_INDEX.
+
+def _int_jump_cost(k: int, n: int) -> float:
+    """Cost model of the int jump of ``iter_terms(k, n)``, in ``_kernel_cost`` units.
+
+    Each square packs the residue of x^m, coefficients of about
+    b = (m - k + 1) log2(phi_k) bits (one bit below x^k), into one int of
+    min(m + 1, k) slots of 2b + log2(k) + 8 bits, which CPython squares by
+    Karatsuba in a time growing as its bits^log2(3), not about linearly as
+    libmpdec's transform products do in the Decimal kernel.  Each square
+    also handles its k slots one by one.  So a square of P bits costs
+    P^log2(3) / 1600 units plus 44 units a slot, fitted to the time of
+    ``window(k, n, k + 1)`` over that of term -k 2 -n _MAX_INDEX (1.2-2.0 s
+    process wall) at eighteen points from k = 2 to 100000, each within 27%:
+    0.03 at k = 2, n = 523972, 0.61 at (8, 523960), 1.1 at (16, 361693),
+    1.9 at (32, 300000), 1.4 at (64, 90591), 2.8 at (256, 40000), 1.8 at
+    (1000, 10000), 1.0 at (3000, 8409), 26 at (10000, 25000) and 0.83 at
+    (100000, 1000).  ``check_jump`` takes the larger of this and
+    ``_kernel_cost``, the bits of the k terms the window holds.
+    """
+    log2_phi = _log2_phi(k)
+    cost, m = 0.0, 1  # x^m before each square
+    for bit in bin(n)[3:]:
+        bits = min(m + 1, k) * (2 * max(m - k + 1, 1) * log2_phi + k.bit_length() + 8)
+        cost += bits**_KARATSUBA / 1600 + 44 * k
+        m = 2 * m + int(bit)
+    return cost
+
+
+def check_jump(k: int, n: int) -> None:
+    """Raise ValueError unless the int jump-ahead of ``iter_terms(k, n)`` is within the bounds.
+
+    The order, the index, and the larger of ``_int_jump_cost`` and
+    ``_kernel_cost`` (the window's size) against the cost of the largest
+    term request, k = 2, n = _MAX_INDEX.  ``series`` takes its
+    windows with this jump; ``seq`` jumps in Decimal, within ``check_seq``.
     """
     validate_range(k, n, n)
     _check_order(k)
     _check_index_bound(n)
-    _check_jump_cost(k, n)
+    _check_cost(_jump_cost(k, n), f"the jump to n = {n} at k = {k}", "a term")
 
 
-def _check_jump_cost(k: int, n: int) -> None:
-    _check_cost(_kernel_cost(k, n), f"the jump to n = {n} at k = {k}", "a jump")
+def largest_jump(k: int, limit: int) -> int:
+    """The largest n <= limit whose jump ``check_jump(k, n)`` accepts; limit if below 0.
+
+    For k within the order bound, whose jump to 0 is always accepted.
+    """
+    if limit < 0 or _jump_cost(k, limit) <= _MAX_COST:
+        return limit
+    lo, hi = 0, limit  # the cost grows with n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _jump_cost(k, mid) <= _MAX_COST:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _jump_cost(k: int, n: int) -> float:
+    return max(_kernel_cost(k, n), _int_jump_cost(k, n))
 
 
 def check_seq(k: int, n0: int, n1: int) -> None:
@@ -165,7 +222,7 @@ def check_seq(k: int, n0: int, n1: int) -> None:
         raise ValueError(
             f"range {n0}..{n1} may print {bound:.3g} digits, more than {_MAX_SEQ_DIGITS}"
         )
-    _check_jump_cost(k, n0)
+    _check_cost(_kernel_cost(k, n0), f"the jump to n = {n0} at k = {k}", "a jump")
 
 
 def check_sweep(k: int, last: int) -> None:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 for success (and PASS), 1 for a verification FAIL, 2 for
-usage errors.  Verification subcommands end their standard output with a
+usage errors and output that could not be written, 141 when the reader
+closed the pipe.  Verification subcommands end their standard output with a
 PASS or FAIL line, for `tail -1`.  With --json (or bench's machine
 formats) the stream carries only the document.
 
@@ -17,6 +18,7 @@ states, and every check before arithmetic, comes from ``bounds``.
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 from decimal import localcontext
@@ -85,12 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="n_trunc",
         type=int,
         help=f"fixed truncation index, with (N + k) * log10 p at most {bounds._MAX_PARTIAL_DIGITS}"
-        " digits for eta = p/q",
+        " digits for eta = p/q, and the jump to N - k + 1 at a modelled cost at most that of"
+        f" term -k 2 -n {bounds._MAX_INDEX}",
     )
     cutoff.add_argument(
         "--epsilon",
         type=_rational_arg,
-        help="grow N until the tail bound is at most this ('p/q'), within the same bound",
+        help="grow N until the tail bound is at most this ('p/q'), within the same bounds",
     )
     gf.add_argument("--json", action="store_true", help="emit the report as JSON")
 
@@ -157,12 +160,14 @@ def _cmd_seq(args) -> int:
     from itertools import islice
 
     # jump to F_start, whose top squares run in Decimal, then sweep in exact
-    # Decimal: str(Decimal) is linear
+    # Decimal: str(Decimal) is linear.  One write a term: print makes two,
+    # each a system call when stdout is unbuffered.
     bounds.check_seq(args.k, args.start, args.stop)
+    write = sys.stdout.write
     with localcontext(EXACT_CONTEXT):
         terms = iter_terms(args.k, args.start, to_decimal)
         for value in islice(terms, args.stop - args.start + 1):
-            print(value)
+            write(f"{value}\n")
     return 0
 
 
@@ -257,28 +262,62 @@ def parse_and_dispatch(argv) -> int:
         sys.stderr.write(args.usage())
         return 2
     except BrokenPipeError:
-        _hush_closed_pipe()
+        _discard_stdout()
         return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _hush_closed_pipe() -> None:
-    # downstream closed the pipe (head, etc.); swap stdout for /dev/null
-    # so the interpreter's exit flush stays quiet
+def _discard_stdout() -> None:
+    # a write to stdout failed (a closed pipe, a full device); point fd 1 at
+    # /dev/null, so that no later flush of what is still buffered retries it
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def main() -> None:
-    code = parse_and_dispatch(sys.argv[1:])
+def _flushed(code: int) -> int:
+    """``code``, or that of a failure to write out what the run printed.
+
+    Buffered output meets a closed pipe (141) or a failing device such as
+    a full disk (2, with one error line) only at this flush.  A code of 2
+    from ``parse_and_dispatch`` has printed its error line already.
+    """
     try:
         sys.stdout.flush()
     except BrokenPipeError:
-        # buffered output can hit the closed pipe only at this flush
-        _hush_closed_pipe()
-        code = 141
-    sys.exit(code)
+        _discard_stdout()
+        return 141
+    except OSError as exc:
+        _discard_stdout()
+        if code != 2:
+            print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if sys.stderr is not None:  # None when fd 2 was closed at start-up
+        sys.stderr.flush()
+    return code
+
+
+def main() -> None:
+    """Process entry of the ``kbonacci`` console script and ``python -m kbonacci.cli``.
+
+    Runs ``parse_and_dispatch`` on ``sys.argv``, then the registered atexit
+    hooks, flushes stdout and stderr and ends the process with
+    ``os._exit``: once flushed the output is complete, and a reader waiting
+    for its end would otherwise wait for the interpreter to tear down its
+    modules and objects too.  Under a profiler or tracer (cProfile, pdb,
+    trace, coverage) it flushes and ends with ``sys.exit`` instead, so they
+    report as usual; an uncaught exception propagates as usual.  In-process
+    callers use ``parse_and_dispatch``, which returns the exit code.
+    """
+    if sys.stdout is None:
+        # fd 1 was closed at start-up: nothing the run printed would arrive
+        print("error: standard output is closed", file=sys.stderr)
+        sys.exit(2)
+    code = parse_and_dispatch(sys.argv[1:])
+    if sys.getprofile() is None and sys.gettrace() is None:
+        atexit._run_exitfuncs()  # before the flush, as at a normal exit
+        os._exit(_flushed(code))
+    sys.exit(_flushed(code))
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import ceil, gcd, log10
 
-from .bounds import _MAX_PARTIAL_DIGITS, check_jump
+from .bounds import _MAX_PARTIAL_DIGITS, check_jump, largest_jump
 from .factored import build, coprime, strip_p_power, text
 from .rational import Rational, format_ratio
 from .sequence import validate_order, window
@@ -334,20 +334,20 @@ def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
     shrinks geometrically.  The checks are N = k-1 (at least 1) and its
     doublings, each one ``_checked_run`` whose window gives the tail bound
     and, for the N that qualifies, the report.  The first doubling past
-    ``_MAX_PARTIAL_DIGITS`` digits is refused after the largest N within
-    them, unless that is below the first N: the bound decreases in N for
-    eta > 2, so no smaller N would qualify.  ValueError for epsilon <= 0
-    and within the checks of ``_checked_run``.
+    ``_MAX_PARTIAL_DIGITS`` digits or ``check_jump``'s bound is refused
+    after the largest N within both, unless that is below the first N:
+    the bound decreases in N for eta > 2, so no smaller N would qualify.
+    ValueError for epsilon <= 0 and within the checks of ``_checked_run``.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     n = max(point.k - 1, 1)
-    top = _largest_partial_index(point)
+    top = largest_jump(point.k, _largest_partial_index(point) - point.k + 1) + point.k - 1
     at = min(n - 1, top)  # no N below the first is checked
     while True:
-        # the doublings within the digit bound, then the largest N within
-        # it, then the first doubling past it, which _checked_run refuses
+        # the doublings within the bounds, then the largest N within them,
+        # then the first doubling past them, which _checked_run refuses
         at = min(n, top) if at < top else n
         run = _checked_run(point, at)
         bound = _tail_from_term(point, at, run[-1])

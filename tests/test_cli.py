@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -601,11 +603,12 @@ class TestResourceGuards:
         ],
     )
     def test_gf_jump_bound(self, capsys, monkeypatch, argv, n):
-        # the jump to F_{N-k+1} is bounded as seq's is, before any arithmetic
+        # the jump to F_{N-k+1} is bounded before any arithmetic, by the
+        # larger of its window's size in kernel units and its int squares
         ratio = "433.75" if n == 200_001 else "1.01"
         message = (
             f"the jump to n = {n} at k = 100000 has a modelled cost of {ratio} times"
-            f" the most a jump may cost, that of k = 2, n = {BOUND}"
+            f" the most a term may cost, that of k = 2, n = {BOUND}"
         )
         self.refused(capsys, monkeypatch, argv, message)
 
@@ -618,7 +621,8 @@ class TestResourceGuards:
 
     def test_gf_epsilon_search_jump_bound(self, capsys, monkeypatch):
         # a tail bound that never shrinks: the check at N = k - 1 jumps to
-        # n = 0, and the doubling to N = 199998 is refused before its jump
+        # n = 0, the largest accepted N = 100396 to 397, and the doubling to
+        # N = 199998 is refused before its jump
         calls = []
 
         def window(k, n, count):
@@ -633,10 +637,10 @@ class TestResourceGuards:
         assert (code, out) == (2, "")
         message = (
             "the jump to n = 99999 at k = 100000 has a modelled cost of 216.95 times"
-            f" the most a jump may cost, that of k = 2, n = {BOUND}"
+            f" the most a term may cost, that of k = 2, n = {BOUND}"
         )
         assert err.startswith(f"error: {message}\nusage:")
-        assert calls == [0]
+        assert calls == [0, 397]
 
     def test_gf_epsilon_tries_the_largest_accepted_n(self, capsys):
         # the doubling would refuse N = 65536 (412957 digits), but N = 39674,
@@ -662,6 +666,7 @@ class TestResourceGuards:
             ("seq", f"at most {bounds._MAX_SEQ_DIGITS} digits"),
             ("seq", f"recurrence order, 2 to {bounds._MAX_ORDER}"),
             ("gf", f"(N + k) * log10 p at most {bounds._MAX_PARTIAL_DIGITS} digits"),
+            ("gf", f"the jump to N - k + 1 at a modelled cost at most that of term -k 2 -n {bounds._MAX_INDEX}"),
             ("verify-decimal", f"(orders) * max-k at most {bounds._MAX_SWEEP_DIGITS}"),
             ("verify-classic", f"precision, {bounds._MIN_CLASSIC_DIGITS} to {bounds._MAX_CLASSIC_DIGITS}"),
             ("digits", f"how many digits, 1 to {bounds._MAX_DIGITS}"),
@@ -1024,12 +1029,173 @@ class TestDispatch:
         assert err.endswith(f"kbonacci gf: error: argument {option}: {reason}\n")
         assert "invalid" not in err
 
-    def test_main_uses_argv(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.argv", ["kbonacci", "term", "-k", "2", "-n", "7"])
-        with pytest.raises(SystemExit) as exc:
-            cli.main()
-        assert exc.value.code == 0
-        assert capsys.readouterr().out == "13\n"
+    def test_main_uses_argv(self):
+        # main ends its process, so it runs in one of its own
+        proc = entry("-m", "kbonacci.cli", "term", "-k", "2", "-n", "7")
+        assert (proc.returncode, proc.stdout) == (0, "13\n")
+
+
+def entry_env(unbuffered=True):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def entry(*args, unbuffered=True):
+    """``python *args`` in a new process, with kbonacci importable."""
+    return subprocess.run(
+        [sys.executable, *args],
+        env=entry_env(unbuffered),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def calls_main(argv, setup=""):
+    """Arguments for ``entry``: a script that runs ``setup``, then ``cli.main()`` on argv."""
+    return (
+        "-c",
+        "import atexit, sys\n"
+        "from kbonacci import cli\n"
+        f"{setup}\n"
+        f"sys.argv = ['kbonacci', *{argv!r}]\n"
+        "cli.main()\n",
+    )
+
+
+def fail_term(args):
+    print("FAIL")
+    return 1
+
+
+class TestProcessEntry:
+    """``cli.main`` ends the process once its output is flushed, without teardown."""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv,patched,code",
+        [
+            (["term", "-k", "2", "-n", "7"], False, 0),
+            (["term", "-k", "2", "-n", "7"], True, 1),
+            (["term", "-k", "2", "-n", "-1"], False, 2),
+            (["frobnicate"], False, 2),
+            (["-h"], False, 0),
+        ],
+        ids=["pass", "fail", "refusal", "usage", "help"],
+    )
+    def test_exit_code_and_output_match_in_process(
+        self, capsys, monkeypatch, argv, patched, code, unbuffered
+    ):
+        setup = ""
+        if patched:
+            monkeypatch.setitem(cli._HANDLERS, "term", fail_term)
+            setup = "cli._HANDLERS['term'] = lambda args: print('FAIL') or 1"
+        proc = entry(*calls_main(argv, setup), unbuffered=unbuffered)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, argv)
+        assert proc.returncode == code
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_pipe_exits_141_quietly(self, unbuffered):
+        # as under `| head -c 10`: the reader goes after 10 bytes of a
+        # 418k-digit term, more than a pipe holds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kbonacci.cli", "term", "-k", "2", "-n", "2000000"],
+            env=entry_env(unbuffered),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert (head, err) == (b"8531294917", b"")
+
+    @pytest.mark.parametrize(
+        "setup,code",
+        [
+            ("", 0),
+            ("sys.setprofile(lambda *args: None)", 0),
+            ("cli._HANDLERS['term'] = lambda args: 1 / 0", 1),
+        ],
+        ids=["fast", "profiled", "uncaught"],
+    )
+    def test_atexit_hooks_run_on_every_path(self, setup, code):
+        hook = "atexit.register(lambda: sys.stderr.write('hook ran\\n'))"
+        proc = entry(*calls_main(["term", "-k", "2", "-n", "7"], f"{hook}\n{setup}"))
+        assert proc.returncode == code
+        assert proc.stderr.endswith("hook ran\n")
+
+    @pytest.mark.parametrize(
+        "setup,torn_down",
+        [("", False), ("sys.setprofile(lambda *args: None)", True)],
+        ids=["fast", "profiled"],
+    )
+    def test_teardown_runs_only_under_a_profiler(self, setup, torn_down):
+        sentinel = (
+            "class Sentinel:\n"
+            "    def __del__(self, write=sys.stderr.write):\n"
+            "        write('torn down\\n')\n"
+            "sentinel = Sentinel()\n"
+        )
+        proc = entry(*calls_main(["term", "-k", "2", "-n", "7"], sentinel + setup))
+        assert (proc.returncode, proc.stdout) == (0, "13\n")
+        assert proc.stderr == ("torn down\n" if torn_down else "")
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["term", "-k", "2", "-n", "5"],  # fails at main's flush, when buffered
+            ["seq", "-k", "2", "--from", "0", "--to", "3000"],  # fails in the handler
+        ],
+        ids=["term", "seq"],
+    )
+    @pytest.mark.parametrize("target", [">&-", "> /dev/full"], ids=["closed", "full"])
+    def test_failed_write_exits_2_with_one_error_line(self, argv, target, unbuffered):
+        if target == "> /dev/full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        command = " ".join([shlex.quote(sys.executable), "-m", "kbonacci.cli", *argv, target])
+        proc = subprocess.run(
+            command,
+            shell=True,
+            env=entry_env(unbuffered),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "workload,argv",
+        [
+            ("term-render:1", ["seq", "-k", "2", "--from", "0", "--to", "20000"]),
+            ("term-render:1", ["term", "-k", "3", "-n", "1345630"]),  # the pass's top k = 3
+            ("verdicts:1", ["gf", "-k", "8", "--eta", "3", "--epsilon", "1/1" + "0" * 1500]),
+        ],
+        ids=["seq", "term", "gf"],
+    )
+    def test_no_byte_is_lost(self, workload, argv, unbuffered):
+        # against the exit code and stdout sha256 that tests/test_golden.py
+        # holds the in-process run to
+        golden = json.loads((Path(__file__).with_name("golden_requests.json")).read_text())
+        expected = [[code, digest] for recorded, code, digest in golden[workload] if recorded == argv]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kbonacci.cli", *argv],
+            env=entry_env(unbuffered),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+        digest = hashlib.sha256()
+        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+            digest.update(chunk)
+        proc.stdout.close()
+        assert expected == [[proc.wait(timeout=60), digest.hexdigest()]]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -442,20 +442,30 @@ class TestJumpBound:
             function(self.POINT, 100_397)
         assert no_jump == [397]
 
-    def test_search_step(self, monkeypatch):
-        # a tail bound that never shrinks: N = k - 1 jumps to n = 0, and
-        # N = 2(k - 1) is refused before its jump to n = 99999
-        calls = []
+    @pytest.mark.parametrize(
+        "k,calls,refused",
+        [
+            # N = k - 1 jumps to n = 0, the largest accepted N to 397, and
+            # N = 2(k - 1) is refused before its jump to n = 99999
+            (100_000, [0, 397], 99_999),
+            # the doublings of N = 15 up to 245760, then the largest N the
+            # int jump's bound accepts, 348136, below the digit bound's 523959
+            (16, [15 * (2**j - 1) for j in range(15)] + [348_121], 491_505),
+        ],
+    )
+    def test_search_step(self, monkeypatch, k, calls, refused):
+        # a tail bound that never shrinks
+        reached = []
 
         def window_call(k, n, count):
-            calls.append(n)
+            reached.append(n)
             return [0] * count
 
         monkeypatch.setattr(series, "window", window_call)
         monkeypatch.setattr(series, "_tail_from_term", lambda *args: Fraction(1))
-        with pytest.raises(ValueError, match="the jump to n = 99999 at k = 100000"):
-            converge_until(self.POINT, Fraction(1, 2))
-        assert calls == [0]
+        with pytest.raises(ValueError, match=f"the jump to n = {refused} at k = {k}"):
+            converge_until(SeriesPoint(k=k, eta=Fraction(3)), Fraction(1, 2))
+        assert reached == calls
 
 
 class TestLargestAcceptedIndex:

@@ -442,19 +442,9 @@ class TestJumpBound:
             function(self.POINT, 100_397)
         assert no_jump == [397]
 
-    @pytest.mark.parametrize(
-        "k,calls,refused",
-        [
-            # N = k - 1 jumps to n = 0, the largest accepted N to 397, and
-            # N = 2(k - 1) is refused before its jump to n = 99999
-            (100_000, [0, 397], 99_999),
-            # the doublings of N = 15 up to 245760, then the largest N the
-            # int jump's bound accepts, 348136, below the digit bound's 523959
-            (16, [15 * (2**j - 1) for j in range(15)] + [348_121], 491_505),
-        ],
-    )
-    def test_search_step(self, monkeypatch, k, calls, refused):
-        # a tail bound that never shrinks
+    @staticmethod
+    def _search_reaches(monkeypatch, k, refused):
+        # a tail bound that never shrinks; returns the n each window starts at
         reached = []
 
         def window_call(k, n, count):
@@ -465,7 +455,18 @@ class TestJumpBound:
         monkeypatch.setattr(series, "_tail_from_term", lambda *args: Fraction(1))
         with pytest.raises(ValueError, match=f"the jump to n = {refused} at k = {k}"):
             converge_until(SeriesPoint(k=k, eta=Fraction(3)), Fraction(1, 2))
-        assert reached == calls
+        return reached
+
+    def test_search_step(self, monkeypatch):
+        # N = k - 1 jumps to n = 0, the largest accepted N to 397, and
+        # N = 2(k - 1) is refused before its jump to n = 99999
+        assert self._search_reaches(monkeypatch, 100_000, 99_999) == [0, 397]
+
+    def test_search_step_small_k(self, monkeypatch):
+        # the doublings of N = 15 up to 245760, then the largest N the
+        # int jump's bound accepts, 348136, below the digit bound's 523959
+        calls = [15 * (2**j - 1) for j in range(15)] + [348_121]
+        assert self._search_reaches(monkeypatch, 16, 491_505) == calls
 
 
 class TestLargestAcceptedIndex:

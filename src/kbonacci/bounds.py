@@ -6,8 +6,8 @@ sweep, the digits division, the series partial sum, verify-classic's
 digits and bench's repetitions, each beside the measurement that sized it.
 ``check_term``, ``check_seq``, ``check_sweep``, ``check_digits`` and
 ``check_jump`` refuse a request with ValueError (exit 2 from the CLI)
-before any arithmetic, and ``largest_jump`` finds the top of
-``check_jump``'s range.  Timings are process wall on a 2-core host,
+before any arithmetic, and ``jump_fits`` tells whether ``check_jump``
+accepts a jump's cost.  Timings are process wall on a 2-core host,
 CPython 3.11.
 """
 
@@ -17,7 +17,7 @@ import math
 
 from .sequence import validate_order, validate_range
 
-__all__ = ["check_term", "check_jump", "largest_jump", "check_seq", "check_sweep", "check_digits"]
+__all__ = ["check_term", "check_jump", "jump_fits", "check_seq", "check_sweep", "check_digits"]
 
 # Every order is refused above this.  A run or residue holds k terms, and
 # D_k has k digits, so the cheapest request of each subcommand grows with k:
@@ -191,21 +191,9 @@ def check_jump(k: int, n: int) -> None:
     _check_cost(_jump_cost(k, n), f"the jump to n = {n} at k = {k}", "a term")
 
 
-def largest_jump(k: int, limit: int) -> int:
-    """The largest n <= limit whose jump ``check_jump(k, n)`` accepts; limit if below 0.
-
-    For k within the order bound, whose jump to 0 is always accepted.
-    """
-    if limit < 0 or _jump_cost(k, limit) <= _MAX_COST:
-        return limit
-    lo, hi = 0, limit  # the cost grows with n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _jump_cost(k, mid) <= _MAX_COST:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def jump_fits(k: int, n: int) -> bool:
+    """Whether ``check_jump(k, n)`` accepts the jump's cost, which grows with n."""
+    return _jump_cost(k, n) <= _MAX_COST
 
 
 def _jump_cost(k: int, n: int) -> float:

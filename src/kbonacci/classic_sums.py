@@ -11,24 +11,20 @@ Both truncated sums telescope to closed forms in a couple of terms:
 the second from I. J. Good, Fibonacci Quart. 12 (1974) 346.  So each
 partial sum is an exact rational p/q, kept as two ints.
 
-Its distance to the irrational target (a - sqrt 5)/c is decided with
-exact integer arithmetic: no tolerance, no error budget.
-``verify_classic`` takes every printed line and the verdict from one
-square root s = floor(sqrt(5) 10^W) and one division v = |p| 10^W // q,
-at W = d + 6 + ``_GUARD_DIGITS`` digits.  The value's and the target's
-d-digit truncations follow from them exactly; the distance's truncation
-at d + 6 digits, and with it the verdict, follows unless a truncation
-boundary falls inside an interval of c + 1 units of 10^-W, and then the
-exact ``_scaled_difference`` decides it.
+Both truncation searches double one Fibonacci pair (``_doublings``) and
+stop on the pair the sum is built from.  The distance to the irrational
+target (a - sqrt 5)/c is decided with exact integer arithmetic, from one
+square root and one division (``verify_classic``): no tolerance, no
+error budget.
 
 All of that runs in exact ``Decimal`` (libmpdec multiplies and divides
 big operands in subquadratic time, and ``str(Decimal)`` is linear): p
-and q are built from the two window terms they come from, each converted
-once, s comes from Newton's iteration for 1/sqrt 5 on rounded products
-and an exact fix-up (``_sqrt5_scaled``), and the three lines are
-rendered from the resulting integer Decimals.  So no int wider than a
-window term is converted to text, no ``Fraction`` normalises an
-O(d)-digit number, and no ``Decimal`` is converted back to int.
+and q are built from the two Fibonacci terms they come from, each
+converted once, s comes from Newton's iteration for 1/sqrt 5 on rounded
+products and an exact fix-up (``_sqrt5_scaled``), and the three lines
+are rendered from the resulting integer Decimals.  So no int wider than
+a term is converted to text, no ``Fraction`` normalises an O(d)-digit
+number, and no ``Decimal`` is converted back to int.
 
 The alternating sum starts at n = 1.  Writing it from n = 0 would
 divide by F_0 = 0; the n = 1 start is what actually produces the
@@ -39,12 +35,14 @@ from __future__ import annotations
 
 import decimal
 from collections import namedtuple
+from collections.abc import Iterator
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
 from .bounds import _MAX_CLASSIC_DIGITS, _MIN_CLASSIC_DIGITS
-from .rational import EXACT_CONTEXT, Rational, fixed_point, to_decimal
+from .rational import EXACT_CONTEXT, Rational, fixed_point, str_to_int, to_decimal
 from .sequence import window
 
 __all__ = [
@@ -87,7 +85,7 @@ def millin_type_sum(m_terms: int) -> Rational:
         raise ValueError(f"term count must be >= 0, got {m_terms}")
     if m_terms == 0:
         return Fraction(1)
-    return Fraction(*_millin_parts(*window(2, 2**m_terms - 1, 2)))
+    return Fraction(*_millin_parts(*next(islice(_doublings(1, 1), m_terms - 1, None))))
 
 
 def _millin_parts(a: int, b: int) -> tuple[int, int]:
@@ -95,16 +93,16 @@ def _millin_parts(a: int, b: int) -> tuple[int, int]:
     return 3 * b - a, b
 
 
-def _scaled_difference(x: Rational, a: int, c: int, w: int) -> int:
-    """(x - (a - sqrt 5)/c) * 10^w truncated toward zero, exactly.
+def _scaled_difference(p: int, q: int, a: int, c: int, w: int) -> int:
+    """(p/q - (a - sqrt 5)/c) * 10^w truncated toward zero, exactly, for q > 0.
 
-    With x = p/q the scaled difference is (A + sqrt B)/(qc), where
-    A = (pc - aq) 10^w and B = 5 (q 10^w)^2.  B is five times a nonzero
-    square, so sqrt B lies strictly between s = isqrt(B) and s + 1: the
-    difference is positive with floor (A + s) // (qc) when A + s >= 0, and
-    negative with |difference| flooring to (-A - s - 1) // (qc) otherwise.
+    The scaled difference is (A + sqrt B)/(qc), where A = (pc - aq) 10^w
+    and B = 5 (q 10^w)^2.  B is five times a nonzero square, so sqrt B
+    lies strictly between s = isqrt(B) and s + 1: the difference is
+    positive with floor (A + s) // (qc) when A + s >= 0, and negative with
+    |difference| flooring to (-A - s - 1) // (qc) otherwise.  p/q need not
+    be in lowest terms.
     """
-    p, q = x.numerator, x.denominator
     scale = 10**w
     bound = (p * c - a * q) * scale + isqrt(5 * (q * scale) ** 2)
     if bound >= 0:
@@ -129,8 +127,8 @@ class ClassicReport(
     ``passed`` says that distance is below 10^(-digits+2), which the
     truncated distance decides exactly: the distance is irrational, so it
     never equals the threshold.  ``value``, ``target`` and ``abs_diff`` are
-    the same three numbers as exact fractions, converted on demand:
-    ``int(Decimal)`` is quadratic in the digits, so the CLI never asks.
+    the same three numbers as exact fractions, converted on demand; the
+    CLI never asks.
     """
 
     __slots__ = ()
@@ -139,13 +137,14 @@ class ClassicReport(
     def value(self) -> Rational:
         return Fraction(self.numerator, self.denominator)
 
+    # through str: int(Decimal) is quadratic on CPython 3.11, str linear
     @property
     def target(self) -> Rational:
-        return Fraction(int(self.scaled_target), 10**self.digits)
+        return Fraction(str_to_int(str(self.scaled_target)), 10**self.digits)
 
     @property
     def abs_diff(self) -> Rational:
-        return Fraction(int(self.scaled_diff), 10 ** (self.digits + 6))
+        return Fraction(str_to_int(str(self.scaled_diff)), 10 ** (self.digits + 6))
 
     def to_json_dict(self) -> dict:
         # the same strings as rational.to_decimal_string of the three
@@ -162,37 +161,42 @@ class ClassicReport(
         }
 
 
+def _doublings(a: int, b: int) -> Iterator[tuple[int, int]]:
+    """F_{n-1}, F_n from a = F_{n-1}, b = F_n, then the same at 2n, 4n, ...
+
+    F_{2n-1} = F_n^2 + F_{n-1}^2 and F_{2n} = F_n (F_n + 2 F_{n-1}): three
+    products of the pair's size a step, where a ``window`` jump from F_0
+    squares log2 n times.  A step runs only once the caller asks for it.
+    """
+    while True:
+        yield a, b
+        a, b = a * a + b * b, b * (b + 2 * a)
+
+
 def _alternating_terms_needed(threshold_den: int) -> tuple[int, list[int]]:
-    """Smallest checked N whose first omitted term is below 1/threshold_den.
+    """Smallest N of 4, 8, 16, ... whose first omitted term is below 1/threshold_den.
 
     The alternating series' truncation error is bounded by the next
-    term, 1/(F_{N+1} * F_{N+3}).  Returns N with [F_{N+1}, F_{N+2}]: the
-    sum needs them, and the search's last window already holds them.
+    term, 1/(F_{N+1} * F_{N+3}).  Returns N with [F_{N+1}, F_{N+2}],
+    which the sum needs.
     """
-    n = 4
-    while True:
-        fib = window(2, n + 1, 3)
-        if fib[0] * fib[2] > threshold_den:
-            return n, fib[:2]
-        n *= 2
+    for j, (a, b) in enumerate(_doublings(2, 3)):  # F_{N-1}, F_N at N = 4 * 2^j
+        f1, f2 = a + b, a + 2 * b  # F_{N+1}, F_{N+2}
+        if f1 * (f1 + f2) > threshold_den:
+            return 4 << j, [f1, f2]
 
 
 def _millin_terms_needed(threshold_den: int) -> tuple[int, list[int]]:
     """Smallest M whose first omitted term 1/F_{2^(M+1)} is below 1/threshold_den.
 
     Later omitted terms shrink so fast their total stays under twice
-    the first one.  Step M holds a = F_{2^M - 1} and b = F_{2^M}, from
-    a = b = 1 at M = 1, and doubles the index: F_{2n-1} = F_n^2 + F_{n-1}^2
-    and F_{2n} = F_n (F_n + 2 F_{n-1}), so the next pair is
-    (a^2 + b^2, b (b + 2a)) and its b is the term the step tests.  Returns
-    M with [a, b], which the sum needs.  Stops at the cap.
+    the first one.  Step M holds a = F_{2^M - 1}, b = F_{2^M} and tests
+    F_{2^(M+1)} = b (b + 2a).  Returns M with [a, b], which the sum needs.
+    Stops at the cap.
     """
-    m, a, b = 1, 1, 1
-    while True:
-        doubled = b * (b + 2 * a)
-        if m == _MAX_MILLIN_TERMS or doubled > threshold_den:
+    for m, (a, b) in enumerate(_doublings(1, 1), 1):
+        if m == _MAX_MILLIN_TERMS or b * (b + 2 * a) > threshold_den:
             return m, [a, b]
-        m, a, b = m + 1, a * a + b * b, doubled
 
 
 def _sqrt5_scaled(w: int) -> Decimal:
@@ -283,7 +287,7 @@ def verify_classic(identity: str, d: int) -> ClassicReport:
         step = c * 10**_GUARD_DIGITS  # from W digits down to d + 6
         diff = max(lo, -hi, Decimal(0)) // step
         if diff != max(-lo, hi) // step:
-            diff = to_decimal(abs(_scaled_difference(Fraction(p, q), a, c, work)))
+            diff = to_decimal(abs(_scaled_difference(p, q, a, c, work)))
         value = v // cut if p > 0 else -(v // cut)
     return ClassicReport(
         identity=identity,

@@ -33,8 +33,15 @@ __all__ = ["build_parser", "parse_and_dispatch", "main"]
 _DEFAULT_EPSILON = Rational(1, 10**30)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse's print_usage(sys.stderr) writes to stdout if that is None
+        _error(self.format_usage())
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kbonacci",
         description="Exact k-bonacci terms, series evaluation, and identity checks.",
     )
@@ -97,7 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gf.add_argument("--json", action="store_true", help="emit the report as JSON")
 
-    vdec = sub.add_parser("verify-decimal", help="check the 1/D_k digit identity")
+    vdec = sub.add_parser(
+        "verify-decimal",
+        help="check the 1/D_k digit identity",
+        description="Check sum F_n / 10^(n+1) = 1/D_k, D_k being k-1 eights and a nine, by"
+        " the closed form's algebra at eta = 10: D_k from the geometric sum, from its written"
+        " digits and from (8*10^k + 1)/9 must agree.  No term of the series is summed.",
+    )
     vdec.add_argument("-k", type=int, required=True, help=order_help)
     vdec.add_argument(
         "--max-k",
@@ -258,21 +271,33 @@ def parse_and_dispatch(argv) -> int:
     try:
         return _HANDLERS[args.command](args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.stderr.write(args.usage())
+        _error(f"error: {exc}\n{args.usage()}")
         return 2
     except BrokenPipeError:
-        _discard_stdout()
+        _discard(sys.stdout)
         return 141
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}\n")
         return 2
 
 
-def _discard_stdout() -> None:
-    # a write to stdout failed (a closed pipe, a full device); point fd 1 at
-    # /dev/null, so that no later flush of what is still buffered retries it
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+def _error(text: str) -> None:
+    # write and flush text on stderr if it can take it: sys.stderr is None
+    # when fd 2 was closed at start-up, and a read-only fd 2 fails the write
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except AttributeError:
+        pass
+    except OSError:
+        _discard(sys.stderr)
+
+
+def _discard(stream) -> None:
+    # a write to the stream failed (a closed pipe, a full device); point its
+    # fd at /dev/null, so that no later flush of what is still buffered
+    # retries it
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _flushed(code: int) -> int:
@@ -285,15 +310,14 @@ def _flushed(code: int) -> int:
     try:
         sys.stdout.flush()
     except BrokenPipeError:
-        _discard_stdout()
+        _discard(sys.stdout)
         return 141
     except OSError as exc:
-        _discard_stdout()
+        _discard(sys.stdout)
         if code != 2:
-            print(f"error: {exc}", file=sys.stderr)
+            _error(f"error: {exc}\n")
         return 2
-    if sys.stderr is not None:  # None when fd 2 was closed at start-up
-        sys.stderr.flush()
+    _error("")  # flushes what stderr holds
     return code
 
 
@@ -311,7 +335,7 @@ def main() -> None:
     """
     if sys.stdout is None:
         # fd 1 was closed at start-up: nothing the run printed would arrive
-        print("error: standard output is closed", file=sys.stderr)
+        _error("error: standard output is closed\n")
         sys.exit(2)
     code = parse_and_dispatch(sys.argv[1:])
     if sys.getprofile() is None and sys.gettrace() is None:

@@ -81,8 +81,7 @@ def parse_rational(text: str) -> Rational:
     den = str_to_int(den) if den else 1
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    sign = -1 if num[0] == "-" else 1
-    return Fraction(sign * str_to_int(num.lstrip("+-")), den)
+    return Fraction(str_to_int(num), den)
 
 
 def to_decimal(n: int) -> Decimal:
@@ -119,11 +118,13 @@ def int_to_str(n: int) -> str:
 
 
 def str_to_int(digits: str) -> int:
-    """``int(digits)`` of a string of decimal digits, however long.
+    """``int(digits)`` of a string of decimal digits with an optional sign, however long.
 
     Splits in halves down to pieces ``int()`` takes under CPython's
     int/str limit, then joins them with powers of ten.
     """
+    if digits.startswith("-"):
+        return -str_to_int(digits[1:])
     if len(digits) <= _LEAF_DIGITS:
         return int(digits)
     half = len(digits) // 2

@@ -41,12 +41,13 @@ works; no claim is made below it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from math import ceil, gcd, log10
 
-from .bounds import _MAX_PARTIAL_DIGITS, check_jump, largest_jump
+from .bounds import _MAX_PARTIAL_DIGITS, check_jump, jump_fits
 from .factored import build, coprime, strip_p_power, text
 from .rational import Rational, format_ratio
 from .sequence import validate_order, window
@@ -177,13 +178,18 @@ def _partial_digits(point: SeriesPoint, n_trunc: int) -> int:
     return ceil((n_trunc + point.k) * log10(point.eta.numerator))
 
 
-def _largest_partial_index(point: SeriesPoint) -> int:
-    """The largest N whose partial sum is within ``_MAX_PARTIAL_DIGITS`` digits."""
-    # one below the estimate, so float rounding cannot put it past the bound
-    n = int(_MAX_PARTIAL_DIGITS / log10(point.eta.numerator)) - point.k - 1
-    while _partial_digits(point, n + 1) <= _MAX_PARTIAL_DIGITS:
-        n += 1
-    return n
+def _largest_index(point: SeriesPoint) -> int:
+    """The largest N >= k-1 that ``_checked_run`` accepts, or k-2 if none.
+
+    Both of its checks, the digits and the jump's cost, grow with N, and no
+    N of 3 ``_MAX_PARTIAL_DIGITS`` passes the first (p >= 3): one bisection.
+    """
+    k = point.k
+
+    def refused(n):
+        return _partial_digits(point, n) > _MAX_PARTIAL_DIGITS or not jump_fits(k, n - k + 1)
+
+    return k - 2 + bisect_left(range(k - 1, 3 * _MAX_PARTIAL_DIGITS), True, key=refused)
 
 
 def _checked_run(point: SeriesPoint, n_trunc: int) -> list[int]:
@@ -333,17 +339,17 @@ def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
     minimal one.  Terminates for every epsilon > 0 because the bound
     shrinks geometrically.  The checks are N = k-1 (at least 1) and its
     doublings, each one ``_checked_run`` whose window gives the tail bound
-    and, for the N that qualifies, the report.  The first doubling past
-    ``_MAX_PARTIAL_DIGITS`` digits or ``check_jump``'s bound is refused
-    after the largest N within both, unless that is below the first N:
-    the bound decreases in N for eta > 2, so no smaller N would qualify.
-    ValueError for epsilon <= 0 and within the checks of ``_checked_run``.
+    and, for the N that qualifies, the report.  The first doubling that
+    ``_checked_run`` refuses is refused after ``_largest_index``, unless
+    that is below the first N: the bound decreases in N for eta > 2, so
+    no smaller N would qualify.  ValueError for epsilon <= 0 and within
+    the checks of ``_checked_run``.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     n = max(point.k - 1, 1)
-    top = largest_jump(point.k, _largest_partial_index(point) - point.k + 1) + point.k - 1
+    top = _largest_index(point)
     at = min(n - 1, top)  # no N below the first is checked
     while True:
         # the doublings within the bounds, then the largest N within them,

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from kbonacci import bounds
+from kbonacci import bounds, series
+from kbonacci.series import SeriesPoint
 
 # Not a request limit: the Millin search's cap is the known false FAIL of
 # ROADMAP item 1, which caps a search instead of refusing a request.
@@ -34,9 +35,9 @@ class TestCostBound:
         ],
     )
     def test_just_inside_and_outside(self, check, k, n):
-        if check == "jump":  # the top series' --epsilon search tries
-            assert bounds.largest_jump(k, self.M) == n
-            assert bounds.largest_jump(k, n - 1) == n - 1
+        if check == "jump":  # the top N = n + k - 1 a series' --epsilon search tries
+            assert bounds.jump_fits(k, n) and not bounds.jump_fits(k, n + 1)
+            assert series._largest_index(SeriesPoint(k=k, eta=3)) == n + k - 1
         check = getattr(bounds, f"check_{check}")
         check(k, n)
         with pytest.raises(ValueError, match="has a modelled cost of 1.01 times the most"):

@@ -167,6 +167,17 @@ class TestClassicReport:
         with pytest.raises(AttributeError):
             setattr(ClassicReport(*self.FIELDS), name, 0)
 
+    @pytest.mark.parametrize(
+        "identity,d", [("alternating", 27000), ("millin", 27000), ("alternating", 30000)]
+    )
+    def test_fractions_of_a_large_report(self, identity, d):
+        # target and abs_diff come back from their Decimals through str, not
+        # int(Decimal); the alternating target is negative, Millin's positive
+        report = verify_classic(identity, d)
+        numbers, _ = exact_lines(identity, d, report.terms)
+        assert (report.value, report.target, report.abs_diff) == numbers
+        assert (report.target < 0) == (identity == "alternating")
+
 
 class TestVerifyClassic:
     @pytest.mark.parametrize("identity", ["alternating", "millin"])
@@ -246,7 +257,9 @@ class TestVerifyClassic:
         ],
     )
     def test_scaled_difference_truncates_toward_zero(self, x, a, c, w, expected):
-        assert _scaled_difference(x, a, c, w) == expected
+        assert _scaled_difference(x.numerator, x.denominator, a, c, w) == expected
+        # p/q need not be in lowest terms
+        assert _scaled_difference(3 * x.numerator, 3 * x.denominator, a, c, w) == expected
 
     def test_alternating_search_has_no_cap(self):
         # the doubling search used to stop at 2^20 terms, a false FAIL from
@@ -256,18 +269,15 @@ class TestVerifyClassic:
         assert terms == 2**21
 
     @pytest.mark.parametrize("d", [50, 3000, 30000])
-    def test_alternating_takes_its_last_window_once(self, d, monkeypatch):
-        # the search's last window holds F_{N+1} and F_{N+2}, which the sum
-        # reuses instead of a second jump to the same index
+    def test_alternating_takes_no_window(self, d, monkeypatch):
+        # the search doubles F_{N-1}, F_N from N = 4 and reads F_{N+1},
+        # F_{N+2} off the pair it stops on, so neither it nor the sum jumps
         calls = []
-
-        def spy(k, n, count):
-            calls.append(n)
-            return window(k, n, count)
-
-        monkeypatch.setattr(classic_sums, "window", spy)
+        monkeypatch.setattr(classic_sums, "window", lambda *args: calls.append(args))
         report = verify_classic("alternating", d)
-        assert calls.count(report.terms + 1) == 1
+        assert calls == []
+        monkeypatch.undo()
+        assert report.value == alternating_reciprocal_sum(report.terms)
 
     @pytest.mark.parametrize("d", [4, 50, 3000, 27000, 30000])
     def test_millin_takes_one_window_per_step(self, d, monkeypatch):
@@ -304,6 +314,48 @@ class TestVerifyClassic:
         assert verify_classic("millin", 30000).passed
 
 
+def alternating_search_by_windows(threshold_den: int) -> tuple:
+    """The alternating search by jumps: window(2, N + 1, 3) from F_0 at N = 4, 8, 16, ..."""
+    n = 4
+    while True:
+        fib = window(2, n + 1, 3)
+        if fib[0] * fib[2] > threshold_den:
+            return n, fib[:2]
+        n *= 2
+
+
+def millin_search_by_windows(threshold_den: int) -> tuple:
+    """The Millin search by jumps: F_{2^(M+1)}, then F_{2^M - 1}, F_{2^M}, each from F_0."""
+    m = 1
+    while True:
+        if m == classic_sums._MAX_MILLIN_TERMS or window(2, 2 ** (m + 1), 1)[0] > threshold_den:
+            return m, window(2, 2**m - 1, 2)
+        m += 1
+
+
+class TestSearchOracles:
+    """The doubling searches stop where the window-stepping ones stop, on the same pair."""
+
+    DIGITS = [*range(4, 400), 1000, 3000, 27000, 27500, 30000, 100_000]
+
+    @pytest.mark.parametrize(
+        "search,oracle",
+        [
+            (_alternating_terms_needed, alternating_search_by_windows),
+            (_millin_terms_needed, millin_search_by_windows),
+        ],
+        ids=["alternating", "millin"],
+    )
+    def test_searches_match_the_window_oracles(self, search, oracle):
+        for d in self.DIGITS:
+            threshold = 8 * 10 ** (d - 2)
+            assert search(threshold) == oracle(threshold), d
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 17])
+    def test_millin_sum_from_its_doublings(self, m):
+        assert millin_type_sum(m) == Fraction(*classic_sums._millin_parts(*window(2, 2**m - 1, 2)))
+
+
 def exact_lines(identity: str, d: int, terms: int) -> tuple:
     """The report's three numbers and its JSON document, by the exact
     ``_scaled_difference`` path alone: one Fraction sum, two isqrt-based
@@ -312,8 +364,8 @@ def exact_lines(identity: str, d: int, terms: int) -> tuple:
         value, a, c = alternating_reciprocal_sum(terms), 2, 1
     else:
         value, a, c = millin_type_sum(terms), 7, 2
-    target = Fraction(-_scaled_difference(Fraction(0), a, c, d), 10**d)
-    diff = abs(_scaled_difference(value, a, c, d + 6))
+    target = Fraction(-_scaled_difference(0, 1, a, c, d), 10**d)
+    diff = abs(_scaled_difference(value.numerator, value.denominator, a, c, d + 6))
     abs_diff = Fraction(diff, 10 ** (d + 6))
     doc = {
         "identity": identity,

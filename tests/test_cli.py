@@ -358,6 +358,18 @@ class TestVerifyDecimal:
         assert code == 1
         assert out.splitlines()[-1].endswith("FAIL")
 
+    def test_help_says_what_is_checked(self, capsys, monkeypatch):
+        # the verdict is the closed form's algebra at eta = 10, not a sum of
+        # terms: series takes no window
+        code, out, _ = run(capsys, ["verify-decimal", "--help"])
+        assert code == 0
+        text = " ".join(out.split())
+        assert "closed form's algebra at eta = 10" in text
+        assert "from the geometric sum, from its written digits and from (8*10^k + 1)/9" in text
+        assert "No term of the series is summed." in text
+        monkeypatch.setattr("kbonacci.series.window", None)
+        assert run(capsys, ["verify-decimal", "-k", "2", "--max-k", "40"])[0] == 0
+
 
 class TestResourceGuards:
     """A-priori bounds that refuse a request with exit 2 before any arithmetic."""
@@ -1034,6 +1046,18 @@ class TestDispatch:
         proc = entry("-m", "kbonacci.cli", "term", "-k", "2", "-n", "7")
         assert (proc.returncode, proc.stdout) == (0, "13\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["term", "-k", "2", "-n", "-1"], ["gf", "-k", "2", "--eta", "3/0"], ["frobnicate"]],
+        ids=["refusal", "bad-rational", "usage"],
+    )
+    def test_no_stderr_keeps_stdout_empty(self, capsys, monkeypatch, argv):
+        # fd 2 closed at start-up leaves sys.stderr None, and print(file=None)
+        # and argparse's print_usage(None) would write to stdout
+        monkeypatch.setattr(sys, "stderr", None)
+        assert cli.parse_and_dispatch(argv) == 2
+        assert capsys.readouterr().out == ""
+
 
 def entry_env(unbuffered=True):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -1169,6 +1193,28 @@ class TestProcessEntry:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "setup", ["", "sys.setprofile(lambda *args: None)"], ids=["fast", "profiled"]
+    )
+    @pytest.mark.parametrize(
+        "argv", [["term", "-k", "2", "-n", "-1"], ["frobnicate"]], ids=["refusal", "usage"]
+    )
+    @pytest.mark.parametrize("target", ["2>&-", "2< /dev/null"], ids=["closed", "read-only"])
+    def test_unwritable_stderr_exits_2_with_stdout_empty(self, argv, setup, target, unbuffered):
+        # exit 1 would read as a verification FAIL; a read-only fd 2 fails
+        # each write, and under a profiler the interpreter's own last flush
+        script = " ".join(shlex.quote(arg) for arg in calls_main(argv, setup))
+        proc = subprocess.run(
+            f"{shlex.quote(sys.executable)} {script} {target}",
+            shell=True,
+            env=entry_env(unbuffered),
+            stdout=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize(

@@ -144,6 +144,12 @@ class TestStrToInt:
     def test_leading_zeros(self):
         assert str_to_int("0" * 10_000 + "12") == 12
 
+    @pytest.mark.parametrize("sign", ["-", "+"])
+    @pytest.mark.parametrize("length", [1, 4301, 50_000])
+    def test_sign(self, sign, length):
+        digits = sign + "7" * length
+        assert str_to_int(digits) == int(digits)
+
 
 @pytest.mark.usefixtures("lifted_str_limit")  # for the oracle str()
 class TestIntToStr:

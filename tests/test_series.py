@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kbonacci import cli, factored, series
+from kbonacci import bounds, cli, factored, series
 from kbonacci.rational import format_ratio, parse_rational
 from kbonacci.sequence import range_terms, term_fast, window
 from kbonacci.series import (
@@ -469,8 +469,44 @@ class TestJumpBound:
         assert self._search_reaches(monkeypatch, 16, 491_505) == calls
 
 
+def largest_partial_index_oracle(point):
+    """The largest N whose partial sum is within the digit bound, from a float
+    estimate and a linear walk."""
+    n = int(series._MAX_PARTIAL_DIGITS / math.log10(point.eta.numerator)) - point.k - 1
+    while series._partial_digits(point, n + 1) <= series._MAX_PARTIAL_DIGITS:
+        n += 1
+    return n
+
+
+def largest_jump_oracle(k, limit):
+    """The largest n <= limit whose jump check_jump(k, n) accepts; limit if below 0."""
+    if limit < 0 or bounds._jump_cost(k, limit) <= bounds._MAX_COST:
+        return limit
+    lo, hi = 0, limit
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bounds._jump_cost(k, mid) <= bounds._MAX_COST:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+ORACLE_ORDERS = [
+    2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16, 17, 20, 24, 28, 32, 40, 48, 64, 80, 100, 128,
+    200, 256, 300, 500, 1000, 1500, 2000, 3000, 5000, 8000, 10_000, 20_000, 30_000, 50_000,
+    70_000, 100_000,
+]
+ORACLE_ETAS = [
+    Fraction(3), Fraction(5, 2), Fraction(7, 2), Fraction(2001, 1000),
+    Fraction(2_000_001, 1_000_000), Fraction(10**9 + 1, 10**8), Fraction(4_000_000_007, 10**9),
+    Fraction(5), Fraction(10), Fraction(100), Fraction(10**5 + 1), Fraction(586_606_005, 146_651_501),
+    Fraction(10**40 + 1, 10**40 // 3),
+]
+
+
 class TestLargestAcceptedIndex:
-    """When the doubling passes the digit bound, the search tries its largest N."""
+    """When the doubling passes a bound, the search tries the largest N within both."""
 
     @pytest.mark.parametrize(
         "k,eta,top",
@@ -482,10 +518,24 @@ class TestLargestAcceptedIndex:
         ],
     )
     def test_largest_partial_index(self, k, eta, top):
+        # here the digit bound stops N before the jump bound does
         point = SeriesPoint(k=k, eta=eta)
-        assert series._largest_partial_index(point) == top
+        assert series._largest_index(point) == top
         digits = series._partial_digits
         assert digits(point, top) <= series._MAX_PARTIAL_DIGITS < digits(point, top + 1)
+
+    def test_one_bisection_matches_the_two_chained_searches(self):
+        # the digit bound's walk, then the jump bound's bisection below it;
+        # where no N >= k-1 passes, the bisection gives k - 2
+        assert len(ORACLE_ORDERS) * len(ORACLE_ETAS) == 507
+        below = 0
+        for k in ORACLE_ORDERS:
+            for eta in ORACLE_ETAS:
+                point = SeriesPoint(k=k, eta=eta)
+                chained = largest_jump_oracle(k, largest_partial_index_oracle(point) - k + 1) + k - 1
+                assert series._largest_index(point) == max(chained, k - 2), (k, eta)
+                below += chained < k - 1
+        assert 0 < below < 100
 
     def test_search_returns_the_largest_index(self):
         # N = 65536 needs 412957 digits; N = 39674 meets epsilon within them

@@ -1,7 +1,7 @@
 """Every request limit, stated once for the CLI, the library and bench.
 
 It holds the order, index and digit bounds, the oracle methods' bounds,
-the term and jump cost models, seq's printed digits, the verify-decimal
+the term and kernel cost models, seq's printed digits, the verify-decimal
 sweep, the digits division, the series partial sum, verify-classic's
 digits and bench's repetitions, each beside the measurement that sized it.
 ``check_term``, ``check_seq``, ``check_sweep``, ``check_digits`` and
@@ -14,6 +14,7 @@ CPython 3.11.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from .sequence import validate_order, validate_range
 
@@ -60,9 +61,9 @@ _MAX_DIVISION_WORK = 6 * 10**10
 # Largest partial sum a series report may need, in digits: P_N has a
 # denominator of about (N + k) log10 p digits for eta = p/q.  The report's
 # own numbers take subquadratic time, and the jump to N dominates as k
-# grows: at the bound eta = 3 takes 0.35 s at k = 2 and 1.4 s at k = 8, and
-# from k = 16 check_jump stops N first.  series refuses a report whose
-# partial sum passes it.
+# grows: at the bound eta = 3 takes 0.20 s at k = 2, 0.43 s at k = 16 and
+# 1.9 s at k = 64 (in process), and from k = 89 check_jump stops N first.
+# series refuses a report whose partial sum passes it.
 _MAX_PARTIAL_DIGITS = 250_000
 # verify_classic's digit range.  The run grows faster than linearly in d
 # (alternating: 0.35 s at 100k digits and 0.6 s at 200k), so a request far
@@ -85,6 +86,7 @@ def _kernel_cost(k: int, n: int) -> float:
     return k * (n * _log2_phi(k) + 64)
 
 
+@cache
 def _log2_phi(k: int) -> float:
     """log2 of the dominant root phi_k = 2 - phi_k^-k of the order-k recurrence."""
     phi = 2.0
@@ -106,12 +108,13 @@ def _term_cost(k: int, n: int) -> float:
     return min(_kernel_cost(k, n), n * n / (150 * (k + 1)) + 6 * n)
 
 
-# term and the seq jump-ahead are each refused above the modelled cost of
+# term and the jump-ahead are each refused above the modelled cost of
 # their own largest request accepted at k = 2, the index bound.  The jump
 # runs one more square than term, so at the same index it costs about twice
 # as much, but the same model and bound serve both: the ratio holds at
-# every k.  The int jump of series is held to the same bound in its own
-# model (check_jump).
+# every k.  seq's jump to N0 and series' to F_{N-k+1} are the same Decimal
+# jump, held to it by check_jump: at their tops both take about as long
+# as term -k 2 -n _MAX_INDEX.
 _MAX_COST = _kernel_cost(2, _MAX_INDEX)
 
 
@@ -147,57 +150,22 @@ def check_term(k: int, n: int, method: str = "polymod") -> None:
         _check_cost(_term_cost(k, n), f"F_n at k = {k}, n = {n}", "a term")
 
 
-_KARATSUBA = math.log2(3)
-
-
-def _int_jump_cost(k: int, n: int) -> float:
-    """Cost model of the int jump of ``iter_terms(k, n)``, in ``_kernel_cost`` units.
-
-    Each square packs the residue of x^m, coefficients of about
-    b = (m - k + 1) log2(phi_k) bits (one bit below x^k), into one int of
-    min(m + 1, k) slots of 2b + log2(k) + 8 bits, which CPython squares by
-    Karatsuba in a time growing as its bits^log2(3), not about linearly as
-    libmpdec's transform products do in the Decimal kernel.  Each square
-    also handles its k slots one by one.  So a square of P bits costs
-    P^log2(3) / 1600 units plus 44 units a slot, fitted to the time of
-    ``window(k, n, k + 1)`` over that of term -k 2 -n _MAX_INDEX (1.2-2.0 s
-    process wall) at eighteen points from k = 2 to 100000, each within 27%:
-    0.03 at k = 2, n = 523972, 0.61 at (8, 523960), 1.1 at (16, 361693),
-    1.9 at (32, 300000), 1.4 at (64, 90591), 2.8 at (256, 40000), 1.8 at
-    (1000, 10000), 1.0 at (3000, 8409), 26 at (10000, 25000) and 0.83 at
-    (100000, 1000).  ``check_jump`` takes the larger of this and
-    ``_kernel_cost``, the bits of the k terms the window holds.
-    """
-    log2_phi = _log2_phi(k)
-    cost, m = 0.0, 1  # x^m before each square
-    for bit in bin(n)[3:]:
-        bits = min(m + 1, k) * (2 * max(m - k + 1, 1) * log2_phi + k.bit_length() + 8)
-        cost += bits**_KARATSUBA / 1600 + 44 * k
-        m = 2 * m + int(bit)
-    return cost
-
-
 def check_jump(k: int, n: int) -> None:
-    """Raise ValueError unless the int jump-ahead of ``iter_terms(k, n)`` is within the bounds.
+    """Raise ValueError unless the jump-ahead of ``iter_terms(k, n)`` is within the bounds.
 
-    The order, the index, and the larger of ``_int_jump_cost`` and
-    ``_kernel_cost`` (the window's size) against the cost of the largest
-    term request, k = 2, n = _MAX_INDEX.  ``series`` takes its
-    windows with this jump; ``seq`` jumps in Decimal, within ``check_seq``.
+    The order, the index, and ``_kernel_cost`` against the cost of the
+    largest term request, k = 2, n = _MAX_INDEX.  ``seq`` and ``series``
+    both jump in ``Decimal``, ``seq`` to N0 and ``series`` to F_{N-k+1}.
     """
     validate_range(k, n, n)
     _check_order(k)
     _check_index_bound(n)
-    _check_cost(_jump_cost(k, n), f"the jump to n = {n} at k = {k}", "a term")
+    _check_cost(_kernel_cost(k, n), f"the jump to n = {n} at k = {k}", "a jump")
 
 
 def jump_fits(k: int, n: int) -> bool:
     """Whether ``check_jump(k, n)`` accepts the jump's cost, which grows with n."""
-    return _jump_cost(k, n) <= _MAX_COST
-
-
-def _jump_cost(k: int, n: int) -> float:
-    return max(_kernel_cost(k, n), _int_jump_cost(k, n))
+    return _kernel_cost(k, n) <= _MAX_COST
 
 
 def check_seq(k: int, n0: int, n1: int) -> None:
@@ -210,7 +178,7 @@ def check_seq(k: int, n0: int, n1: int) -> None:
         raise ValueError(
             f"range {n0}..{n1} may print {bound:.3g} digits, more than {_MAX_SEQ_DIGITS}"
         )
-    _check_cost(_kernel_cost(k, n0), f"the jump to n = {n0} at k = {k}", "a jump")
+    check_jump(k, n0)
 
 
 def check_sweep(k: int, last: int) -> None:

@@ -47,6 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     order_help = f"recurrence order, 2 to {bounds._MAX_ORDER}"
+    jump_help = f"at a modelled cost at most that of the jump to n = {bounds._MAX_INDEX} at k = 2"
 
     term = sub.add_parser("term", help="print one term F_n")
     term.add_argument("-k", type=int, required=True, help=order_help)
@@ -76,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="N1",
         help=f"last index, at most {bounds._MAX_INDEX}, with (N1 - N0 + 1) * N1 * log10(2)"
-        f" at most {bounds._MAX_SEQ_DIGITS} digits, and the jump to N0 at a modelled cost"
-        f" at most that of -k 2 --from {bounds._MAX_INDEX}",
+        f" at most {bounds._MAX_SEQ_DIGITS} digits, and the jump to N0 {jump_help}",
     )
 
     gf = sub.add_parser("gf", help="evaluate the generating series at eta")
@@ -94,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="n_trunc",
         type=int,
         help=f"fixed truncation index, with (N + k) * log10 p at most {bounds._MAX_PARTIAL_DIGITS}"
-        " digits for eta = p/q, and the jump to N - k + 1 at a modelled cost at most that of"
-        f" term -k 2 -n {bounds._MAX_INDEX}",
+        f" digits for eta = p/q, and the jump to N - k + 1 {jump_help}",
     )
     cutoff.add_argument(
         "--epsilon",

@@ -86,6 +86,8 @@ def parse_rational(text: str) -> Rational:
 
 def to_decimal(n: int) -> Decimal:
     """The exact ``Decimal`` equal to ``n``, in subquadratic time."""
+    if n.bit_length() <= _LEAF_BITS:
+        return Decimal(n)  # exact under any context
     with decimal.localcontext(EXACT_CONTEXT):
         return _to_decimal(n) if n >= 0 else -_to_decimal(-n)
 

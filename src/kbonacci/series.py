@@ -22,10 +22,15 @@ up to x^N except x^(k-1) (present once N >= k-1):
 
 So P_N needs only the last k terms F_{N-k+1} .. F_N, and the tail bound
 F_{N+1}; every entry point reads them from one checked window
-(``_checked_run``, one ``sequence.window`` call).  A report costs O(log N)
-big-integer squares for the jump, O(k) products for the weighted sum of
-the run, and a few products of O(N log eta)-bit integers, against N + 1
-rational multiply-adds, each with its own gcd, for a sweep of the terms.
+(``_checked_run``): the k + 1 first items of ``sequence.iter_terms`` in
+``Decimal``, the jump ``seq`` makes, priced by the same cost model.  The
+suffix sums and their weighted sum run in ``Decimal`` too, whose products
+libmpdec takes by a number-theoretic transform, and only that sum and
+F_{N+1} come back as ints, once each, for the gcds and the verdict.  A
+report costs O(log N) squares for the jump, O(k) products for the
+weighted sum of the run, and a few products of O(N log eta)-bit
+integers, against N + 1 rational multiply-adds, each with its own gcd,
+for a sweep of the terms.
 
 Every number of a report is a cofactor no bigger than a term's size
 times p^e or q^(N+1), or a sum of two such.  Times p^N q^(N+1) each
@@ -44,13 +49,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate, islice
 from math import ceil, gcd, log10
+from operator import sub
 
 from .bounds import _MAX_PARTIAL_DIGITS, check_jump, jump_fits
 from .factored import build, coprime, strip_p_power, text
-from .rational import Rational, format_ratio
-from .sequence import validate_order, window
+from .rational import EXACT_CONTEXT, Rational, format_ratio, str_to_int, to_decimal
+from .sequence import iter_terms, validate_order
 
 __all__ = [
     "SeriesPoint",
@@ -126,7 +134,8 @@ def partial_sum(point: SeriesPoint, n_trunc: int) -> Rational:
     _check_partial_index(n_trunc)
     if n_trunc < point.k - 1:
         return Fraction(0)
-    return _sums(point, n_trunc, _checked_run(point, n_trunc))[0]
+    run, f_next = _checked_run(point, n_trunc)
+    return _sums(point, n_trunc, _acc(point, run), f_next)[0]
 
 
 def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
@@ -141,7 +150,7 @@ def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
     F_{N+1} comes from ``_checked_run``, within its checks: eta^(N+1) has
     about as many digits as the partial sum.
     """
-    return _tail_from_term(point, n_trunc, _checked_run(point, n_trunc)[-1])
+    return _tail_from_term(point, n_trunc, _checked_run(point, n_trunc)[1])
 
 
 def evaluate(point: SeriesPoint, n_trunc: int) -> EvalReport:
@@ -152,8 +161,8 @@ def evaluate(point: SeriesPoint, n_trunc: int) -> EvalReport:
     bound from its last one.
     """
     _check_partial_index(n_trunc)
-    run = _checked_run(point, n_trunc)
-    return _report(point, n_trunc, run, _tail_from_term(point, n_trunc, run[-1]))
+    run, f_next = _checked_run(point, n_trunc)
+    return _report(point, n_trunc, run, f_next, _tail_from_term(point, n_trunc, f_next))
 
 
 def evaluate_range(point: SeriesPoint, n_max: int) -> Iterator[EvalReport]:
@@ -192,13 +201,16 @@ def _largest_index(point: SeriesPoint) -> int:
     return k - 2 + bisect_left(range(k - 1, 3 * _MAX_PARTIAL_DIGITS), True, key=refused)
 
 
-def _checked_run(point: SeriesPoint, n_trunc: int) -> list[int]:
-    """The window F_{N-k+1} .. F_{N+1}, the one source of every report's terms.
+def _checked_run(point: SeriesPoint, n_trunc: int) -> tuple[list[Decimal], int]:
+    """The window F_{N-k+1} .. F_{N+1} in ``Decimal``, and F_{N+1} as an int.
 
-    Refused with ValueError, in this order, unless N >= k-1, the partial
-    sum, about (N + k) log10 p digits for eta = p/q, has at most
+    The one source of every report's terms: ``iter_terms(k, N-k+1,
+    to_decimal)`` under ``EXACT_CONTEXT``, as ``seq`` jumps.  Refused with
+    ValueError, in this order, unless N >= k-1, the partial sum, about
+    (N + k) log10 p digits for eta = p/q, has at most
     ``_MAX_PARTIAL_DIGITS`` digits, and the jump to F_{N-k+1} is within
-    ``bounds.check_jump``.
+    ``bounds.check_jump``.  F_{N+1} is converted once, for the tail bound
+    and the verdict; the run's sum for the report is ``_acc``'s.
     """
     k = point.k
     if n_trunc < k - 1:
@@ -211,12 +223,14 @@ def _checked_run(point: SeriesPoint, n_trunc: int) -> list[int]:
         )
     start = n_trunc - k + 1
     check_jump(k, start)
-    return window(k, start, k + 1)
+    with localcontext(EXACT_CONTEXT):
+        run = list(islice(iter_terms(k, start, to_decimal), k + 1))
+    return run, str_to_int(str(run[-1]))
 
 
-def _report(point: SeriesPoint, n_trunc: int, run: list[int], bound: Rational) -> EvalReport:
-    """The report at N from run = F_{N-k+1} .. F_{N+1} and the tail bound of F_{N+1}."""
-    partial, closed, residual, passed = _sums(point, n_trunc, run)
+def _report(point: SeriesPoint, n_trunc: int, run: list, f_next: int, bound: Rational):
+    """The report at N from ``_checked_run``'s window and F_{N+1}, and F_{N+1}'s tail bound."""
+    partial, closed, residual, passed = _sums(point, n_trunc, _acc(point, run), f_next)
     return EvalReport(
         point=point,
         n_trunc=n_trunc,
@@ -243,10 +257,10 @@ def _denominator(point: SeriesPoint) -> int:
     return den
 
 
-def _sums(point: SeriesPoint, n_trunc: int, run: list[int]) -> tuple:
+def _sums(point: SeriesPoint, n_trunc: int, acc: int, f_next: int) -> tuple:
     """P_N, the closed form, the omitted part closed - P_N and the verdict.
 
-    From run = F_{N-k+1} .. F_{N+1}; the verdict says the omitted part is
+    From acc (``_acc``) and F_{N+1}; the verdict says the omitted part is
     at most the tail bound of F_{N+1} (``_tail_from_term``).
 
     With eta = p/q, times p^(N+k) the identity in the module docstring
@@ -262,11 +276,6 @@ def _sums(point: SeriesPoint, n_trunc: int, run: list[int]) -> tuple:
     num mod den for P_N: gcds of cofactors of a term's size.
     """
     k, p, q = point.k, point.eta.numerator, point.eta.denominator
-    suffixes, suffix = [], run[-1]  # T_1 = F_{N+1} .. T_k; T_{j+1} = T_j - run[j-1]
-    for oldest in run[:-1]:
-        suffixes.append(suffix)
-        suffix -= oldest
-    acc = _weighted_sum(suffixes, p, q)
     den, head = _denominator(point), p * q ** (k - 1)  # closed = head / den
     reduced, e, c = strip_p_power(acc, p, n_trunc)  # p^N / gcd(acc, p^N) = c p^e
     n1 = n_trunc + 1
@@ -285,12 +294,26 @@ def _sums(point: SeriesPoint, n_trunc: int, run: list[int]) -> tuple:
     numbers = build((point, n_trunc), sums)
     # times p^N / q^(N+1) the omitted part is acc / den and the tail bound
     # F_{N+1} / (p - 2q), so the verdict takes no product of their size
-    verdict = acc * (p - 2 * q) <= run[-1] * den
+    verdict = acc * (p - 2 * q) <= f_next * den
     return numbers["partial"], numbers["closed"], numbers["residual"], verdict
 
 
-def _weighted_sum(values: list[int], p: int, q: int) -> int:
-    """sum_j p^(len-1-j) q^j values_j, joined by halves.
+def _acc(point: SeriesPoint, run: list[Decimal]) -> int:
+    """acc of ``_sums`` from the ``Decimal`` run F_{N-k+1} .. F_{N+1}, as an int.
+
+    The suffix sums and their weighted sum run in ``Decimal`` under
+    ``EXACT_CONTEXT``, with p and q converted, and only the sum is
+    converted back.
+    """
+    with localcontext(EXACT_CONTEXT):
+        # T_1 = F_{N+1} .. T_k; T_{j+1} = T_j - run[j-1]
+        suffixes = list(accumulate(run[:-2], sub, initial=run[-1]))
+        acc = _weighted_sum(suffixes, *map(to_decimal, point.eta.as_integer_ratio()))
+    return str_to_int(str(acc))
+
+
+def _weighted_sum(values: list, p, q):
+    """sum_j p^(len-1-j) q^j values_j, joined by halves, in the type of its arguments.
 
     For blocks [lo, mid) and [mid, hi), S(lo, hi) = S(lo, mid) p^(hi-mid) +
     q^(mid-lo) S(mid, hi).  Pairing neighbours level by level keeps the
@@ -338,12 +361,12 @@ def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
     Returns the first *checked* truncation index that qualifies, not the
     minimal one.  Terminates for every epsilon > 0 because the bound
     shrinks geometrically.  The checks are N = k-1 (at least 1) and its
-    doublings, each one ``_checked_run`` whose window gives the tail bound
-    and, for the N that qualifies, the report.  The first doubling that
-    ``_checked_run`` refuses is refused after ``_largest_index``, unless
-    that is below the first N: the bound decreases in N for eta > 2, so
-    no smaller N would qualify.  ValueError for epsilon <= 0 and within
-    the checks of ``_checked_run``.
+    doublings, each one ``_checked_run`` whose F_{N+1} gives the tail bound;
+    only for the N that qualifies does its window give acc and the report.
+    The first doubling that ``_checked_run`` refuses is refused after
+    ``_largest_index``, unless that is below the first N: the bound
+    decreases in N for eta > 2, so no smaller N would qualify.  ValueError
+    for epsilon <= 0 and within the checks of ``_checked_run``.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -355,9 +378,9 @@ def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
         # the doublings within the bounds, then the largest N within them,
         # then the first doubling past them, which _checked_run refuses
         at = min(n, top) if at < top else n
-        run = _checked_run(point, at)
-        bound = _tail_from_term(point, at, run[-1])
+        run, f_next = _checked_run(point, at)
+        bound = _tail_from_term(point, at, f_next)
         if bound <= epsilon:
-            return _report(point, at, run, bound)
+            return _report(point, at, run, f_next, bound)
         if at == n:
             n *= 2

@@ -27,10 +27,10 @@ class TestCostBound:
             ("term", 20, 2_306_165),
             ("term", 100, 791_719),  # on the binomial sum
             ("term", 100_000, 7_123_592),
-            ("jump", 16, 348_121),  # on the int squares
-            ("jump", 64, 87_199),
-            ("jump", 1000, 8385),
-            ("jump", 10_000, 4548),  # on the window's size
+            ("jump", 128, 360_284),  # on the kernel, as seq's jump
+            ("jump", 256, 180_110),
+            ("jump", 1000, 46_060),
+            ("jump", 10_000, 4548),
             ("jump", 100_000, 397),
         ],
     )
@@ -43,16 +43,6 @@ class TestCostBound:
         with pytest.raises(ValueError, match="has a modelled cost of 1.01 times the most"):
             check(k, n + 1)
 
-    @pytest.mark.parametrize(
-        "k,n,ratio", [(64, 286_007, "6.59"), (24, 419_132, "2.56"), (3, 17_488_315, "28.52")]
-    )
-    def test_int_jump_prices_its_squares(self, k, n, ratio):
-        # series jumps in int, whose Karatsuba squares cost far more than the
-        # Decimal kernel's model says: window(64, 286007) took 8-16 s
-        assert bounds._kernel_cost(k, n) <= bounds._MAX_COST
-        with pytest.raises(ValueError, match=f"has a modelled cost of {ratio} times the most a term"):
-            bounds.check_jump(k, n)
-
     def test_k28_at_the_index_bound_is_refused(self):
         with pytest.raises(ValueError, match="20.17 times the most a term may cost"):
             bounds.check_term(28, self.M)
@@ -60,9 +50,17 @@ class TestCostBound:
     @pytest.mark.parametrize("k", [2, 3, 16, 20, 28, 48, 64, 100, 1000, 100_000])
     def test_cost_grows_with_the_index(self, k):
         # so every order has one largest accepted index
-        for cost in (bounds._term_cost, bounds._kernel_cost, bounds._int_jump_cost):
+        for cost in (bounds._term_cost, bounds._kernel_cost):
             values = [cost(k, n) for n in range(0, self.M, self.M // 997)]
             assert values == sorted(values)
+
+
+def test_the_root_is_computed_once_per_order():
+    # the --epsilon search's bisection prices about 20 jumps at one order
+    bounds._log2_phi.cache_clear()
+    series._largest_index(SeriesPoint(k=1000, eta=3))
+    info = bounds._log2_phi.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
 
 
 def _is_limit(name: str) -> bool:

@@ -12,7 +12,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 
 import pytest
@@ -367,7 +367,7 @@ class TestVerifyDecimal:
         assert "closed form's algebra at eta = 10" in text
         assert "from the geometric sum, from its written digits and from (8*10^k + 1)/9" in text
         assert "No term of the series is summed." in text
-        monkeypatch.setattr("kbonacci.series.window", None)
+        monkeypatch.setattr("kbonacci.series.iter_terms", None)
         assert run(capsys, ["verify-decimal", "-k", "2", "--max-k", "40"])[0] == 0
 
 
@@ -385,7 +385,7 @@ class TestResourceGuards:
         monkeypatch.setattr("kbonacci.decimal_identity.reciprocal_digits", arithmetic)
         monkeypatch.setattr("kbonacci.decimal_identity.repunit_denominator", arithmetic)
         monkeypatch.setattr("kbonacci.decimal_identity.verify_decimal_identity", arithmetic)
-        monkeypatch.setattr("kbonacci.series.window", arithmetic)
+        monkeypatch.setattr("kbonacci.series.iter_terms", arithmetic)
 
     def refused(self, capsys, monkeypatch, argv, message):
         self.forbid_arithmetic(monkeypatch)
@@ -540,7 +540,7 @@ class TestResourceGuards:
 
     def test_gf_partial_sum_bound_is_inclusive(self, capsys, monkeypatch):
         reached = []
-        monkeypatch.setattr("kbonacci.series.window", lambda k, n, count: reached.append(n) or 1 / 0)
+        monkeypatch.setattr("kbonacci.series.iter_terms", lambda k, n, cast: reached.append(n) or 1 / 0)
         for eta, n in (("3", 523_973), ("2000001/1000000", 39_674)):
             with pytest.raises(ZeroDivisionError):
                 cli.parse_and_dispatch(["gf", "-k", "2", "--eta", eta, "-N", str(n)])
@@ -562,13 +562,13 @@ class TestResourceGuards:
         # refuses 2^19 without a jump to it
         calls = []
 
-        def window(k, n, count):
+        def jump(k, n, cast):
             calls.append(n)
             assert len(calls) <= 20, "the search ran past the bound"
-            return [0] * count
+            return repeat(cast(0))
 
         self.forbid_arithmetic(monkeypatch)
-        monkeypatch.setattr("kbonacci.series.window", window)
+        monkeypatch.setattr("kbonacci.series.iter_terms", jump)
         monkeypatch.setattr("kbonacci.series._tail_from_term", lambda *args: 1)
         argv = ["gf", "-k", "2", "--eta", "3", "--epsilon", "1/1" + "0" * 200_000]
         code, out, err = run(capsys, argv)
@@ -616,17 +616,17 @@ class TestResourceGuards:
     )
     def test_gf_jump_bound(self, capsys, monkeypatch, argv, n):
         # the jump to F_{N-k+1} is bounded before any arithmetic, by the
-        # larger of its window's size in kernel units and its int squares
+        # kernel's model and message, as seq's jump to N0 is
         ratio = "433.75" if n == 200_001 else "1.01"
         message = (
             f"the jump to n = {n} at k = 100000 has a modelled cost of {ratio} times"
-            f" the most a term may cost, that of k = 2, n = {BOUND}"
+            f" the most a jump may cost, that of k = 2, n = {BOUND}"
         )
         self.refused(capsys, monkeypatch, argv, message)
 
     def test_gf_jump_bound_is_inclusive(self, capsys, monkeypatch):
         reached = []
-        monkeypatch.setattr("kbonacci.series.window", lambda k, n, count: reached.append(n) or 1 / 0)
+        monkeypatch.setattr("kbonacci.series.iter_terms", lambda k, n, cast: reached.append(n) or 1 / 0)
         with pytest.raises(ZeroDivisionError):
             cli.parse_and_dispatch(["gf", "-k", "100000", "--eta", "3", "-N", "100396"])
         assert reached == [397]
@@ -637,22 +637,37 @@ class TestResourceGuards:
         # N = 199998 is refused before its jump
         calls = []
 
-        def window(k, n, count):
+        def jump(k, n, cast):
             calls.append(n)
-            return [0] * count
+            return repeat(cast(0))
 
         self.forbid_arithmetic(monkeypatch)
-        monkeypatch.setattr("kbonacci.series.window", window)
+        monkeypatch.setattr("kbonacci.series.iter_terms", jump)
         monkeypatch.setattr("kbonacci.series._tail_from_term", lambda *args: 1)
         argv = ["gf", "-k", "100000", "--eta", "3", "--epsilon", "1/2"]
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         message = (
             "the jump to n = 99999 at k = 100000 has a modelled cost of 216.95 times"
-            f" the most a term may cost, that of k = 2, n = {BOUND}"
+            f" the most a jump may cost, that of k = 2, n = {BOUND}"
         )
         assert err.startswith(f"error: {message}\nusage:")
         assert calls == [0, 397]
+
+    @pytest.mark.parametrize(
+        "argv,n",
+        [
+            (["gf", "-k", "64", "--eta", "5/2", "-N", "286070"], 286_007),
+            (["gf", "-k", "24", "--eta", "3", "-N", "419155"], 419_132),
+        ],
+    )
+    def test_gf_jumps_within_the_kernel_bound_are_accepted(self, monkeypatch, argv, n):
+        # the jump's modelled cost is that of its k terms, as seq's is
+        reached = []
+        monkeypatch.setattr("kbonacci.series.iter_terms", lambda k, n, cast: reached.append(n) or 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            cli.parse_and_dispatch(argv)
+        assert reached == [n]
 
     def test_gf_epsilon_tries_the_largest_accepted_n(self, capsys):
         # the doubling would refuse N = 65536 (412957 digits), but N = 39674,
@@ -669,16 +684,18 @@ class TestResourceGuards:
         # every number in the help is a bounds constant; the tests above pin
         # their values
         oracle = bounds._ORACLE_MAX_INDEX
+        # one phrase for the one jump bound of seq and gf, as in its refusal
+        jump = f"at a modelled cost at most that of the jump to n = {bounds._MAX_INDEX} at k = 2"
         for command, text in (
             ("term", f"with --method naive to {oracle['naive']}, with matrix to {oracle['matrix']}"),
             ("term", f"k^3 * n at most {bounds._MAX_MATRIX_WORK}"),
             ("term", f"with polymod at a modelled cost at most that of -k 2 -n {bounds._MAX_INDEX}"),
-            ("seq", f"the jump to N0 at a modelled cost at most that of -k 2 --from {bounds._MAX_INDEX}"),
+            ("seq", f"the jump to N0 {jump}"),
             ("term", f"recurrence order, 2 to {bounds._MAX_ORDER}"),
             ("seq", f"at most {bounds._MAX_SEQ_DIGITS} digits"),
             ("seq", f"recurrence order, 2 to {bounds._MAX_ORDER}"),
             ("gf", f"(N + k) * log10 p at most {bounds._MAX_PARTIAL_DIGITS} digits"),
-            ("gf", f"the jump to N - k + 1 at a modelled cost at most that of term -k 2 -n {bounds._MAX_INDEX}"),
+            ("gf", f"the jump to N - k + 1 {jump}"),
             ("verify-decimal", f"(orders) * max-k at most {bounds._MAX_SWEEP_DIGITS}"),
             ("verify-classic", f"precision, {bounds._MIN_CLASSIC_DIGITS} to {bounds._MAX_CLASSIC_DIGITS}"),
             ("digits", f"how many digits, 1 to {bounds._MAX_DIGITS}"),

@@ -182,6 +182,8 @@ class TestIntToStr:
         with decimal.localcontext() as ctx:
             ctx.prec = 5
             assert int_to_str(n) == str(n)
+            # below the leaf width to_decimal builds the Decimal at once
+            assert str(to_decimal(-(7**300))) == str(-(7**300))
 
     def test_rounding_raises_under_exact_context(self):
         assert EXACT_CONTEXT.traps[decimal.Inexact]

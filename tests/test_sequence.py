@@ -611,6 +611,7 @@ class TestDecimalSeed:
                 next(iter_terms(2, 3000, to_decimal))
 
     def test_int_windows_stay_int(self):
-        # far above the seed width: window, range_terms and gf keep int jumps
+        # far above the seed width: window and range_terms keep int jumps,
+        # where seq and gf jump with a Decimal cast
         assert {type(t) for t in window(3, 5000, 4)} == {int}
         assert {type(t) for t in range_terms(16, 5000, 5003)} == {int}

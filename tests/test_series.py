@@ -1,13 +1,15 @@
 import json
 import math
 from fractions import Fraction
+from itertools import repeat
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kbonacci import bounds, cli, factored, series
-from kbonacci.rational import format_ratio, parse_rational
-from kbonacci.sequence import range_terms, term_fast, window
+from kbonacci.rational import format_ratio, parse_rational, to_decimal
+from kbonacci.sequence import iter_terms, range_terms, term_fast, window
 from kbonacci.series import (
     EvalReport,
     SeriesPoint,
@@ -341,20 +343,28 @@ class TestConvergeUntil:
         ],
     )
     def test_one_window_per_doubling_step(self, monkeypatch, point, eps):
-        # each check jumps once, to F_{N-k+1} .. F_{N+1}, and the report
-        # comes from the last of those runs, not from a second jump
-        calls = []
+        # each check jumps once in Decimal, to F_{N-k+1} .. F_{N+1}, and the
+        # report comes from the last of those runs, not from a second jump;
+        # only that run's weighted sum is taken
+        calls, sums = [], []
 
-        def spy(k, n, count):
-            calls.append((k, n, count))
-            return window(k, n, count)
+        def spy(k, n, cast):
+            calls.append((k, n, cast))
+            return iter_terms(k, n, cast)
 
-        monkeypatch.setattr(series, "window", spy)
+        def acc_spy(point, run):
+            sums.append(len(run))
+            return acc(point, run)
+
+        acc = series._acc
+        monkeypatch.setattr(series, "iter_terms", spy)
+        monkeypatch.setattr(series, "_acc", acc_spy)
         report = converge_until(point, eps)
         monkeypatch.undo()
         k, n0 = point.k, max(point.k - 1, 1)
         checked = [n0 << i for i in range(len(calls))]
-        assert calls == [(k, n - k + 1, k + 1) for n in checked]
+        assert calls == [(k, n - k + 1, to_decimal) for n in checked]
+        assert sums == [k + 1]
         assert checked[-1] == report.n_trunc
         assert report == evaluate(point, report.n_trunc)
         if len(checked) > 1:
@@ -366,10 +376,10 @@ class TestPartialSumBound:
 
     @pytest.fixture
     def no_window(self, monkeypatch):
-        def window_call(k, n, count):
+        def jump(k, n, cast):
             raise ZeroDivisionError  # stands for the jump the check lets through
 
-        monkeypatch.setattr(series, "window", window_call)
+        monkeypatch.setattr(series, "iter_terms", jump)
 
     @pytest.mark.parametrize(
         "k,eta,last,digits",
@@ -404,12 +414,12 @@ class TestPartialSumBound:
         # N = 2^19 without its jump
         calls = []
 
-        def window_call(k, n, count):
+        def jump(k, n, cast):
             calls.append(n)
             assert len(calls) <= 20, "the search ran past the bound"
-            return [0] * count
+            return repeat(cast(0))
 
-        monkeypatch.setattr(series, "window", window_call)
+        monkeypatch.setattr(series, "iter_terms", jump)
         monkeypatch.setattr(series, "_tail_from_term", lambda *args: Fraction(1))
         with pytest.raises(ValueError, match="a partial sum to N = 524288 has about 250150 digits"):
             converge_until(SeriesPoint(k=2, eta=Fraction(3)), Fraction(1, 10**10))
@@ -420,17 +430,20 @@ class TestJumpBound:
     """Every jump the series makes is within bounds.check_jump, checked first."""
 
     POINT = SeriesPoint(k=100_000, eta=Fraction(3))
-    MESSAGE = "the jump to n = 398 at k = 100000 has a modelled cost of 1.01 times"
+    MESSAGE = (
+        "the jump to n = 398 at k = 100000 has a modelled cost of 1.01 times"
+        f" the most a jump may cost, that of k = 2, n = {bounds._MAX_INDEX}"
+    )
 
     @pytest.fixture
     def no_jump(self, monkeypatch):
         reached = []
 
-        def jump(k, n, *count):
+        def jump(k, n, cast):
             reached.append(n)
             raise ZeroDivisionError  # stands for the jump the check lets through
 
-        monkeypatch.setattr(series, "window", jump)
+        monkeypatch.setattr(series, "iter_terms", jump)
         return reached
 
     @pytest.mark.parametrize("function", [evaluate, partial_sum, tail_bound])
@@ -447,11 +460,11 @@ class TestJumpBound:
         # a tail bound that never shrinks; returns the n each window starts at
         reached = []
 
-        def window_call(k, n, count):
+        def jump(k, n, cast):
             reached.append(n)
-            return [0] * count
+            return repeat(cast(0))
 
-        monkeypatch.setattr(series, "window", window_call)
+        monkeypatch.setattr(series, "iter_terms", jump)
         monkeypatch.setattr(series, "_tail_from_term", lambda *args: Fraction(1))
         with pytest.raises(ValueError, match=f"the jump to n = {refused} at k = {k}"):
             converge_until(SeriesPoint(k=k, eta=Fraction(3)), Fraction(1, 2))
@@ -463,10 +476,11 @@ class TestJumpBound:
         assert self._search_reaches(monkeypatch, 100_000, 99_999) == [0, 397]
 
     def test_search_step_small_k(self, monkeypatch):
-        # the doublings of N = 15 up to 245760, then the largest N the
-        # int jump's bound accepts, 348136, below the digit bound's 523959
-        calls = [15 * (2**j - 1) for j in range(15)] + [348_121]
-        assert self._search_reaches(monkeypatch, 16, 491_505) == calls
+        # the doublings of N = 255 up to 130560, then the largest N the
+        # jump's bound accepts, 180365, below the digit bound's 523719; the
+        # doubling to N = 261120 is refused before its jump
+        calls = [255 * (2**j - 1) for j in range(10)] + [180_110]
+        assert self._search_reaches(monkeypatch, 256, 260_865) == calls
 
 
 def largest_partial_index_oracle(point):
@@ -480,12 +494,12 @@ def largest_partial_index_oracle(point):
 
 def largest_jump_oracle(k, limit):
     """The largest n <= limit whose jump check_jump(k, n) accepts; limit if below 0."""
-    if limit < 0 or bounds._jump_cost(k, limit) <= bounds._MAX_COST:
+    if limit < 0 or bounds._kernel_cost(k, limit) <= bounds._MAX_COST:
         return limit
     lo, hi = 0, limit
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if bounds._jump_cost(k, mid) <= bounds._MAX_COST:
+        if bounds._kernel_cost(k, mid) <= bounds._MAX_COST:
             lo = mid
         else:
             hi = mid
@@ -515,6 +529,8 @@ class TestLargestAcceptedIndex:
             (8, Fraction(3), 523_967),
             (2, Fraction(2_000_001, 1_000_000), 39_674),
             (2, Fraction(10**9 + 1, 10**8), 27_775),
+            (16, Fraction(3), 523_959),
+            (64, Fraction(3), 523_911),  # from k = 89 on the jump bound stops first
         ],
     )
     def test_largest_partial_index(self, k, eta, top):
@@ -549,11 +565,11 @@ class TestLargestAcceptedIndex:
     def test_search_refuses_when_the_largest_index_misses(self, monkeypatch):
         calls = []
 
-        def window_call(k, n, count):
+        def jump(k, n, cast):
             calls.append(n)
-            return [0] * count
+            return repeat(cast(0))
 
-        monkeypatch.setattr(series, "window", window_call)
+        monkeypatch.setattr(series, "iter_terms", jump)
         monkeypatch.setattr(series, "_tail_from_term", lambda *args: Fraction(1))
         point = SeriesPoint(k=2, eta=Fraction(2_000_001, 1_000_000))
         with pytest.raises(ValueError, match="a partial sum to N = 65536 has about 412957 digits"):
@@ -562,7 +578,7 @@ class TestLargestAcceptedIndex:
 
     def test_no_smaller_index_than_the_first_is_tried(self, monkeypatch):
         # the first N = k - 1 already passes the bound: nothing is checked
-        monkeypatch.setattr(series, "window", None)
+        monkeypatch.setattr(series, "iter_terms", None)
         point = SeriesPoint(k=100_000, eta=Fraction(10**5 + 1))
         with pytest.raises(ValueError, match="a partial sum to N = 99999 has about"):
             converge_until(point, Fraction(1, 2))
@@ -577,7 +593,7 @@ class TestOneWindow:
             name for name, value in vars(series).items()
             if getattr(value, "__module__", None) == "kbonacci.sequence"
         }
-        assert from_sequence == {"validate_order", "window"}
+        assert from_sequence == {"validate_order", "iter_terms"}
 
     @pytest.mark.parametrize(
         "call,checked",
@@ -595,14 +611,42 @@ class TestOneWindow:
     def test_one_window_per_index(self, monkeypatch, call, checked):
         calls = []
 
-        def spy(k, n, count):
-            calls.append((k, n, count))
-            return window(k, n, count)
+        def spy(k, n, cast):
+            calls.append((k, n, cast))
+            return iter_terms(k, n, cast)
 
-        monkeypatch.setattr(series, "window", spy)
+        monkeypatch.setattr(series, "iter_terms", spy)
         point = SeriesPoint(k=3, eta=Fraction(5, 2))
         call(point)
-        assert calls == [(3, n - 2, 4) for n in checked]
+        assert calls == [(3, n - 2, to_decimal) for n in checked]
+
+
+def composite_eta():
+    """p/q in lowest terms with p > 2q, and p and q each a product of two factors >= 2."""
+    def build(factors):
+        a, b, c = factors
+        d = st.integers(max(2, 2 * a * b // c + 1), 2 * a * b // c + 10**6)
+        return d.map(lambda d: (c * d, a * b))
+
+    pairs = st.tuples(*[st.integers(2, 999)] * 3).flatmap(build)
+    return pairs.filter(lambda pq: gcd(*pq) == 1).map(lambda pq: Fraction(*pq))
+
+
+class TestDecimalRun:
+    """The Decimal window's acc and F_{N+1} equal the int window's."""
+
+    @settings(deadline=None)
+    @given(st.integers(2, 64), composite_eta(), st.integers(0, 3000))
+    @example(2, Fraction(9, 4), 0)
+    @example(64, Fraction(1001, 10), 3000)
+    def test_acc_and_next_term_equal_the_int_route(self, k, eta, extra):
+        point = SeriesPoint(k=k, eta=eta)
+        n_trunc = k - 1 + extra
+        run, f_next = series._checked_run(point, n_trunc)
+        ints = window(k, n_trunc - k + 1, k + 1)
+        suffixes = [sum(ints[j:-1]) for j in range(k)]  # T_1 .. T_k
+        acc = series._weighted_sum(suffixes, eta.numerator, eta.denominator)
+        assert (series._acc(point, run), f_next) == (acc, ints[-1])
 
 
 class TestDenominator:
@@ -671,8 +715,9 @@ class TestOmittedByHalves:
     def test_halves_equal_horner(self, k, eta, extra):
         point = SeriesPoint(k=k, eta=eta)
         n_trunc = k - 1 + extra
-        run = window(k, n_trunc - k + 1, k + 1)
-        assert series._sums(point, n_trunc, run)[2] == horner_omitted(point, n_trunc, run[:-1])
+        run, f_next = series._checked_run(point, n_trunc)
+        omitted = series._sums(point, n_trunc, series._acc(point, run), f_next)[2]
+        assert omitted == horner_omitted(point, n_trunc, window(k, n_trunc - k + 1, k))
 
     @pytest.mark.parametrize("length", [*range(1, 40), 63, 64, 65, 1000])
     def test_weighted_sum_of_every_length(self, length):

@@ -22,7 +22,6 @@ _MODULE_OF = {
     "millin_type_sum": "classic_sums",
     "verify_classic": "classic_sums",
     "RepunitDenominator": "decimal_identity",
-    "digit_overlap_check": "decimal_identity",
     "identity_line": "decimal_identity",
     "reciprocal_digits": "decimal_identity",
     "repunit_denominator": "decimal_identity",
@@ -30,7 +29,6 @@ _MODULE_OF = {
     "Rational": "rational",
     "format_ratio": "rational",
     "parse_rational": "rational",
-    "to_decimal_string": "rational",
     "initial_terms": "sequence",
     "iter_terms": "sequence",
     "range_terms": "sequence",

@@ -201,7 +201,10 @@ def load_config(path: str) -> BenchConfig:
     leave its field at the default.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"bench config {path!r} is not UTF-8 JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(
             f"bench config must be a JSON object, got {type(raw).__name__}"

@@ -147,9 +147,9 @@ class ClassicReport(
         return Fraction(str_to_int(str(self.scaled_diff)), 10 ** (self.digits + 6))
 
     def to_json_dict(self) -> dict:
-        # the same strings as rational.to_decimal_string of the three
-        # fractions; neither partial sum ever truncates to zero, so the sign
-        # of scaled_value is the sign of the value
+        # each of the three fractions truncated toward zero to its digits;
+        # neither partial sum ever truncates to zero, so the sign of
+        # scaled_value is the sign of the value
         return {
             "identity": self.identity,
             "terms": self.terms,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import os
+import re
 import sys
 from decimal import localcontext
 
@@ -81,6 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     gf = sub.add_parser("gf", help="evaluate the generating series at eta")
+    # argparse reads "-5/2" as an option, where "-3" passes as a value; a
+    # negative p/q must reach its check as "--eta=-5/2" does
+    gf._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     gf.add_argument("-k", type=int, required=True, help=order_help)
     gf.add_argument(
         "--eta",

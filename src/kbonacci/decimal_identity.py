@@ -7,11 +7,11 @@ familiar fact that 1/89 opens with the Fibonacci numbers 0, 1, 1, 2, 3,
 5, 8 before carries start to interfere.
 
 Verification here is exact rational equality (the eta = 10 closed form
-of the generating series against 1/D_k).  The digit-level operations are
-a second, independent route used for display and cross-checking: one
-exact division of 10^m by D_k on one side, exact truncated summation on
-the other.  Only those two checks need ``series``, and they import it in
-their bodies, so ``digits`` loads no ``series``.
+of the generating series against 1/D_k).  The digits of 1/D_k come from
+one exact division of 10^m by D_k, which the tests check against a long
+division and against a truncated sum of the terms.  Only the verification
+needs ``series``, and it imports it in its body, so ``digits`` loads no
+``series``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "repunit_denominator",
     "verify_decimal_identity",
     "reciprocal_digits",
-    "digit_overlap_check",
     "identity_line",
 ]
 
@@ -91,33 +90,6 @@ def reciprocal_digits(den: int, m: int) -> str:
         raise ValueError(f"digit count must be >= 1, got {m}")
     with localcontext(EXACT_CONTEXT):
         return str(to_decimal(1 % den).scaleb(m) // to_decimal(den)).zfill(m)
-
-
-def digit_overlap_check(k: int, m: int) -> bool:
-    """Confirm the identity digit-by-digit, independently of the division.
-
-    Sums F_n / 10^(n+1) exactly out to a truncation point whose tail is
-    provably too small to disturb the first m digits, truncates, and
-    compares with reciprocal_digits(D_k, m).
-
-    The tail threshold: 10^m / D_k is never an integer (D_k ends in 9,
-    so it is coprime to 10) and its fractional part is at least 1/D_k.
-    Keeping the omitted tail below half of 10^(-m)/D_k therefore pins
-    floor(sum * 10^m) to floor(10^m / D_k).
-    """
-    from .series import SeriesPoint, converge_until
-
-    if m < 1:
-        raise ValueError(f"digit count must be >= 1, got {m}")
-    d = repunit_denominator(k).value
-    # The series module sums F_n/10^n; our sum is that over 10, so give
-    # it a threshold 10x the one derived above (and halved for margin).
-    report = converge_until(
-        SeriesPoint(k=k, eta=Fraction(10)), Fraction(5, d * 10**m)
-    )
-    summed = report.partial / 10
-    scaled = summed.numerator * 10**m // summed.denominator
-    return int_to_str(scaled).zfill(m) == reciprocal_digits(d, m)
 
 
 def identity_line(k: int, passed: bool) -> str:

@@ -3,7 +3,7 @@
 ``Rational`` is the standard library's ``fractions.Fraction``, which keeps
 values normalized exactly as this package requires: denominator >= 1,
 gcd(|num|, den) == 1, zero as 0/1.  The helpers add strict "p/q" parsing
-for command-line input and reproducible truncating decimal rendering.
+for command-line input and fixed-point decimal rendering.
 
 CPython before 3.12 converts int to str in quadratic time (the
 subquadratic path came with gh-90716), while libmpdec multiplies big
@@ -35,7 +35,6 @@ __all__ = [
     "Rational",
     "parse_rational",
     "format_ratio",
-    "to_decimal_string",
     "EXACT_CONTEXT",
     "to_decimal",
     "int_to_str",
@@ -136,19 +135,6 @@ def str_to_int(digits: str) -> int:
 def format_ratio(value: Rational) -> str:
     """Canonical "p/q" form, always with an explicit denominator."""
     return f"{int_to_str(value.numerator)}/{int_to_str(value.denominator)}"
-
-
-def to_decimal_string(value: Rational, digits: int) -> str:
-    """Decimal rendering with exactly ``digits`` fraction digits.
-
-    Truncates toward zero rather than rounding, so the digit stream of a
-    value is a prefix of any longer rendering of it.
-    """
-    if digits < 1:
-        raise ValueError(f"digit count must be >= 1, got {digits}")
-    # the sign is the value's, so a small negative value prints as -0.000
-    scaled = abs(value.numerator) * 10**digits // value.denominator
-    return ("-" if value < 0 else "") + fixed_point(to_decimal(scaled), digits)
 
 
 def fixed_point(n: Decimal, digits: int) -> str:

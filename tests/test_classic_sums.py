@@ -16,8 +16,10 @@ from kbonacci.classic_sums import (
     millin_type_sum,
     verify_classic,
 )
-from kbonacci.rational import to_decimal, to_decimal_string
+from kbonacci.rational import to_decimal
 from kbonacci.sequence import range_terms, term_fast, term_naive, window
+
+from oracles import to_decimal_string
 
 
 def newton_isqrt(n: int) -> int:

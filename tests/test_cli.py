@@ -994,6 +994,21 @@ class TestBench:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "data,reason",
+        [
+            (b"[build-system]\n", "Expecting value: line 1 column 2 (char 1)"),
+            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+        ],
+        ids=["not-json", "not-utf8"],
+    )
+    def test_unreadable_config_names_its_path(self, capsys, tmp_path, data, reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, ["bench", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bench config {str(path)!r} is not UTF-8 JSON: {reason}")
+
 
 class TestDispatch:
     def test_broken_pipe_is_quiet(self):
@@ -1057,6 +1072,21 @@ class TestDispatch:
         assert (code, out) == (2, "")
         assert err.endswith(f"kbonacci gf: error: argument {option}: {reason}\n")
         assert "invalid" not in err
+
+    @pytest.mark.parametrize(
+        "option,text,reason",
+        [
+            ("--eta", "-5/2", "series requires eta > 2, got -5/2"),
+            ("--epsilon", "-1/2", "epsilon must be > 0, got -1/2"),
+        ],
+    )
+    @pytest.mark.parametrize("spaced", [True, False], ids=["spaced", "equals"])
+    def test_negative_rational_reaches_its_check(self, capsys, option, text, reason, spaced):
+        # argparse matches "-3" as a negative number but took "-5/2" for an option
+        given = [option, text] if spaced else [f"{option}={text}"]
+        code, out, err = run(capsys, ["gf", "-k", "2", "--eta", "3", *given])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {reason}\nusage: kbonacci gf [-h]")
 
     def test_main_uses_argv(self):
         # main ends its process, so it runs in one of its own

@@ -5,14 +5,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from kbonacci.decimal_identity import (
     RepunitDenominator,
-    digit_overlap_check,
     identity_line,
     reciprocal_digits,
     repunit_denominator,
     verify_decimal_identity,
 )
-from kbonacci.rational import to_decimal_string
+from kbonacci.rational import int_to_str
+from kbonacci.sequence import iter_terms, range_terms
 from kbonacci.series import SeriesPoint, closed_form
+
+from oracles import to_decimal_string
 
 
 def long_division_digits(den: int, m: int) -> str:
@@ -140,21 +142,29 @@ class TestReciprocalDigits:
 
 
 class TestDigitOverlap:
-    @pytest.mark.parametrize("k,m", [(2, 8), (3, 8), (2, 1)])
-    def test_examples(self, k, m):
-        assert digit_overlap_check(k, m)
+    """The digits of 1/D_k are those of the series' partial sum of terms."""
 
-    @pytest.mark.parametrize("k", range(2, 7))
-    @pytest.mark.parametrize("m", [1, 8, 32])
-    def test_grid(self, k, m):
-        assert digit_overlap_check(k, m)
-
-    def test_deep_digits(self):
-        assert digit_overlap_check(2, 64)
-
-    def test_invalid_digit_count(self):
-        with pytest.raises(ValueError):
-            digit_overlap_check(2, 0)
+    @pytest.mark.parametrize(
+        "m,k", [(m, k) for m in (1, 8, 32, 64) for k in range(2, 7)] + [(5000, 2)]
+    )
+    def test_grid(self, m, k):
+        # m = 5000 is past CPython's 4300-digit int/str limit
+        d = (8 * 10**k + 1) // 9
+        # From F_{k-1} = 1 on, F_{n+1} <= 2 F_n, so the sum beyond F_N is at
+        # most F_{N+1} / (8 * 10^(N+1)), which this N keeps below 10^-m / d.
+        # 10^m / d is not an integer and its fractional part is at least 1/d,
+        # so the partial sum's first m digits are floor(10^m / d).
+        scale = 10**m * d
+        n_trunc = next(
+            n
+            for n, following in enumerate(iter_terms(k, k - 1), start=k - 2)
+            if scale * following < 8 * 10 ** (n + 1)
+        )
+        scaled = 0  # sum of F_n * 10^(N-n) for n <= N, by Horner's rule
+        for term in range_terms(k, 0, n_trunc):
+            scaled = scaled * 10 + term
+        oracle = scaled * 10**m // 10 ** (n_trunc + 1)
+        assert int_to_str(oracle).zfill(m) == reciprocal_digits(d, m)
 
 
 class TestIdentityLine:
@@ -179,6 +189,3 @@ class TestBeyondTheStrLimit:
     def test_identity_line(self):
         line = identity_line(self.K, verify_decimal_identity(self.K))
         assert line == f"1/{'8' * (self.K - 1)}9 == sum F_n^(k)/10^(n+1): PASS"
-
-    def test_digit_overlap_check(self):
-        assert digit_overlap_check(2, self.K)

@@ -16,8 +16,9 @@ from kbonacci.rational import (
     parse_rational,
     str_to_int,
     to_decimal,
-    to_decimal_string,
 )
+
+from oracles import to_decimal_string
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=999

@@ -144,11 +144,19 @@ class TestReciprocalDigits:
 class TestDigitOverlap:
     """The digits of 1/D_k are those of the series' partial sum of terms."""
 
+    @pytest.mark.parametrize("k,m", [(2, 8), (3, 8), (2, 1)])
+    def test_examples(self, k, m):
+        self.check_against_term_sum(k, m)
+
     @pytest.mark.parametrize(
         "m,k", [(m, k) for m in (1, 8, 32, 64) for k in range(2, 7)] + [(5000, 2)]
     )
     def test_grid(self, m, k):
         # m = 5000 is past CPython's 4300-digit int/str limit
+        self.check_against_term_sum(k, m)
+
+    @staticmethod
+    def check_against_term_sum(k, m):
         d = (8 * 10**k + 1) // 9
         # From F_{k-1} = 1 on, F_{n+1} <= 2 F_n, so the sum beyond F_N is at
         # most F_{N+1} / (8 * 10^(N+1)), which this N keeps below 10^-m / d.

@@ -12,7 +12,6 @@ _MODULE_OF = {
     "BenchConfig": "bench",
     "BenchRecord": "bench",
     "MethodMismatchError": "bench",
-    "digit_count": "bench",
     "emit_report": "bench",
     "min_wall_times": "bench",
     "parse_report": "bench",

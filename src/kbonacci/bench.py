@@ -2,13 +2,16 @@
 
 Runs a (method, k, n) grid with repetitions on a monotonic clock and
 emits machine-readable reports; methods are looked up by name in
-``sequence.METHODS``.  Correctness is enforced while timing:
+``sequence.METHODS``.  Each repetition times the call ``term`` makes,
+``METHODS[m](k, n, to_decimal)`` under ``EXACT_CONTEXT``, whose result
+is a ``Decimal``.  Correctness is enforced while timing:
 every method must produce the same term for the same (k, n), compared
 through a 64-bit checksum so reports never carry million-digit
 integers.  Full-value equality for small n is asserted in the test
 suite, where it is cheap.  A config whose cells or repetitions pass the
-CLI's bounds (``bounds.check_term``) is refused with ValueError before
-anything runs.
+CLI's bounds (``bounds.check_term``), or whose grid as a whole would
+take longer than its largest accepted cell (``bounds.check_grid``), is
+refused with ValueError before anything runs.
 
 When comparing times across methods use the minimum over repetitions;
 the minimum is the conventional noise floor for wall-clock microbench
@@ -21,9 +24,10 @@ import json
 import time
 from collections import namedtuple
 from collections.abc import Sequence
+from decimal import localcontext
 
-from .bounds import _MAX_REPETITIONS, check_term
-from .rational import to_decimal
+from .bounds import _MAX_REPETITIONS, check_grid, check_term
+from .rational import EXACT_CONTEXT, to_decimal
 from .sequence import METHODS
 
 __all__ = [
@@ -34,11 +38,8 @@ __all__ = [
     "emit_report",
     "parse_report",
     "min_wall_times",
-    "digit_count",
     "load_config",
 ]
-
-_CHECKSUM_MASK = (1 << 64) - 1
 
 
 class MethodMismatchError(AssertionError):
@@ -81,11 +82,12 @@ class BenchConfig(namedtuple("BenchConfig", "k_values n_values repetitions metho
             raise ValueError(
                 f"unknown methods {unknown}; expected subset of {tuple(METHODS)}"
             )
-        # the CLI's term bounds, so no cell runs longer than its largest term
-        for k in self.k_values:
-            for n in self.n_values:
-                for method in self.methods:
-                    check_term(k, n, method)
+        # the CLI's term bounds, so no cell runs longer than its largest term,
+        # and no grid longer than its largest cell at the most repetitions
+        cells = [(k, n, m) for k in self.k_values for n in self.n_values for m in self.methods]
+        for cell in cells:
+            check_term(*cell)
+        check_grid(cells, repetitions)
         return self
 
 
@@ -106,17 +108,6 @@ class BenchRecord(
 _COLUMN_TYPES = (str, int, int, int, float, int, int)
 
 
-def digit_count(value: int) -> int:
-    """Decimal digit count of a non-negative integer.
-
-    Avoids str(): CPython caps int-to-str conversions at a few thousand
-    digits by default, and the terms here reach hundreds of thousands.
-    """
-    if value < 0:
-        raise ValueError(f"expected non-negative value, got {value}")
-    return to_decimal(value).adjusted() + 1
-
-
 def run_bench(config: BenchConfig) -> list[BenchRecord]:
     """One record per (method, k, n, repetition), sequentially timed.
 
@@ -130,10 +121,11 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
             for method in config.methods:
                 func = METHODS[method]
                 for rep in range(config.repetitions):
-                    start = time.perf_counter()
-                    value = func(k, n)
-                    elapsed = time.perf_counter() - start
-                    checksum = value & _CHECKSUM_MASK
+                    with localcontext(EXACT_CONTEXT):
+                        start = time.perf_counter()
+                        value = func(k, n, to_decimal)
+                        elapsed = time.perf_counter() - start
+                        checksum = int(value % 2**64)
                     records.append(
                         BenchRecord(
                             method=method,
@@ -141,7 +133,7 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
                             n=n,
                             rep=rep,
                             wall_time=elapsed,
-                            result_digits=digit_count(value),
+                            result_digits=value.adjusted() + 1,
                             checksum=checksum,
                         )
                     )

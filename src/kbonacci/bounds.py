@@ -4,11 +4,11 @@ It holds the order, index and digit bounds, the oracle methods' bounds,
 the term and kernel cost models, seq's printed digits, the verify-decimal
 sweep, the digits division, the series partial sum, verify-classic's
 digits and bench's repetitions, each beside the measurement that sized it.
-``check_term``, ``check_seq``, ``check_sweep``, ``check_digits`` and
-``check_jump`` refuse a request with ValueError (exit 2 from the CLI)
-before any arithmetic, and ``jump_fits`` tells whether ``check_jump``
-accepts a jump's cost.  Timings are process wall on a 2-core host,
-CPython 3.11.
+``check_term``, ``check_seq``, ``check_sweep``, ``check_digits``,
+``check_jump`` and ``check_grid`` refuse a request with ValueError (exit 2
+from the CLI) before any arithmetic, and ``jump_fits`` tells whether
+``check_jump`` accepts a jump's cost.  Timings are process wall on a
+2-core host, CPython 3.11.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from functools import cache
 
 from .sequence import validate_order, validate_range
 
-__all__ = ["check_term", "check_jump", "jump_fits", "check_seq", "check_sweep", "check_digits"]
+__all__ = [
+    "check_term", "check_grid", "check_jump", "jump_fits", "check_seq", "check_sweep", "check_digits"
+]
 
 # Every order is refused above this.  A run or residue holds k terms, and
 # D_k has k digits, so the cheapest request of each subcommand grows with k:
@@ -70,8 +72,11 @@ _MAX_PARTIAL_DIGITS = 250_000
 # above this would run for minutes; it is refused before any arithmetic.
 _MIN_CLASSIC_DIGITS = 4
 _MAX_CLASSIC_DIGITS = 200_000
-# bench's min-of-reps needs a handful, and each repetition of a cell may
-# take as long as the largest term request check_term accepts, about 2 s.
+# bench's min-of-reps needs a handful.  A repetition times the call term
+# makes, and at the top of check_term's bounds takes about 1 s for polymod
+# (k = 2, n = 33219280; 11.5 s as an int, 1.1 s in Decimal) and 1.5-2.2 s
+# for naive and matrix.  check_grid holds a whole grid to the work of one
+# such cell at this many repetitions.
 _MAX_REPETITIONS = 100
 
 
@@ -148,6 +153,38 @@ def check_term(k: int, n: int, method: str = "polymod") -> None:
         )
     if method == "polymod":
         _check_cost(_term_cost(k, n), f"F_n at k = {k}, n = {n}", "a term")
+
+
+def _term_share(k: int, n: int, method: str) -> float:
+    """The share of its own bounds that F_n of order k by ``method`` takes.
+
+    The largest of the ratios ``check_term`` holds to at most 1: the cost
+    of a polymod term over ``_MAX_COST``, an oracle's index over its index
+    bound, and for matrix also k^3 * max(n, 1) over ``_MAX_MATRIX_WORK``.
+    """
+    if method == "polymod":
+        return _term_cost(k, n) / _MAX_COST
+    share = n / _ORACLE_MAX_INDEX[method]
+    if method == "matrix":
+        share = max(share, k**3 * max(n, 1) / _MAX_MATRIX_WORK)
+    return share
+
+
+def check_grid(cells, repetitions: int) -> None:
+    """Raise ValueError unless bench's grid is within the work of its largest cell.
+
+    ``cells`` are (k, n, method) triples, each within ``check_term``; the
+    grid's work, repetitions times the sum of their ``_term_share``, may
+    be at most that of one cell at its bounds at ``_MAX_REPETITIONS``.
+    """
+    work = repetitions * sum(_term_share(*cell) for cell in cells)
+    if work > _MAX_REPETITIONS:
+        ratio = math.ceil(work / _MAX_REPETITIONS * 100) / 100
+        raise ValueError(
+            f"a grid of {len(cells)} cells at {repetitions} repetitions has a modelled cost of"
+            f" {ratio:.2f} times the most a grid may cost, that of k = 2, n = {_MAX_INDEX}"
+            f" at {_MAX_REPETITIONS} repetitions"
+        )
 
 
 def check_jump(k: int, n: int) -> None:

@@ -97,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-N",
         dest="n_trunc",
         type=int,
-        help=f"fixed truncation index, with (N + k) * log10 p at most {bounds._MAX_PARTIAL_DIGITS}"
-        f" digits for eta = p/q, and the jump to N - k + 1 {jump_help}",
+        help="fixed truncation index, at least k - 1, with (N + k) * log10 p at most"
+        f" {bounds._MAX_PARTIAL_DIGITS} digits for eta = p/q, and the jump to N - k + 1 {jump_help}",
     )
     cutoff.add_argument(
         "--epsilon",

@@ -35,10 +35,17 @@ for a sweep of the terms.
 Every number of a report is a cofactor no bigger than a term's size
 times p^e or q^(N+1), or a sum of two such.  Times p^N q^(N+1) each
 comes in lowest terms from gcds of those cofactors alone
-(``factored.strip_p_power`` and the gcds with den in ``_sums``), so no
-gcd of two p^N-sized numbers is taken, and ``EvalReport.to_json_dict``
-prints each in exact Decimal from the same factors (``factored``), so no
-p^N-sized int is converted to text.
+(``strip_p_power`` and the gcds with den in ``_report``), so no gcd of
+two p^N-sized numbers is taken, and the ``Fraction`` is built without a
+gcd (``coprime``).  ``_report`` states the four numbers once, as a
+recipe of ``cast`` and ``power(b, a)`` = cast(b)^a that returns each as
+(num, den) in lowest terms, and runs it with ``int`` for the report.
+``EvalReport.to_json_dict`` runs it again with ``rational.to_decimal``
+under ``EXACT_CONTEXT`` for the "num/den" text of each field that equals
+the value the last report built: libmpdec raises to a power and
+multiplies in subquadratic time and ``str(Decimal)`` is linear, where
+``str`` of a p^N-sized int is quadratic on CPython 3.11.  So no p^N-sized
+int is converted to text.
 
 The eta > 2 restriction is the domain on which the geometric tail argument
 works; no claim is made below it.
@@ -51,12 +58,12 @@ from collections import namedtuple
 from collections.abc import Iterator
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, islice
 from math import ceil, gcd, log10
 from operator import sub
 
 from .bounds import _MAX_PARTIAL_DIGITS, check_jump, jump_fits
-from .factored import build, coprime, strip_p_power, text
 from .rational import EXACT_CONTEXT, Rational, format_ratio, str_to_int, to_decimal
 from .sequence import iter_terms, validate_order
 
@@ -70,6 +77,16 @@ __all__ = [
     "evaluate_range",
     "converge_until",
 ]
+
+# Fraction(num, den) for num and den > 0 already coprime, without the gcd
+coprime = getattr(Fraction, "_from_coprime_ints", None) or (
+    lambda num, den: Fraction(num, den, _normalize=False)
+)
+
+# the last report built, {(point, N): ({field: value}, numbers)}: a request
+# builds one report and then prints it
+_LAST: dict = {}
+
 
 class SeriesPoint(namedtuple("SeriesPoint", "k eta")):
     """Evaluation point of the series: order k >= 2 and rational eta > 2.
@@ -103,13 +120,17 @@ class EvalReport(
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        # a number the last report built is printed from its factors, once
-        # it is checked to be the field's value (factored.text)
-        key = (self.point, self.n_trunc)
+        # a field equal to the value the last report built prints from that
+        # report's recipe in Decimal, any other through format_ratio
+        values, numbers = _LAST.get((self.point, self.n_trunc), ({}, None))
+        pairs = {}
+        if values:
+            with localcontext(EXACT_CONTEXT):
+                pairs = numbers(to_decimal, _power(to_decimal))
         doc = {"k": self.point.k, "eta": format_ratio(self.point.eta), "N": self.n_trunc}
         for name in ("partial", "closed", "tail_bound", "residual"):
             value = getattr(self, name)
-            doc[name] = text(key, name, value) or format_ratio(value)
+            doc[name] = "%s/%s" % pairs[name] if values.get(name) == value else format_ratio(value)
         doc["pass"] = self.passed
         return doc
 
@@ -128,14 +149,11 @@ def partial_sum(point: SeriesPoint, n_trunc: int) -> Rational:
     """Exact sum of F_n / eta^n for n = 0 .. n_trunc.
 
     Zero below N = k-1, where every term is, and ValueError below 0; from
-    k-1 on, from the last k terms (module docstring), within the checks of
-    ``_checked_run``.
+    k-1 on, the partial sum of ``evaluate``'s report.
     """
-    _check_partial_index(n_trunc)
-    if n_trunc < point.k - 1:
+    if 0 <= n_trunc < point.k - 1:
         return Fraction(0)
-    run, f_next = _checked_run(point, n_trunc)
-    return _sums(point, n_trunc, _acc(point, run), f_next)[0]
+    return evaluate(point, n_trunc).partial
 
 
 def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
@@ -150,7 +168,7 @@ def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
     F_{N+1} comes from ``_checked_run``, within its checks: eta^(N+1) has
     about as many digits as the partial sum.
     """
-    return _tail_from_term(point, n_trunc, _checked_run(point, n_trunc)[1])
+    return _tail_from_term(point, n_trunc, _checked_run(point, n_trunc)[1], _power(int))
 
 
 def evaluate(point: SeriesPoint, n_trunc: int) -> EvalReport:
@@ -160,9 +178,9 @@ def evaluate(point: SeriesPoint, n_trunc: int) -> EvalReport:
     window gives the omitted part from its first k terms and the tail
     bound from its last one.
     """
-    _check_partial_index(n_trunc)
-    run, f_next = _checked_run(point, n_trunc)
-    return _report(point, n_trunc, run, f_next, _tail_from_term(point, n_trunc, f_next))
+    if n_trunc < 0:
+        raise ValueError(f"truncation index must be >= 0, got {n_trunc}")
+    return _report(point, n_trunc, *_checked_run(point, n_trunc))
 
 
 def evaluate_range(point: SeriesPoint, n_max: int) -> Iterator[EvalReport]:
@@ -176,11 +194,6 @@ def evaluate_range(point: SeriesPoint, n_max: int) -> Iterator[EvalReport]:
         raise ValueError(f"n_max must be >= k-1 = {k - 1}, got {n_max}")
     for n in range(k - 1, n_max + 1):
         yield evaluate(point, n)
-
-
-def _check_partial_index(n_trunc: int) -> None:
-    if n_trunc < 0:
-        raise ValueError(f"truncation index must be >= 0, got {n_trunc}")
 
 
 def _partial_digits(point: SeriesPoint, n_trunc: int) -> int:
@@ -228,20 +241,6 @@ def _checked_run(point: SeriesPoint, n_trunc: int) -> tuple[list[Decimal], int]:
     return run, str_to_int(str(run[-1]))
 
 
-def _report(point: SeriesPoint, n_trunc: int, run: list, f_next: int, bound: Rational):
-    """The report at N from ``_checked_run``'s window and F_{N+1}, and F_{N+1}'s tail bound."""
-    partial, closed, residual, passed = _sums(point, n_trunc, _acc(point, run), f_next)
-    return EvalReport(
-        point=point,
-        n_trunc=n_trunc,
-        partial=partial,
-        closed=closed,
-        tail_bound=bound,
-        residual=residual,
-        passed=passed,
-    )
-
-
 def _denominator(point: SeriesPoint) -> int:
     """den = p^k - sum_{i=1}^{k} q^i p^(k-i) for eta = p/q, positive for eta > phi_k.
 
@@ -257,49 +256,61 @@ def _denominator(point: SeriesPoint) -> int:
     return den
 
 
-def _sums(point: SeriesPoint, n_trunc: int, acc: int, f_next: int) -> tuple:
-    """P_N, the closed form, the omitted part closed - P_N and the verdict.
-
-    From acc (``_acc``) and F_{N+1}; the verdict says the omitted part is
-    at most the tail bound of F_{N+1} (``_tail_from_term``).
+def _report(point: SeriesPoint, n_trunc: int, run: list[Decimal], f_next: int, power=None):
+    """The report at N from ``_checked_run``'s window and F_{N+1}.
 
     With eta = p/q, times p^(N+k) the identity in the module docstring
     reads P_N = num / (p^N den), with den from ``_denominator`` and
 
         num = q^(k-1) p^(N+1) - q^(N+1) acc,  acc = sum_{j=1}^{k} q^(j-1) p^(k-j) T_j,
 
-    T_j = F_{N+j-k} + ... + F_N being the suffix sums of the run.  The
-    first part is the closed form p q^(k-1) / den, so the omitted part is
-    q^(N+1) acc / (p^N den).  As den is prime to p and to q, each reduces
-    by a gcd with p^N, which for num is the one of acc (a prime l of p
-    divides p^(N+1) q^(k-1) more often than p^N), and a gcd with den, of
-    num mod den for P_N: gcds of cofactors of a term's size.
+    T_j = F_{N+j-k} + ... + F_N being the suffix sums of the run (``_acc``).
+    The first part is the closed form p q^(k-1) / den, so the omitted part
+    is q^(N+1) acc / (p^N den).  As den is prime to p and to q, each
+    reduces by a gcd with p^N, which for num is the one of acc (a prime l
+    of p divides p^(N+1) q^(k-1) more often than p^N), and a gcd with den,
+    of num mod den for P_N: gcds of cofactors of a term's size.  The tail
+    bound is ``_tail_factors``', and the verdict says the omitted part is
+    at most it.  The recipe of the four numbers, ``numbers``, runs with
+    ints and ``power`` (a new ``_power(int)`` by default) and is kept in
+    ``_LAST`` for ``EvalReport.to_json_dict``.
     """
     k, p, q = point.k, point.eta.numerator, point.eta.denominator
+    acc = _acc(point, run)
     den, head = _denominator(point), p * q ** (k - 1)  # closed = head / den
     reduced, e, c = strip_p_power(acc, p, n_trunc)  # p^N / gcd(acc, p^N) = c p^e
     n1 = n_trunc + 1
     g_omitted = gcd(reduced, den)
-    g_partial = gcd(pow(p, n1, den) * q ** (k - 1) - pow(q, n1, den) * acc, den)
+    g_partial = gcd(pow(p, n_trunc, den) * head - pow(q, n1, den) * acc, den)
+    tail, tail_e, tail_c = _tail_factors(point, n_trunc, f_next)
 
-    def sums(cast, power):
-        scale, omitted = power(p, e) * cast(c), power(q, n1) * cast(reduced)
+    def numbers(cast, power):
+        q_power = power(q, n1)
+        scale, omitted = power(p, e) * cast(c), q_power * cast(reduced)
         scaled_den, g, h = scale * cast(den), cast(g_partial), cast(g_omitted)
         return {
             "partial": ((cast(head) * scale - omitted) // g, scaled_den // g),
             "closed": (cast(head), cast(den)),
+            "tail_bound": (cast(tail) * q_power, power(p, tail_e) * cast(tail_c)),
             "residual": (omitted // h, scaled_den // h),
         }
 
-    numbers = build((point, n_trunc), sums)
+    values = {name: coprime(*pair) for name, pair in numbers(int, power or _power(int)).items()}
+    _LAST.clear()
+    _LAST[point, n_trunc] = (values, numbers)
     # times p^N / q^(N+1) the omitted part is acc / den and the tail bound
     # F_{N+1} / (p - 2q), so the verdict takes no product of their size
-    verdict = acc * (p - 2 * q) <= f_next * den
-    return numbers["partial"], numbers["closed"], numbers["residual"], verdict
+    passed = acc * (p - 2 * q) <= f_next * den
+    return EvalReport(point=point, n_trunc=n_trunc, passed=passed, **values)
+
+
+def _power(cast):
+    # power(base, exp) = cast(base)^exp, each computed once
+    return cache(lambda base, exp: cast(base) ** exp)
 
 
 def _acc(point: SeriesPoint, run: list[Decimal]) -> int:
-    """acc of ``_sums`` from the ``Decimal`` run F_{N-k+1} .. F_{N+1}, as an int.
+    """acc of ``_report`` from the ``Decimal`` run F_{N-k+1} .. F_{N+1}, as an int.
 
     The suffix sums and their weighted sum run in ``Decimal`` under
     ``EXACT_CONTEXT``, with p and q converted, and only the sum is
@@ -337,22 +348,45 @@ def _weighted_sum(values: list, p, q):
     return blocks[0]
 
 
-def _tail_from_term(point: SeriesPoint, n_trunc: int, f_next: int) -> Rational:
-    """The tail bound F_{N+1} / eta^(N+1) * eta / (eta - 2) = F_{N+1} q^(N+1) / (p^N (p - 2q)).
+def _tail_factors(point: SeriesPoint, n_trunc: int, f_next: int) -> tuple[int, int, int]:
+    """t, e and c with tail bound = t q^(N+1) / (c p^e) in lowest terms, from F_{N+1}.
 
-    q is prime to p and to p - 2q, so it reduces by gcds of F_{N+1} alone:
-    first with p - 2q, then with p^N (``strip_p_power``), which the rest of
-    p - 2q is then prime to.
+    The bound is F_{N+1} / eta^(N+1) * eta / (eta - 2) = F_{N+1} q^(N+1) /
+    (p^N (p - 2q)).  q is prime to p and to p - 2q, so it reduces by gcds
+    of F_{N+1} alone: first with p - 2q, then with p^N (``strip_p_power``),
+    which the rest of p - 2q is then prime to.
     """
     p, q = point.eta.numerator, point.eta.denominator
     g = gcd(f_next, p - 2 * q)
     reduced, e, c = strip_p_power(f_next // g, p, n_trunc)
-    c *= (p - 2 * q) // g
+    return reduced, e, c * ((p - 2 * q) // g)
 
-    def tail(cast, power):
-        return {"tail_bound": (cast(reduced) * power(q, n_trunc + 1), power(p, e) * cast(c))}
 
-    return build((point, n_trunc), tail)["tail_bound"]
+def _tail_from_term(point: SeriesPoint, n_trunc: int, f_next: int, power) -> Rational:
+    """The tail bound of F_{N+1} (``_tail_factors``) as a ``Fraction``, from int ``power``."""
+    p, q = point.eta.numerator, point.eta.denominator
+    reduced, e, c = _tail_factors(point, n_trunc, f_next)
+    return coprime(reduced * power(q, n_trunc + 1), power(p, e) * c)
+
+
+def strip_p_power(x: int, p: int, n: int) -> tuple[int, int, int]:
+    """x / g, e and c, for g = gcd(x, p^n) and p^n / g = c p^e.
+
+    g is the product of h_i = gcd(x_i, p) over at most n steps,
+    x_{i+1} = x_i / h_i: each step takes min(v_l(x_i), v_l(p)) factors of
+    every prime l of p, so n steps take min(v_l(x), n v_l(p)) of them,
+    which is v_l(g), and a step with h = 1 would take no more.  c, the
+    product of the p / h_i, is as small as the steps are few.
+    """
+    steps, c = 0, 1
+    while steps < n:
+        h = gcd(x, p)
+        if h == 1:
+            break
+        x //= h
+        c *= p // h
+        steps += 1
+    return x, n - steps, c
 
 
 def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
@@ -379,8 +413,8 @@ def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
         # then the first doubling past them, which _checked_run refuses
         at = min(n, top) if at < top else n
         run, f_next = _checked_run(point, at)
-        bound = _tail_from_term(point, at, f_next)
-        if bound <= epsilon:
-            return _report(point, at, run, f_next, bound)
+        power = _power(int)  # the report shares the check's q^(N+1) and p^e
+        if _tail_from_term(point, at, f_next, power) <= epsilon:
+            return _report(point, at, run, f_next, power)
         if at == n:
             n *= 2

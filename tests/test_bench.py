@@ -7,14 +7,13 @@ from kbonacci.bench import (
     BenchConfig,
     BenchRecord,
     MethodMismatchError,
-    digit_count,
     emit_report,
     load_config,
     min_wall_times,
     parse_report,
     run_bench,
 )
-from kbonacci import sequence
+from kbonacci import bounds, sequence
 from kbonacci.sequence import term_fast, term_matrix, term_naive
 
 COLUMNS = ["method", "k", "n", "rep", "wall_time", "result_digits", "checksum"]
@@ -63,6 +62,9 @@ class TestConfigValidation:
             dict(k_values=[3], n_values=[740_741], methods=["matrix"]),
             dict(k_values=[3], n_values=[17_488_316], methods=["polymod"]),
             dict(repetitions=101),
+            # the grid's bound: two cells at the top of their bounds, at 100
+            dict(n_values=[33_219_280, 33_219_279], repetitions=100, methods=["polymod"]),
+            dict(n_values=[250_000], repetitions=100, methods=["naive", "matrix"]),
         ],
     )
     def test_rejects_bad_fields(self, bad, tmp_path):
@@ -79,6 +81,53 @@ def test_accepts_the_edges_of_every_bound():
     small_config(k_values=[2], n_values=[250_000], methods=["naive"])
     small_config(k_values=[3], n_values=[740_740], methods=["matrix"])
     small_config(k_values=[2, 3], n_values=[17_488_315], methods=["polymod"])
+
+
+class TestGridBound:
+    """A grid is refused when its work passes that of its largest cell at 100 repetitions."""
+
+    TOP = bounds._MAX_INDEX
+
+    @pytest.mark.parametrize(
+        "k_values,n_values,repetitions,methods",
+        [
+            ([2], [TOP, TOP - 1], 50, ["polymod"]),
+            ([2], [250_000], 100, ["naive"]),
+            ([2], [250_000, 100], 99, ["naive"]),
+            ([3], [740_740], 100, ["matrix"]),
+            ([2], [2_500_000], 100, ["matrix"]),
+            ([271], [0, 1], 50, ["matrix"]),
+            ([100_000], [0], 100, ["polymod"]),
+        ],
+    )
+    def test_accepts_up_to_the_work_of_one_top_cell(self, k_values, n_values, repetitions, methods):
+        BenchConfig(k_values, n_values, repetitions, methods)
+
+    @pytest.mark.parametrize(
+        "k_values,n_values,repetitions,methods,ratio",
+        [
+            ([2], [TOP, TOP - 1], 51, ["polymod"], "1.02"),
+            ([2], [250_000, 2500], 100, ["naive"], "1.01"),
+            ([3], [250_000], 100, ["matrix", "naive"], "1.34"),
+            ([2, 3], [17_488_315], 66, ["polymod"], "1.01"),
+            ([2], list(range(TOP - 999, TOP + 1)), 100, ["polymod"], "999.99"),
+        ],
+    )
+    def test_refuses_more_before_any_timing(
+        self, monkeypatch, k_values, n_values, repetitions, methods, ratio
+    ):
+        def timed(*args):
+            raise AssertionError("a refused grid was timed")
+
+        for name in sequence.METHODS:
+            monkeypatch.setitem(bench.METHODS, name, timed)
+        cells = len(k_values) * len(n_values) * len(methods)
+        message = (
+            f"a grid of {cells} cells at {repetitions} repetitions has a modelled cost of"
+            f" {ratio} times the most a grid may cost, that of k = 2, n = {self.TOP} at 100"
+        )
+        with pytest.raises(ValueError, match=message):
+            BenchConfig(k_values, n_values, repetitions, methods)
 
 
 class TestRunBench:
@@ -125,7 +174,7 @@ class TestRunBench:
         }
 
     def test_mismatch_aborts(self, monkeypatch):
-        monkeypatch.setitem(bench.METHODS, "matrix", lambda k, n: 12345)
+        monkeypatch.setitem(bench.METHODS, "matrix", lambda k, n, cast: cast(12345))
         cfg = BenchConfig([2], [10], 1, ["naive", "matrix"])
         with pytest.raises(MethodMismatchError):
             run_bench(cfg)
@@ -176,24 +225,29 @@ class TestReports:
 
 
 class TestDigitCount:
+    """A record's result_digits, from the Decimal term the method returns."""
+
+    @staticmethod
+    def result_digits(monkeypatch, value):
+        monkeypatch.setitem(bench.METHODS, "polymod", lambda k, n, cast: cast(value))
+        [record] = run_bench(BenchConfig([2], [0], 1, ["polymod"]))
+        assert record.checksum == value % 2**64
+        return record.result_digits
+
     @pytest.mark.parametrize(
         "value,expected",
         [(0, 1), (9, 1), (10, 2), (99, 2), (100, 3), (10**100 - 1, 100), (10**100, 101)],
     )
-    def test_boundaries(self, value, expected):
-        assert digit_count(value) == expected
+    def test_boundaries(self, monkeypatch, value, expected):
+        assert self.result_digits(monkeypatch, value) == expected
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            digit_count(-1)
-
-    def test_against_str_on_moderate_values(self):
+    def test_against_str_on_moderate_values(self, monkeypatch):
         import random
 
         rng = random.Random(20260816)
         for _ in range(300):
             v = rng.randrange(10 ** rng.randrange(1, 60))
-            assert digit_count(v) == len(str(v))
+            assert self.result_digits(monkeypatch, v) == len(str(v))
 
 
 class TestLoadConfig:

@@ -695,6 +695,7 @@ class TestResourceGuards:
             ("seq", f"at most {bounds._MAX_SEQ_DIGITS} digits"),
             ("seq", f"recurrence order, 2 to {bounds._MAX_ORDER}"),
             ("gf", f"(N + k) * log10 p at most {bounds._MAX_PARTIAL_DIGITS} digits"),
+            ("gf", "fixed truncation index, at least k - 1,"),
             ("gf", f"the jump to N - k + 1 {jump}"),
             ("verify-decimal", f"(orders) * max-k at most {bounds._MAX_SWEEP_DIGITS}"),
             ("verify-classic", f"precision, {bounds._MIN_CLASSIC_DIGITS} to {bounds._MAX_CLASSIC_DIGITS}"),
@@ -849,24 +850,33 @@ class TestNoBigIntRendered:
             return convert
 
         import kbonacci.classic_sums
-        import kbonacci.factored
         import kbonacci.rational
+        import kbonacci.series
 
-        for module in (kbonacci.rational, kbonacci.factored, kbonacci.classic_sums):
-            for name in ("to_decimal", "int_to_str"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, spy(getattr(module, name)))
+        for module in (kbonacci.rational, kbonacci.series, kbonacci.classic_sums):
+            names = [name for name in ("to_decimal", "int_to_str") if hasattr(module, name)]
+            assert names, f"{module.__name__} converts nothing: the spy would see none of it"
+            for name in names:
+                monkeypatch.setattr(module, name, spy(getattr(module, name)))
         return widths
 
     @pytest.mark.parametrize(
-        "k,eta,n",
-        [(2, "3", 20_000), (6, "586606005/146651501", 2642), (8, "12/5", 5000), (3, "64/3", 2)],
+        "k,eta,cutoff",
+        [
+            (2, "3", ["-N", "20000"]),
+            (6, "586606005/146651501", ["-N", "2642"]),
+            (8, "12/5", ["-N", "5000"]),
+            (3, "64/3", ["-N", "2"]),
+            (8, "12/5", ["--epsilon", "1/1" + "0" * 1500]),  # the search's report
+        ],
+        ids=["2-3-20000", "6-586606005/146651501-2642", "8-12/5-5000", "3-64/3-2", "8-12/5-epsilon"],
     )
     @pytest.mark.parametrize("as_json", [False, True])
-    def test_gf(self, capsys, widths, k, eta, n, as_json):
-        argv = ["gf", "-k", str(k), "--eta", eta, "-N", str(n)] + ["--json"] * as_json
+    def test_gf(self, capsys, widths, k, eta, cutoff, as_json):
+        argv = ["gf", "-k", str(k), "--eta", eta, *cutoff] + ["--json"] * as_json
         code, out, _ = run(capsys, argv)
         assert code == 0
+        n = json.loads(out)["N"] if as_json else int(out.splitlines()[2].removeprefix("N = "))
         point = SeriesPoint(k, parse_rational(eta))
         p = point.eta.numerator
         last = window(k, n - k + 1, k + 1)[-1]
@@ -983,6 +993,15 @@ class TestBench:
             (
                 {"k_values": [2], "n_values": [5], "repetitions": 101},
                 "repetitions must be 1 to 100, got 101",
+            ),
+            (
+                {
+                    "k_values": [2],
+                    "n_values": list(range(BOUND - 999, BOUND + 1)),
+                    "repetitions": 100,
+                    "methods": ["polymod"],
+                },
+                "a grid of 1000 cells at 100 repetitions has a modelled cost of 999.99 times",
             ),
         ],
     )
@@ -1313,7 +1332,6 @@ class TestStartup:
         "kbonacci.bench",
         "kbonacci.classic_sums",
         "kbonacci.series",
-        "kbonacci.factored",
         "kbonacci.decimal_identity",
         "dataclasses",
         "inspect",

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kbonacci import bounds, cli, factored, series
+from kbonacci import bounds, cli, series
 from kbonacci.rational import format_ratio, parse_rational, to_decimal
 from kbonacci.sequence import iter_terms, range_terms, term_fast, window
 from kbonacci.series import (
@@ -716,7 +716,7 @@ class TestOmittedByHalves:
         point = SeriesPoint(k=k, eta=eta)
         n_trunc = k - 1 + extra
         run, f_next = series._checked_run(point, n_trunc)
-        omitted = series._sums(point, n_trunc, series._acc(point, run), f_next)[2]
+        omitted = series._report(point, n_trunc, run, f_next).residual
         assert omitted == horner_omitted(point, n_trunc, window(k, n_trunc - k + 1, k))
 
     @pytest.mark.parametrize("length", [*range(1, 40), 63, 64, 65, 1000])
@@ -743,7 +743,7 @@ def fraction_route(point, n_trunc):
 
 
 def omitted_numerator(point, n_trunc):
-    """acc, the run's weighted suffix sum (``series._sums``), by Horner's rule."""
+    """acc, the run's weighted suffix sum (``series._report``), by Horner's rule."""
     p, q = point.eta.numerator, point.eta.denominator
     run = window(point.k, n_trunc - point.k + 1, point.k)
     suffix, acc, q_pow = sum(run), 0, 1
@@ -832,7 +832,7 @@ class TestFactoredReport:
             (12, 12**9 * 5, 5, (12**4 * 5, 0, 1)),  # capped at n steps
             (3, 3**40 * 2, 50, (2, 10, 1)),
         ):
-            reduced, e, c = factored.strip_p_power(x, p, n)
+            reduced, e, c = series.strip_p_power(x, p, n)
             assert (reduced, e, c) == expected
             g = x // reduced
             assert g == math.gcd(x, p**n) and c * p**e == p**n // g

@@ -35,15 +35,15 @@ _MAX_INDEX = int(_MAX_DIGITS / math.log10(2))
 # term's oracle methods are far slower than the kernel: naive sweeps every
 # term up to F_n (time about n^2), and matrix multiplies k x k matrices of
 # F_n-sized entries (k^3 products a step; 95 s at k = 2, n = 33219280).  Each
-# is refused above the index where, at k = 2, it takes about as long as the
-# kernel's largest request (1.6 s): naive 1.5 s (2.0 s at k = 64) and matrix
-# 1.8 s (6.5 s at k = 3).
-_ORACLE_MAX_INDEX = {"naive": 250_000, "matrix": 2_500_000}
+# is refused above the index where it takes about as long as the kernel's
+# largest request, term -k 2 -n 33219280 (1.5 s, all three in Decimal as
+# term runs them, in process): naive 1.1 s at k = 2 and 1.5-1.6 s from
+# k = 64 on, where terms grow a bit a step, and matrix 1.3 s at k = 2.
+_ORACLE_MAX_INDEX = {"naive": 200_000, "matrix": 2_000_000}
 # --method matrix is also refused when k^3 * n (n = 0 counted as 1: the
-# matrices alone hold k^2 entries) passes this, 8 * 2500000 at k = 2.  At the
-# bound k = 2 takes 2.4 s, k = 3 at n = 740740 1.7 s, and k = 271 at n = 1
-# 1.6 s.
-_MAX_MATRIX_WORK = 2 * 10**7
+# matrices alone hold k^2 entries) passes this, 8 * 2000000 at k = 2.  At the
+# bound k = 3 at n = 592592 takes 0.9 s and k = 251 at n = 1 0.8 s.
+_MAX_MATRIX_WORK = 16 * 10**6
 # seq prints N1 - N0 + 1 terms of at most N1*log10(2) + 1 digits each, and
 # refuses a range whose bound on that total passes this: seq -k 3 --from 0
 # --to 20000 prints 5.3e7 digits against a bound of 1.2e8.
@@ -74,9 +74,9 @@ _MIN_CLASSIC_DIGITS = 4
 _MAX_CLASSIC_DIGITS = 200_000
 # bench's min-of-reps needs a handful.  A repetition times the call term
 # makes, and at the top of check_term's bounds takes about 1 s for polymod
-# (k = 2, n = 33219280; 11.5 s as an int, 1.1 s in Decimal) and 1.5-2.2 s
-# for naive and matrix.  check_grid holds a whole grid to the work of one
-# such cell at this many repetitions.
+# (k = 2, n = 33219280; 11.5 s as an int, 1.1-1.5 s in Decimal) and about as
+# long for naive and matrix.  check_grid holds a whole grid to the work of
+# one such cell at this many repetitions.
 _MAX_REPETITIONS = 100
 
 
@@ -86,7 +86,7 @@ def _kernel_cost(k: int, n: int) -> float:
     F_n has about n log2(phi_k) bits, phi_k = 2 - phi_k^-k being the
     dominant root; each slot holds at least a few bytes.  One unit is about
     42 ns: term -k 2 -n 33219280 (4.6e7) takes 1.9 s, -k 16 -n 1250000
-    (2.0e7) 1.1 s, and seq -k 100000 --from 400 --to 400 (4.6e7) 2.1 s.
+    (2.0e7) 0.7 s, and seq -k 100000 --from 400 --to 400 (4.6e7) 2.1 s.
     """
     return k * (n * _log2_phi(k) + 64)
 

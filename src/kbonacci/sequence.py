@@ -14,11 +14,11 @@ Three evaluation strategies are provided:
   additions.  A last step of ceil((k+t)/2) half-size products, for
   n = 2m + t, gives F_n.  O(log n) squares of about k times the term
   size.  Asked for a ``Decimal`` (``cast=rational.to_decimal``, as the CLI
-  does), it runs the squares from coefficients of min(33000, 2000 k) bits
-  on in ``Decimal``: libmpdec multiplies big operands with a
+  does), it runs the squares from coefficients of ``_CAST_BITS`` bits on
+  in ``Decimal``: libmpdec multiplies big operands with a
   number-theoretic transform, CPython's int with Karatsuba, and the
   Decimal result prints in linear time.  For k >= 20 with n/(k+1) at
-  most 200 k it takes the generating function's binomial sum instead:
+  most 100 k it takes the generating function's binomial sum instead:
   about n/(k+1) steps on numbers of the term's size, which beats squares
   of k times that size where k is large.
 * ``term_naive`` -- item n of the sweep ``iter_terms`` from the initial
@@ -67,43 +67,46 @@ __all__ = [
 ]
 
 # term_fast with a cast (the CLI's Decimal) converts the residue before the
-# first square with a coefficient of _cast_bits(k) = min(_CAST_BITS,
-# _CAST_BITS_PER_ORDER * k) bits, so from k = 17 on at about 10k digits.
-# Below it, Decimal's cost per operation in the O(k) additions and
-# conversions of each step outweighs its faster product: switching on the
-# packed size (k times _CAST_BITS) instead made the term requests with
-# k >= 16 and under 20k digits slower.  For k = 2 and 3 converting a level
-# or two earlier pays: the k coefficients are a half or a quarter as wide
-# when converted, and Decimal squares them at about int's speed there
-# (k = 2: 0.57 against 0.45 ms at 16k bits, 1.1 against 1.7 ms at 32k
-# bits).  The 24 k = 2 and 3 terms of
-# three benchmark passes (n = 3e5 to 1.5e6, with str, CPython 3.11, 2
-# cores) took medians of 0.35 to 0.40 s at 1000 k to 4000 k bits against
-# 0.44 s at 33000 for k = 2, and 0.65 to 0.69 s against 0.76 s for k = 3.
-_CAST_BITS = 33_000
-_CAST_BITS_PER_ORDER = 2_000
-# iter_terms with a cast switches its jump-ahead at this much narrower width:
-# the k seed terms all come out in the cast's type, so converting them would
-# cost what term's one result costs, k times over.  The benchmark's seq
-# requests (k = 3 to 16, N0 = 2e4 to 1e5, two passes, in process) took 0.30 s
-# at 1000 bits, 0.31 s at 2000, 0.33 s at 500 and 0.38 s at 8000, against
-# 0.81 s at 33000 and 1.26 s for an int jump with converted seeds; seq -k 1000
-# --from 30000 --to 30000 took 1.5 s at 1000 bits, 2.0 s at 2000 and 35 s
-# with the int jump.  Width 0 would put the smallest squares in Decimal too:
-# seq -k 100000 --from 5 took 1.79 s there instead of 0.54 s.
+# first square with a coefficient of _CAST_BITS bits, at every order, so its
+# Decimal squares start at 10k to 20k bits a coefficient.  Below that,
+# Decimal's cost per operation in the O(k) additions and conversions of each
+# step outweighs its faster product; term -k 17 -n 31506 squares 7.9k-bit
+# coefficients last and stays in int.  Against the former per-order width
+# min(33000, 2000 k), in process (min of 30 interleaved runs, 8 for the last
+# two; CPython 3.11, 2 cores), with the bits each converted at:
+#   k, n        min(33000, 2000 k)   _CAST_BITS
+#   2, 593045   17.4 ms at 6.4k      17.8 ms at 12.9k
+#   3, 600481   33.2 ms at 8.2k      34.1 ms at 16.5k
+#   8, 2e5      34.7 ms at 24.9k     28.6 ms at 12.5k
+#   12, 1.5e5   64.2 ms at 37.5k     44.3 ms at 18.7k
+#   16, 1e5     68.1 ms in int       33.6 ms at 12.5k
+#   19, 6.6e4   49.1 ms in int       41.5 ms at 16.5k
+#   16, 1e6     472 ms at 62.5k      366 ms at 15.6k
+#   20, 2e6     1192 ms at 62.5k     1087 ms at 15.6k
+# iter_terms switches its jump-ahead at the much narrower _SEED_CAST_BITS: its
+# k seed terms all come out in the cast's type, so converting them would cost
+# what term's one result costs, k times over.  The benchmark's seq requests
+# (k = 3 to 16, N0 = 2e4 to 1e5, two passes, in process) took 0.30 s at 1000
+# bits, 0.31 s at 2000, 0.33 s at 500 and 0.38 s at 8000, against 0.81 s at
+# 33000 and 1.26 s for an int jump with converted seeds; seq -k 1000 --from
+# 30000 --to 30000 took 1.5 s at 1000 bits and 35 s with the int jump.
+# Width 0 would put the smallest squares in Decimal too: seq -k 100000
+# --from 5 took 1.79 s there instead of 0.54 s.
+_CAST_BITS = 10_000
 _SEED_CAST_BITS = 1_000
 # term_fast takes the binomial sum for k >= _BINOMIAL_ORDER while
-# n/(k+1) <= _BINOMIAL_STEPS * k.  Timed against the kernel (with the CLI's
-# Decimal cast, CPython 3.11, 2 cores), the sum won from k = 20 on: 21 ms
-# against 31 at k = 20, n = 30000; 13 ms against 0.2 s at k = 64,
-# n = 40000; 1 ms against 41 s at k = 1000, n = 66000.  It lost below: 70
-# against 52 ms at k = 16, n = 60000.  The sum grows as n^2/(k+1), the
-# kernel about as k n.  The two drew level at about n/(k+1) = 200 k for
-# k = 20 to 48: there the sum took 0.92, 1.02, 1.18 and 1.37 times the
-# kernel's time at 175 k, 200 k, 225 k and 250 k (mean of the ratios at 5
-# to 8 orders, each the best of 3).
+# n/(k+1) <= _BINOMIAL_STEPS * k.  The sum won from k = 20 on: 21 ms against
+# 31 at k = 20, n = 30000; 13 ms against 0.2 s at k = 64, n = 40000; 1 ms
+# against 41 s at k = 1000, n = 66000.  It lost below: 70 against 52 ms at
+# k = 16, n = 60000.  The sum grows as n^2/(k+1), the kernel about as k n,
+# and they draw level at about n/(k+1) = 100 k: the sum's time (with its
+# conversion) over the kernel's, both with the CLI's Decimal cast, best of 5:
+#   n/(k+1)  k = 20   24     28     32     40     48     mean
+#   80 k     0.90     0.78   0.60   0.86   0.67   0.79   0.77
+#   100 k    1.23     0.94   0.94   1.06   1.11   0.97   1.04
+#   125 k    1.29     1.01   1.41   0.94   1.39   1.08   1.19
 _BINOMIAL_ORDER = 20
-_BINOMIAL_STEPS = 200
+_BINOMIAL_STEPS = 100
 
 
 def validate_order(k: int) -> int:
@@ -138,7 +141,7 @@ def iter_terms(k: int, start: int = 0, cast=int) -> Iterator[int]:
     which keeps ``term_naive``, an oracle for the kernel, off the kernel;
     from any other start it is the k terms of one jump-ahead, whose
     squares switch to ``cast`` at ``_SEED_CAST_BITS``-bit coefficients, as
-    ``term_fast``'s do at ``_cast_bits(k)``.  ``cast`` converts the k seed
+    ``term_fast``'s do at ``_CAST_BITS``.  ``cast`` converts the k seed
     terms if the jump stayed in int, and later terms are their sums, so
     they share its result type.  ``Decimal`` sums are exact only under a
     context that traps ``Inexact``, such as ``rational.EXACT_CONTEXT``, so
@@ -209,7 +212,7 @@ def term_fast(k: int, n: int, cast=int):
 
     The default returns an int and runs in ints throughout.  Any other
     ``cast`` (``rational.to_decimal``) converts the residue once its
-    coefficients reach ``_cast_bits(k)`` bits, so the top squares and the
+    coefficients reach ``_CAST_BITS`` bits, so the top squares and the
     final products run in that type, and F_n comes back in it; a residue
     that stays smaller leaves one int result to convert.  For ``Decimal``
     that means libmpdec's number-theoretic-transform products and a
@@ -222,7 +225,7 @@ def term_fast(k: int, n: int, cast=int):
     if _takes_binomial(k, n):
         return cast(_binomial_term(k, n))
     m, t = divmod(n, 2)
-    value = _top_of_square(_x_pow_mod(m, k, cast, _cast_bits(k)), t)
+    value = _top_of_square(_x_pow_mod(m, k, cast, _CAST_BITS), t)
     return cast(value) if type(value) is int else value
 
 
@@ -231,10 +234,6 @@ def _validate_index(n: int) -> None:
         raise ValueError(f"index must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"negative indices are not defined, got {n}")
-
-
-def _cast_bits(k: int) -> int:
-    return min(_CAST_BITS, _CAST_BITS_PER_ORDER * k)
 
 
 def _takes_binomial(k: int, n: int) -> bool:

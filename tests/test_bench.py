@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -58,13 +59,13 @@ class TestConfigValidation:
             dict(k_values=[100_001], n_values=[0]),
             dict(n_values=[10**9], methods=["naive"]),
             dict(n_values=[33_219_281], methods=["polymod"]),
-            dict(n_values=[250_001], methods=["naive"]),
-            dict(k_values=[3], n_values=[740_741], methods=["matrix"]),
+            dict(n_values=[200_001], methods=["naive"]),
+            dict(k_values=[3], n_values=[592_593], methods=["matrix"]),
             dict(k_values=[3], n_values=[17_488_316], methods=["polymod"]),
             dict(repetitions=101),
             # the grid's bound: two cells at the top of their bounds, at 100
             dict(n_values=[33_219_280, 33_219_279], repetitions=100, methods=["polymod"]),
-            dict(n_values=[250_000], repetitions=100, methods=["naive", "matrix"]),
+            dict(n_values=[200_000], repetitions=100, methods=["naive", "matrix"]),
         ],
     )
     def test_rejects_bad_fields(self, bad, tmp_path):
@@ -78,8 +79,8 @@ class TestConfigValidation:
 def test_accepts_the_edges_of_every_bound():
     # built, not run
     small_config(k_values=[100_000], n_values=[0], methods=["polymod"], repetitions=100)
-    small_config(k_values=[2], n_values=[250_000], methods=["naive"])
-    small_config(k_values=[3], n_values=[740_740], methods=["matrix"])
+    small_config(k_values=[2], n_values=[200_000], methods=["naive"])
+    small_config(k_values=[3], n_values=[592_592], methods=["matrix"])
     small_config(k_values=[2, 3], n_values=[17_488_315], methods=["polymod"])
 
 
@@ -92,11 +93,11 @@ class TestGridBound:
         "k_values,n_values,repetitions,methods",
         [
             ([2], [TOP, TOP - 1], 50, ["polymod"]),
-            ([2], [250_000], 100, ["naive"]),
-            ([2], [250_000, 100], 99, ["naive"]),
-            ([3], [740_740], 100, ["matrix"]),
-            ([2], [2_500_000], 100, ["matrix"]),
-            ([271], [0, 1], 50, ["matrix"]),
+            ([2], [200_000], 100, ["naive"]),
+            ([2], [200_000, 100], 99, ["naive"]),
+            ([3], [592_592], 100, ["matrix"]),
+            ([2], [2_000_000], 100, ["matrix"]),
+            ([251], [0, 1], 50, ["matrix"]),
             ([100_000], [0], 100, ["polymod"]),
         ],
     )
@@ -107,8 +108,8 @@ class TestGridBound:
         "k_values,n_values,repetitions,methods,ratio",
         [
             ([2], [TOP, TOP - 1], 51, ["polymod"], "1.02"),
-            ([2], [250_000, 2500], 100, ["naive"], "1.01"),
-            ([3], [250_000], 100, ["matrix", "naive"], "1.34"),
+            ([2], [200_000, 2000], 100, ["naive"], "1.01"),
+            ([3], [200_000], 100, ["matrix", "naive"], "1.34"),
             ([2, 3], [17_488_315], 66, ["polymod"], "1.01"),
             ([2], list(range(TOP - 999, TOP + 1)), 100, ["polymod"], "999.99"),
         ],
@@ -278,3 +279,9 @@ class TestLoadConfig:
         path.write_text(json.dumps({"n_values": [10]}))
         with pytest.raises(ValueError):
             load_config(str(path))
+
+    def test_kernel_switch_grid_is_accepted(self):
+        # the committed grid that re-times term_fast's Decimal switch
+        path = Path(__file__).with_name("kernel_switch_grid.json")
+        cfg = load_config(str(path))
+        assert cfg == BenchConfig([2, 3, 8, 12, 16, 17, 19], [31_506, 100_000, 600_481], 5, ["polymod"])

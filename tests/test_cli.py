@@ -80,9 +80,10 @@ class TestTerm:
 
     @pytest.mark.parametrize(
         "k,n,in_decimal",
-        # the first Decimal square needs a coefficient of min(33000, 2000 k)
-        # bits: 4000 at k = 2 and 6000 at k = 3
-        [(2, 23_047, False), (2, 23_048, True), (3, 27_307, False), (3, 27_308, True)],
+        # the first Decimal square needs a coefficient of 10000 bits at every
+        # order; the benchmark's one kernel-path term, k = 17, stays in int
+        [(2, 23_047, False), (2, 57_619, False), (2, 57_620, True), (3, 27_307, False),
+         (3, 45_507, False), (3, 45_508, True), (16, 100_000, True), (17, 31_506, False)],
     )
     def test_either_side_of_the_decimal_switch(self, capsys, monkeypatch, k, n, in_decimal):
         squares = []
@@ -395,11 +396,13 @@ class TestResourceGuards:
 
     @pytest.mark.parametrize(
         "method,k,n",
-        [("naive", 2, 250_001), ("naive", 64, 250_001), ("naive", 3, BOUND),
-         ("matrix", 2, 2_500_001), ("matrix", 16, 2_500_001), ("matrix", 2, BOUND)],
+        [("naive", 2, 200_001), ("naive", 64, 200_001), ("naive", 2, 250_001),
+         ("naive", 64, 250_001), ("naive", 3, BOUND), ("matrix", 2, 2_000_001),
+         ("matrix", 16, 2_000_001), ("matrix", 2, 2_500_001), ("matrix", 16, 2_500_001),
+         ("matrix", 2, BOUND)],
     )
     def test_oracle_method_index_bounds(self, capsys, monkeypatch, method, k, n):
-        assert bounds._ORACLE_MAX_INDEX == {"naive": 250_000, "matrix": 2_500_000}
+        assert bounds._ORACLE_MAX_INDEX == {"naive": 200_000, "matrix": 2_000_000}
         argv = ["term", "-k", str(k), "-n", str(n), "--method", method]
         limit = bounds._ORACLE_MAX_INDEX[method]
         message = f"index must be <= {limit} with --method {method}, got {n}"
@@ -408,7 +411,7 @@ class TestResourceGuards:
     def test_oracle_bounds_leave_the_kernel(self, capsys, monkeypatch):
         for name in METHODS:
             monkeypatch.setitem(METHODS, name, lambda k, n, cast, name=name: f"{name} {n}")
-        for method, n in (("naive", 250_000), ("matrix", 2_500_000), ("polymod", 2_500_001)):
+        for method, n in (("naive", 200_000), ("matrix", 2_000_000), ("polymod", 2_000_001)):
             argv = ["term", "-k", "2", "-n", str(n), "--method", method]
             assert run(capsys, argv) == (0, f"{method} {n}\n", "")
 
@@ -499,16 +502,20 @@ class TestResourceGuards:
             argv = ["digits", "-k", str(k), "-m", str(m)]
             assert run(capsys, argv) == (0, f"{m}\n", "")
 
-    @pytest.mark.parametrize("k,n", [(3, 740_741), (16, 4883), (272, 0), (272, 1), (1000, 5)])
+    @pytest.mark.parametrize(
+        "k,n",
+        [(3, 592_593), (16, 3907), (252, 0), (252, 1), (3, 740_741), (16, 4883), (272, 0),
+         (272, 1), (1000, 5)],
+    )
     def test_matrix_work_bound(self, capsys, monkeypatch, k, n):
-        assert bounds._MAX_MATRIX_WORK == 2 * 10**7
+        assert bounds._MAX_MATRIX_WORK == 16 * 10**6
         argv = ["term", "-k", str(k), "-n", str(n), "--method", "matrix"]
-        message = f"k^3 * n must be <= 20000000 with --method matrix, got {k}^3 * {n}"
+        message = f"k^3 * n must be <= 16000000 with --method matrix, got {k}^3 * {n}"
         self.refused(capsys, monkeypatch, argv, message)
 
     def test_matrix_work_bound_is_inclusive(self, capsys, monkeypatch):
         monkeypatch.setitem(METHODS, "matrix", lambda k, n, cast: f"{k} {n}")
-        for k, n in ((2, 2_500_000), (3, 740_740), (16, 4882), (271, 1), (271, 0)):
+        for k, n in ((2, 2_000_000), (3, 592_592), (16, 3906), (251, 1), (251, 0)):
             argv = ["term", "-k", str(k), "-n", str(n), "--method", "matrix"]
             assert run(capsys, argv) == (0, f"{k} {n}\n", "")
 
@@ -978,12 +985,12 @@ class TestBench:
                 "index must be <= 33219280, got 1000000000",
             ),
             (
-                {"k_values": [2], "n_values": [250_001], "methods": ["naive"]},
-                "index must be <= 250000 with --method naive, got 250001",
+                {"k_values": [2], "n_values": [200_001], "methods": ["naive"]},
+                "index must be <= 200000 with --method naive, got 200001",
             ),
             (
-                {"k_values": [16], "n_values": [4883], "methods": ["matrix"]},
-                "k^3 * n must be <= 20000000 with --method matrix, got 16^3 * 4883",
+                {"k_values": [16], "n_values": [3907], "methods": ["matrix"]},
+                "k^3 * n must be <= 16000000 with --method matrix, got 16^3 * 3907",
             ),
             (
                 {"k_values": [28], "n_values": [33_219_280], "methods": ["polymod"]},

@@ -1,6 +1,8 @@
+import json
 from contextlib import nullcontext
 from decimal import Context, Decimal, localcontext
 from itertools import islice
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -478,8 +480,8 @@ class TestBinomialBranch:
             assert str(value) == int_to_str(expected)
 
     def test_rule(self):
-        assert sequence._takes_binomial(20, 84_020)  # n // (k+1) = 4000 = 200 k
-        assert not sequence._takes_binomial(20, 84_021)
+        assert sequence._takes_binomial(20, 42_020)  # n // (k+1) = 2000 = 100 k
+        assert not sequence._takes_binomial(20, 42_021)
         assert not sequence._takes_binomial(19, 0)
         assert sequence._takes_binomial(100_000, bounds._MAX_INDEX)
 
@@ -490,7 +492,8 @@ class TestBinomialBranch:
 
     @pytest.mark.parametrize(
         "k,n",
-        [(20, 84_020), (20, 84_021), (20, 105_000), (20, 105_021), (64, 40_000), (256, 8000)],
+        [(20, 42_020), (20, 42_021), (20, 84_020), (20, 84_021), (20, 105_000), (20, 105_021),
+         (64, 40_000), (256, 8000)],
     )
     def test_paths_agree_at_scale(self, k, n):
         with forced("kernel"):
@@ -498,6 +501,48 @@ class TestBinomialBranch:
         with forced("binomial"):
             assert term_fast(k, n) == kernel
         assert term_fast(k, n) == kernel
+
+
+def benchmark_terms(workload):
+    """(k, n) of the recorded benchmark passes' term requests in ``workload``, n > 0."""
+    golden = json.loads(Path(__file__).with_name("golden_requests.json").read_text())
+    return sorted({
+        (int(argv[2]), int(argv[4]))
+        for key, outcomes in golden.items() if key.startswith(f"{workload}:")
+        for argv, _, _ in outcomes if argv[0] == "term" and argv[4] != "0"
+    })
+
+
+def first_decimal_square_bits(k, n):
+    """Widest coefficient of the first Decimal square of ``term_fast(k, n, to_decimal)``, in bits."""
+    widths = []
+    square = sequence._decimal_square_slots
+
+    def spy(a, k):
+        if not widths:
+            widths.append(int(max(a)).bit_length())
+        return square(a, k)
+
+    with mock.patch.object(sequence, "_decimal_square_slots", spy), localcontext(EXACT_CONTEXT):
+        term_fast(k, n, to_decimal)
+    return widths[0] if widths else None
+
+
+class TestBenchmarkPaths:
+    def test_kernel_terms_stay_int_below_order_20_and_take_the_sum_above(self):
+        terms = benchmark_terms("term-kernel")
+        assert (17, 31_506) in terms
+        for k, n in terms:
+            if k < sequence._BINOMIAL_ORDER:
+                assert first_decimal_square_bits(k, n) is None
+            else:
+                assert sequence._takes_binomial(k, n)
+
+    def test_render_terms_convert_below_20k_bit_coefficients(self):
+        terms = benchmark_terms("term-render")
+        assert {k for k, _ in terms} == {2, 3}
+        for k, n in terms:
+            assert sequence._CAST_BITS <= first_decimal_square_bits(k, n) < 20_000
 
 
 def dot_product_step(r, t):
@@ -511,7 +556,7 @@ def dot_product_step(r, t):
 def dot_product_term(k, n, cast=int):
     """F_n from the kernel's residue and ``dot_product_step``."""
     m, t = divmod(n, 2)
-    return dot_product_step(sequence._x_pow_mod(m, k, cast, sequence._cast_bits(k)), t)
+    return dot_product_step(sequence._x_pow_mod(m, k, cast, sequence._CAST_BITS), t)
 
 
 class Counted(int):

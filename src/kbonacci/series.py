@@ -32,20 +32,19 @@ weighted sum of the run, and a few products of O(N log eta)-bit
 integers, against N + 1 rational multiply-adds, each with its own gcd,
 for a sweep of the terms.
 
-Every number of a report is a cofactor no bigger than a term's size
-times p^e or q^(N+1), or a sum of two such.  Times p^N q^(N+1) each
-comes in lowest terms from gcds of those cofactors alone
-(``strip_p_power`` and the gcds with den in ``_report``), so no gcd of
-two p^N-sized numbers is taken, and the ``Fraction`` is built without a
-gcd (``coprime``).  ``_report`` states the four numbers once, as a
-recipe of ``cast`` and ``power(b, a)`` = cast(b)^a that returns each as
-(num, den) in lowest terms, and runs it with ``int`` for the report.
-``EvalReport.to_json_dict`` runs it again with ``rational.to_decimal``
-under ``EXACT_CONTEXT`` for the "num/den" text of each field that equals
-the value the last report built: libmpdec raises to a power and
-multiplies in subquadratic time and ``str(Decimal)`` is linear, where
-``str`` of a p^N-sized int is quadratic on CPython 3.11.  So no p^N-sized
-int is converted to text.
+A report is the point, N, acc (``_acc``) and F_{N+1}, the numbers that
+fix it; its four numbers and its verdict are derived from them.  Each
+number is a cofactor no bigger than a term's size times p^e or q^(N+1),
+or a sum of two such.  Times p^N q^(N+1) each comes in lowest terms from
+gcds of those cofactors alone (``strip_p_power`` and the gcds with den),
+so no gcd of two p^N-sized numbers is taken, and the ``Fraction`` is
+built without a gcd (``coprime``).  ``_numbers`` states the four once, as
+a recipe of the report and a cast.  The report's ``Fraction`` fields run
+it with ``int``, and ``EvalReport.to_json_dict`` only with
+``rational.to_decimal`` under ``EXACT_CONTEXT``: libmpdec raises to a
+power and multiplies in subquadratic time and ``str(Decimal)`` is linear,
+where ``str`` of a p^N-sized int is quadratic on CPython 3.11.  So no
+p^N-sized int is built or converted to text to print a report.
 
 The eta > 2 restriction is the domain on which the geometric tail argument
 works; no claim is made below it.
@@ -58,14 +57,14 @@ from collections import namedtuple
 from collections.abc import Iterator
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate, islice
 from math import ceil, gcd, log10
 from operator import sub
 
 from .bounds import _MAX_PARTIAL_DIGITS, check_jump, jump_fits
 from .rational import EXACT_CONTEXT, Rational, format_ratio, str_to_int, to_decimal
-from .sequence import iter_terms, validate_order
+from .sequence import _validate_index, iter_terms, validate_order
 
 __all__ = [
     "SeriesPoint",
@@ -82,10 +81,6 @@ __all__ = [
 coprime = getattr(Fraction, "_from_coprime_ints", None) or (
     lambda num, den: Fraction(num, den, _normalize=False)
 )
-
-# the last report built, {(point, N): ({field: value}, numbers)}: a request
-# builds one report and then prints it
-_LAST: dict = {}
 
 
 class SeriesPoint(namedtuple("SeriesPoint", "k eta")):
@@ -107,30 +102,36 @@ class SeriesPoint(namedtuple("SeriesPoint", "k eta")):
         return super().__new__(cls, k, eta)
 
 
-class EvalReport(
-    namedtuple("EvalReport", "point n_trunc partial closed tail_bound residual passed")
-):
-    """Comparison of a partial sum against the closed form, an immutable named tuple.
+class EvalReport(namedtuple("EvalReport", "point n_trunc acc f_next")):
+    """A truncation of the series at N, an immutable named tuple of the numbers that fix it.
 
-    ``residual`` is closed - partial, the omitted part the partial sum is
-    built from; ``passed`` records whether it is within the rigorous tail
-    bound for the truncation index.
+    ``acc`` is the weighted suffix sum of F_{N-k+1} .. F_N (``_acc``) and
+    ``f_next`` is F_{N+1}.  ``partial``, ``closed``, ``tail_bound`` and
+    ``residual`` (closed - partial, the omitted part the partial sum is
+    built from) are ``Fraction``s derived from them, and ``passed`` records
+    whether the residual is within the rigorous tail bound for N.
     """
 
     __slots__ = ()
 
+    partial = property(lambda self: coprime(*_numbers(self, int).partial))
+    closed = property(lambda self: coprime(*_numbers(self, int).closed))
+    tail_bound = property(lambda self: coprime(*_numbers(self, int).tail_bound))
+    residual = property(lambda self: coprime(*_numbers(self, int).residual))
+
+    @property
+    def passed(self) -> bool:
+        # times p^N / q^(N+1) the omitted part is acc / den and the tail bound
+        # F_{N+1} / (p - 2q), so the verdict takes no product of their size
+        p, q = self.point.eta.as_integer_ratio()
+        return self.acc * (p - 2 * q) <= self.f_next * _denominator(self.point)
+
     def to_json_dict(self) -> dict:
-        # a field equal to the value the last report built prints from that
-        # report's recipe in Decimal, any other through format_ratio
-        values, numbers = _LAST.get((self.point, self.n_trunc), ({}, None))
-        pairs = {}
-        if values:
-            with localcontext(EXACT_CONTEXT):
-                pairs = numbers(to_decimal, _power(to_decimal))
+        """k, eta, N, each number as "num/den" text from ``_numbers`` in ``Decimal``, and pass."""
+        with localcontext(EXACT_CONTEXT):
+            pairs = _numbers(self, to_decimal)
         doc = {"k": self.point.k, "eta": format_ratio(self.point.eta), "N": self.n_trunc}
-        for name in ("partial", "closed", "tail_bound", "residual"):
-            value = getattr(self, name)
-            doc[name] = "%s/%s" % pairs[name] if values.get(name) == value else format_ratio(value)
+        doc.update((name, "%s/%s" % pair) for name, pair in zip(pairs._fields, pairs))
         doc["pass"] = self.passed
         return doc
 
@@ -148,10 +149,11 @@ def closed_form(point: SeriesPoint) -> Rational:
 def partial_sum(point: SeriesPoint, n_trunc: int) -> Rational:
     """Exact sum of F_n / eta^n for n = 0 .. n_trunc.
 
-    Zero below N = k-1, where every term is, and ValueError below 0; from
-    k-1 on, the partial sum of ``evaluate``'s report.
+    Zero below N = k-1, where every term is, and ValueError below 0 or for
+    a non-int N; from k-1 on, the partial sum of ``evaluate``'s report.
     """
     if 0 <= n_trunc < point.k - 1:
+        _validate_index(n_trunc)
         return Fraction(0)
     return evaluate(point, n_trunc).partial
 
@@ -165,22 +167,21 @@ def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
 
         (F_{N+1} / eta^(N+1)) * 1 / (1 - 2/eta).
 
-    F_{N+1} comes from ``_checked_run``, within its checks: eta^(N+1) has
-    about as many digits as the partial sum.
+    The tail bound of ``evaluate``'s report, within its checks: eta^(N+1)
+    has about as many digits as the partial sum.
     """
-    return _tail_from_term(point, n_trunc, _checked_run(point, n_trunc)[1], _power(int))
+    return evaluate(point, n_trunc).tail_bound
 
 
 def evaluate(point: SeriesPoint, n_trunc: int) -> EvalReport:
-    """Partial sum, closed form, and tail bound bundled into one report.
+    """The report at N: acc from the first k terms of ``_checked_run``'s window, and F_{N+1}.
 
-    ValueError for N < 0 and within the checks of ``_checked_run``, whose
-    window gives the omitted part from its first k terms and the tail
-    bound from its last one.
+    ValueError for N < 0 and within the checks of ``_checked_run``.
     """
     if n_trunc < 0:
         raise ValueError(f"truncation index must be >= 0, got {n_trunc}")
-    return _report(point, n_trunc, *_checked_run(point, n_trunc))
+    run, f_next = _checked_run(point, n_trunc)
+    return EvalReport(point, n_trunc, _acc(point, run), f_next)
 
 
 def evaluate_range(point: SeriesPoint, n_max: int) -> Iterator[EvalReport]:
@@ -188,7 +189,9 @@ def evaluate_range(point: SeriesPoint, n_max: int) -> Iterator[EvalReport]:
 
     Each report comes from its own ``evaluate`` call, one jump and one
     closed-form sum, so the range has no summation path of its own.
+    ValueError unless n_max is an int >= k-1.
     """
+    _validate_index(n_max)
     k = point.k
     if n_max < k - 1:
         raise ValueError(f"n_max must be >= k-1 = {k - 1}, got {n_max}")
@@ -219,12 +222,13 @@ def _checked_run(point: SeriesPoint, n_trunc: int) -> tuple[list[Decimal], int]:
 
     The one source of every report's terms: ``iter_terms(k, N-k+1,
     to_decimal)`` under ``EXACT_CONTEXT``, as ``seq`` jumps.  Refused with
-    ValueError, in this order, unless N >= k-1, the partial sum, about
-    (N + k) log10 p digits for eta = p/q, has at most
+    ValueError, in this order, unless N is an int >= k-1, the partial sum,
+    about (N + k) log10 p digits for eta = p/q, has at most
     ``_MAX_PARTIAL_DIGITS`` digits, and the jump to F_{N-k+1} is within
     ``bounds.check_jump``.  F_{N+1} is converted once, for the tail bound
     and the verdict; the run's sum for the report is ``_acc``'s.
     """
+    _validate_index(n_trunc)
     k = point.k
     if n_trunc < k - 1:
         raise ValueError(f"tail bound needs n_trunc >= k-1 = {k - 1}, got {n_trunc}")
@@ -256,8 +260,12 @@ def _denominator(point: SeriesPoint) -> int:
     return den
 
 
-def _report(point: SeriesPoint, n_trunc: int, run: list[Decimal], f_next: int, power=None):
-    """The report at N from ``_checked_run``'s window and F_{N+1}.
+_Numbers = namedtuple("_Numbers", "partial closed tail_bound residual")
+
+
+@lru_cache(maxsize=2)
+def _numbers(report: EvalReport, cast) -> _Numbers:
+    """The report's four numbers, each as (num, den) in lowest terms in ``cast``'s type.
 
     With eta = p/q, times p^(N+k) the identity in the module docstring
     reads P_N = num / (p^N den), with den from ``_denominator`` and
@@ -270,47 +278,38 @@ def _report(point: SeriesPoint, n_trunc: int, run: list[Decimal], f_next: int, p
     reduces by a gcd with p^N, which for num is the one of acc (a prime l
     of p divides p^(N+1) q^(k-1) more often than p^N), and a gcd with den,
     of num mod den for P_N: gcds of cofactors of a term's size.  The tail
-    bound is ``_tail_factors``', and the verdict says the omitted part is
-    at most it.  The recipe of the four numbers, ``numbers``, runs with
-    ints and ``power`` (a new ``_power(int)`` by default) and is kept in
-    ``_LAST`` for ``EvalReport.to_json_dict``.
+    bound is F_{N+1} / eta^(N+1) * eta / (eta - 2) = F_{N+1} q^(N+1) /
+    (p^N (p - 2q)); q is prime to p and to p - 2q, so it reduces by gcds of
+    F_{N+1} alone: first with p - 2q, then with p^N, which the rest of
+    p - 2q is then prime to.  Only the cofactors are cast, and the powers
+    of p and q are taken in the cast's type, p^min(e, tail_e) once for both
+    denominators.  The last two results are kept, so reading the four
+    fields of a report runs this once.
     """
-    k, p, q = point.k, point.eta.numerator, point.eta.denominator
-    acc = _acc(point, run)
+    point, n_trunc, acc, f_next = report
+    k, (p, q) = point.k, point.eta.as_integer_ratio()
     den, head = _denominator(point), p * q ** (k - 1)  # closed = head / den
     reduced, e, c = strip_p_power(acc, p, n_trunc)  # p^N / gcd(acc, p^N) = c p^e
     n1 = n_trunc + 1
-    g_omitted = gcd(reduced, den)
-    g_partial = gcd(pow(p, n_trunc, den) * head - pow(q, n1, den) * acc, den)
-    tail, tail_e, tail_c = _tail_factors(point, n_trunc, f_next)
-
-    def numbers(cast, power):
-        q_power = power(q, n1)
-        scale, omitted = power(p, e) * cast(c), q_power * cast(reduced)
-        scaled_den, g, h = scale * cast(den), cast(g_partial), cast(g_omitted)
-        return {
-            "partial": ((cast(head) * scale - omitted) // g, scaled_den // g),
-            "closed": (cast(head), cast(den)),
-            "tail_bound": (cast(tail) * q_power, power(p, tail_e) * cast(tail_c)),
-            "residual": (omitted // h, scaled_den // h),
-        }
-
-    values = {name: coprime(*pair) for name, pair in numbers(int, power or _power(int)).items()}
-    _LAST.clear()
-    _LAST[point, n_trunc] = (values, numbers)
-    # times p^N / q^(N+1) the omitted part is acc / den and the tail bound
-    # F_{N+1} / (p - 2q), so the verdict takes no product of their size
-    passed = acc * (p - 2 * q) <= f_next * den
-    return EvalReport(point=point, n_trunc=n_trunc, passed=passed, **values)
-
-
-def _power(cast):
-    # power(base, exp) = cast(base)^exp, each computed once
-    return cache(lambda base, exp: cast(base) ** exp)
+    g_omitted = cast(gcd(reduced, den))
+    g_partial = cast(gcd(pow(p, n_trunc, den) * head - pow(q, n1, den) * acc, den))
+    g = gcd(f_next, p - 2 * q)
+    tail, tail_e, tail_c = strip_p_power(f_next // g, p, n_trunc)
+    low = min(e, tail_e)
+    p_low, q_power = cast(p) ** low, cast(q) ** n1
+    scale, omitted = p_low * cast(c * p ** (e - low)), q_power * cast(reduced)
+    scaled_den = scale * cast(den)
+    tail_den = p_low * cast(tail_c * p ** (tail_e - low) * ((p - 2 * q) // g))
+    return _Numbers(
+        ((cast(head) * scale - omitted) // g_partial, scaled_den // g_partial),
+        (cast(head), cast(den)),
+        (cast(tail) * q_power, tail_den),
+        (omitted // g_omitted, scaled_den // g_omitted),
+    )
 
 
 def _acc(point: SeriesPoint, run: list[Decimal]) -> int:
-    """acc of ``_report`` from the ``Decimal`` run F_{N-k+1} .. F_{N+1}, as an int.
+    """acc of ``_numbers`` from the ``Decimal`` run F_{N-k+1} .. F_{N+1}, as an int.
 
     The suffix sums and their weighted sum run in ``Decimal`` under
     ``EXACT_CONTEXT``, with p and q converted, and only the sum is
@@ -348,25 +347,11 @@ def _weighted_sum(values: list, p, q):
     return blocks[0]
 
 
-def _tail_factors(point: SeriesPoint, n_trunc: int, f_next: int) -> tuple[int, int, int]:
-    """t, e and c with tail bound = t q^(N+1) / (c p^e) in lowest terms, from F_{N+1}.
-
-    The bound is F_{N+1} / eta^(N+1) * eta / (eta - 2) = F_{N+1} q^(N+1) /
-    (p^N (p - 2q)).  q is prime to p and to p - 2q, so it reduces by gcds
-    of F_{N+1} alone: first with p - 2q, then with p^N (``strip_p_power``),
-    which the rest of p - 2q is then prime to.
-    """
-    p, q = point.eta.numerator, point.eta.denominator
-    g = gcd(f_next, p - 2 * q)
-    reduced, e, c = strip_p_power(f_next // g, p, n_trunc)
-    return reduced, e, c * ((p - 2 * q) // g)
-
-
-def _tail_from_term(point: SeriesPoint, n_trunc: int, f_next: int, power) -> Rational:
-    """The tail bound of F_{N+1} (``_tail_factors``) as a ``Fraction``, from int ``power``."""
-    p, q = point.eta.numerator, point.eta.denominator
-    reduced, e, c = _tail_factors(point, n_trunc, f_next)
-    return coprime(reduced * power(q, n_trunc + 1), power(p, e) * c)
+def _tail_within(point: SeriesPoint, n_trunc: int, f_next: int, epsilon: Rational) -> bool:
+    """Whether the tail bound F_{N+1} q^(N+1) / (p^N (p - 2q)) is at most epsilon."""
+    p, q = point.eta.as_integer_ratio()
+    bound = epsilon.numerator * (p - 2 * q) * p**n_trunc
+    return f_next * q ** (n_trunc + 1) * epsilon.denominator <= bound
 
 
 def strip_p_power(x: int, p: int, n: int) -> tuple[int, int, int]:
@@ -413,8 +398,7 @@ def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
         # then the first doubling past them, which _checked_run refuses
         at = min(n, top) if at < top else n
         run, f_next = _checked_run(point, at)
-        power = _power(int)  # the report shares the check's q^(N+1) and p^e
-        if _tail_from_term(point, at, f_next, power) <= epsilon:
-            return _report(point, at, run, f_next, power)
+        if _tail_within(point, at, f_next, epsilon):
+            return EvalReport(point, at, _acc(point, run), f_next)
         if at == n:
             n *= 2

@@ -22,7 +22,7 @@ import kbonacci.cli as cli
 from kbonacci import bounds, sequence
 from kbonacci.bench import METHODS
 from kbonacci.classic_sums import IDENTITIES, ClassicReport
-from kbonacci.rational import int_to_str, parse_rational
+from kbonacci.rational import format_ratio, int_to_str, parse_rational
 from kbonacci.sequence import iter_terms, range_terms, term_fast, window
 from kbonacci.series import EvalReport, SeriesPoint, evaluate
 
@@ -312,15 +312,10 @@ class TestGf:
         assert parse_rational(doc["tail_bound"]) <= Fraction(1, 10**5000)
 
     def test_failed_report_exits_one(self, capsys, monkeypatch):
-        broken = EvalReport(
-            point=SeriesPoint(k=2, eta=Fraction(10)),
-            n_trunc=5,
-            partial=Fraction(1),
-            closed=Fraction(2),
-            tail_bound=Fraction(0),
-            residual=Fraction(1),
-            passed=False,
-        )
+        # at N = 5 the residual acc / (10^5 89) is within the tail bound
+        # F_6 / (8 10^5) = 1/10^5 for acc <= 89 (the true acc is 85)
+        broken = EvalReport(point=SeriesPoint(k=2, eta=Fraction(10)), n_trunc=5, acc=90, f_next=8)
+        assert not broken.passed and broken._replace(acc=89).passed
         monkeypatch.setattr("kbonacci.series.evaluate", lambda point, n: broken)
         code, out, _ = run(capsys, ["gf", "-k", "2", "--eta", "10", "-N", "5"])
         assert code == 1
@@ -576,7 +571,7 @@ class TestResourceGuards:
 
         self.forbid_arithmetic(monkeypatch)
         monkeypatch.setattr("kbonacci.series.iter_terms", jump)
-        monkeypatch.setattr("kbonacci.series._tail_from_term", lambda *args: 1)
+        monkeypatch.setattr("kbonacci.series._tail_within", lambda *args: False)
         argv = ["gf", "-k", "2", "--eta", "3", "--epsilon", "1/1" + "0" * 200_000]
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
@@ -650,7 +645,7 @@ class TestResourceGuards:
 
         self.forbid_arithmetic(monkeypatch)
         monkeypatch.setattr("kbonacci.series.iter_terms", jump)
-        monkeypatch.setattr("kbonacci.series._tail_from_term", lambda *args: 1)
+        monkeypatch.setattr("kbonacci.series._tail_within", lambda *args: False)
         argv = ["gf", "-k", "100000", "--eta", "3", "--epsilon", "1/2"]
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
@@ -905,6 +900,26 @@ class TestNoBigIntRendered:
         assert 0 < max(widths) <= allowed
         # the square root and the quotient have W = d + 14 digits
         assert allowed < 3 * (d + 14)
+
+
+class TestEarlierReportRendered:
+    """A report prints from its own numbers, whatever report was built after it."""
+
+    widths = TestNoBigIntRendered.widths
+
+    def test_printed_after_another_report(self, widths):
+        point = SeriesPoint(2, Fraction(3))
+        report = evaluate(point, 20_000)
+        evaluate(SeriesPoint(3, Fraction(7, 3)), 300)
+        widths.clear()
+        doc = report.to_json_dict()
+        last = window(2, 20_000, 2)[-1]
+        # no int wider than the last term, acc = 3 F_{N+1} + F_N, is converted
+        assert 0 < max(widths) <= last.bit_length() + 2
+        names = ("partial", "closed", "tail_bound", "residual")
+        assert [doc[name] for name in names] == [
+            format_ratio(getattr(report, name)) for name in names
+        ]
 
 
 class TestDigits:
@@ -1460,8 +1475,8 @@ class TestBenchmarkRequests:
             monkeypatch.setitem(METHODS, name, arithmetic)
         monkeypatch.setattr(cli, "iter_terms", arithmetic)
         # gf runs its search, cheap at these sizes, so that the guard sees
-        # every N it checks; only the report is forbidden
-        monkeypatch.setattr("kbonacci.series._report", arithmetic)
+        # every N it checks; only the report's acc is forbidden
+        monkeypatch.setattr("kbonacci.series._acc", arithmetic)
         monkeypatch.setattr("kbonacci.decimal_identity.verify_decimal_identity", arithmetic)
         monkeypatch.setattr("kbonacci.decimal_identity.reciprocal_digits", arithmetic)
         monkeypatch.setattr("kbonacci.classic_sums._alternating_terms_needed", arithmetic)

@@ -63,9 +63,9 @@ _MAX_DIVISION_WORK = 6 * 10**10
 # Largest partial sum a series report may need, in digits: P_N has a
 # denominator of about (N + k) log10 p digits for eta = p/q.  The report's
 # own numbers take subquadratic time, and the jump to N dominates as k
-# grows: at the bound eta = 3 takes 0.20 s at k = 2, 0.43 s at k = 16 and
-# 1.9 s at k = 64 (in process), and from k = 89 check_jump stops N first.
-# series refuses a report whose partial sum passes it.
+# grows: at the bound eta = 3 takes 0.035 s at k = 2, 0.24 s at k = 16 and
+# 1.8 s at k = 64 (in process, CPython 3.11.7), and from k = 89 check_jump
+# stops N first.  series refuses a report whose partial sum passes it.
 _MAX_PARTIAL_DIGITS = 250_000
 # verify_classic's digit range.  The run grows faster than linearly in d
 # (alternating: 0.35 s at 100k digits and 0.6 s at 200k), so a request far

@@ -16,10 +16,12 @@ numbers in ``Decimal`` from terms and small factors, which ``to_decimal``
 converts by divide and conquer (``int_to_str`` renders an int so).  All
 of it runs in ``EXACT_CONTEXT``, where a rounding raises instead of
 producing wrong digits.  The way back, ``int(Decimal)``, is quadratic on
-CPython 3.11 too, so the CLI never takes it.  ``fixed_point`` renders
-every fixed-point decimal the package prints.  ``parse_rational`` reads
-digit strings of any length through ``str_to_int``, which keeps each
-``int()`` call under CPython's 4300-digit int/str limit.
+CPython 3.11 too, so the CLI takes it only of small remainders (``gf``'s
+gcds); ``str_to_int`` of a ``Decimal``'s text serves library callers.
+``fixed_point`` renders every fixed-point decimal the package prints.
+``parse_rational`` reads digit strings of any length through
+``str_to_int``, which keeps each ``int()`` call under CPython's
+4300-digit int/str limit.
 """
 
 from __future__ import annotations

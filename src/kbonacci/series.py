@@ -25,26 +25,20 @@ F_{N+1}; every entry point reads them from one checked window
 (``_checked_run``): the k + 1 first items of ``sequence.iter_terms`` in
 ``Decimal``, the jump ``seq`` makes, priced by the same cost model.  The
 suffix sums and their weighted sum run in ``Decimal`` too, whose products
-libmpdec takes by a number-theoretic transform, and only that sum and
-F_{N+1} come back as ints, once each, for the gcds and the verdict.  A
-report costs O(log N) squares for the jump, O(k) products for the
-weighted sum of the run, and a few products of O(N log eta)-bit
-integers, against N + 1 rational multiply-adds, each with its own gcd,
-for a sweep of the terms.
+libmpdec takes by a number-theoretic transform.  A report costs O(log N)
+squares for the jump, O(k) products for the weighted sum of the run, and
+a few products of O(N log eta)-digit integers, against N + 1 rational
+multiply-adds, each with its own gcd, for a sweep of the terms.
 
-A report is the point, N, acc (``_acc``) and F_{N+1}, the numbers that
-fix it; its four numbers and its verdict are derived from them.  Each
-number is a cofactor no bigger than a term's size times p^e or q^(N+1),
-or a sum of two such.  Times p^N q^(N+1) each comes in lowest terms from
-gcds of those cofactors alone (``strip_p_power`` and the gcds with den),
-so no gcd of two p^N-sized numbers is taken, and the ``Fraction`` is
-built without a gcd (``coprime``).  ``_numbers`` states the four once, as
-a recipe of the report and a cast.  The report's ``Fraction`` fields run
-it with ``int``, and ``EvalReport.to_json_dict`` only with
-``rational.to_decimal`` under ``EXACT_CONTEXT``: libmpdec raises to a
-power and multiplies in subquadratic time and ``str(Decimal)`` is linear,
-where ``str`` of a p^N-sized int is quadratic on CPython 3.11.  So no
-p^N-sized int is built or converted to text to print a report.
+A report is the point, N, and acc (``_acc``) and F_{N+1} as integer
+``Decimal``s.  Its four numbers, each a term-sized cofactor times p^e or
+q^(N+1) or a sum of two such, and its verdict derive from them, in
+lowest terms by gcds of cofactors alone (``strip_p_power``, the gcds
+with den).  ``_numbers`` states them once under ``EXACT_CONTEXT``, where
+libmpdec's powers and products are subquadratic and ``str`` is linear
+(``str`` of a p^N-sized int is quadratic on CPython 3.11).  Only small
+ints (p, q, den, c, the gcds) become ``Decimal``s and only remainders
+come back; the ``Fraction`` fields alone convert pairs to int.
 
 The eta > 2 restriction is the domain on which the geometric tail argument
 works; no claim is made below it.
@@ -95,8 +89,7 @@ class SeriesPoint(namedtuple("SeriesPoint", "k eta")):
 
     def __new__(cls, k: int, eta: Rational | int):
         validate_order(k)
-        if not isinstance(eta, Fraction):
-            eta = Fraction(eta)
+        eta = Fraction(eta)
         if eta <= 2:
             raise ValueError(f"series requires eta > 2, got {eta}")
         return super().__new__(cls, k, eta)
@@ -106,34 +99,41 @@ class EvalReport(namedtuple("EvalReport", "point n_trunc acc f_next")):
     """A truncation of the series at N, an immutable named tuple of the numbers that fix it.
 
     ``acc`` is the weighted suffix sum of F_{N-k+1} .. F_N (``_acc``) and
-    ``f_next`` is F_{N+1}.  ``partial``, ``closed``, ``tail_bound`` and
-    ``residual`` (closed - partial, the omitted part the partial sum is
-    built from) are ``Fraction``s derived from them, and ``passed`` records
-    whether the residual is within the rigorous tail bound for N.
+    ``f_next`` is F_{N+1}, both integer ``Decimal``s.  ``partial``,
+    ``closed``, ``tail_bound`` and ``residual`` (closed - partial, the
+    omitted part the partial sum is built from) are ``Fraction``s derived
+    from them, and ``passed`` records whether the residual is within the
+    rigorous tail bound for N.
     """
 
     __slots__ = ()
 
-    partial = property(lambda self: coprime(*_numbers(self, int).partial))
-    closed = property(lambda self: coprime(*_numbers(self, int).closed))
-    tail_bound = property(lambda self: coprime(*_numbers(self, int).tail_bound))
-    residual = property(lambda self: coprime(*_numbers(self, int).residual))
+    partial = property(lambda self: _fraction(self, "partial"))
+    closed = property(lambda self: _fraction(self, "closed"))
+    tail_bound = property(lambda self: _fraction(self, "tail_bound"))
+    residual = property(lambda self: _fraction(self, "residual"))
 
     @property
     def passed(self) -> bool:
         # times p^N / q^(N+1) the omitted part is acc / den and the tail bound
-        # F_{N+1} / (p - 2q), so the verdict takes no product of their size
+        # F_{N+1} / (p - 2q), so the verdict takes no product of their size;
+        # exact, whatever the caller's context
         p, q = self.point.eta.as_integer_ratio()
-        return self.acc * (p - 2 * q) <= self.f_next * _denominator(self.point)
+        with localcontext(EXACT_CONTEXT):
+            return self.acc * (p - 2 * q) <= self.f_next * to_decimal(_denominator(self.point))
 
     def to_json_dict(self) -> dict:
-        """k, eta, N, each number as "num/den" text from ``_numbers`` in ``Decimal``, and pass."""
-        with localcontext(EXACT_CONTEXT):
-            pairs = _numbers(self, to_decimal)
+        """k, eta, N, each number of ``_numbers`` as "num/den" text, and pass."""
+        numbers = _numbers(self)
         doc = {"k": self.point.k, "eta": format_ratio(self.point.eta), "N": self.n_trunc}
-        doc.update((name, "%s/%s" % pair) for name, pair in zip(pairs._fields, pairs))
+        doc.update((name, "%s/%s" % pair) for name, pair in zip(numbers._fields, numbers))
         doc["pass"] = self.passed
         return doc
+
+
+def _fraction(report: EvalReport, name: str) -> Rational:
+    # the one way back to int: a library caller's read of a Fraction field
+    return coprime(*(str_to_int(str(x)) for x in getattr(_numbers(report), name)))
 
 
 def closed_form(point: SeriesPoint) -> Rational:
@@ -152,8 +152,8 @@ def partial_sum(point: SeriesPoint, n_trunc: int) -> Rational:
     Zero below N = k-1, where every term is, and ValueError below 0 or for
     a non-int N; from k-1 on, the partial sum of ``evaluate``'s report.
     """
-    if 0 <= n_trunc < point.k - 1:
-        _validate_index(n_trunc)
+    _validate_index(n_trunc)
+    if n_trunc < point.k - 1:
         return Fraction(0)
     return evaluate(point, n_trunc).partial
 
@@ -174,14 +174,12 @@ def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
 
 
 def evaluate(point: SeriesPoint, n_trunc: int) -> EvalReport:
-    """The report at N: acc from the first k terms of ``_checked_run``'s window, and F_{N+1}.
+    """The report at N: acc from the first k terms of ``_checked_run``'s window, F_{N+1} its last.
 
-    ValueError for N < 0 and within the checks of ``_checked_run``.
+    ValueError within the checks of ``_checked_run``, of which N >= 0 is the first.
     """
-    if n_trunc < 0:
-        raise ValueError(f"truncation index must be >= 0, got {n_trunc}")
-    run, f_next = _checked_run(point, n_trunc)
-    return EvalReport(point, n_trunc, _acc(point, run), f_next)
+    run = _checked_run(point, n_trunc)
+    return EvalReport(point, n_trunc, _acc(point, run), run[-1])
 
 
 def evaluate_range(point: SeriesPoint, n_max: int) -> Iterator[EvalReport]:
@@ -217,16 +215,15 @@ def _largest_index(point: SeriesPoint) -> int:
     return k - 2 + bisect_left(range(k - 1, 3 * _MAX_PARTIAL_DIGITS), True, key=refused)
 
 
-def _checked_run(point: SeriesPoint, n_trunc: int) -> tuple[list[Decimal], int]:
-    """The window F_{N-k+1} .. F_{N+1} in ``Decimal``, and F_{N+1} as an int.
+def _checked_run(point: SeriesPoint, n_trunc: int) -> list[Decimal]:
+    """The window F_{N-k+1} .. F_{N+1} in ``Decimal``.
 
     The one source of every report's terms: ``iter_terms(k, N-k+1,
     to_decimal)`` under ``EXACT_CONTEXT``, as ``seq`` jumps.  Refused with
     ValueError, in this order, unless N is an int >= k-1, the partial sum,
     about (N + k) log10 p digits for eta = p/q, has at most
     ``_MAX_PARTIAL_DIGITS`` digits, and the jump to F_{N-k+1} is within
-    ``bounds.check_jump``.  F_{N+1} is converted once, for the tail bound
-    and the verdict; the run's sum for the report is ``_acc``'s.
+    ``bounds.check_jump``.  ``_acc`` sums the run for the report.
     """
     _validate_index(n_trunc)
     k = point.k
@@ -241,8 +238,7 @@ def _checked_run(point: SeriesPoint, n_trunc: int) -> tuple[list[Decimal], int]:
     start = n_trunc - k + 1
     check_jump(k, start)
     with localcontext(EXACT_CONTEXT):
-        run = list(islice(iter_terms(k, start, to_decimal), k + 1))
-    return run, str_to_int(str(run[-1]))
+        return list(islice(iter_terms(k, start, to_decimal), k + 1))
 
 
 def _denominator(point: SeriesPoint) -> int:
@@ -264,8 +260,8 @@ _Numbers = namedtuple("_Numbers", "partial closed tail_bound residual")
 
 
 @lru_cache(maxsize=2)
-def _numbers(report: EvalReport, cast) -> _Numbers:
-    """The report's four numbers, each as (num, den) in lowest terms in ``cast``'s type.
+def _numbers(report: EvalReport) -> _Numbers:
+    """The report's four numbers, each as (num, den) in lowest terms, in integer ``Decimal``s.
 
     With eta = p/q, times p^(N+k) the identity in the module docstring
     reads P_N = num / (p^N den), with den from ``_denominator`` and
@@ -277,49 +273,49 @@ def _numbers(report: EvalReport, cast) -> _Numbers:
     is q^(N+1) acc / (p^N den).  As den is prime to p and to q, each
     reduces by a gcd with p^N, which for num is the one of acc (a prime l
     of p divides p^(N+1) q^(k-1) more often than p^N), and a gcd with den,
-    of num mod den for P_N: gcds of cofactors of a term's size.  The tail
+    of num mod den for P_N: gcds of remainders mod p and mod den.  The tail
     bound is F_{N+1} / eta^(N+1) * eta / (eta - 2) = F_{N+1} q^(N+1) /
     (p^N (p - 2q)); q is prime to p and to p - 2q, so it reduces by gcds of
     F_{N+1} alone: first with p - 2q, then with p^N, which the rest of
-    p - 2q is then prime to.  Only the cofactors are cast, and the powers
-    of p and q are taken in the cast's type, p^min(e, tail_e) once for both
-    denominators.  The last two results are kept, so reading the four
-    fields of a report runs this once.
+    p - 2q is then prime to.  It runs under ``EXACT_CONTEXT``, with
+    p^min(e, tail_e) taken once for both denominators; each division is
+    exact and positive, so ``//`` agrees with int's.  The last two results
+    are kept: reading the four fields of a report runs this once.
     """
     point, n_trunc, acc, f_next = report
     k, (p, q) = point.k, point.eta.as_integer_ratio()
     den, head = _denominator(point), p * q ** (k - 1)  # closed = head / den
-    reduced, e, c = strip_p_power(acc, p, n_trunc)  # p^N / gcd(acc, p^N) = c p^e
-    n1 = n_trunc + 1
-    g_omitted = cast(gcd(reduced, den))
-    g_partial = cast(gcd(pow(p, n_trunc, den) * head - pow(q, n1, den) * acc, den))
-    g = gcd(f_next, p - 2 * q)
-    tail, tail_e, tail_c = strip_p_power(f_next // g, p, n_trunc)
-    low = min(e, tail_e)
-    p_low, q_power = cast(p) ** low, cast(q) ** n1
-    scale, omitted = p_low * cast(c * p ** (e - low)), q_power * cast(reduced)
-    scaled_den = scale * cast(den)
-    tail_den = p_low * cast(tail_c * p ** (tail_e - low) * ((p - 2 * q) // g))
-    return _Numbers(
-        ((cast(head) * scale - omitted) // g_partial, scaled_den // g_partial),
-        (cast(head), cast(den)),
-        (cast(tail) * q_power, tail_den),
-        (omitted // g_omitted, scaled_den // g_omitted),
-    )
+    n1, d = n_trunc + 1, to_decimal
+    with localcontext(EXACT_CONTEXT):
+        d_head, d_den = d(head), d(den)
+        reduced, e, c = strip_p_power(acc, p, n_trunc)  # p^N / gcd(acc, p^N) = c p^e
+        g_omitted = d(gcd(int(reduced % d_den), den))
+        g_partial = d(gcd(pow(p, n_trunc, den) * head - pow(q, n1, den) * int(acc % d_den), den))
+        g = gcd(int(f_next % (p - 2 * q)), p - 2 * q)
+        tail, tail_e, tail_c = strip_p_power(f_next // g, p, n_trunc)
+        low = min(e, tail_e)
+        p_low, q_power = d(p) ** low, d(q) ** n1
+        scale, omitted = p_low * d(c * p ** (e - low)), q_power * reduced
+        scaled_den = scale * d_den
+        tail_den = p_low * d(tail_c * p ** (tail_e - low) * ((p - 2 * q) // g))
+        return _Numbers(
+            ((d_head * scale - omitted) // g_partial, scaled_den // g_partial),
+            (d_head, d_den),
+            (tail * q_power, tail_den),
+            (omitted // g_omitted, scaled_den // g_omitted),
+        )
 
 
-def _acc(point: SeriesPoint, run: list[Decimal]) -> int:
-    """acc of ``_numbers`` from the ``Decimal`` run F_{N-k+1} .. F_{N+1}, as an int.
+def _acc(point: SeriesPoint, run: list[Decimal]) -> Decimal:
+    """acc of ``_numbers`` from the ``Decimal`` run F_{N-k+1} .. F_{N+1}, an integer ``Decimal``.
 
-    The suffix sums and their weighted sum run in ``Decimal`` under
-    ``EXACT_CONTEXT``, with p and q converted, and only the sum is
-    converted back.
+    The suffix sums and their weighted sum run under ``EXACT_CONTEXT``,
+    with p and q converted.
     """
     with localcontext(EXACT_CONTEXT):
         # T_1 = F_{N+1} .. T_k; T_{j+1} = T_j - run[j-1]
         suffixes = list(accumulate(run[:-2], sub, initial=run[-1]))
-        acc = _weighted_sum(suffixes, *map(to_decimal, point.eta.as_integer_ratio()))
-    return str_to_int(str(acc))
+        return _weighted_sum(suffixes, *map(to_decimal, point.eta.as_integer_ratio()))
 
 
 def _weighted_sum(values: list, p, q):
@@ -347,25 +343,26 @@ def _weighted_sum(values: list, p, q):
     return blocks[0]
 
 
-def _tail_within(point: SeriesPoint, n_trunc: int, f_next: int, epsilon: Rational) -> bool:
-    """Whether the tail bound F_{N+1} q^(N+1) / (p^N (p - 2q)) is at most epsilon."""
-    p, q = point.eta.as_integer_ratio()
-    bound = epsilon.numerator * (p - 2 * q) * p**n_trunc
-    return f_next * q ** (n_trunc + 1) * epsilon.denominator <= bound
+def _tail_within(point: SeriesPoint, n_trunc: int, f_next: Decimal, num, den) -> bool:
+    """Whether the tail bound F_{N+1} q^(N+1) / (p^N (p - 2q)) is <= num / den, exactly."""
+    p, q = map(to_decimal, point.eta.as_integer_ratio())
+    with localcontext(EXACT_CONTEXT):
+        return f_next * q ** (n_trunc + 1) * den <= num * (p - 2 * q) * p**n_trunc
 
 
-def strip_p_power(x: int, p: int, n: int) -> tuple[int, int, int]:
+def strip_p_power(x: int | Decimal, p: int, n: int) -> tuple:
     """x / g, e and c, for g = gcd(x, p^n) and p^n / g = c p^e.
 
     g is the product of h_i = gcd(x_i, p) over at most n steps,
     x_{i+1} = x_i / h_i: each step takes min(v_l(x_i), v_l(p)) factors of
     every prime l of p, so n steps take min(v_l(x), n v_l(p)) of them,
     which is v_l(g), and a step with h = 1 would take no more.  c, the
-    product of the p / h_i, is as small as the steps are few.
+    product of the p / h_i, is as small as the steps are few.  x / g is of
+    x's type, int or integer ``Decimal`` (under ``EXACT_CONTEXT``).
     """
     steps, c = 0, 1
     while steps < n:
-        h = gcd(x, p)
+        h = gcd(int(x % p), p)
         if h == 1:
             break
         x //= h
@@ -390,6 +387,7 @@ def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    bound = [to_decimal(x) for x in epsilon.as_integer_ratio()]  # once per search
     n = max(point.k - 1, 1)
     top = _largest_index(point)
     at = min(n - 1, top)  # no N below the first is checked
@@ -397,8 +395,8 @@ def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
         # the doublings within the bounds, then the largest N within them,
         # then the first doubling past them, which _checked_run refuses
         at = min(n, top) if at < top else n
-        run, f_next = _checked_run(point, at)
-        if _tail_within(point, at, f_next, epsilon):
-            return EvalReport(point, at, _acc(point, run), f_next)
+        run = _checked_run(point, at)
+        if _tail_within(point, at, run[-1], *bound):
+            return EvalReport(point, at, _acc(point, run), run[-1])
         if at == n:
             n *= 2

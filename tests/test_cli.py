@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tokenize
 from fractions import Fraction
 from itertools import islice, repeat
 from pathlib import Path
@@ -835,9 +836,10 @@ class TestNoBigIntRendered:
     """gf and verify-classic convert no int wider than the terms their numbers come from.
 
     Their big numbers are powers of p and q (gf) or W-digit roots and
-    quotients (verify-classic), which they build in Decimal; what they
-    convert from int is the window's terms and sums over them, no wider
-    than the last term times p^k.
+    quotients (verify-classic), which they build in Decimal.  What gf
+    converts from int is the jump's seed, p, q, den, the gcds and
+    epsilon, narrower than the last term once N passes 100; no number of
+    either comes back to int by ``str_to_int``.
     """
 
     @pytest.fixture
@@ -862,6 +864,24 @@ class TestNoBigIntRendered:
                 monkeypatch.setattr(module, name, spy(getattr(module, name)))
         return widths
 
+    @pytest.fixture
+    def back_to_int(self, monkeypatch):
+        calls = []
+
+        def spy(original):
+            def convert(digits):
+                calls.append(len(digits))
+                return original(digits)
+
+            return convert
+
+        import kbonacci.classic_sums
+        import kbonacci.series
+
+        for module in (kbonacci.series, kbonacci.classic_sums):
+            monkeypatch.setattr(module, "str_to_int", spy(module.str_to_int))
+        return calls
+
     @pytest.mark.parametrize(
         "k,eta,cutoff",
         [
@@ -874,7 +894,7 @@ class TestNoBigIntRendered:
         ids=["2-3-20000", "6-586606005/146651501-2642", "8-12/5-5000", "3-64/3-2", "8-12/5-epsilon"],
     )
     @pytest.mark.parametrize("as_json", [False, True])
-    def test_gf(self, capsys, widths, k, eta, cutoff, as_json):
+    def test_gf(self, capsys, widths, back_to_int, k, eta, cutoff, as_json):
         argv = ["gf", "-k", str(k), "--eta", eta, *cutoff] + ["--json"] * as_json
         code, out, _ = run(capsys, argv)
         assert code == 0
@@ -883,21 +903,27 @@ class TestNoBigIntRendered:
         p = point.eta.numerator
         last = window(k, n - k + 1, k + 1)[-1]
         allowed = last.bit_length() + k * p.bit_length() + k.bit_length()
-        # the spy sees the term-sized cofactors, and nothing wider
-        assert last.bit_length() // 2 <= max(widths) <= allowed
+        # the spy sees the jump's seed conversions, and nothing wider than
+        # the terms; nothing comes back by str_to_int
+        assert widths and max(widths) <= allowed
+        assert back_to_int == []
         if n > 100:
-            # the partial sum's denominator, p^N den, is far wider
+            assert max(widths) < last.bit_length()
+            # the partial sum's denominator, p^N den, is far wider; the
+            # library's Fraction fields are what str_to_int is for
             assert evaluate(point, n).partial.denominator.bit_length() > 2 * allowed
+            assert back_to_int
 
     @pytest.mark.parametrize(
         "identity,d", [("alternating", 50), ("alternating", 3000), ("millin", 500), ("millin", 20_000), ("millin", 40_000)]
     )
-    def test_verify_classic(self, capsys, widths, identity, d):
+    def test_verify_classic(self, capsys, widths, back_to_int, identity, d):
         code, out, _ = run(capsys, ["verify-classic", "--identity", identity, "--digits", str(d)])
         terms = int(out.splitlines()[1].removeprefix("terms = "))
         n = terms + 1 if identity == "alternating" else 2**terms - 1
         allowed = max(window(2, n, 2)).bit_length()
         assert 0 < max(widths) <= allowed
+        assert back_to_int == []
         # the square root and the quotient have W = d + 14 digits
         assert allowed < 3 * (d + 14)
 
@@ -1429,6 +1455,19 @@ class TestStartup:
             "sys.stderr.write(repr((before, loaded())))\n"
         )
         assert ast.literal_eval(proc.stderr) == ([], ["kbonacci.sequence"])
+
+    def test_modules_within_the_token_budget(self):
+        # a module past 2048 parser tokens compiles with a higher peak, which
+        # every request that imports it pays; sequence is over (ROADMAP 14)
+        counts = {}
+        for path in Path(kbonacci.__file__).parent.glob("*.py"):
+            with tokenize.open(path) as source:
+                tokens = tokenize.generate_tokens(source.readline)
+                counts[path.name] = sum(
+                    token.type not in (tokenize.COMMENT, tokenize.NL) for token in tokens
+                )
+        assert len(counts) > 5
+        assert {name for name, count in counts.items() if count > 2048} <= {"sequence.py"}
 
     def test_public_names_are_their_defining_modules_objects(self):
         defined = set()

@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
@@ -98,8 +99,8 @@ class TestReportTypes:
             SeriesPoint(1, 10)
 
     def test_eval_report_by_keyword_and_position(self):
-        # the report is the numbers that fix it: acc and F_{N+1}, here by
-        # the int route
+        # the report is the numbers that fix it: acc and F_{N+1}, integer
+        # Decimals equal to the int route's
         report = evaluate(P210, 5)
         fields = (P210, 5, omitted_numerator(P210, 5), window(2, 6, 1)[0])
         assert EvalReport._fields == ("point", "n_trunc", "acc", "f_next")
@@ -107,7 +108,8 @@ class TestReportTypes:
         assert report == EvalReport(**dict(zip(EvalReport._fields, fields)))
         assert report != evaluate(P210, 6)
         assert repr(report) == (
-            "EvalReport(point=SeriesPoint(k=2, eta=Fraction(10, 1)), n_trunc=5, acc=85, f_next=8)"
+            "EvalReport(point=SeriesPoint(k=2, eta=Fraction(10, 1)), n_trunc=5,"
+            " acc=Decimal('85'), f_next=Decimal('8'))"
         )
 
     @pytest.mark.parametrize("name", ["k", "eta", "other"])
@@ -264,7 +266,7 @@ class TestOracles:
     @pytest.mark.parametrize(
         "n,message",
         [
-            (-1, "truncation index must be >= 0, got -1"),
+            (-1, "negative indices are not defined, got -1"),
             (2, "tail bound needs n_trunc >= k-1 = 3, got 2"),
         ],
     )
@@ -272,7 +274,7 @@ class TestOracles:
         with pytest.raises(ValueError, match=message):
             evaluate(SeriesPoint(k=4, eta=Fraction(3)), n)
 
-    @pytest.mark.parametrize("n", [0.5, 1.0, True, False, 4.0, 3.5, Fraction(4)])
+    @pytest.mark.parametrize("n", [0.5, 1.0, True, False, 4.0, 3.5, Fraction(4), "5"])
     @pytest.mark.parametrize(
         "function",
         [evaluate, partial_sum, tail_bound, lambda point, n: list(evaluate_range(point, n))],
@@ -326,6 +328,25 @@ class TestEvaluateRange:
     def test_short_range_rejected(self):
         with pytest.raises(ValueError):
             list(evaluate_range(SeriesPoint(k=4, eta=Fraction(3)), 1))
+
+
+class TestExactVerdict:
+    """The verdict compares acc (p - 2q) with F_{N+1} den exactly, under any caller context."""
+
+    @pytest.mark.parametrize("context", [Context(), Context(prec=40)], ids=["default", "prec-40"])
+    def test_at_the_boundary(self, context):
+        # the largest acc that passes, then one more: products of 90 digits,
+        # which a context rounding at 28 or 40 digits would call equal
+        point = SeriesPoint(k=3, eta=Fraction(7, 2))
+        report = evaluate(point, 300)
+        den, gap = series._denominator(point), 7 - 2 * 2
+        largest = int(report.f_next) * den // gap
+        assert len(str(largest * gap)) > 80
+        for acc, verdict in ((largest, True), (largest + 1, False)):
+            boundary = report._replace(acc=Decimal(acc))
+            with localcontext(context):
+                assert boundary.passed is verdict
+                assert boundary.to_json_dict()["pass"] is verdict
 
 
 class TestConvergeUntil:
@@ -657,7 +678,8 @@ class TestDecimalRun:
     def test_acc_and_next_term_equal_the_int_route(self, k, eta, extra):
         point = SeriesPoint(k=k, eta=eta)
         n_trunc = k - 1 + extra
-        run, f_next = series._checked_run(point, n_trunc)
+        run = series._checked_run(point, n_trunc)
+        f_next = run[-1]
         ints = window(k, n_trunc - k + 1, k + 1)
         suffixes = [sum(ints[j:-1]) for j in range(k)]  # T_1 .. T_k
         acc = series._weighted_sum(suffixes, eta.numerator, eta.denominator)

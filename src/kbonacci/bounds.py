@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .sequence import validate_order, validate_range
+from .sequence import _takes_binomial, validate_order, validate_range
 
 __all__ = [
     "check_term", "check_grid", "check_jump", "jump_fits", "check_seq", "check_sweep", "check_digits"
@@ -68,7 +68,7 @@ _MAX_DIVISION_WORK = 6 * 10**10
 # stops N first.  series refuses a report whose partial sum passes it.
 _MAX_PARTIAL_DIGITS = 250_000
 # verify_classic's digit range.  The run grows faster than linearly in d
-# (alternating: 0.35 s at 100k digits and 0.6 s at 200k), so a request far
+# (alternating: 0.12 s at 100k digits and 0.2 s at 200k), so a request far
 # above this would run for minutes; it is refused before any arithmetic.
 _MIN_CLASSIC_DIGITS = 4
 _MAX_CLASSIC_DIGITS = 200_000
@@ -107,10 +107,12 @@ def _term_cost(k: int, n: int) -> float:
     n^2/(k+1) bit operations, about 150 of which take one unit: 0.42 s at
     k = 28, n = 200000 (1.0e7 with the conversion) and 70 ms at k = 16,
     n = 60000.  Converting its n-bit int result to Decimal adds about 6
-    units a bit (2.4 s at n = 10^7).  ``term_fast`` takes whichever path was
-    measured faster, so the cheaper of the two models stands for its cost.
+    units a bit (2.4 s at n = 10^7).  Each model prices the path
+    ``term_fast`` takes, which ``sequence._takes_binomial`` decides.
     """
-    return min(_kernel_cost(k, n), n * n / (150 * (k + 1)) + 6 * n)
+    if _takes_binomial(k, n):
+        return n * n / (150 * (k + 1)) + 6 * n
+    return _kernel_cost(k, n)
 
 
 # term and the jump-ahead are each refused above the modelled cost of

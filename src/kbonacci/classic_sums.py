@@ -9,7 +9,7 @@ Both truncated sums telescope to closed forms in a couple of terms:
     sum_{n=0}^{M} 1 / F_{2^n}            = 3 - F_{2^M - 1} / F_{2^M}   (M >= 1),
 
 the second from I. J. Good, Fibonacci Quart. 12 (1974) 346.  So each
-partial sum is an exact rational p/q, kept as two ints.
+partial sum is an exact rational p/q of two Fibonacci numbers.
 
 Both truncation searches double one Fibonacci pair (``_doublings``) and
 stop on the pair the sum is built from.  The distance to the irrational
@@ -18,13 +18,14 @@ square root and one division (``verify_classic``): no tolerance, no
 error budget.
 
 All of that runs in exact ``Decimal`` (libmpdec multiplies and divides
-big operands in subquadratic time, and ``str(Decimal)`` is linear): p
-and q are built from the two Fibonacci terms they come from, each
-converted once, s comes from Newton's iteration for 1/sqrt 5 on rounded
+big operands in subquadratic time, and ``str(Decimal)`` is linear): the
+searches double Decimal pairs, p and q are built from the pair a search
+stops on, s comes from Newton's iteration for 1/sqrt 5 on rounded
 products and an exact fix-up (``_sqrt5_scaled``), and the three lines
-are rendered from the resulting integer Decimals.  So no int wider than
-a term is converted to text, no ``Fraction`` normalises an O(d)-digit
-number, and no ``Decimal`` is converted back to int.
+are rendered from the resulting integer Decimals.  So ``verify_classic``
+converts no int to Decimal or text, and no Decimal back to int;
+``millin_type_sum`` and ``alternating_reciprocal_sum`` take the same
+steps on ints.
 
 The alternating sum starts at n = 1.  Writing it from n = 0 would
 divide by F_0 = 0; the n = 1 start is what actually produces the
@@ -39,10 +40,9 @@ from collections.abc import Iterator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
 
 from .bounds import _MAX_CLASSIC_DIGITS, _MIN_CLASSIC_DIGITS
-from .rational import EXACT_CONTEXT, Rational, fixed_point, str_to_int, to_decimal
+from .rational import EXACT_CONTEXT, Rational, fixed_point, str_to_int
 from .sequence import window
 
 __all__ = [
@@ -60,10 +60,14 @@ IDENTITIES = ("alternating", "millin")
 # on a benchmark change.
 _MAX_MILLIN_TERMS = 16
 
-# Digits carried past the d + 6 that abs_diff prints.  The distance's
-# truncation falls back to the exact _scaled_difference only when a boundary
-# lies within c + 1 units of 10^-W of it, about once in 10^_GUARD_DIGITS.
+# Digits carried past the d + 6 that abs_diff prints.  verify_classic
+# retries with more only when a truncation boundary of the distance lies
+# within c + 1 units of 10^-W of it, about once in 10^_GUARD_DIGITS.
 _GUARD_DIGITS = 8
+
+# a Fibonacci pair's type: both ints, or both integer Decimals in an exact
+# context (a union, not a TypeVar: typing costs the CLI's start-up)
+_Int = int | Decimal
 
 
 def alternating_reciprocal_sum(n_terms: int) -> Rational:
@@ -73,7 +77,7 @@ def alternating_reciprocal_sum(n_terms: int) -> Rational:
     return Fraction(*_alternating_parts(*window(2, n_terms + 1, 2)))
 
 
-def _alternating_parts(a: int, b: int) -> tuple[int, int]:
+def _alternating_parts(a: _Int, b: _Int) -> tuple[_Int, _Int]:
     """Numerator and denominator of the sum to N from a = F_{N+1}, b = F_{N+2}."""
     # 2 - (a^2 + b^2)/(ab) = -(b - a)^2/(ab), and b - a = F_N
     return -((b - a) ** 2), a * b
@@ -88,26 +92,9 @@ def millin_type_sum(m_terms: int) -> Rational:
     return Fraction(*_millin_parts(*next(islice(_doublings(1, 1), m_terms - 1, None))))
 
 
-def _millin_parts(a: int, b: int) -> tuple[int, int]:
+def _millin_parts(a: _Int, b: _Int) -> tuple[_Int, _Int]:
     """Numerator and denominator of the sum to M >= 1 from a = F_{2^M - 1}, b = F_{2^M}."""
     return 3 * b - a, b
-
-
-def _scaled_difference(p: int, q: int, a: int, c: int, w: int) -> int:
-    """(p/q - (a - sqrt 5)/c) * 10^w truncated toward zero, exactly, for q > 0.
-
-    The scaled difference is (A + sqrt B)/(qc), where A = (pc - aq) 10^w
-    and B = 5 (q 10^w)^2.  B is five times a nonzero square, so sqrt B
-    lies strictly between s = isqrt(B) and s + 1: the difference is
-    positive with floor (A + s) // (qc) when A + s >= 0, and negative with
-    |difference| flooring to (-A - s - 1) // (qc) otherwise.  p/q need not
-    be in lowest terms.
-    """
-    scale = 10**w
-    bound = (p * c - a * q) * scale + isqrt(5 * (q * scale) ** 2)
-    if bound >= 0:
-        return bound // (q * c)
-    return -((-bound - 1) // (q * c))
 
 
 class ClassicReport(
@@ -122,7 +109,7 @@ class ClassicReport(
     The partial sum is ``numerator / denominator``.  ``scaled_value`` and
     ``scaled_target`` are it and the irrational limit times 10^digits,
     truncated toward zero; ``scaled_diff`` is the distance from the partial
-    sum to the limit itself times 10^(digits + 6), truncated.  The three
+    sum to the limit itself times 10^(digits + 6), truncated.  The five
     are integer ``Decimal``s, equal to the ints of the same value.
     ``passed`` says that distance is below 10^(-digits+2), which the
     truncated distance decides exactly: the distance is irrational, so it
@@ -133,11 +120,11 @@ class ClassicReport(
 
     __slots__ = ()
 
+    # through str: int(Decimal) is quadratic on CPython 3.11, str linear
     @property
     def value(self) -> Rational:
-        return Fraction(self.numerator, self.denominator)
+        return Fraction(str_to_int(str(self.numerator)), str_to_int(str(self.denominator)))
 
-    # through str: int(Decimal) is quadratic on CPython 3.11, str linear
     @property
     def target(self) -> Rational:
         return Fraction(str_to_int(str(self.scaled_target)), 10**self.digits)
@@ -161,7 +148,7 @@ class ClassicReport(
         }
 
 
-def _doublings(a: int, b: int) -> Iterator[tuple[int, int]]:
+def _doublings(a: _Int, b: _Int) -> Iterator[tuple[_Int, _Int]]:
     """F_{n-1}, F_n from a = F_{n-1}, b = F_n, then the same at 2n, 4n, ...
 
     F_{2n-1} = F_n^2 + F_{n-1}^2 and F_{2n} = F_n (F_n + 2 F_{n-1}): three
@@ -173,30 +160,33 @@ def _doublings(a: int, b: int) -> Iterator[tuple[int, int]]:
         a, b = a * a + b * b, b * (b + 2 * a)
 
 
-def _alternating_terms_needed(threshold_den: int) -> tuple[int, list[int]]:
+def _alternating_terms_needed(threshold_den: Decimal) -> tuple[int, list[Decimal]]:
     """Smallest N of 4, 8, 16, ... whose first omitted term is below 1/threshold_den.
 
     The alternating series' truncation error is bounded by the next
     term, 1/(F_{N+1} * F_{N+3}).  Returns N with [F_{N+1}, F_{N+2}],
-    which the sum needs.
+    which the sum needs, as integer Decimals, whatever the context.
     """
-    for j, (a, b) in enumerate(_doublings(2, 3)):  # F_{N-1}, F_N at N = 4 * 2^j
-        f1, f2 = a + b, a + 2 * b  # F_{N+1}, F_{N+2}
-        if f1 * (f1 + f2) > threshold_den:
-            return 4 << j, [f1, f2]
+    with localcontext(EXACT_CONTEXT):
+        # F_{N-1}, F_N at N = 4 * 2^j
+        for j, (a, b) in enumerate(_doublings(Decimal(2), Decimal(3))):
+            f1, f2 = a + b, a + 2 * b  # F_{N+1}, F_{N+2}
+            if f1 * (f1 + f2) > threshold_den:
+                return 4 << j, [f1, f2]
 
 
-def _millin_terms_needed(threshold_den: int) -> tuple[int, list[int]]:
+def _millin_terms_needed(threshold_den: Decimal) -> tuple[int, list[Decimal]]:
     """Smallest M whose first omitted term 1/F_{2^(M+1)} is below 1/threshold_den.
 
     Later omitted terms shrink so fast their total stays under twice
     the first one.  Step M holds a = F_{2^M - 1}, b = F_{2^M} and tests
-    F_{2^(M+1)} = b (b + 2a).  Returns M with [a, b], which the sum needs.
-    Stops at the cap.
+    F_{2^(M+1)} = b (b + 2a).  Returns M with [a, b], which the sum needs,
+    as integer Decimals, whatever the context.  Stops at the cap.
     """
-    for m, (a, b) in enumerate(_doublings(1, 1), 1):
-        if m == _MAX_MILLIN_TERMS or b * (b + 2 * a) > threshold_den:
-            return m, [a, b]
+    with localcontext(EXACT_CONTEXT):
+        for m, (a, b) in enumerate(_doublings(Decimal(1), Decimal(1)), 1):
+            if m == _MAX_MILLIN_TERMS or b * (b + 2 * a) > threshold_den:
+                return m, [a, b]
 
 
 def _sqrt5_scaled(w: int) -> Decimal:
@@ -236,7 +226,7 @@ def verify_classic(identity: str, d: int) -> ClassicReport:
 
     The sum p/q is taken far enough that its omitted tail is under an
     eighth of that threshold (up to the Millin cap).  With W = d + 6 + g
-    (g = ``_GUARD_DIGITS``), s = floor(sqrt(5) 10^W) and
+    (g = ``_GUARD_DIGITS`` at first), s = floor(sqrt(5) 10^W) and
     v = |p| 10^W // q, sqrt(5) 10^W lies strictly inside (s, s + 1) and
     |p/q| 10^W in [v, v + 1), so:
 
@@ -246,11 +236,17 @@ def verify_classic(identity: str, d: int) -> ClassicReport:
     * (p/q - target) c 10^W lies strictly inside an interval of width
       c + 1, and when no multiple of c 10^g falls in it, the truncated
       distance at d + 6 digits, and so the verdict, follows from either
-      end; otherwise the exact ``_scaled_difference`` gives it.
+      end; otherwise s, v and the interval are computed again at
+      g = 2g + 1.
 
-    Every one of those numbers is an exact integer ``Decimal`` (module
-    docstring).  d must lie in ``bounds._MIN_CLASSIC_DIGITS`` ..
-    ``bounds._MAX_CLASSIC_DIGITS``.
+    The retries end: the distance is irrational, so it is never a
+    truncation boundary, and the interval around it, (c + 1)/(c 10^g)
+    units of 10^-(d+6) wide, shrinks to zero width as g grows, so after
+    finitely many retries no boundary lies inside it.  The value and the
+    target come from the last pass; each is an exact truncation, so any
+    g gives the same numbers.  Every one of them is an exact integer
+    ``Decimal`` (module docstring).  d must lie in
+    ``bounds._MIN_CLASSIC_DIGITS`` .. ``bounds._MAX_CLASSIC_DIGITS``.
     """
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; expected one of {IDENTITIES}")
@@ -258,36 +254,35 @@ def verify_classic(identity: str, d: int) -> ClassicReport:
         raise ValueError(f"digit count must be >= {_MIN_CLASSIC_DIGITS}, got {d}")
     if d > _MAX_CLASSIC_DIGITS:
         raise ValueError(f"digit count must be <= {_MAX_CLASSIC_DIGITS}, got {d}")
-    tail_den = 8 * 10 ** (d - 2)
     # the target is (a - sqrt 5) / c
     if identity == "alternating":
-        terms, run = _alternating_terms_needed(tail_den)
-        parts, a, c = _alternating_parts, 2, 1
+        search, parts, a, c = _alternating_terms_needed, _alternating_parts, 2, 1
     else:
-        terms, run = _millin_terms_needed(tail_den)
-        parts, a, c = _millin_parts, 7, 2
-    p, q = parts(*run)
-    work = d + 6
-    w = work + _GUARD_DIGITS
+        search, parts, a, c = _millin_terms_needed, _millin_parts, 7, 2
+    guard = _GUARD_DIGITS
     with localcontext(EXACT_CONTEXT):
-        dec_p, dec_q = parts(*map(to_decimal, run))
-        s = _sqrt5_scaled(w)
-        v = abs(dec_p).scaleb(w) // dec_q
-        cut = 10 ** (6 + _GUARD_DIGITS)  # from W digits down to d
-        a_scaled = Decimal(a).scaleb(w)
+        terms, run = search(Decimal(8).scaleb(d - 2))
+        p, q = parts(*run)
+        while True:
+            w = d + 6 + guard
+            s = _sqrt5_scaled(w)
+            v = abs(p).scaleb(w) // q
+            a_scaled = Decimal(a).scaleb(w)
+            # c p/q 10^W lies in [x, x + c], so (c p/q - a + sqrt 5) 10^W
+            # lies strictly inside (lo, hi)
+            x = c * v if p > 0 else -c * (v + 1)
+            lo = x + s - a_scaled
+            hi = lo + c + 1
+            step = c * 10**guard  # from W digits down to d + 6
+            diff = max(lo, -hi, Decimal(0)) // step
+            if diff == max(-lo, hi) // step:
+                break
+            guard = 2 * guard + 1
+        cut = 10 ** (6 + guard)  # from W digits down to d
         if a_scaled > s:  # a > sqrt 5: the target is positive
             target = (a_scaled - s - 1) // (c * cut)
         else:
             target = -((s - a_scaled) // (c * cut))
-        # c p/q 10^W lies in [x, x + c], so (c p/q - a + sqrt 5) 10^W lies
-        # strictly inside (lo, hi)
-        x = c * v if p > 0 else -c * (v + 1)
-        lo = x + s - a_scaled
-        hi = lo + c + 1
-        step = c * 10**_GUARD_DIGITS  # from W digits down to d + 6
-        diff = max(lo, -hi, Decimal(0)) // step
-        if diff != max(-lo, hi) // step:
-            diff = to_decimal(abs(_scaled_difference(p, q, a, c, work)))
         value = v // cut if p > 0 else -(v // cut)
     return ClassicReport(
         identity=identity,

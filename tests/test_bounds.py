@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from kbonacci import bounds, series
+from kbonacci.sequence import _takes_binomial
 from kbonacci.series import SeriesPoint
 
 # Not a request limit: the Millin search's cap is the known false FAIL of
@@ -42,6 +43,15 @@ class TestCostBound:
         check(k, n)
         with pytest.raises(ValueError, match="has a modelled cost of 1.01 times the most"):
             check(k, n + 1)
+
+    @pytest.mark.parametrize("k,n,ratio", [(80, 648_080, "1.13"), (85, 731_085, "1.35")])
+    def test_term_is_priced_on_the_path_it_takes(self, k, n, ratio):
+        # past its last index on the binomial sum term_fast takes the kernel,
+        # which costs more than the bound there, though the sum would not
+        assert _takes_binomial(k, n) and not _takes_binomial(k, n + 1)
+        bounds.check_term(k, n)
+        with pytest.raises(ValueError, match=f"{ratio} times the most a term may cost"):
+            bounds.check_term(k, n + 1)
 
     def test_k28_at_the_index_bound_is_refused(self):
         with pytest.raises(ValueError, match="20.17 times the most a term may cost"):

@@ -11,7 +11,6 @@ from kbonacci.classic_sums import (
     ClassicReport,
     _alternating_terms_needed,
     _millin_terms_needed,
-    _scaled_difference,
     alternating_reciprocal_sum,
     millin_type_sum,
     verify_classic,
@@ -19,7 +18,7 @@ from kbonacci.classic_sums import (
 from kbonacci.rational import to_decimal
 from kbonacci.sequence import range_terms, term_fast, term_naive, window
 
-from oracles import to_decimal_string
+from oracles import _scaled_difference, to_decimal_string
 
 
 def newton_isqrt(n: int) -> int:
@@ -150,9 +149,10 @@ class TestClassicReport:
         assert report.abs_diff == Fraction(10136302, 10**10)
 
     def test_repr(self):
-        # verify_classic's scaled numbers are integer Decimals, equal to the ints
+        # verify_classic's numbers are integer Decimals, equal to the ints
         assert repr(verify_classic("millin", 4)) == (
-            "ClassicReport(identity='millin', terms=3, digits=4, numerator=50, denominator=21,"
+            "ClassicReport(identity='millin', terms=3, digits=4, numerator=Decimal('50'),"
+            " denominator=Decimal('21'),"
             " scaled_value=Decimal('23809'), scaled_target=Decimal('23819'),"
             " scaled_diff=Decimal('10136302'), passed=True)"
         )
@@ -161,7 +161,7 @@ class TestClassicReport:
     @pytest.mark.parametrize("d", [4, 50, 5000])
     def test_scaled_numbers_are_integer_decimals(self, identity, d):
         report = verify_classic(identity, d)
-        for value in (report.scaled_value, report.scaled_target, report.scaled_diff):
+        for value in report[3:8]:  # numerator .. scaled_diff
             assert isinstance(value, Decimal) and value.as_tuple().exponent == 0
 
     @pytest.mark.parametrize("name", ["passed", "digits", "value", "other"])
@@ -265,9 +265,10 @@ class TestVerifyClassic:
 
     def test_alternating_search_has_no_cap(self):
         # the doubling search used to stop at 2^20 terms, a false FAIL from
-        # about 438k digits on
+        # about 438k digits on; the threshold is a Decimal, as verify_classic
+        # passes it, since comparing with an int converts it at every step
         f = window(2, 2**20 + 1, 3)
-        terms, _ = _alternating_terms_needed(f[0] * f[2])
+        terms, _ = _alternating_terms_needed(to_decimal(f[0] * f[2]))
         assert terms == 2**21
 
     @pytest.mark.parametrize("d", [50, 3000, 30000])
@@ -389,66 +390,67 @@ def assert_matches_exact_path(report):
 
 
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """The argument tuples of every call verify_classic makes to the exact path."""
-    calls = []
-    exact = classic_sums._scaled_difference
-    monkeypatch.setattr(
-        classic_sums, "_scaled_difference", lambda *a: calls.append(a) or exact(*a)
-    )
-    return calls
+def roots(monkeypatch):
+    """The width W of every square root verify_classic takes: one a request, one more a retry."""
+    widths = []
+    root = classic_sums._sqrt5_scaled
+    monkeypatch.setattr(classic_sums, "_sqrt5_scaled", lambda w: widths.append(w) or root(w))
+    return widths
 
 
 class TestSharedRootFastPath:
-    """verify_classic's lines from one isqrt and one division, against the
-    exact _scaled_difference path they replace."""
+    """verify_classic's lines from one square root and one division a pass,
+    against the exact _scaled_difference path of the oracles."""
 
     @settings(deadline=None, max_examples=60)
     @given(st.sampled_from(["alternating", "millin"]), st.integers(4, 3000))
     def test_lines_and_verdict_match_the_exact_path(self, identity, d):
         assert_matches_exact_path(verify_classic(identity, d))
 
-    def test_typical_requests_take_no_fallback(self, fallbacks):
+    def test_typical_requests_take_no_fallback(self, roots):
+        # one pass a request, at W = d + 6 + 8: no retry
         for identity in ("alternating", "millin"):
             for d in range(4, 200):
+                roots.clear()
                 verify_classic(identity, d)
-        assert fallbacks == []
+                assert roots == [d + 14]
 
     @pytest.mark.parametrize("identity", ["alternating", "millin"])
     def test_without_guard_digits_every_distance_falls_back(
-        self, identity, monkeypatch, fallbacks
+        self, identity, monkeypatch, roots
     ):
         # with g = 0 the interval of c + 1 units always holds a multiple of
-        # c, so every distance comes from the exact path
+        # c, so every distance takes a retry (a few take two, at g = 1 and 3)
         fast = [verify_classic(identity, d).to_json_dict() for d in range(4, 120)]
-        fallbacks.clear()
         monkeypatch.setattr(classic_sums, "_GUARD_DIGITS", 0)
         slow = []
         for d in range(4, 120):
+            roots.clear()
             report = verify_classic(identity, d)
+            assert roots[:2] == [d + 6, d + 7]
             assert_matches_exact_path(report)
             slow.append(report.to_json_dict())
         assert slow == fast
-        assert len(fallbacks) == len(fast)
 
     @pytest.mark.parametrize("identity", ["alternating", "millin"])
-    def test_one_guard_digit_decides_most_lines_exactly(self, identity, monkeypatch, fallbacks):
+    def test_one_guard_digit_decides_most_lines_exactly(self, identity, monkeypatch, roots):
         # with g = 1 a truncation boundary is often near the distance, so a
-        # bound off by one unit would show; the fast path still decides most
+        # bound off by one unit would show; most requests still take no retry
         monkeypatch.setattr(classic_sums, "_GUARD_DIGITS", 1)
         for d in range(4, 400):
             assert_matches_exact_path(verify_classic(identity, d))
-        assert 0 < len(fallbacks) < 396 // 2
+        assert 0 < len(roots) - 396 < 396 // 2
 
     @pytest.mark.parametrize("identity,d", [("alternating", 5000), ("millin", 27400), ("millin", 40000)])
     def test_large_requests_without_guard_digits_fall_back_alike(
-        self, identity, d, monkeypatch, fallbacks
+        self, identity, d, monkeypatch, roots
     ):
-        # the exact path takes over from the Decimal one at full size
+        # a retry at full size prints what one pass at g = 8 prints
         fast = verify_classic(identity, d).to_json_dict()
         monkeypatch.setattr(classic_sums, "_GUARD_DIGITS", 0)
+        roots.clear()
         report = verify_classic(identity, d)
-        assert len(fallbacks) == 1
+        assert roots == [d + 6, d + 7]
         assert report.to_json_dict() == fast
         assert_matches_exact_path(report)
 

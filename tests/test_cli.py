@@ -776,6 +776,21 @@ class TestVerifyClassic:
         assert lines[1] == "terms = 131072"
         assert lines[-1] == "PASS"
 
+    @pytest.mark.parametrize(
+        "identity,code,digest",
+        [
+            ("alternating", 0, "08ddb4ead5ab53ae43e2b6949fdbf4f70b5d908b0c0ad8ade670152f776895f9"),
+            ("millin", 1, "2baa3d712f17d7b23466ce01d9f37f2baa19620520e760a830492e2afc4978e6"),
+        ],
+        ids=IDENTITIES,
+    )
+    def test_top_of_the_digit_range(self, capsys, identity, code, digest):
+        # the largest doublings, root and quotient a request may take, held
+        # to their exit code and stdout sha256 (Millin FAILs: ROADMAP 1)
+        argv = ["verify-classic", "--identity", identity, "--digits", str(bounds._MAX_CLASSIC_DIGITS)]
+        got, out, _ = run(capsys, argv)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
     def test_too_few_digits(self, capsys):
         code, _, err = run(
             capsys, ["verify-classic", "--identity", "millin", "--digits", "3"]
@@ -833,13 +848,14 @@ class TestVerifyClassic:
 
 
 class TestNoBigIntRendered:
-    """gf and verify-classic convert no int wider than the terms their numbers come from.
+    """gf converts no int wider than the terms its numbers come from, verify-classic none.
 
     Their big numbers are powers of p and q (gf) or W-digit roots and
     quotients (verify-classic), which they build in Decimal.  What gf
     converts from int is the jump's seed, p, q, den, the gcds and
-    epsilon, narrower than the last term once N passes 100; no number of
-    either comes back to int by ``str_to_int``.
+    epsilon, narrower than the last term once N passes 100; verify-classic
+    doubles Decimal pairs from the start.  No number of either comes back
+    to int by ``str_to_int``.
     """
 
     @pytest.fixture
@@ -853,11 +869,10 @@ class TestNoBigIntRendered:
 
             return convert
 
-        import kbonacci.classic_sums
         import kbonacci.rational
         import kbonacci.series
 
-        for module in (kbonacci.rational, kbonacci.series, kbonacci.classic_sums):
+        for module in (kbonacci.rational, kbonacci.series):
             names = [name for name in ("to_decimal", "int_to_str") if hasattr(module, name)]
             assert names, f"{module.__name__} converts nothing: the spy would see none of it"
             for name in names:
@@ -918,14 +933,15 @@ class TestNoBigIntRendered:
         "identity,d", [("alternating", 50), ("alternating", 3000), ("millin", 500), ("millin", 20_000), ("millin", 40_000)]
     )
     def test_verify_classic(self, capsys, widths, back_to_int, identity, d):
+        import kbonacci.classic_sums
+
+        # classic_sums imports no converter, so the spies on rational's see
+        # every conversion it could make
+        assert not {"to_decimal", "int_to_str"} & set(vars(kbonacci.classic_sums))
         code, out, _ = run(capsys, ["verify-classic", "--identity", identity, "--digits", str(d)])
-        terms = int(out.splitlines()[1].removeprefix("terms = "))
-        n = terms + 1 if identity == "alternating" else 2**terms - 1
-        allowed = max(window(2, n, 2)).bit_length()
-        assert 0 < max(widths) <= allowed
+        assert out.splitlines()[2] == f"digits = {d}"
+        assert widths == []
         assert back_to_int == []
-        # the square root and the quotient have W = d + 14 digits
-        assert allowed < 3 * (d + 14)
 
 
 class TestEarlierReportRendered:

@@ -43,7 +43,7 @@ from itertools import islice
 
 from .bounds import _MAX_CLASSIC_DIGITS, _MIN_CLASSIC_DIGITS
 from .rational import EXACT_CONTEXT, Rational, fixed_point, str_to_int
-from .sequence import window
+from .sequence import _require_int, window
 
 __all__ = [
     "ClassicReport",
@@ -72,6 +72,7 @@ _Int = int | Decimal
 
 def alternating_reciprocal_sum(n_terms: int) -> Rational:
     """Exact sum of (-1)^n / (F_n * F_{n+2}) for n = 1 .. n_terms."""
+    _require_int(n_terms, "n_terms")
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
     return Fraction(*_alternating_parts(*window(2, n_terms + 1, 2)))
@@ -85,6 +86,7 @@ def _alternating_parts(a: _Int, b: _Int) -> tuple[_Int, _Int]:
 
 def millin_type_sum(m_terms: int) -> Rational:
     """Exact sum of 1 / F_{2^n} for n = 0 .. m_terms."""
+    _require_int(m_terms, "m_terms")
     if m_terms < 0:
         raise ValueError(f"term count must be >= 0, got {m_terms}")
     if m_terms == 0:
@@ -250,6 +252,7 @@ def verify_classic(identity: str, d: int) -> ClassicReport:
     """
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; expected one of {IDENTITIES}")
+    _require_int(d, "d")
     if d < _MIN_CLASSIC_DIGITS:
         raise ValueError(f"digit count must be >= {_MIN_CLASSIC_DIGITS}, got {d}")
     if d > _MAX_CLASSIC_DIGITS:

@@ -21,7 +21,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .rational import EXACT_CONTEXT, int_to_str, to_decimal
-from .sequence import validate_order
+from .sequence import _require_int, validate_order
 
 __all__ = [
     "RepunitDenominator",
@@ -84,6 +84,8 @@ def reciprocal_digits(den: int, m: int) -> str:
     takes one Python-level step per digit.  den reaches ``Decimal`` through
     ``to_decimal``, since ``Decimal(int)`` is quadratic in the digits.
     """
+    _require_int(den, "den")
+    _require_int(m, "m")
     if den < 1:
         raise ValueError(f"denominator must be >= 1, got {den}")
     if m < 1:

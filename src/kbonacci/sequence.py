@@ -14,8 +14,8 @@ Three evaluation strategies are provided:
   additions.  A last step of ceil((k+t)/2) half-size products, for
   n = 2m + t, gives F_n.  O(log n) squares of about k times the term
   size.  Asked for a ``Decimal`` (``cast=rational.to_decimal``, as the CLI
-  does), it runs the squares from coefficients of ``_CAST_BITS`` bits on
-  in ``Decimal``: libmpdec multiplies big operands with a
+  does), it runs the squares from coefficients of ``_CAST_BITS`` (1000)
+  bits on in ``Decimal``: libmpdec multiplies big operands with a
   number-theoretic transform, CPython's int with Karatsuba, and the
   Decimal result prints in linear time.  For k >= 20 with n/(k+1) at
   most 100 k it takes the generating function's binomial sum instead:
@@ -33,10 +33,10 @@ Three evaluation strategies are provided:
 ``iter_terms`` is the one forward sweep of the recurrence: a ring of the
 k most recent terms, each new term their sum.  Started above 0 it jumps
 ahead first, taking its k seed terms from the one residue x^n, so a range
-far from 0 costs no sweep from F_0; with a ``Decimal`` cast the top
-squares of that jump run in ``Decimal`` too.  ``window`` and
-``range_terms`` are runs of that sweep, and ``term_naive`` is one item of
-it from 0.
+far from 0 costs no sweep from F_0; with a ``Decimal`` cast that jump
+switches to ``Decimal`` at the same width as ``term_fast``, in the one
+exponentiation both share.  ``window`` and ``range_terms`` are runs of
+that sweep, and ``term_naive`` is one item of it from 0.
 
 All functions are pure and by default operate on plain Python integers,
 so results are exact at any size.  The three term strategies and
@@ -66,34 +66,30 @@ __all__ = [
     "METHODS",
 ]
 
-# term_fast with a cast (the CLI's Decimal) converts the residue before the
-# first square with a coefficient of _CAST_BITS bits, at every order, so its
-# Decimal squares start at 10k to 20k bits a coefficient.  Below that,
-# Decimal's cost per operation in the O(k) additions and conversions of each
-# step outweighs its faster product; term -k 17 -n 31506 squares 7.9k-bit
-# coefficients last and stays in int.  Against the former per-order width
-# min(33000, 2000 k), in process (min of 30 interleaved runs, 8 for the last
-# two; CPython 3.11, 2 cores), with the bits each converted at:
-#   k, n        min(33000, 2000 k)   _CAST_BITS
-#   2, 593045   17.4 ms at 6.4k      17.8 ms at 12.9k
-#   3, 600481   33.2 ms at 8.2k      34.1 ms at 16.5k
-#   8, 2e5      34.7 ms at 24.9k     28.6 ms at 12.5k
-#   12, 1.5e5   64.2 ms at 37.5k     44.3 ms at 18.7k
-#   16, 1e5     68.1 ms in int       33.6 ms at 12.5k
-#   19, 6.6e4   49.1 ms in int       41.5 ms at 16.5k
-#   16, 1e6     472 ms at 62.5k      366 ms at 15.6k
-#   20, 2e6     1192 ms at 62.5k     1087 ms at 15.6k
-# iter_terms switches its jump-ahead at the much narrower _SEED_CAST_BITS: its
-# k seed terms all come out in the cast's type, so converting them would cost
-# what term's one result costs, k times over.  The benchmark's seq requests
-# (k = 3 to 16, N0 = 2e4 to 1e5, two passes, in process) took 0.30 s at 1000
-# bits, 0.31 s at 2000, 0.33 s at 500 and 0.38 s at 8000, against 0.81 s at
-# 33000 and 1.26 s for an int jump with converted seeds; seq -k 1000 --from
-# 30000 --to 30000 took 1.5 s at 1000 bits and 35 s with the int jump.
-# Width 0 would put the smallest squares in Decimal too: seq -k 100000
-# --from 5 took 1.79 s there instead of 0.54 s.
-_CAST_BITS = 10_000
-_SEED_CAST_BITS = 1_000
+# With a cast (the CLI's Decimal), _x_pow_mod converts the residue before the
+# first square with a coefficient of _CAST_BITS bits, for term_fast and the
+# jump-ahead of iter_terms alike, and a residue that never gets that wide at
+# the end.  Below that, Decimal's cost per operation in the O(k) additions
+# of each step outweighs its faster product: width 0 took seq -k 100000
+# --from 5 1.79 s against 0.54 s.  The benchmark's seq requests (k = 3 to
+# 16, N0 = 2e4 to 1e5, two passes, in process) took 0.30 s at 1000 bits,
+# 0.31 s at 2000, 0.33 s at 500 and 0.38 s at 8000.  Against term's former
+# 10000 bits, in process (CPython 3.11, 2 cores, interleaved pairs):
+#   k, n                      10000 bits    1000 bits
+#   2 and 3, 16 terms of      644 ms        646 ms (in all)
+#     4.1e5 to 1.4e6
+#   3, 31506                  1.78 ms       2.03 ms
+#   17, 31506                 13.1 ms       14.2 ms
+#   18, 4e4                   21.7 ms       13.3 ms
+#   12, 1.5e5                 46.5 ms       37.8 ms
+#   19, 1e5                   40.4 ms       31.6 ms
+#   16, 1e6                   343 ms        339 ms
+#   2, 33219280               1121 ms       1093 ms
+# libmpdec's products lose to CPython's int below operands of about 40k
+# bits (632 against 120 us at 15.7k bits, 534 against 362 at 31k, 627
+# against 1071 at 60k), so terms near n = 3e4, whose Decimal squares and
+# last-step products are that small, lose up to 15%; larger ones win.
+_CAST_BITS = 1_000
 # term_fast takes the binomial sum for k >= _BINOMIAL_ORDER while
 # n/(k+1) <= _BINOMIAL_STEPS * k.  The sum won from k = 20 on: 21 ms against
 # 31 at k = 20, n = 30000; 13 ms against 0.2 s at k = 64, n = 40000; 1 ms
@@ -111,8 +107,7 @@ _BINOMIAL_STEPS = 100
 
 def validate_order(k: int) -> int:
     """Return ``k`` unchanged if it is a valid recurrence order (k >= 2)."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"order must be an integer, got {k!r}")
+    _require_int(k, "order")
     if k < 2:
         raise ValueError(f"order must be >= 2, got {k}")
     return k
@@ -140,23 +135,21 @@ def iter_terms(k: int, start: int = 0, cast=int) -> Iterator[int]:
     O(k * term size).  From 0 the seed is ``initial_terms(k)`` itself,
     which keeps ``term_naive``, an oracle for the kernel, off the kernel;
     from any other start it is the k terms of one jump-ahead, whose
-    squares switch to ``cast`` at ``_SEED_CAST_BITS``-bit coefficients, as
-    ``term_fast``'s do at ``_CAST_BITS``.  ``cast`` converts the k seed
-    terms if the jump stayed in int, and later terms are their sums, so
-    they share its result type.  ``Decimal`` sums are exact only under a
-    context that traps ``Inexact``, such as ``rational.EXACT_CONTEXT``, so
-    with a ``Decimal`` cast the first ``next`` raises ValueError under any
-    other (the default context rounds at 28 digits).
+    residue ``_x_pow_mod`` hands back in ``cast``'s type, switching its
+    squares at ``_CAST_BITS``-bit coefficients as ``term_fast``'s do.
+    ``cast`` converts only the seed from 0, and later terms are sums of
+    the seed, so they share its type.  ``Decimal`` sums are exact only
+    under a context that traps ``Inexact``, such as
+    ``rational.EXACT_CONTEXT``, so with a ``Decimal`` cast the first
+    ``next`` raises ValueError under any other (the default context
+    rounds at 28 digits).
     """
     validate_order(k)
     _validate_index(start)
     if start == 0:
-        seed = initial_terms(k)
+        ring = _converted(initial_terms(k), cast)
     else:
-        seed = _run_from_residue(_x_pow_mod(start, k, cast, _SEED_CAST_BITS))
-    ring = [cast(t) for t in seed] if type(seed[0]) is int else seed
-    if type(ring[0]) is Decimal:
-        _require_exact_context()
+        ring = _run_from_residue(_x_pow_mod(start, k, cast))
     yield from ring
     total = sum(ring)
     for oldest in cycle(range(k)):
@@ -212,26 +205,30 @@ def term_fast(k: int, n: int, cast=int):
 
     The default returns an int and runs in ints throughout.  Any other
     ``cast`` (``rational.to_decimal``) converts the residue once its
-    coefficients reach ``_CAST_BITS`` bits, so the top squares and the
-    final products run in that type, and F_n comes back in it; a residue
-    that stays smaller leaves one int result to convert.  For ``Decimal``
-    that means libmpdec's number-theoretic-transform products and a
-    result whose ``str()`` is linear; the Decimal squares need a context
-    that traps ``Inexact``, such as ``rational.EXACT_CONTEXT``, and raise
-    ValueError under any other (the default context rounds at 28 digits).
+    coefficients reach ``_CAST_BITS`` bits, or at the end of a smaller
+    exponentiation, so the top squares and the final products run in that
+    type, and F_n comes back in it.  For ``Decimal`` that means libmpdec's
+    number-theoretic-transform products and a result whose ``str()`` is
+    linear; the Decimal arithmetic needs a context that traps ``Inexact``,
+    such as ``rational.EXACT_CONTEXT``, and raises ValueError under any
+    other (the default context rounds at 28 digits).
     """
     validate_order(k)
     _validate_index(n)
     if _takes_binomial(k, n):
         return cast(_binomial_term(k, n))
     m, t = divmod(n, 2)
-    value = _top_of_square(_x_pow_mod(m, k, cast, _CAST_BITS), t)
-    return cast(value) if type(value) is int else value
+    return _top_of_square(_x_pow_mod(m, k, cast), t)
+
+
+def _require_int(value, name: str) -> None:
+    """Refuse anything but an int as the argument ``name``; a bool is not a count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _validate_index(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"index must be an integer, got {n!r}")
+    _require_int(n, "index")
     if n < 0:
         raise ValueError(f"negative indices are not defined, got {n}")
 
@@ -270,25 +267,32 @@ def _binomial_term(k: int, n: int) -> int:
     return (acc << (top - (k + 1) * steps)) >> 1
 
 
-def _x_pow_mod(n: int, k: int, cast, cast_bits: int) -> list:
-    """Coefficients (little-endian, length k) of x^n mod the char poly.
+def _x_pow_mod(n: int, k: int, cast) -> list:
+    """Coefficients (little-endian, length k) of x^n mod the char poly, in ``cast``'s type.
 
     Left-to-right square-and-multiply: a square per bit of n after the
-    leading one, then a multiply by x where the bit is set.  A ``cast``
-    other than int converts the residue, once, before the first square
-    whose operand has a coefficient of ``cast_bits`` bits or more.
+    leading one, then a multiply by x where the bit is set.  ``cast``
+    converts the residue once: before the first square whose operand has
+    a coefficient of ``_CAST_BITS`` bits or more, or at the end if none
+    has.
     """
-    if n == 0:
-        return [1] + [0] * (k - 1)
-    residue = [0, 1] + [0] * (k - 2)  # the polynomial x
-    pending = cast is not int
+    residue = [0, 1] + [0] * (k - 2) if n else [1] + [0] * (k - 1)
+    pending = True
     for bit in bin(n)[3:]:
-        if pending and max(residue).bit_length() >= cast_bits:
-            residue, pending = [cast(c) for c in residue], False
+        if pending and max(residue).bit_length() >= _CAST_BITS:
+            residue, pending = _converted(residue, cast), False
         residue = _square_mod(residue, k)
         if bit == "1":
             residue = _times_x(residue)
-    return residue
+    return _converted(residue, cast) if pending else residue
+
+
+def _converted(values: list[int], cast) -> list:
+    """``values`` through ``cast``; ``Decimal`` ones need an exact context from here on."""
+    values = [cast(c) for c in values]
+    if type(values[0]) is Decimal:
+        _require_exact_context()
+    return values
 
 
 def _times_x(a: list[int]) -> list[int]:
@@ -346,9 +350,9 @@ def _decimal_square_slots(a: list[Decimal], k: int) -> list[Decimal]:
     """The 2k-1 coefficients of a^2, through one ``Decimal`` square.
 
     Each coefficient of the square is below k * 10^(2D) for D-digit
-    coefficients, so slots of 2D + len(str(k)) digits hold it.
+    coefficients, so slots of 2D + len(str(k)) digits hold it.  The exact
+    context was checked where the residue became ``Decimal`` (``_converted``).
     """
-    _require_exact_context()
     width = 2 * (max(a).adjusted() + 1) + len(str(k))  # digits
     packed = _join_slots(a, width)
     square = packed * packed

@@ -15,6 +15,7 @@ from kbonacci.classic_sums import (
     millin_type_sum,
     verify_classic,
 )
+from kbonacci.decimal_identity import reciprocal_digits
 from kbonacci.rational import to_decimal
 from kbonacci.sequence import range_terms, term_fast, term_naive, window
 
@@ -350,9 +351,10 @@ class TestSearchOracles:
         ids=["alternating", "millin"],
     )
     def test_searches_match_the_window_oracles(self, search, oracle):
+        # the search gets the Decimal threshold verify_classic passes: an int
+        # one would be converted again at every comparison
         for d in self.DIGITS:
-            threshold = 8 * 10 ** (d - 2)
-            assert search(threshold) == oracle(threshold), d
+            assert search(Decimal(8).scaleb(d - 2)) == oracle(8 * 10 ** (d - 2)), d
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 17])
     def test_millin_sum_from_its_doublings(self, m):
@@ -472,3 +474,23 @@ class TestSharedRootFastPath:
         report = verify_classic(identity, d)
         assert report.passed is passed
         assert_matches_exact_path(report)
+
+
+@pytest.mark.parametrize(
+    "call,name,value",
+    [
+        (lambda: alternating_reciprocal_sum(True), "n_terms", True),
+        (lambda: millin_type_sum(True), "m_terms", True),
+        (lambda: reciprocal_digits(89, True), "m", True),
+        (lambda: alternating_reciprocal_sum(2.0), "n_terms", 2.0),
+        (lambda: millin_type_sum(2.0), "m_terms", 2.0),
+        (lambda: verify_classic("alternating", 10.0), "d", 10.0),
+        (lambda: reciprocal_digits(89.0, 3), "den", 89.0),
+    ],
+    ids=["alternating-bool", "millin-bool", "digits-m-bool", "alternating-float",
+         "millin-float", "verify-float", "digits-den-float"],
+)
+def test_library_counts_refuse_bools_and_non_ints(call, name, value):
+    # True is not the count 1, and a float is named as the argument it was
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        call()

@@ -81,10 +81,10 @@ class TestTerm:
 
     @pytest.mark.parametrize(
         "k,n,in_decimal",
-        # the first Decimal square needs a coefficient of 10000 bits at every
-        # order; the benchmark's one kernel-path term, k = 17, stays in int
-        [(2, 23_047, False), (2, 57_619, False), (2, 57_620, True), (3, 27_307, False),
-         (3, 45_507, False), (3, 45_508, True), (16, 100_000, True), (17, 31_506, False)],
+        # the first Decimal square needs a coefficient of 1000 bits at every
+        # order; the benchmark's one kernel-path term, k = 17, reaches it too
+        [(2, 5763, False), (2, 5764, True), (2, 57_620, True), (3, 4559, False),
+         (3, 4560, True), (3, 45_508, True), (16, 100_000, True), (17, 31_506, True)],
     )
     def test_either_side_of_the_decimal_switch(self, capsys, monkeypatch, k, n, in_decimal):
         squares = []

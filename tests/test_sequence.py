@@ -368,9 +368,12 @@ def square_in(cast, a, k):
     return [int(c) for c in square]
 
 
-def decimal_term(method, k, n, cast_bits=sequence._CAST_BITS):
-    """``str`` of F_n from ``method`` in Decimal, with the kernel's switch at ``cast_bits``."""
-    with mock.patch.object(sequence, "_CAST_BITS", cast_bits), localcontext(EXACT_CONTEXT):
+def decimal_term(method, k, n, cast_bits=None):
+    """``str`` of F_n from ``method`` in Decimal, the switch moved to ``cast_bits`` if given."""
+    switch = nullcontext()
+    if cast_bits is not None:
+        switch = mock.patch.object(sequence, "_CAST_BITS", cast_bits)
+    with switch, localcontext(EXACT_CONTEXT):
         value = method(k, n, to_decimal)
     assert type(value) is Decimal
     return str(value)
@@ -378,15 +381,16 @@ def decimal_term(method, k, n, cast_bits=sequence._CAST_BITS):
 
 class TestDecimalKernel:
     @settings(deadline=None)
-    @given(st.integers(2, 40), st.integers(0, 4000), st.integers(0, 800))
+    @given(st.integers(2, 40), st.integers(0, 12_000), st.integers(0, 2 * sequence._CAST_BITS))
     @example(2, 0, 0)
-    @example(2, 4000, 0)
+    @example(2, 12_000, 0)
     @example(40, 39, 1)
-    @example(3, 4000, 800)
+    @example(2, 12_000, sequence._CAST_BITS)
+    @example(3, 12_000, 2 * sequence._CAST_BITS)
     def test_decimal_term_equals_int_term(self, k, n, cast_bits):
         # the operand of the last square has coefficients of about
-        # n/4 * log2(rho_k) < 1000 bits here, so a switch at 0 to 800 bits
-        # puts n on either side of it
+        # n/4 * log2(rho_k) < 3000 bits here, so a switch at 0 to 2000 bits,
+        # around the real one, puts n on either side of it
         assert decimal_term(term_fast, k, n, cast_bits) == int_to_str(term_fast(k, n))
 
     @settings(deadline=None)
@@ -406,7 +410,9 @@ class TestDecimalKernel:
 
     @pytest.mark.parametrize("prec", [28, 10**6])
     def test_decimal_squares_refuse_a_rounding_context(self, prec):
-        with mock.patch.object(sequence, "_CAST_BITS", 0), localcontext(Context(prec=prec)):
+        # F_1000 squares below the switch and is converted at the end, where
+        # its last products would already round
+        with localcontext(Context(prec=prec)):
             with pytest.raises(ValueError, match="traps Inexact"):
                 term_fast(2, 1000, to_decimal)
 
@@ -513,8 +519,8 @@ def benchmark_terms(workload):
     })
 
 
-def first_decimal_square_bits(k, n):
-    """Widest coefficient of the first Decimal square of ``term_fast(k, n, to_decimal)``, in bits."""
+def first_decimal_square_bits(call):
+    """Widest coefficient of the first Decimal square that ``call()`` makes, in bits, or None."""
     widths = []
     square = sequence._decimal_square_slots
 
@@ -524,17 +530,25 @@ def first_decimal_square_bits(k, n):
         return square(a, k)
 
     with mock.patch.object(sequence, "_decimal_square_slots", spy), localcontext(EXACT_CONTEXT):
-        term_fast(k, n, to_decimal)
+        call()
     return widths[0] if widths else None
 
 
+def first_term_square_bits(k, n):
+    """``first_decimal_square_bits`` of ``term_fast(k, n, to_decimal)``."""
+    return first_decimal_square_bits(lambda: term_fast(k, n, to_decimal))
+
+
 class TestBenchmarkPaths:
-    def test_kernel_terms_stay_int_below_order_20_and_take_the_sum_above(self):
+    # W = _CAST_BITS; a square at most doubles the widest coefficient, plus
+    # a few bits, so the first square at W bits or more is below 2W
+    def test_kernel_terms_convert_below_order_20_and_sum_above(self):
         terms = benchmark_terms("term-kernel")
         assert (17, 31_506) in terms
         for k, n in terms:
             if k < sequence._BINOMIAL_ORDER:
-                assert first_decimal_square_bits(k, n) is None
+                bits = first_term_square_bits(k, n)
+                assert sequence._CAST_BITS <= bits < 2 * sequence._CAST_BITS
             else:
                 assert sequence._takes_binomial(k, n)
 
@@ -542,7 +556,30 @@ class TestBenchmarkPaths:
         terms = benchmark_terms("term-render")
         assert {k for k, _ in terms} == {2, 3}
         for k, n in terms:
-            assert sequence._CAST_BITS <= first_decimal_square_bits(k, n) < 20_000
+            assert sequence._CAST_BITS <= first_term_square_bits(k, n) < 2 * sequence._CAST_BITS
+
+
+class TestOneSwitch:
+    @pytest.mark.parametrize("k", [2, 3, 17, 1000])
+    def test_every_exponentiation_hands_back_the_cast_type(self, k):
+        # below: coefficients of at most W/4 bits, so no square switches and
+        # the residue is converted at the end; above: W bits or more before
+        # the last square, so the squares switch on the way
+        width = sequence._CAST_BITS
+        below, above = width // 4, 4 * width + 2 * k
+        for n, switches in [(0, False), (below, False), (above, True)]:
+            residue = []
+            bits = first_decimal_square_bits(
+                lambda: residue.extend(sequence._x_pow_mod(n, k, to_decimal))
+            )
+            assert (bits is not None) is switches
+            assert {type(c) for c in residue} == {Decimal}
+            assert [int(c) for c in residue] == sequence._x_pow_mod(n, k, int)
+        with localcontext(EXACT_CONTEXT):
+            assert type(term_fast(k, below, to_decimal)) is Decimal
+            run = list(islice(iter_terms(k, below, to_decimal), k + 1))
+        assert {type(t) for t in run} == {Decimal}
+        assert [int(t) for t in run] == window(k, below, k + 1)
 
 
 def dot_product_step(r, t):
@@ -556,7 +593,7 @@ def dot_product_step(r, t):
 def dot_product_term(k, n, cast=int):
     """F_n from the kernel's residue and ``dot_product_step``."""
     m, t = divmod(n, 2)
-    return dot_product_step(sequence._x_pow_mod(m, k, cast, sequence._CAST_BITS), t)
+    return dot_product_step(sequence._x_pow_mod(m, k, cast), t)
 
 
 class Counted(int):
@@ -646,7 +683,7 @@ class TestDecimalSeed:
             sequence, "_decimal_square_slots", lambda a, k: squares.append(k) or square(a, k)
         ), localcontext(EXACT_CONTEXT):
             values = list(islice(iter_terms(k, n0, to_decimal), k + 2))
-        assert squares, "the jump never reached the seed width"
+        assert squares, "the jump never reached the switch width"
         assert [str(v) for v in values] == [int_to_str(v) for v in window(k, n0, k + 2)]
 
     @pytest.mark.parametrize("prec", [28, 10**6])
@@ -656,7 +693,7 @@ class TestDecimalSeed:
                 next(iter_terms(2, 3000, to_decimal))
 
     def test_int_windows_stay_int(self):
-        # far above the seed width: window and range_terms keep int jumps,
+        # far above the switch width: window and range_terms keep int jumps,
         # where seq and gf jump with a Decimal cast
         assert {type(t) for t in window(3, 5000, 4)} == {int}
         assert {type(t) for t in range_terms(16, 5000, 5003)} == {int}

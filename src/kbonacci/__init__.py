@@ -41,8 +41,6 @@ _MODULE_OF = {
     "converge_until": "series",
     "evaluate": "series",
     "evaluate_range": "series",
-    "partial_sum": "series",
-    "tail_bound": "series",
 }
 
 __all__ = sorted(_MODULE_OF)

@@ -6,9 +6,9 @@ sweep, the digits division, the series partial sum, verify-classic's
 digits and bench's repetitions, each beside the measurement that sized it.
 ``check_term``, ``check_seq``, ``check_sweep``, ``check_digits``,
 ``check_jump`` and ``check_grid`` refuse a request with ValueError (exit 2
-from the CLI) before any arithmetic, and ``jump_fits`` tells whether
-``check_jump`` accepts a jump's cost.  Timings are process wall on a
-2-core host, CPython 3.11.
+from the CLI) before any arithmetic; the series' search for its largest
+N bisects on the same refusals.  Timings are process wall on a 2-core
+host, CPython 3.11.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from functools import cache
 
 from .sequence import _takes_binomial, validate_order, validate_range
 
-__all__ = [
-    "check_term", "check_grid", "check_jump", "jump_fits", "check_seq", "check_sweep", "check_digits"
-]
+__all__ = ["check_term", "check_grid", "check_jump", "check_seq", "check_sweep", "check_digits"]
 
 # Every order is refused above this.  A run or residue holds k terms, and
 # D_k has k digits, so the cheapest request of each subcommand grows with k:
@@ -200,11 +198,6 @@ def check_jump(k: int, n: int) -> None:
     _check_order(k)
     _check_index_bound(n)
     _check_cost(_kernel_cost(k, n), f"the jump to n = {n} at k = {k}", "a jump")
-
-
-def jump_fits(k: int, n: int) -> bool:
-    """Whether ``check_jump(k, n)`` accepts the jump's cost, which grows with n."""
-    return _kernel_cost(k, n) <= _MAX_COST
 
 
 def check_seq(k: int, n0: int, n1: int) -> None:

@@ -3,7 +3,8 @@
 ``Rational`` is the standard library's ``fractions.Fraction``, which keeps
 values normalized exactly as this package requires: denominator >= 1,
 gcd(|num|, den) == 1, zero as 0/1.  The helpers add strict "p/q" parsing
-for command-line input and fixed-point decimal rendering.
+for command-line input, its library counterpart ``require_rational``,
+and fixed-point decimal rendering.
 
 CPython before 3.12 converts int to str in quadratic time (the
 subquadratic path came with gh-90716), while libmpdec multiplies big
@@ -36,6 +37,7 @@ Rational = Fraction
 __all__ = [
     "Rational",
     "parse_rational",
+    "require_rational",
     "format_ratio",
     "EXACT_CONTEXT",
     "to_decimal",
@@ -83,6 +85,13 @@ def parse_rational(text: str) -> Rational:
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(str_to_int(num), den)
+
+
+def require_rational(value: Rational | int, name: str) -> Rational:
+    """``value`` as a ``Fraction``; ValueError naming it unless an int (not a bool) or a Fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{name} must be an integer or a Fraction, got {value!r}")
+    return Fraction(value)
 
 
 def to_decimal(n: int) -> Decimal:

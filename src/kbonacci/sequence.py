@@ -91,16 +91,19 @@ __all__ = [
 # last-step products are that small, lose up to 15%; larger ones win.
 _CAST_BITS = 1_000
 # term_fast takes the binomial sum for k >= _BINOMIAL_ORDER while
-# n/(k+1) <= _BINOMIAL_STEPS * k.  The sum won from k = 20 on: 21 ms against
-# 31 at k = 20, n = 30000; 13 ms against 0.2 s at k = 64, n = 40000; 1 ms
-# against 41 s at k = 1000, n = 66000.  It lost below: 70 against 52 ms at
-# k = 16, n = 60000.  The sum grows as n^2/(k+1), the kernel about as k n,
-# and they draw level at about n/(k+1) = 100 k: the sum's time (with its
-# conversion) over the kernel's, both with the CLI's Decimal cast, best of 5:
-#   n/(k+1)  k = 20   24     28     32     40     48     mean
-#   80 k     0.90     0.78   0.60   0.86   0.67   0.79   0.77
-#   100 k    1.23     0.94   0.94   1.06   1.11   0.97   1.04
-#   125 k    1.29     1.01   1.41   0.94   1.39   1.08   1.19
+# n/(k+1) <= _BINOMIAL_STEPS * k.  It loses below k = 20: 61 against 18 ms
+# at k = 16, n = 60000; above, 13 against 58 ms at k = 64, n = 40000 and
+# 4 ms against 1.6 s at k = 1000, n = 66000.  The sum grows as n^2/(k+1),
+# the kernel about as k n, in steps of libmpdec's transform lengths, so no
+# one n/(k+1) is the crossover.  The sum's time (with its conversion) over
+# the kernel's, Decimal cast, best of 5, CPython 3.11.7, 2 cores:
+#   n/(k+1)  k = 20   24     32     48
+#   40 k     0.83     0.64   0.73   0.47
+#   70 k     0.94     1.38   0.80   0.94
+#   100 k    1.72     1.46   1.27   1.18
+# The bound, set where the two once drew level, stays: the benchmark's
+# terms on the sum lie below 70 k (the 22 of seed 1's term-kernel passes
+# 0-1 take 106 ms on the sum against 386 on the kernel).
 _BINOMIAL_ORDER = 20
 _BINOMIAL_STEPS = 100
 
@@ -116,6 +119,7 @@ def validate_order(k: int) -> int:
 def validate_range(k: int, n0: int, n1: int) -> None:
     """Raise ValueError unless F_{n0} .. F_{n1} of order k is defined."""
     _validate_index(n0)
+    _require_int(n1, "index")  # its sign follows from n0 <= n1
     if n0 > n1:
         raise ValueError(f"invalid range: n0={n0} > n1={n1}")
     validate_order(k)

@@ -6,12 +6,13 @@ because F_{n+1} <= 2 F_n once n >= k-1) and has the closed form
 
     eta * (eta - 1) / ((eta - 2) * eta^k + 1).
 
-This module computes that closed form, exact partial sums, and a rigorous
-geometric bound on the truncated tail, all in exact rational arithmetic.
-``evaluate`` bundles the three into a report whose ``passed`` flag states
-that the closed form and the partial sum differ by no more than the tail
-bound -- an identity that must hold, and that the test suite checks across
-wide (k, eta, N) grids.
+This module computes that closed form, and ``evaluate`` is the one way
+to read a truncation at N >= k-1: its report holds the closed form, the
+exact partial sum and a rigorous geometric bound on the truncated tail,
+all in exact rational arithmetic, and a ``passed`` flag stating that the
+closed form and the partial sum differ by no more than the tail bound --
+an identity that must hold, and that the test suite checks across wide
+(k, eta, N) grids.  ``converge_until`` searches for N by that bound.
 
 The partial sums come from the identity behind the closed form.  With
 x = 1/eta the series is G(x) = x^(k-1) / C(x), C(x) = 1 - x - ... - x^k,
@@ -21,9 +22,10 @@ up to x^N except x^(k-1) (present once N >= k-1):
     P_N(x) C(x) = x^(k-1) - sum_{m=N+1}^{N+k} x^m sum_{i=max(0,m-k)}^{N} F_i.
 
 So P_N needs only the last k terms F_{N-k+1} .. F_N, and the tail bound
-F_{N+1}; every entry point reads them from one checked window
-(``_checked_run``): the k + 1 first items of ``sequence.iter_terms`` in
-``Decimal``, the jump ``seq`` makes, priced by the same cost model.  The
+F_{N+1}; every entry point reads them from one window (``_checked_run``):
+the k + 1 first items of ``sequence.iter_terms`` in ``Decimal``, the jump
+``seq`` makes, priced by the same cost model.  ``_check_window`` states
+its refusals once, for the run and for the search's largest N.  The
 suffix sums and their weighted sum run in ``Decimal`` too, whose products
 libmpdec takes by a number-theoretic transform.  A report costs O(log N)
 squares for the jump, O(k) products for the weighted sum of the run, and
@@ -56,16 +58,16 @@ from itertools import accumulate, islice
 from math import ceil, gcd, log10
 from operator import sub
 
-from .bounds import _MAX_PARTIAL_DIGITS, check_jump, jump_fits
-from .rational import EXACT_CONTEXT, Rational, format_ratio, str_to_int, to_decimal
+from .bounds import _MAX_PARTIAL_DIGITS, check_jump
+from .rational import (
+    EXACT_CONTEXT, Rational, format_ratio, require_rational, str_to_int, to_decimal
+)
 from .sequence import _validate_index, iter_terms, validate_order
 
 __all__ = [
     "SeriesPoint",
     "EvalReport",
     "closed_form",
-    "partial_sum",
-    "tail_bound",
     "evaluate",
     "evaluate_range",
     "converge_until",
@@ -81,15 +83,16 @@ class SeriesPoint(namedtuple("SeriesPoint", "k eta")):
     """Evaluation point of the series: order k >= 2 and rational eta > 2.
 
     An immutable named tuple, built by position or keyword; construction
-    checks the order and converts eta to ``Fraction``, and refuses eta <= 2
-    with ValueError.
+    checks the order and converts eta to ``Fraction``, and refuses with
+    ValueError an eta that is not an int or a ``Fraction``
+    (``rational.require_rational``) or is <= 2.
     """
 
     __slots__ = ()
 
     def __new__(cls, k: int, eta: Rational | int):
         validate_order(k)
-        eta = Fraction(eta)
+        eta = require_rational(eta, "eta")
         if eta <= 2:
             raise ValueError(f"series requires eta > 2, got {eta}")
         return super().__new__(cls, k, eta)
@@ -146,37 +149,10 @@ def closed_form(point: SeriesPoint) -> Rational:
     return coprime(p * q ** (point.k - 1), _denominator(point))
 
 
-def partial_sum(point: SeriesPoint, n_trunc: int) -> Rational:
-    """Exact sum of F_n / eta^n for n = 0 .. n_trunc.
-
-    Zero below N = k-1, where every term is, and ValueError below 0 or for
-    a non-int N; from k-1 on, the partial sum of ``evaluate``'s report.
-    """
-    _validate_index(n_trunc)
-    if n_trunc < point.k - 1:
-        return Fraction(0)
-    return evaluate(point, n_trunc).partial
-
-
-def tail_bound(point: SeriesPoint, n_trunc: int) -> Rational:
-    """Upper bound on the omitted tail sum_{n > n_trunc} F_n / eta^n.
-
-    Valid for n_trunc >= k-1: from there on F_{n+1} <= 2 F_n, so the tail
-    is dominated by the geometric series with ratio 2/eta starting at the
-    first omitted term, giving
-
-        (F_{N+1} / eta^(N+1)) * 1 / (1 - 2/eta).
-
-    The tail bound of ``evaluate``'s report, within its checks: eta^(N+1)
-    has about as many digits as the partial sum.
-    """
-    return evaluate(point, n_trunc).tail_bound
-
-
 def evaluate(point: SeriesPoint, n_trunc: int) -> EvalReport:
     """The report at N: acc from the first k terms of ``_checked_run``'s window, F_{N+1} its last.
 
-    ValueError within the checks of ``_checked_run``, of which N >= 0 is the first.
+    ValueError within the checks of ``_check_window``, of which N >= 0 is the first.
     """
     run = _checked_run(point, n_trunc)
     return EvalReport(point, n_trunc, _acc(point, run), run[-1])
@@ -201,29 +177,13 @@ def _partial_digits(point: SeriesPoint, n_trunc: int) -> int:
     return ceil((n_trunc + point.k) * log10(point.eta.numerator))
 
 
-def _largest_index(point: SeriesPoint) -> int:
-    """The largest N >= k-1 that ``_checked_run`` accepts, or k-2 if none.
+def _check_window(point: SeriesPoint, n_trunc: int) -> None:
+    """Raise ValueError unless the window of the report at N is within the bounds.
 
-    Both of its checks, the digits and the jump's cost, grow with N, and no
-    N of 3 ``_MAX_PARTIAL_DIGITS`` passes the first (p >= 3): one bisection.
-    """
-    k = point.k
-
-    def refused(n):
-        return _partial_digits(point, n) > _MAX_PARTIAL_DIGITS or not jump_fits(k, n - k + 1)
-
-    return k - 2 + bisect_left(range(k - 1, 3 * _MAX_PARTIAL_DIGITS), True, key=refused)
-
-
-def _checked_run(point: SeriesPoint, n_trunc: int) -> list[Decimal]:
-    """The window F_{N-k+1} .. F_{N+1} in ``Decimal``.
-
-    The one source of every report's terms: ``iter_terms(k, N-k+1,
-    to_decimal)`` under ``EXACT_CONTEXT``, as ``seq`` jumps.  Refused with
-    ValueError, in this order, unless N is an int >= k-1, the partial sum,
-    about (N + k) log10 p digits for eta = p/q, has at most
-    ``_MAX_PARTIAL_DIGITS`` digits, and the jump to F_{N-k+1} is within
-    ``bounds.check_jump``.  ``_acc`` sums the run for the report.
+    The checks, in this order: N is an int >= k-1; the partial sum, about
+    (N + k) log10 p digits for eta = p/q, has at most
+    ``_MAX_PARTIAL_DIGITS`` digits; the jump to F_{N-k+1} is within
+    ``bounds.check_jump``.  Past k-1 each refusal holds for every larger N.
     """
     _validate_index(n_trunc)
     k = point.k
@@ -235,10 +195,38 @@ def _checked_run(point: SeriesPoint, n_trunc: int) -> list[Decimal]:
             f"a partial sum to N = {n_trunc} has about {digits} digits,"
             f" more than {_MAX_PARTIAL_DIGITS}"
         )
-    start = n_trunc - k + 1
-    check_jump(k, start)
+    check_jump(k, n_trunc - k + 1)
+
+
+def _largest_index(point: SeriesPoint) -> int:
+    """The largest N >= k-1 that ``_check_window`` accepts, or k-2 if none.
+
+    Its refusals grow with N, and no N of 3 ``_MAX_PARTIAL_DIGITS`` passes
+    the digits (p >= 3): one bisection.
+    """
+
+    def refused(n):
+        try:
+            _check_window(point, n)
+        except ValueError:
+            return True
+        return False
+
+    k = point.k
+    return k - 2 + bisect_left(range(k - 1, 3 * _MAX_PARTIAL_DIGITS), True, key=refused)
+
+
+def _checked_run(point: SeriesPoint, n_trunc: int) -> list[Decimal]:
+    """The window F_{N-k+1} .. F_{N+1} in ``Decimal``, within ``_check_window``.
+
+    The one source of every report's terms: ``iter_terms(k, N-k+1,
+    to_decimal)`` under ``EXACT_CONTEXT``, as ``seq`` jumps.  ``_acc``
+    sums the run for the report.
+    """
+    _check_window(point, n_trunc)
+    k = point.k
     with localcontext(EXACT_CONTEXT):
-        return list(islice(iter_terms(k, start, to_decimal), k + 1))
+        return list(islice(iter_terms(k, n_trunc - k + 1, to_decimal), k + 1))
 
 
 def _denominator(point: SeriesPoint) -> int:
@@ -379,12 +367,14 @@ def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
     shrinks geometrically.  The checks are N = k-1 (at least 1) and its
     doublings, each one ``_checked_run`` whose F_{N+1} gives the tail bound;
     only for the N that qualifies does its window give acc and the report.
-    The first doubling that ``_checked_run`` refuses is refused after
+    The first doubling that ``_check_window`` refuses is refused after
     ``_largest_index``, unless that is below the first N: the bound
     decreases in N for eta > 2, so no smaller N would qualify.  ValueError
-    for epsilon <= 0 and within the checks of ``_checked_run``.
+    for an epsilon that is not an int or a ``Fraction``
+    (``rational.require_rational``) or is <= 0, and within the checks of
+    ``_check_window``.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = require_rational(epsilon, "epsilon")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     bound = [to_decimal(x) for x in epsilon.as_integer_ratio()]  # once per search
@@ -393,7 +383,7 @@ def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
     at = min(n - 1, top)  # no N below the first is checked
     while True:
         # the doublings within the bounds, then the largest N within them,
-        # then the first doubling past them, which _checked_run refuses
+        # then the first doubling past them, which _check_window refuses
         at = min(n, top) if at < top else n
         run = _checked_run(point, at)
         if _tail_within(point, at, run[-1], *bound):

@@ -1,6 +1,7 @@
 import json
 from contextlib import nullcontext
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 from unittest import mock
@@ -104,6 +105,13 @@ class TestRangeTerms:
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
             range_terms(2, -1, 4)
+
+    @pytest.mark.parametrize("n1", [True, 3.0, "3", Fraction(3), None])
+    def test_end_that_is_not_an_int(self, n1):
+        # checked as the start is: a bool ends no range, a float no slice
+        with pytest.raises(ValueError) as refused:
+            range_terms(2, 0, n1)
+        assert str(refused.value) == f"index must be an integer, got {n1!r}"
 
     def test_offset_range_matches_suffix(self):
         assert range_terms(3, 4, 8) == TRIB[4:]

@@ -18,8 +18,6 @@ from kbonacci.series import (
     converge_until,
     evaluate,
     evaluate_range,
-    partial_sum,
-    tail_bound,
 )
 
 P210 = SeriesPoint(k=2, eta=Fraction(10))
@@ -29,7 +27,7 @@ P310 = SeriesPoint(k=3, eta=Fraction(10))
 def horner_partial_sum(point, n_trunc):
     """Sum of F_n / eta^n for n = 0 .. n_trunc by Horner's rule over the terms.
 
-    The oracle for the closed-form ``partial_sum``: N + 1 rational
+    The oracle for ``evaluate``'s ``partial``: N + 1 rational
     multiply-adds over the sweep from F_0, quadratic in N.
     """
     inv = 1 / point.eta
@@ -79,6 +77,19 @@ class TestSeriesPoint:
 
     def test_barely_inside_domain(self):
         SeriesPoint(k=2, eta=Fraction(201, 100))
+
+    @pytest.mark.parametrize(
+        "value", [True, False, 2.5, 0.5, "7/2", "1/10", Decimal("0.1"), Decimal(3), None]
+    )
+    @pytest.mark.parametrize("name", ["eta", "epsilon"])
+    def test_eta_and_epsilon_are_ints_or_fractions(self, name, value):
+        # exact input, as parse_rational reads it: no bool, float, Decimal or text
+        with pytest.raises(ValueError) as refused:
+            if name == "eta":
+                SeriesPoint(2, value)
+            else:
+                converge_until(SeriesPoint(2, 3), value)
+        assert str(refused.value) == f"{name} must be an integer or a Fraction, got {value!r}"
 
 
 class TestReportTypes:
@@ -162,21 +173,22 @@ class TestClosedForm:
 
 class TestPartialSum:
     def test_first_term_is_zero(self):
-        assert partial_sum(P210, 0) == 0
+        # F_0 = 0 adds nothing: P_1 is F_1 / 10 alone
+        assert evaluate(P210, 1).partial == Fraction(1, 10)
 
     def test_hand_summed_k2(self):
         # 1/10 + 1/100 + 2/1000
-        assert partial_sum(P210, 3) == Fraction(14, 125)
+        assert evaluate(P210, 3).partial == Fraction(14, 125)
 
     def test_hand_summed_k3(self):
-        assert partial_sum(P310, 2) == Fraction(1, 100)
+        assert evaluate(P310, 2).partial == Fraction(1, 100)
 
     def test_negative_truncation_rejected(self):
         with pytest.raises(ValueError):
-            partial_sum(P210, -1)
+            evaluate(P210, -1)
 
     def test_monotone_in_truncation(self):
-        sums = [partial_sum(P210, n) for n in range(30)]
+        sums = [evaluate(P210, n).partial for n in range(1, 30)]
         assert all(a <= b for a, b in zip(sums, sums[1:]))
         assert all(s < closed_form(P210) for s in sums)
 
@@ -184,25 +196,26 @@ class TestPartialSum:
 class TestTailBound:
     def test_frozen_value(self):
         # (F_11 / 10^11) * (10/8) with F_11 = 89
-        assert tail_bound(P210, 10) == Fraction(89, 80000000000)
+        assert evaluate(P210, 10).tail_bound == Fraction(89, 80000000000)
 
     def test_below_first_valid_index_rejected(self):
         with pytest.raises(ValueError):
-            tail_bound(SeriesPoint(k=4, eta=Fraction(3)), 2)
+            evaluate(SeriesPoint(k=4, eta=Fraction(3)), 2)
 
     def test_bound_dominates_residual(self):
-        assert tail_bound(P210, 3) >= abs(closed_form(P210) - partial_sum(P210, 3))
+        report = evaluate(P210, 3)
+        assert report.tail_bound >= abs(closed_form(P210) - report.partial)
 
     def test_strictly_decreasing_three_steps_out(self):
         pt = SeriesPoint(k=3, eta=Fraction(4))
         for n in range(2, 40):
-            assert tail_bound(pt, n + 3) < tail_bound(pt, n)
+            assert evaluate(pt, n + 3).tail_bound < evaluate(pt, n).tail_bound
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("eta", [Fraction(5, 2), Fraction(10)])
     def test_nonincreasing_past_two_k(self, k, eta):
         pt = SeriesPoint(k=k, eta=eta)
-        bounds = [tail_bound(pt, n) for n in range(2 * k, 80)]
+        bounds = [evaluate(pt, n).tail_bound for n in range(2 * k, 80)]
         assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
         assert bounds[-1] < bounds[0]
 
@@ -232,7 +245,7 @@ class TestEvaluate:
         assert doc["pass"] is True
         for field in ("partial", "closed", "tail_bound", "residual"):
             assert parse_rational(doc[field]) is not None
-        assert parse_rational(doc["partial"]) == partial_sum(P210, 10)
+        assert parse_rational(doc["partial"]) == evaluate(P210, 10).partial
         assert parse_rational(doc["closed"]) == Fraction(10, 89)
 
 
@@ -244,8 +257,14 @@ class TestOracles:
     @example((SeriesPoint(k=40, eta=2 + Fraction(1, 2**30)), 39))
     @example((SeriesPoint(k=2, eta=Fraction(1001, 500)), 0))
     def test_partial_sum_equals_horner(self, case):
+        # below N = k-1, where every term is 0, evaluate refuses N
         point, n = case
-        assert partial_sum(point, n) == horner_partial_sum(point, n)
+        if n < point.k - 1:
+            assert horner_partial_sum(point, n) == 0
+            with pytest.raises(ValueError, match="tail bound needs n_trunc >= k-1"):
+                evaluate(point, n)
+        else:
+            assert evaluate(point, n).partial == horner_partial_sum(point, n)
 
     @settings(deadline=None)
     @given(point_and_index())
@@ -277,7 +296,12 @@ class TestOracles:
     @pytest.mark.parametrize("n", [0.5, 1.0, True, False, 4.0, 3.5, Fraction(4), "5"])
     @pytest.mark.parametrize(
         "function",
-        [evaluate, partial_sum, tail_bound, lambda point, n: list(evaluate_range(point, n))],
+        [
+            evaluate,
+            lambda point, n: evaluate(point, n).partial,
+            lambda point, n: evaluate(point, n).tail_bound,
+            lambda point, n: list(evaluate_range(point, n)),
+        ],
         ids=["evaluate", "partial_sum", "tail_bound", "evaluate_range"],
     )
     def test_index_that_is_not_an_int(self, function, n):
@@ -404,7 +428,7 @@ class TestConvergeUntil:
         assert checked[-1] == report.n_trunc
         assert report == evaluate(point, report.n_trunc)
         if len(checked) > 1:
-            assert tail_bound(point, checked[-2]) > eps >= report.tail_bound
+            assert evaluate(point, checked[-2]).tail_bound > eps >= report.tail_bound
 
 
 class TestPartialSumBound:
@@ -434,7 +458,14 @@ class TestPartialSumBound:
         with pytest.raises(ValueError, match=message):
             evaluate(point, last + 1)
 
-    @pytest.mark.parametrize("function", [partial_sum, tail_bound])
+    @pytest.mark.parametrize(
+        "function",
+        [
+            lambda point, n: evaluate(point, n).partial,
+            lambda point, n: evaluate(point, n).tail_bound,
+        ],
+        ids=["partial_sum", "tail_bound"],
+    )
     def test_partial_sum_and_tail_bound(self, no_window, function):
         # eta^(N+1) in the tail bound has about as many digits as P_N
         point = SeriesPoint(k=2, eta=Fraction(3))
@@ -482,7 +513,15 @@ class TestJumpBound:
         monkeypatch.setattr(series, "iter_terms", jump)
         return reached
 
-    @pytest.mark.parametrize("function", [evaluate, partial_sum, tail_bound])
+    @pytest.mark.parametrize(
+        "function",
+        [
+            evaluate,
+            lambda point, n: evaluate(point, n).partial,
+            lambda point, n: evaluate(point, n).tail_bound,
+        ],
+        ids=["evaluate", "partial_sum", "tail_bound"],
+    )
     def test_report_partial_sum_and_tail_bound(self, no_jump, function):
         # the largest accepted jump starts at n = 397, which N = 100396 needs
         with pytest.raises(ZeroDivisionError):
@@ -596,7 +635,7 @@ class TestLargestAcceptedIndex:
         report = converge_until(point, eps)
         assert report.n_trunc == 39_674
         assert report.passed
-        assert report.tail_bound <= eps < tail_bound(point, 32_768)
+        assert report.tail_bound <= eps < evaluate(point, 32_768).tail_bound
 
     def test_search_refuses_when_the_largest_index_misses(self, monkeypatch):
         calls = []
@@ -635,14 +674,15 @@ class TestOneWindow:
         "call,checked",
         [
             (lambda pt: evaluate(pt, 7), [7]),
-            (lambda pt: partial_sum(pt, 7), [7]),
-            (lambda pt: partial_sum(pt, 1), []),  # zero below N = k-1, no jump
-            (lambda pt: tail_bound(pt, 7), [7]),
+            (lambda pt: evaluate(pt, 7).partial, [7]),
+            # refused below N = k-1 before any jump
+            (lambda pt: pytest.raises(ValueError, evaluate, pt, 1), []),
+            (lambda pt: evaluate(pt, 7).tail_bound, [7]),
             (lambda pt: list(evaluate_range(pt, 5)), [2, 3, 4, 5]),
             (lambda pt: converge_until(pt, Fraction(1, 10**6)), [2, 4, 8, 16, 32, 64]),
         ],
-        ids=["evaluate", "partial_sum", "partial_sum_zero", "tail_bound", "evaluate_range",
-             "converge_until"],
+        ids=["evaluate", "partial_sum", "evaluate_below_k_minus_1", "tail_bound",
+             "evaluate_range", "converge_until"],
     )
     def test_one_window_per_index(self, monkeypatch, call, checked):
         calls = []
@@ -713,11 +753,13 @@ class TestShiftedSumIdentity:
     def test_exact_for_all_tested_truncations(self, k, eta):
         pt = SeriesPoint(k=k, eta=eta)
         r = 1 / eta
+
+        def partial(n):  # 0 below N = k-1, where every term is
+            return evaluate(pt, n).partial if n >= k - 1 else 0
+
         for n in (k, 2 * k, 2 * k + 1, 37):
-            lhs = partial_sum(pt, n)
-            rhs = r ** (k - 1) + sum(
-                r**p * partial_sum(pt, n - p) for p in range(1, k + 1)
-            )
+            lhs = partial(n)
+            rhs = r ** (k - 1) + sum(r**p * partial(n - p) for p in range(1, k + 1))
             assert lhs == rhs
 
 

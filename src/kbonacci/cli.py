@@ -7,160 +7,108 @@ PASS or FAIL line, for `tail -1`.  With --json (or bench's machine
 formats) the stream carries only the document.
 
 Start-up is part of every request's time, so the module level imports only
-what building the parser and the term/seq handlers need (``bounds``,
-``rational`` and ``sequence``); every other handler imports its library
-module (and json, with --json) in its own body.  Reports and bench
-records are named tuples, so no handler loads ``dataclasses``, ``inspect``
-or ``typing``, and ``digits`` loads no ``series``.  Every limit the help
-states, and every check before arithmetic, comes from ``bounds``.
+what the term/seq handlers need (``bounds``, ``rational`` and
+``sequence``); every other handler imports its library module (and json,
+with --json) in its own body.  ``_OPTIONS`` declares each subcommand's
+options once.  ``_parse`` reads a well-formed argv from it alone, and
+argparse, whose parser ``cli_parser`` builds from the same table, runs only
+for --help, for every argv ``_parse`` declines and for the usage line a
+refusal prints: a well-formed request loads neither argparse nor
+fractions, and every help, usage and error text is argparse's.  Reports
+and bench records are named tuples, so no handler loads ``dataclasses``,
+``inspect`` or ``typing``, and ``digits`` loads no ``series``.  Every limit
+the help states, and every check before arithmetic, comes from ``bounds``.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import os
-import re
 import sys
 from decimal import localcontext
+from types import SimpleNamespace
 
 from . import bounds
-from .rational import EXACT_CONTEXT, Rational, parse_rational, to_decimal
+from .rational import EXACT_CONTEXT, parse_rational, to_decimal
 from .sequence import METHODS, iter_terms
 
 __all__ = ["build_parser", "parse_and_dispatch", "main"]
 
-# tail-bound target when gf is given neither -N nor --epsilon
-_DEFAULT_EPSILON = Rational(1, 10**30)
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # argparse's print_usage(sys.stderr) writes to stdout if that is None
-        _error(self.format_usage())
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="kbonacci",
-        description="Exact k-bonacci terms, series evaluation, and identity checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    order_help = f"recurrence order, 2 to {bounds._MAX_ORDER}"
-    jump_help = f"at a modelled cost at most that of the jump to n = {bounds._MAX_INDEX} at k = 2"
-
-    term = sub.add_parser("term", help="print one term F_n")
-    term.add_argument("-k", type=int, required=True, help=order_help)
-    term.add_argument(
-        "-n",
-        type=int,
-        required=True,
-        help=f"term index, 0 to {bounds._MAX_INDEX}; with --method naive to"
-        f" {bounds._ORACLE_MAX_INDEX['naive']}, with matrix to"
-        f" {bounds._ORACLE_MAX_INDEX['matrix']} and k^3 * n at most {bounds._MAX_MATRIX_WORK};"
-        f" with polymod at a modelled cost at most that of -k 2 -n {bounds._MAX_INDEX}",
-    )
-    term.add_argument(
-        "--method",
-        choices=sorted(METHODS),
-        default="polymod",
-        help="computation strategy (default polymod)",
-    )
-
-    seq = sub.add_parser("seq", help="print a range of terms, one per line")
-    seq.add_argument("-k", type=int, required=True, help=order_help)
-    seq.add_argument("--from", dest="start", type=int, required=True, metavar="N0")
-    seq.add_argument(
-        "--to",
-        dest="stop",
-        type=int,
-        required=True,
-        metavar="N1",
-        help=f"last index, at most {bounds._MAX_INDEX}, with (N1 - N0 + 1) * N1 * log10(2)"
-        f" at most {bounds._MAX_SEQ_DIGITS} digits, and the jump to N0 {jump_help}",
-    )
-
-    gf = sub.add_parser("gf", help="evaluate the generating series at eta")
-    # argparse reads "-5/2" as an option, where "-3" passes as a value; a
-    # negative p/q must reach its check as "--eta=-5/2" does
-    gf._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
-    gf.add_argument("-k", type=int, required=True, help=order_help)
-    gf.add_argument(
-        "--eta",
-        type=_rational_arg,
-        required=True,
-        help="evaluation point as 'p/q' or an integer, must be > 2",
-    )
-    cutoff = gf.add_mutually_exclusive_group()
-    cutoff.add_argument(
-        "-N",
-        dest="n_trunc",
-        type=int,
-        help="fixed truncation index, at least k - 1, with (N + k) * log10 p at most"
-        f" {bounds._MAX_PARTIAL_DIGITS} digits for eta = p/q, and the jump to N - k + 1 {jump_help}",
-    )
-    cutoff.add_argument(
-        "--epsilon",
-        type=_rational_arg,
-        help="grow N until the tail bound is at most this ('p/q'), within the same bounds",
-    )
-    gf.add_argument("--json", action="store_true", help="emit the report as JSON")
-
-    vdec = sub.add_parser(
-        "verify-decimal",
-        help="check the 1/D_k digit identity",
-        description="Check sum F_n / 10^(n+1) = 1/D_k, D_k being k-1 eights and a nine, by"
-        " the closed form's algebra at eta = 10: D_k from the geometric sum, from its written"
-        " digits and from (8*10^k + 1)/9 must agree.  No term of the series is summed.",
-    )
-    vdec.add_argument("-k", type=int, required=True, help=order_help)
-    vdec.add_argument(
-        "--max-k",
-        dest="max_k",
-        type=int,
-        default=None,
-        help="check every order from -k to this, with a summary verdict;"
-        f" (orders) * max-k at most {bounds._MAX_SWEEP_DIGITS}",
-    )
-
-    vcls = sub.add_parser("verify-classic", help="check a classic Fibonacci sum")
+_K = ("-k", "k", int, ...)
+# subcommand -> its options in help order, as (flag, dest, convert,
+# default): convert is a type, a tuple of choices, or bool for a switch,
+# and a default of ... marks a required option
+_OPTIONS = {
+    "term": (_K, ("-n", "n", int, ...), ("--method", "method", tuple(sorted(METHODS)), "polymod")),
+    "seq": (_K, ("--from", "start", int, ...), ("--to", "stop", int, ...)),
+    "gf": (
+        _K,
+        ("--eta", "eta", parse_rational, ...),
+        ("-N", "n_trunc", int, None),
+        ("--epsilon", "epsilon", parse_rational, None),
+        ("--json", "json", bool, False),
+    ),
+    "verify-decimal": (_K, ("--max-k", "max_k", int, None)),
     # classic_sums.IDENTITIES, spelled out so the parser loads no classic_sums
-    vcls.add_argument("--identity", choices=("alternating", "millin"), required=True)
-    vcls.add_argument(
-        "--digits",
-        type=int,
-        required=True,
-        help=f"precision, {bounds._MIN_CLASSIC_DIGITS} to {bounds._MAX_CLASSIC_DIGITS}",
-    )
-
-    digits = sub.add_parser("digits", help="decimal digits of 1/D_k")
-    digits.add_argument("-k", type=int, required=True, help=order_help)
-    digits.add_argument(
-        "-m",
-        type=int,
-        required=True,
-        help=f"how many digits, 1 to {bounds._MAX_DIGITS},"
-        f" with m * min(k, {bounds._DIVISION_ORDERS}) at most {bounds._MAX_DIVISION_WORK}",
-    )
-
-    bench = sub.add_parser("bench", help="run a timing grid from a JSON config")
-    bench.add_argument("--config", required=True, help="path to a JSON config file")
-    bench.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    for subparser in sub.choices.values():
-        # a handler's refusal prints the usage of the subcommand it refused
-        subparser.set_defaults(usage=subparser.format_usage)
-    return parser
+    "verify-classic": (
+        ("--identity", "identity", ("alternating", "millin"), ...),
+        ("--digits", "digits", int, ...),
+    ),
+    "digits": (_K, ("-m", "m", int, ...)),
+    "bench": (("--config", "config", str, ...), ("--format", "format", ("csv", "json"), "csv")),
+}
 
 
-def _rational_arg(text: str) -> Rational:
-    # argparse reports a ValueError from a type as "invalid <name> value",
-    # hiding parse_rational's reason; ArgumentTypeError prints it instead
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _parse(argv) -> SimpleNamespace | None:
+    """The namespace argparse makes of ``argv``, but for ``usage``, or None.
+
+    Reads only a subcommand followed by its options, each once: a switch,
+    or a flag and then a value that does not start with '-' and converts,
+    with every required option given.  Anything else (--help, an
+    abbreviation, --opt=value, a negative number, any error) is None, for
+    argparse to parse or report.
+    """
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    unseen = {option[0]: option for option in options}
+    values = {dest: default for _, dest, _, default in options}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        option = unseen.pop(flag, None)  # None for an unknown or a repeated flag
+        if option is None:
+            return None
+        _, dest, convert, _ = option
+        if convert is bool:
+            values[dest] = True
+            continue
+        text = next(tokens, "-")
+        if text.startswith("-") or (isinstance(convert, tuple) and text not in convert):
+            return None
+        try:
+            values[dest] = text if isinstance(convert, tuple) else convert(text)
+        except ValueError:
+            return None
+    # a required option missing, or gf's -N and --epsilon both given
+    if ... in values.values() or None not in (values.get("n_trunc"), values.get("epsilon")):
+        return None
+    return SimpleNamespace(command=argv[0], **values)
+
+
+def build_parser():
+    """The argparse parser of ``_OPTIONS``, with the help texts."""
+    from .cli_parser import build
+
+    return build(_OPTIONS)
+
+
+def __getattr__(name):
+    # PEP 562: fractions loads when this is read, by gf or a library caller
+    if name != "_DEFAULT_EPSILON":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+
+    return Fraction(1, 10**30)  # gf's tail-bound target without -N or --epsilon
 
 
 def _cmd_term(args) -> int:
@@ -195,7 +143,7 @@ def _cmd_gf(args) -> int:
     if args.n_trunc is not None:
         report = evaluate(point, args.n_trunc)
     else:
-        epsilon = args.epsilon if args.epsilon is not None else _DEFAULT_EPSILON
+        epsilon = args.epsilon if args.epsilon is not None else __getattr__("_DEFAULT_EPSILON")
         report = converge_until(point, epsilon)
     if not args.json:
         return _print_verdict(report)
@@ -266,15 +214,17 @@ _HANDLERS = {
 
 
 def parse_and_dispatch(argv) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return _HANDLERS[args.command](args)
     except ValueError as exc:
-        _error(f"error: {exc}\n{args.usage()}")
+        # argparse reads argv as _parse did, for the refused subcommand's usage
+        _error(f"error: {exc}\n{build_parser().parse_args(argv).usage()}")
         return 2
     except BrokenPipeError:
         _discard(sys.stdout)

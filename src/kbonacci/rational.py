@@ -2,7 +2,9 @@
 
 ``Rational`` is the standard library's ``fractions.Fraction``, which keeps
 values normalized exactly as this package requires: denominator >= 1,
-gcd(|num|, den) == 1, zero as 0/1.  The helpers add strict "p/q" parsing
+gcd(|num|, den) == 1, zero as 0/1.  It is read on first use (PEP 562),
+and ``parse_rational`` loads ``fractions`` and ``re`` in its own body, so
+a term or seq request loads neither.  The helpers add strict "p/q" parsing
 for command-line input, its library counterpart ``require_rational``,
 and fixed-point decimal rendering.
 
@@ -28,11 +30,7 @@ gcds); ``str_to_int`` of a ``Decimal``'s text serves library callers.
 from __future__ import annotations
 
 import decimal
-import re
 from decimal import Decimal
-from fractions import Fraction
-
-Rational = Fraction
 
 __all__ = [
     "Rational",
@@ -46,7 +44,15 @@ __all__ = [
     "fixed_point",
 ]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+def __getattr__(name):
+    # PEP 562: only a caller of Rational loads fractions
+    if name != "Rational":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+
+    return Fraction
+
 
 # Unbounded precision and exponent range; any rounding raises.
 EXACT_CONTEXT = decimal.Context(
@@ -77,8 +83,11 @@ def parse_rational(text: str) -> Rational:
     Rejects anything else -- in particular decimal floats -- so exactness
     is preserved end to end.
     """
+    import re
+    from fractions import Fraction
+
     s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    if not re.match(r"^[+-]?\d+(/\d+)?$", s):
         raise ValueError(f"expected an integer or p/q fraction, got {text!r}")
     num, _, den = s.partition("/")
     den = str_to_int(den) if den else 1
@@ -89,6 +98,8 @@ def parse_rational(text: str) -> Rational:
 
 def require_rational(value: Rational | int, name: str) -> Rational:
     """``value`` as a ``Fraction``; ValueError naming it unless an int (not a bool) or a Fraction."""
+    from fractions import Fraction
+
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ValueError(f"{name} must be an integer or a Fraction, got {value!r}")
     return Fraction(value)

@@ -20,6 +20,7 @@ import pytest
 
 import kbonacci
 import kbonacci.cli as cli
+import kbonacci.cli_parser as cli_parser
 from kbonacci import bounds, sequence
 from kbonacci.bench import METHODS
 from kbonacci.classic_sums import IDENTITIES, ClassicReport
@@ -714,17 +715,20 @@ class TestResourceGuards:
     def test_help_types_no_limit(self):
         # a number of three or more digits in a help string's literal text
         # would be a limit spelled out beside its bounds constant
-        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-        helps = [
-            node.value
+        tree = ast.parse(Path(cli_parser.__file__).read_text(encoding="utf-8"))
+        (texts,) = [
+            node
             for node in ast.walk(tree)
-            if isinstance(node, ast.keyword) and node.arg == "help"
+            if isinstance(node, ast.FunctionDef) and node.name == "_texts"
         ]
-        assert len(helps) > 10
-        for value in helps:
-            for node in ast.walk(value):
-                if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    assert not re.search(r"\d{3}", node.value), node.value
+        strings = [
+            node.value
+            for node in ast.walk(texts)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        ]
+        assert len(strings) > 10
+        for value in strings:
+            assert not re.search(r"\d{3}", value), value
 
     @pytest.mark.parametrize(
         "argv,check",
@@ -1402,6 +1406,10 @@ class TestStartup:
         "json",
         "csv",
         "typing",
+        "argparse",
+        "gettext",
+        "locale",
+        "fractions",
     )
 
     @pytest.mark.parametrize(
@@ -1436,8 +1444,9 @@ class TestStartup:
         ids=["gf", "gf-json", "alternating", "millin", "verify-decimal", "digits"],
     )
     def test_verdicts_load_no_dataclasses(self, argv, absent, present):
-        # the report types are named tuples; json only for --json
-        absent = ("dataclasses", "inspect", "typing") + absent
+        # the report types are named tuples; json only for --json; a
+        # well-formed request is read without argparse
+        absent = ("dataclasses", "inspect", "typing", "argparse") + absent
         proc = fresh_python(
             "import sys\n"
             "from kbonacci.cli import parse_and_dispatch\n"
@@ -1455,11 +1464,39 @@ class TestStartup:
             "import sys\n"
             "from kbonacci.cli import parse_and_dispatch\n"
             f"code = parse_and_dispatch(['bench', '--config', {str(path)!r}])\n"
-            "names = ('dataclasses', 'inspect', 'typing')\n"
+            "names = ('dataclasses', 'inspect', 'typing', 'argparse')\n"
             "sys.stderr.write(repr((code, sorted(set(names) & set(sys.modules)))))\n"
         )
         assert proc.stdout.splitlines()[0] == "method,k,n,rep,wall_time,result_digits,checksum"
         assert ast.literal_eval(proc.stderr) == (0, [])
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["term", "-h"], 0),
+            (["term", "-k", "2", "-n", "-1"], 2),  # argparse reads the negative value
+            (["term", "-k", "1", "-n", "5"], 2),  # a refusal prints argparse's usage line
+            (["term", "-k", "x", "-n", "5"], 2),
+        ],
+        ids=["help", "negative", "refusal", "malformed"],
+    )
+    def test_help_and_errors_load_argparse(self, argv, code):
+        proc = fresh_python(
+            "import sys\n"
+            "from kbonacci.cli import parse_and_dispatch\n"
+            f"code = parse_and_dispatch({argv!r})\n"
+            "sys.stdout.write(repr((code, 'argparse' in sys.modules)))\n"
+        )
+        assert proc.stdout.endswith(repr((code, True)))
+
+    def test_refusal_prints_the_usage_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, ["term", "-k", "1", "-n", "5"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: order must be >= 2, got 1\n"
+            "usage: kbonacci term [-h] -k K -n N [--method {matrix,naive,polymod}]\n"
+        )
 
     def test_package_import_loads_no_submodule(self):
         proc = fresh_python(

@@ -32,8 +32,8 @@ _MODULE_OF = {
     "iter_terms": "sequence",
     "range_terms": "sequence",
     "term_fast": "sequence",
-    "term_matrix": "sequence",
-    "term_naive": "sequence",
+    "term_matrix": "methods",
+    "term_naive": "methods",
     "window": "sequence",
     "EvalReport": "series",
     "SeriesPoint": "series",

@@ -2,7 +2,7 @@
 
 Runs a (method, k, n) grid with repetitions on a monotonic clock and
 emits machine-readable reports; methods are looked up by name in
-``sequence.METHODS``.  Each repetition times the call ``term`` makes,
+``methods.METHODS``.  Each repetition times the call ``term`` makes,
 ``METHODS[m](k, n, to_decimal)`` under ``EXACT_CONTEXT``, whose result
 is a ``Decimal``.  Correctness is enforced while timing:
 every method must produce the same term for the same (k, n), compared
@@ -28,7 +28,7 @@ from decimal import localcontext
 
 from .bounds import _MAX_REPETITIONS, check_grid, check_term
 from .rational import EXACT_CONTEXT, to_decimal
-from .sequence import METHODS
+from .methods import METHODS
 
 __all__ = [
     "BenchConfig",

@@ -11,8 +11,6 @@ N bisects on the same refusals.  Timings are process wall on a 2-core
 host, CPython 3.11.
 """
 
-from __future__ import annotations
-
 import math
 from functools import cache
 
@@ -236,6 +234,11 @@ def check_digits(k: int, m: int) -> None:
             f"m * min(k, {_DIVISION_ORDERS}) must be <= {_MAX_DIVISION_WORK}, got m = {m}, k = {k}:"
             " the division of 10^m by D_k takes a time that grows as that"
         )
+    # then the library's own refusals, repunit_denominator's and reciprocal_digits',
+    # in the order a request met them before this check
+    validate_order(k)
+    if m < 1:
+        raise ValueError(f"digit count must be >= 1, got {m}")
 
 
 def _check_cost(cost: float, what: str, kind: str) -> None:

@@ -32,8 +32,6 @@ divide by F_0 = 0; the n = 1 start is what actually produces the
 quoted value.
 """
 
-from __future__ import annotations
-
 import decimal
 from collections import namedtuple
 from collections.abc import Iterator

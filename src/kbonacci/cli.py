@@ -9,7 +9,8 @@ formats) the stream carries only the document.
 Start-up is part of every request's time, so the module level imports only
 what the term/seq handlers need (``bounds``, ``rational`` and
 ``sequence``); every other handler imports its library module (and json,
-with --json) in its own body.  ``_OPTIONS`` declares each subcommand's
+with --json) in its own body, and ``term`` imports the registry
+``methods.METHODS`` in its own.  ``_OPTIONS`` declares each subcommand's
 options once.  ``_parse`` reads a well-formed argv from it alone, and
 argparse, whose parser ``cli_parser`` builds from the same table, runs only
 for --help, for every argv ``_parse`` declines and for the usage line a
@@ -20,8 +21,6 @@ and bench records are named tuples, so no handler loads ``dataclasses``,
 the help states, and every check before arithmetic, comes from ``bounds``.
 """
 
-from __future__ import annotations
-
 import atexit
 import os
 import sys
@@ -30,7 +29,7 @@ from types import SimpleNamespace
 
 from . import bounds
 from .rational import EXACT_CONTEXT, parse_rational, to_decimal
-from .sequence import METHODS, iter_terms
+from .sequence import iter_terms
 
 __all__ = ["build_parser", "parse_and_dispatch", "main"]
 
@@ -39,7 +38,12 @@ _K = ("-k", "k", int, ...)
 # default): convert is a type, a tuple of choices, or bool for a switch,
 # and a default of ... marks a required option
 _OPTIONS = {
-    "term": (_K, ("-n", "n", int, ...), ("--method", "method", tuple(sorted(METHODS)), "polymod")),
+    # sorted(methods.METHODS), spelled out so that only term's handler loads methods
+    "term": (
+        _K,
+        ("-n", "n", int, ...),
+        ("--method", "method", ("matrix", "naive", "polymod"), "polymod"),
+    ),
     "seq": (_K, ("--from", "start", int, ...), ("--to", "stop", int, ...)),
     "gf": (
         _K,
@@ -112,6 +116,8 @@ def __getattr__(name):
 
 
 def _cmd_term(args) -> int:
+    from .methods import METHODS
+
     # every method returns a Decimal here, whose str() is linear; the kernel
     # runs its top squares in it
     bounds.check_term(args.k, args.n, args.method)

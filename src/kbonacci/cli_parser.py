@@ -8,8 +8,6 @@ the usage line the refusal prints, so every help, usage and error text is
 argparse's.  Every limit the help states comes from ``bounds``.
 """
 
-from __future__ import annotations
-
 import argparse
 import re
 import sys

@@ -14,8 +14,6 @@ needs ``series``, and it imports it in its body, so ``digits`` loads no
 ``series``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction

@@ -27,8 +27,6 @@ gcds); ``str_to_int`` of a ``Decimal``'s text serves library callers.
 4300-digit int/str limit.
 """
 
-from __future__ import annotations
-
 import decimal
 from decimal import Decimal
 
@@ -40,6 +38,7 @@ __all__ = [
     "EXACT_CONTEXT",
     "to_decimal",
     "int_to_str",
+    "fraction_to_str",
     "str_to_int",
     "fixed_point",
 ]
@@ -77,7 +76,7 @@ _LEAF_DIGITS = 2048
 _POW2 = {0: Decimal(2)}  # j -> 2**(2**j), filled on demand
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> "Rational":
     """Parse an exact "p/q" or integer string.
 
     Rejects anything else -- in particular decimal floats -- so exactness
@@ -96,7 +95,7 @@ def parse_rational(text: str) -> Rational:
     return Fraction(str_to_int(num), den)
 
 
-def require_rational(value: Rational | int, name: str) -> Rational:
+def require_rational(value: "Rational | int", name: str) -> "Rational":
     """``value`` as a ``Fraction``; ValueError naming it unless an int (not a bool) or a Fraction."""
     from fractions import Fraction
 
@@ -140,6 +139,12 @@ def int_to_str(n: int) -> str:
     return str(to_decimal(n))
 
 
+def fraction_to_str(value: "Rational") -> str:
+    """``str(value)`` ("p/q", or "p" for an integer), past CPython's int/str limit."""
+    numerator = int_to_str(value.numerator)
+    return numerator if value.denominator == 1 else f"{numerator}/{int_to_str(value.denominator)}"
+
+
 def str_to_int(digits: str) -> int:
     """``int(digits)`` of a string of decimal digits with an optional sign, however long.
 
@@ -154,7 +159,7 @@ def str_to_int(digits: str) -> int:
     return str_to_int(digits[:-half]) * 10**half + str_to_int(digits[-half:])
 
 
-def format_ratio(value: Rational) -> str:
+def format_ratio(value: "Rational") -> str:
     """Canonical "p/q" form, always with an explicit denominator."""
     return f"{int_to_str(value.numerator)}/{int_to_str(value.denominator)}"
 

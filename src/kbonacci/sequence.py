@@ -4,31 +4,24 @@ A k-bonacci sequence starts with k-1 zeros followed by a single one, and
 every later term is the sum of the k terms before it.  k=2 gives the
 Fibonacci numbers, k=3 the tribonacci numbers, and so on.
 
-Three evaluation strategies are provided:
-
-* ``term_fast`` -- x^m modulo the characteristic polynomial
-  x^k - x^(k-1) - ... - x - 1 for m = n // 2, by left-to-right
-  square-and-multiply.  Each square is one big multiplication by
-  Kronecker substitution (coefficients packed into the slots of one
-  number) followed by an O(k) reduction; each multiply by x is k
-  additions.  A last step of ceil((k+t)/2) half-size products, for
-  n = 2m + t, gives F_n.  O(log n) squares of about k times the term
-  size.  Asked for a ``Decimal`` (``cast=rational.to_decimal``, as the CLI
-  does), it runs the squares from coefficients of ``_CAST_BITS`` (1000)
-  bits on in ``Decimal``: libmpdec multiplies big operands with a
-  number-theoretic transform, CPython's int with Karatsuba, and the
-  Decimal result prints in linear time.  For k >= 20 with n/(k+1) at
-  most 100 k it takes the generating function's binomial sum instead:
-  about n/(k+1) steps on numbers of the term's size, which beats squares
-  of k times that size where k is large.
-* ``term_naive`` -- item n of the sweep ``iter_terms`` from the initial
-  terms; linear in n.
-* ``term_matrix`` -- k x k companion-matrix power.  O(k^3 log n); kept,
-  with ``term_naive``, as an independent implementation for
-  cross-checking.
-
-``METHODS`` is the one registry of these strategies by name: the CLI's
-``term --method`` and the ``bench`` harness look them up there.
+``term_fast`` is the one production term kernel: x^m modulo the
+characteristic polynomial x^k - x^(k-1) - ... - x - 1 for m = n // 2, by
+left-to-right square-and-multiply.  Each square is one big multiplication
+by Kronecker substitution (coefficients packed into the slots of one
+number) followed by an O(k) reduction; each multiply by x is k additions.
+A last step of ceil((k+t)/2) half-size products, for n = 2m + t, gives
+F_n.  O(log n) squares of about k times the term size.  Asked for a
+``Decimal`` (``cast=rational.to_decimal``, as the CLI does), it runs the
+squares from coefficients of ``_CAST_BITS`` (1000) bits on in
+``Decimal``: libmpdec multiplies big operands with a number-theoretic
+transform, CPython's int with Karatsuba, and the Decimal result prints
+in linear time.  For k >= 20 with n/(k+1) at most 100 k it takes the
+generating function's binomial sum instead: about n/(k+1) steps on
+numbers of the term's size, which beats squares of k times that size
+where k is large.  Its two oracles, ``term_naive`` and ``term_matrix``,
+and the registry ``METHODS`` live in ``methods``, which only ``term``,
+``bench`` and the tests load; this module hands them out on first access
+(PEP 562).
 
 ``iter_terms`` is the one forward sweep of the recurrence: a ring of the
 k most recent terms, each new term their sum.  Started above 0 it jumps
@@ -36,17 +29,15 @@ ahead first, taking its k seed terms from the one residue x^n, so a range
 far from 0 costs no sweep from F_0; with a ``Decimal`` cast that jump
 switches to ``Decimal`` at the same width as ``term_fast``, in the one
 exponentiation both share.  ``window`` and ``range_terms`` are runs of
-that sweep, and ``term_naive`` is one item of it from 0.
+that sweep, and ``methods.term_naive`` is one item of it from 0.
 
 All functions are pure and by default operate on plain Python integers,
-so results are exact at any size.  The three term strategies and
-``iter_terms`` also compute in any other exact type that ``cast``
+so results are exact at any size.  ``term_fast`` and ``iter_terms``, like
+the oracles, also compute in any other exact type that ``cast``
 converts ints to; the CLI prints ``term`` and streams ``seq`` in
 ``decimal.Decimal`` under ``rational.EXACT_CONTEXT``, since ``str()`` of
 a Decimal is linear.  ``window`` and ``range_terms`` always return ints.
 """
-
-from __future__ import annotations
 
 import math
 from collections.abc import Iterator
@@ -58,52 +49,32 @@ __all__ = [
     "validate_range",
     "initial_terms",
     "window",
-    "term_naive",
     "term_fast",
-    "term_matrix",
     "range_terms",
     "iter_terms",
-    "METHODS",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the oracles and their registry load from methods when read
+    if name not in ("term_naive", "term_matrix", "METHODS"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import methods
+
+    return getattr(methods, name)
 
 # With a cast (the CLI's Decimal), _x_pow_mod converts the residue before the
 # first square with a coefficient of _CAST_BITS bits, for term_fast and the
 # jump-ahead of iter_terms alike, and a residue that never gets that wide at
 # the end.  Below that, Decimal's cost per operation in the O(k) additions
-# of each step outweighs its faster product: width 0 took seq -k 100000
-# --from 5 1.79 s against 0.54 s.  The benchmark's seq requests (k = 3 to
-# 16, N0 = 2e4 to 1e5, two passes, in process) took 0.30 s at 1000 bits,
-# 0.31 s at 2000, 0.33 s at 500 and 0.38 s at 8000.  Against term's former
-# 10000 bits, in process (CPython 3.11, 2 cores, interleaved pairs):
-#   k, n                      10000 bits    1000 bits
-#   2 and 3, 16 terms of      644 ms        646 ms (in all)
-#     4.1e5 to 1.4e6
-#   3, 31506                  1.78 ms       2.03 ms
-#   17, 31506                 13.1 ms       14.2 ms
-#   18, 4e4                   21.7 ms       13.3 ms
-#   12, 1.5e5                 46.5 ms       37.8 ms
-#   19, 1e5                   40.4 ms       31.6 ms
-#   16, 1e6                   343 ms        339 ms
-#   2, 33219280               1121 ms       1093 ms
-# libmpdec's products lose to CPython's int below operands of about 40k
-# bits (632 against 120 us at 15.7k bits, 534 against 362 at 31k, 627
-# against 1071 at 60k), so terms near n = 3e4, whose Decimal squares and
-# last-step products are that small, lose up to 15%; larger ones win.
+# of each step outweighs its faster product.  README's Jump-ahead paragraph
+# has the timings of this width against others.
 _CAST_BITS = 1_000
 # term_fast takes the binomial sum for k >= _BINOMIAL_ORDER while
-# n/(k+1) <= _BINOMIAL_STEPS * k.  It loses below k = 20: 61 against 18 ms
-# at k = 16, n = 60000; above, 13 against 58 ms at k = 64, n = 40000 and
-# 4 ms against 1.6 s at k = 1000, n = 66000.  The sum grows as n^2/(k+1),
-# the kernel about as k n, in steps of libmpdec's transform lengths, so no
-# one n/(k+1) is the crossover.  The sum's time (with its conversion) over
-# the kernel's, Decimal cast, best of 5, CPython 3.11.7, 2 cores:
-#   n/(k+1)  k = 20   24     32     48
-#   40 k     0.83     0.64   0.73   0.47
-#   70 k     0.94     1.38   0.80   0.94
-#   100 k    1.72     1.46   1.27   1.18
-# The bound, set where the two once drew level, stays: the benchmark's
-# terms on the sum lie below 70 k (the 22 of seed 1's term-kernel passes
-# 0-1 take 106 ms on the sum against 386 on the kernel).
+# n/(k+1) <= _BINOMIAL_STEPS * k.  The sum grows as n^2/(k+1), the kernel
+# about as k n, in steps of libmpdec's transform lengths, so no one n/(k+1)
+# is the crossover; README's Terms paragraph has the measured ratios and
+# why the bound stays.
 _BINOMIAL_ORDER = 20
 _BINOMIAL_STEPS = 100
 
@@ -162,15 +133,6 @@ def iter_terms(k: int, start: int = 0, cast=int) -> Iterator[int]:
         total += new - ring[oldest]
         ring[oldest] = new
 
-
-def term_naive(k: int, n: int, cast=int):
-    """n-th term as item n of ``iter_terms(k, 0, cast)``; O(n) additions.
-
-    ``cast`` converts the initial terms, and a ``Decimal`` one needs an
-    exact context, as in ``iter_terms``.
-    """
-    _validate_index(n)
-    return next(islice(iter_terms(k, 0, cast), n, None))
 
 
 def range_terms(k: int, n0: int, n1: int) -> list[int]:
@@ -438,45 +400,3 @@ def _run_from_residue(r: list[int]) -> list[int]:
         run.append(c + total)
         total += run[-1]
     return run
-
-
-def term_matrix(k: int, n: int, cast=int):
-    """n-th term via the k x k companion-matrix power; O(k^3 log n).
-
-    The advance matrix has a first row of ones (summing the window) above
-    a shifted identity; its n-th power applied to the initial window
-    (1, 0, ..., 0) leaves F_n in the last slot, i.e. entry [k-1][0].
-    The result passes through ``cast``.
-    """
-    validate_order(k)
-    _validate_index(n)
-    step = [[1] * k] + [
-        [1 if j == i else 0 for j in range(k)] for i in range(k - 1)
-    ]
-    power = _identity(k)
-    e = n
-    while e:
-        if e & 1:
-            power = _matmul(power, step, k)
-        e >>= 1
-        if e:
-            step = _matmul(step, step, k)
-    return cast(power[k - 1][0])
-
-
-def _identity(k: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def _matmul(a: list[list[int]], b: list[list[int]], k: int) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-# callers look a strategy up here at call time, so one patched entry
-# reaches the CLI and bench alike; each takes (k, n, cast=int)
-METHODS = {
-    "naive": term_naive,
-    "matrix": term_matrix,
-    "polymod": term_fast,
-}

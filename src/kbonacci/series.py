@@ -46,8 +46,6 @@ The eta > 2 restriction is the domain on which the geometric tail argument
 works; no claim is made below it.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
@@ -60,7 +58,7 @@ from operator import sub
 
 from .bounds import _MAX_PARTIAL_DIGITS, check_jump
 from .rational import (
-    EXACT_CONTEXT, Rational, format_ratio, require_rational, str_to_int, to_decimal
+    EXACT_CONTEXT, Rational, format_ratio, fraction_to_str, require_rational, str_to_int, to_decimal
 )
 from .sequence import _validate_index, iter_terms, validate_order
 
@@ -94,7 +92,7 @@ class SeriesPoint(namedtuple("SeriesPoint", "k eta")):
         validate_order(k)
         eta = require_rational(eta, "eta")
         if eta <= 2:
-            raise ValueError(f"series requires eta > 2, got {eta}")
+            raise ValueError(f"series requires eta > 2, got {fraction_to_str(eta)}")
         return super().__new__(cls, k, eta)
 
 
@@ -376,7 +374,7 @@ def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
     """
     epsilon = require_rational(epsilon, "epsilon")
     if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        raise ValueError(f"epsilon must be > 0, got {fraction_to_str(epsilon)}")
     bound = [to_decimal(x) for x in epsilon.as_integer_ratio()]  # once per search
     n = max(point.k - 1, 1)
     top = _largest_index(point)

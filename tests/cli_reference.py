@@ -27,6 +27,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from kbonacci import bounds, cli
+from kbonacci.methods import METHODS
 from kbonacci.rational import Rational, parse_rational
 
 
@@ -59,7 +60,7 @@ def reference_parser() -> argparse.ArgumentParser:
     )
     term.add_argument(
         "--method",
-        choices=sorted(cli.METHODS),
+        choices=sorted(METHODS),
         default="polymod",
         help="computation strategy (default polymod)",
     )

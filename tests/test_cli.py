@@ -69,6 +69,12 @@ class TestTerm:
             argv = ["term", "-k", "2", "-n", "1", "--method", name]
             assert parser.parse_args(argv).method == name
 
+    def test_method_choices_are_the_registry(self):
+        # spelled out in the option table, so that seq and the verdicts load
+        # no methods; held here to the registry
+        (method,) = [option for option in cli._OPTIONS["term"] if option[0] == "--method"]
+        assert method[2] == tuple(sorted(METHODS))
+
     def test_big_term_matches_str(self, capsys, lifted_str_limit):
         code, out, err = run(capsys, ["term", "-k", "2", "-n", "300000"])
         assert (code, err) == (0, "")
@@ -416,6 +422,17 @@ class TestResourceGuards:
         for m in ("10000001", "9" * 40):
             argv = ["digits", "-k", "2", "-m", m]
             self.refused(capsys, monkeypatch, argv, f"digit count must be <= 10000000, got {m}")
+
+    @pytest.mark.parametrize(
+        "k,m,message",
+        [
+            (100_000, "0", "digit count must be >= 1, got 0"),
+            (2, "-3", "digit count must be >= 1, got -3"),
+            (1, "0", "order must be >= 2, got 1"),  # D_k's check still comes first
+        ],
+    )
+    def test_digit_count_below_one_refused_before_d_k(self, capsys, monkeypatch, k, m, message):
+        self.refused(capsys, monkeypatch, ["digits", "-k", str(k), "-m", m], message)
 
     def test_digits_at_the_bound_is_accepted(self, capsys, monkeypatch):
         monkeypatch.setattr("kbonacci.decimal_identity.reciprocal_digits", lambda den, m: str(m))
@@ -1097,6 +1114,11 @@ class TestBench:
         assert err.startswith(f"error: bench config {str(path)!r} is not UTF-8 JSON: {reason}")
 
 
+# 10^4999 + 1 and 10^4999: coprime, of 5000 digits each
+BIG = "1" + "0" * 4998 + "1"
+TEN = "1" + "0" * 4999
+
+
 class TestDispatch:
     def test_broken_pipe_is_quiet(self):
         import subprocess
@@ -1165,6 +1187,14 @@ class TestDispatch:
         [
             ("--eta", "-5/2", "series requires eta > 2, got -5/2"),
             ("--epsilon", "-1/2", "epsilon must be > 0, got -1/2"),
+            # parts past CPython's 4300-digit int/str limit, which the CLI leaves in force
+            pytest.param(
+                "--eta", f"-{BIG}/{TEN}", f"series requires eta > 2, got -{BIG}/{TEN}", id="huge-eta"
+            ),
+            pytest.param(
+                "--epsilon", f"-1/{BIG}", f"epsilon must be > 0, got -1/{BIG}", id="huge-epsilon"
+            ),
+            pytest.param("--epsilon", f"-{BIG}", f"epsilon must be > 0, got -{BIG}", id="huge-int"),
         ],
     )
     @pytest.mark.parametrize("spaced", [True, False], ids=["spaced", "equals"])
@@ -1259,16 +1289,16 @@ class TestProcessEntry:
     def test_closed_pipe_exits_141_quietly(self, unbuffered):
         # as under `| head -c 10`: the reader goes after 10 bytes of a
         # 418k-digit term, more than a pipe holds
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "kbonacci.cli", "term", "-k", "2", "-n", "2000000"],
             env=entry_env(unbuffered),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        head = proc.stdout.read(10)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 141
+        ) as proc:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
         assert (head, err) == (b"8531294917", b"")
 
     @pytest.mark.parametrize(
@@ -1410,26 +1440,28 @@ class TestStartup:
         "gettext",
         "locale",
         "fractions",
+        "__future__",
     )
 
     @pytest.mark.parametrize(
-        "argv,out",
+        "argv,out,methods",
         [
-            (["term", "-k", "2", "-n", "10"], "55\n"),
-            (["seq", "-k", "3", "--from", "5", "--to", "9"], "4\n7\n13\n24\n44\n"),
+            (["term", "-k", "2", "-n", "10"], "55\n", True),
+            (["seq", "-k", "3", "--from", "5", "--to", "9"], "4\n7\n13\n24\n44\n", False),
         ],
         ids=["term", "seq"],
     )
-    def test_term_and_seq_load_only_what_they_use(self, argv, out):
+    def test_term_and_seq_load_only_what_they_use(self, argv, out, methods):
+        # only term looks its strategy up in the registry of the oracles
         proc = fresh_python(
             "import sys\n"
             "from kbonacci.cli import parse_and_dispatch\n"
             f"code = parse_and_dispatch({argv!r})\n"
             f"loaded = sorted(set({self.UNUSED!r}) & set(sys.modules))\n"
-            "sys.stderr.write(repr((code, loaded)))\n"
+            "sys.stderr.write(repr((code, loaded, 'kbonacci.methods' in sys.modules)))\n"
         )
         assert proc.stdout == out
-        assert ast.literal_eval(proc.stderr) == (0, [])
+        assert ast.literal_eval(proc.stderr) == (0, [], methods)
 
     @pytest.mark.parametrize(
         "argv,absent,present",
@@ -1445,8 +1477,8 @@ class TestStartup:
     )
     def test_verdicts_load_no_dataclasses(self, argv, absent, present):
         # the report types are named tuples; json only for --json; a
-        # well-formed request is read without argparse
-        absent = ("dataclasses", "inspect", "typing", "argparse") + absent
+        # well-formed request is read without argparse; no oracle is compiled
+        absent += ("dataclasses", "inspect", "typing", "argparse", "kbonacci.methods", "__future__")
         proc = fresh_python(
             "import sys\n"
             "from kbonacci.cli import parse_and_dispatch\n"
@@ -1511,7 +1543,7 @@ class TestStartup:
 
     def test_modules_within_the_token_budget(self):
         # a module past 2048 parser tokens compiles with a higher peak, which
-        # every request that imports it pays; sequence is over (ROADMAP 14)
+        # every request that imports it pays
         counts = {}
         for path in Path(kbonacci.__file__).parent.glob("*.py"):
             with tokenize.open(path) as source:
@@ -1520,7 +1552,7 @@ class TestStartup:
                     token.type not in (tokenize.COMMENT, tokenize.NL) for token in tokens
                 )
         assert len(counts) > 5
-        assert {name for name, count in counts.items() if count > 2048} <= {"sequence.py"}
+        assert {name: count for name, count in counts.items() if count > 2048} == {}
 
     def test_public_names_are_their_defining_modules_objects(self):
         defined = set()

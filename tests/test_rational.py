@@ -12,6 +12,7 @@ from kbonacci.rational import (
     _LEAF_DIGITS,
     fixed_point,
     format_ratio,
+    fraction_to_str,
     int_to_str,
     parse_rational,
     str_to_int,
@@ -204,3 +205,12 @@ class TestIntToStr:
         digits = 12_000
         whole, frac = divmod(num * 10**digits // den, 10**digits)
         assert to_decimal_string(value, digits) == f"{whole}.{frac:0{digits}d}"
+
+    @pytest.mark.parametrize(
+        "value",
+        [Fraction(0), Fraction(-7), Fraction(-5, 2), Fraction(10**5000 + 1, 10**4999),
+         Fraction(-1, 3**9000), Fraction(-(7**6000))],
+    )
+    def test_fraction_to_str_is_str_of_the_fraction(self, value):
+        # the integer form drops "/1", as str() does, at any size
+        assert fraction_to_str(value) == str(value)

@@ -25,7 +25,6 @@ _MODULE_OF = {
     "reciprocal_digits": "decimal_identity",
     "repunit_denominator": "decimal_identity",
     "verify_decimal_identity": "decimal_identity",
-    "Rational": "rational",
     "format_ratio": "rational",
     "parse_rational": "rational",
     "initial_terms": "sequence",
@@ -34,7 +33,6 @@ _MODULE_OF = {
     "term_fast": "sequence",
     "term_matrix": "methods",
     "term_naive": "methods",
-    "window": "sequence",
     "EvalReport": "series",
     "SeriesPoint": "series",
     "closed_form": "series",

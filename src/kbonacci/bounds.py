@@ -5,10 +5,10 @@ the term and kernel cost models, seq's printed digits, the verify-decimal
 sweep, the digits division, the series partial sum, verify-classic's
 digits and bench's repetitions, each beside the measurement that sized it.
 ``check_term``, ``check_seq``, ``check_sweep``, ``check_digits``,
-``check_jump`` and ``check_grid`` refuse a request with ValueError (exit 2
-from the CLI) before any arithmetic; the series' search for its largest
-N bisects on the same refusals.  Timings are process wall on a 2-core
-host, CPython 3.11.
+``check_jump``, ``check_window`` and ``check_grid`` refuse a request with
+ValueError (exit 2 from the CLI) before any arithmetic; the series' search
+for its largest N bisects on the same refusals.  Timings are process wall
+on a 2-core host, CPython 3.11.
 """
 
 import math
@@ -16,7 +16,15 @@ from functools import cache
 
 from .sequence import _takes_binomial, validate_order, validate_range
 
-__all__ = ["check_term", "check_grid", "check_jump", "check_seq", "check_sweep", "check_digits"]
+__all__ = [
+    "check_term",
+    "check_grid",
+    "check_jump",
+    "check_window",
+    "check_seq",
+    "check_sweep",
+    "check_digits",
+]
 
 # Every order is refused above this.  A run or residue holds k terms, and
 # D_k has k digits, so the cheapest request of each subcommand grows with k:
@@ -136,9 +144,12 @@ def _check_index_bound(n: int) -> None:
 def check_term(k: int, n: int, method: str = "polymod") -> None:
     """Raise ValueError unless F_n of order k by ``method`` is within the bounds.
 
-    The order, the index, the oracle methods' index and matrix-work bounds,
-    and for the kernel ``_term_cost`` against that of k = 2, n = _MAX_INDEX.
+    The method is one of matrix, naive and polymod; then the order, the
+    index, the oracle methods' index and matrix-work bounds, and for the
+    kernel ``_term_cost`` against that of k = 2, n = _MAX_INDEX.
     """
+    if method != "polymod" and method not in _ORACLE_MAX_INDEX:
+        raise ValueError(f"unknown method {method!r}; expected one of matrix, naive, polymod")
     validate_range(k, n, n)
     _check_order(k)
     _check_index_bound(n)
@@ -196,6 +207,21 @@ def check_jump(k: int, n: int) -> None:
     _check_order(k)
     _check_index_bound(n)
     _check_cost(_kernel_cost(k, n), f"the jump to n = {n} at k = {k}", "a jump")
+
+
+def check_window(k: int, p: int, n: int) -> None:
+    """Raise ValueError unless a series report at N = n for eta = p/q is within the bounds.
+
+    Its partial sum, about (N + k) log10 p digits, has at most
+    ``_MAX_PARTIAL_DIGITS`` digits, and the jump to F_{N-k+1} is within
+    ``check_jump``.
+    """
+    digits = math.ceil((n + k) * math.log10(p))
+    if digits > _MAX_PARTIAL_DIGITS:
+        raise ValueError(
+            f"a partial sum to N = {n} has about {digits} digits, more than {_MAX_PARTIAL_DIGITS}"
+        )
+    check_jump(k, n - k + 1)
 
 
 def check_seq(k: int, n0: int, n1: int) -> None:

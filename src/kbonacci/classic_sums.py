@@ -40,8 +40,8 @@ from fractions import Fraction
 from itertools import islice
 
 from .bounds import _MAX_CLASSIC_DIGITS, _MIN_CLASSIC_DIGITS
-from .rational import EXACT_CONTEXT, Rational, fixed_point, str_to_int
-from .sequence import _require_int, window
+from .rational import EXACT_CONTEXT, fixed_point, str_to_int
+from .sequence import _require_int, range_terms
 
 __all__ = [
     "ClassicReport",
@@ -68,12 +68,12 @@ _GUARD_DIGITS = 8
 _Int = int | Decimal
 
 
-def alternating_reciprocal_sum(n_terms: int) -> Rational:
+def alternating_reciprocal_sum(n_terms: int) -> Fraction:
     """Exact sum of (-1)^n / (F_n * F_{n+2}) for n = 1 .. n_terms."""
     _require_int(n_terms, "n_terms")
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
-    return Fraction(*_alternating_parts(*window(2, n_terms + 1, 2)))
+    return Fraction(*_alternating_parts(*range_terms(2, n_terms + 1, n_terms + 2)))
 
 
 def _alternating_parts(a: _Int, b: _Int) -> tuple[_Int, _Int]:
@@ -82,7 +82,7 @@ def _alternating_parts(a: _Int, b: _Int) -> tuple[_Int, _Int]:
     return -((b - a) ** 2), a * b
 
 
-def millin_type_sum(m_terms: int) -> Rational:
+def millin_type_sum(m_terms: int) -> Fraction:
     """Exact sum of 1 / F_{2^n} for n = 0 .. m_terms."""
     _require_int(m_terms, "m_terms")
     if m_terms < 0:
@@ -122,15 +122,15 @@ class ClassicReport(
 
     # through str: int(Decimal) is quadratic on CPython 3.11, str linear
     @property
-    def value(self) -> Rational:
+    def value(self) -> Fraction:
         return Fraction(str_to_int(str(self.numerator)), str_to_int(str(self.denominator)))
 
     @property
-    def target(self) -> Rational:
+    def target(self) -> Fraction:
         return Fraction(str_to_int(str(self.scaled_target)), 10**self.digits)
 
     @property
-    def abs_diff(self) -> Rational:
+    def abs_diff(self) -> Fraction:
         return Fraction(str_to_int(str(self.scaled_diff)), 10 ** (self.digits + 6))
 
     def to_json_dict(self) -> dict:
@@ -152,8 +152,9 @@ def _doublings(a: _Int, b: _Int) -> Iterator[tuple[_Int, _Int]]:
     """F_{n-1}, F_n from a = F_{n-1}, b = F_n, then the same at 2n, 4n, ...
 
     F_{2n-1} = F_n^2 + F_{n-1}^2 and F_{2n} = F_n (F_n + 2 F_{n-1}): three
-    products of the pair's size a step, where a ``window`` jump from F_0
-    squares log2 n times.  A step runs only once the caller asks for it.
+    products of the pair's size a step, where a ``range_terms`` jump from
+    F_0 squares log2 n times.  A step runs only once the caller asks for
+    it.
     """
     while True:
         yield a, b

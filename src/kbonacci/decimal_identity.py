@@ -53,14 +53,15 @@ def repunit_denominator(k: int) -> RepunitDenominator:
     (8*10^k + 1) / 9, checking the division is exact.  Route one meets it
     when its digits times 9 equal 8*10^k + 1, checked in exact ``Decimal``
     arithmetic, so no k-digit number passes between int and str.
+    ArithmeticError if either check fails.
     """
     validate_order(k)
     nine_d, rem = divmod(8 * 10**k + 1, 9)
-    assert rem == 0, f"8*10^{k}+1 not divisible by 9"
+    if rem:
+        raise ArithmeticError(f"8*10^{k}+1 not divisible by 9")
     with localcontext(EXACT_CONTEXT):
-        assert Decimal("8" * (k - 1) + "9") * 9 == Decimal(8).scaleb(k) + 1, (
-            f"digit construction != algebraic value for k = {k}"
-        )
+        if Decimal("8" * (k - 1) + "9") * 9 != Decimal(8).scaleb(k) + 1:
+            raise ArithmeticError(f"digit construction != algebraic value for k = {k}")
     return RepunitDenominator(k=k, value=nine_d)
 
 

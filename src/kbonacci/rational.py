@@ -1,12 +1,12 @@
 """Exact rational arithmetic and decimal-string rendering.
 
-``Rational`` is the standard library's ``fractions.Fraction``, which keeps
+Rationals are the standard library's ``fractions.Fraction``, which keeps
 values normalized exactly as this package requires: denominator >= 1,
-gcd(|num|, den) == 1, zero as 0/1.  It is read on first use (PEP 562),
-and ``parse_rational`` loads ``fractions`` and ``re`` in its own body, so
-a term or seq request loads neither.  The helpers add strict "p/q" parsing
-for command-line input, its library counterpart ``require_rational``,
-and fixed-point decimal rendering.
+gcd(|num|, den) == 1, zero as 0/1.  ``parse_rational`` loads
+``fractions`` and ``re`` in its own body, and ``require_rational``
+``fractions``, so a term or seq request loads neither.  The helpers add
+strict "p/q" parsing for command-line input, its library counterpart
+``require_rational``, and fixed-point decimal rendering.
 
 CPython before 3.12 converts int to str in quadratic time (the
 subquadratic path came with gh-90716), while libmpdec multiplies big
@@ -31,7 +31,6 @@ import decimal
 from decimal import Decimal
 
 __all__ = [
-    "Rational",
     "parse_rational",
     "require_rational",
     "format_ratio",
@@ -42,15 +41,6 @@ __all__ = [
     "str_to_int",
     "fixed_point",
 ]
-
-
-def __getattr__(name):
-    # PEP 562: only a caller of Rational loads fractions
-    if name != "Rational":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from fractions import Fraction
-
-    return Fraction
 
 
 # Unbounded precision and exponent range; any rounding raises.
@@ -76,7 +66,7 @@ _LEAF_DIGITS = 2048
 _POW2 = {0: Decimal(2)}  # j -> 2**(2**j), filled on demand
 
 
-def parse_rational(text: str) -> "Rational":
+def parse_rational(text: str) -> "Fraction":
     """Parse an exact "p/q" or integer string.
 
     Rejects anything else -- in particular decimal floats -- so exactness
@@ -95,7 +85,7 @@ def parse_rational(text: str) -> "Rational":
     return Fraction(str_to_int(num), den)
 
 
-def require_rational(value: "Rational | int", name: str) -> "Rational":
+def require_rational(value: "Fraction | int", name: str) -> "Fraction":
     """``value`` as a ``Fraction``; ValueError naming it unless an int (not a bool) or a Fraction."""
     from fractions import Fraction
 
@@ -139,7 +129,7 @@ def int_to_str(n: int) -> str:
     return str(to_decimal(n))
 
 
-def fraction_to_str(value: "Rational") -> str:
+def fraction_to_str(value: "Fraction") -> str:
     """``str(value)`` ("p/q", or "p" for an integer), past CPython's int/str limit."""
     numerator = int_to_str(value.numerator)
     return numerator if value.denominator == 1 else f"{numerator}/{int_to_str(value.denominator)}"
@@ -159,7 +149,7 @@ def str_to_int(digits: str) -> int:
     return str_to_int(digits[:-half]) * 10**half + str_to_int(digits[-half:])
 
 
-def format_ratio(value: "Rational") -> str:
+def format_ratio(value: "Fraction") -> str:
     """Canonical "p/q" form, always with an explicit denominator."""
     return f"{int_to_str(value.numerator)}/{int_to_str(value.denominator)}"
 

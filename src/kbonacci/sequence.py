@@ -28,15 +28,15 @@ k most recent terms, each new term their sum.  Started above 0 it jumps
 ahead first, taking its k seed terms from the one residue x^n, so a range
 far from 0 costs no sweep from F_0; with a ``Decimal`` cast that jump
 switches to ``Decimal`` at the same width as ``term_fast``, in the one
-exponentiation both share.  ``window`` and ``range_terms`` are runs of
-that sweep, and ``methods.term_naive`` is one item of it from 0.
+exponentiation both share.  ``range_terms`` is a run of that sweep, and
+``methods.term_naive`` is one item of it from 0.
 
 All functions are pure and by default operate on plain Python integers,
 so results are exact at any size.  ``term_fast`` and ``iter_terms``, like
 the oracles, also compute in any other exact type that ``cast``
 converts ints to; the CLI prints ``term`` and streams ``seq`` in
 ``decimal.Decimal`` under ``rational.EXACT_CONTEXT``, since ``str()`` of
-a Decimal is linear.  ``window`` and ``range_terms`` always return ints.
+a Decimal is linear.  ``range_terms`` always returns ints.
 """
 
 import math
@@ -48,7 +48,6 @@ __all__ = [
     "validate_order",
     "validate_range",
     "initial_terms",
-    "window",
     "term_fast",
     "range_terms",
     "iter_terms",
@@ -139,17 +138,6 @@ def range_terms(k: int, n0: int, n1: int) -> list[int]:
     """Terms F_{n0} .. F_{n1}: a jump to F_{n0}, then a sweep of additions."""
     validate_range(k, n0, n1)
     return list(islice(iter_terms(k, n0), n1 - n0 + 1))
-
-
-def window(k: int, n: int, count: int) -> list[int]:
-    """Terms F_n .. F_{n+count-1}: the first ``count`` items of ``iter_terms(k, n)``.
-
-    Past the one exponentiation of x^n the run costs only additions:
-    O(k + count).
-    """
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    return list(islice(iter_terms(k, n), count))
 
 
 def term_fast(k: int, n: int, cast=int):

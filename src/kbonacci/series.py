@@ -53,12 +53,12 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice
-from math import ceil, gcd, log10
+from math import gcd
 from operator import sub
 
-from .bounds import _MAX_PARTIAL_DIGITS, check_jump
+from .bounds import _MAX_PARTIAL_DIGITS, check_window
 from .rational import (
-    EXACT_CONTEXT, Rational, format_ratio, fraction_to_str, require_rational, str_to_int, to_decimal
+    EXACT_CONTEXT, format_ratio, fraction_to_str, require_rational, str_to_int, to_decimal
 )
 from .sequence import _validate_index, iter_terms, validate_order
 
@@ -88,7 +88,7 @@ class SeriesPoint(namedtuple("SeriesPoint", "k eta")):
 
     __slots__ = ()
 
-    def __new__(cls, k: int, eta: Rational | int):
+    def __new__(cls, k: int, eta: Fraction | int):
         validate_order(k)
         eta = require_rational(eta, "eta")
         if eta <= 2:
@@ -132,12 +132,12 @@ class EvalReport(namedtuple("EvalReport", "point n_trunc acc f_next")):
         return doc
 
 
-def _fraction(report: EvalReport, name: str) -> Rational:
+def _fraction(report: EvalReport, name: str) -> Fraction:
     # the one way back to int: a library caller's read of a Fraction field
     return coprime(*(str_to_int(str(x)) for x in getattr(_numbers(report), name)))
 
 
-def closed_form(point: SeriesPoint) -> Rational:
+def closed_form(point: SeriesPoint) -> Fraction:
     """Exact value of the full series: eta(eta-1) / ((eta-2) eta^k + 1).
 
     For eta = p/q that is p q^(k-1) / den, den from ``_denominator``, in
@@ -171,29 +171,18 @@ def evaluate_range(point: SeriesPoint, n_max: int) -> Iterator[EvalReport]:
         yield evaluate(point, n)
 
 
-def _partial_digits(point: SeriesPoint, n_trunc: int) -> int:
-    return ceil((n_trunc + point.k) * log10(point.eta.numerator))
-
-
 def _check_window(point: SeriesPoint, n_trunc: int) -> None:
     """Raise ValueError unless the window of the report at N is within the bounds.
 
-    The checks, in this order: N is an int >= k-1; the partial sum, about
-    (N + k) log10 p digits for eta = p/q, has at most
-    ``_MAX_PARTIAL_DIGITS`` digits; the jump to F_{N-k+1} is within
-    ``bounds.check_jump``.  Past k-1 each refusal holds for every larger N.
+    The checks, in this order: N is an int >= k-1, then the partial sum's
+    digits and the jump of ``bounds.check_window``.  Past k-1 each refusal
+    holds for every larger N.
     """
     _validate_index(n_trunc)
     k = point.k
     if n_trunc < k - 1:
         raise ValueError(f"tail bound needs n_trunc >= k-1 = {k - 1}, got {n_trunc}")
-    digits = _partial_digits(point, n_trunc)
-    if digits > _MAX_PARTIAL_DIGITS:
-        raise ValueError(
-            f"a partial sum to N = {n_trunc} has about {digits} digits,"
-            f" more than {_MAX_PARTIAL_DIGITS}"
-        )
-    check_jump(k, n_trunc - k + 1)
+    check_window(k, point.eta.numerator, n_trunc)
 
 
 def _largest_index(point: SeriesPoint) -> int:
@@ -233,12 +222,14 @@ def _denominator(point: SeriesPoint) -> int:
     Times (q/p)^k it is the closed form's denominator (eta - 2) eta^k + 1,
     which is positive exactly above the dominant root phi_k < 2 of the
     recurrence.  The sum is geometric, q (p^k - q^k) / (p - q), so
-    den = ((p - 2q) p^k + q^(k+1)) / (p - q), an exact division.  den is
-    prime to p and to q, as den = -q^k (mod p) and den = p^k (mod q).
+    den = ((p - 2q) p^k + q^(k+1)) / (p - q), an exact division, or
+    ArithmeticError.  den is prime to p and to q, as den = -q^k (mod p)
+    and den = p^k (mod q).
     """
     k, p, q = point.k, point.eta.numerator, point.eta.denominator
     den, rem = divmod((p - 2 * q) * p**k + q ** (k + 1), p - q)
-    assert rem == 0, f"(p - 2q) p^k + q^(k+1) not divisible by p - q for eta = {p}/{q}"
+    if rem:
+        raise ArithmeticError(f"(p - 2q) p^k + q^(k+1) not divisible by p - q for eta = {p}/{q}")
     return den
 
 
@@ -357,7 +348,7 @@ def strip_p_power(x: int | Decimal, p: int, n: int) -> tuple:
     return x, n - steps, c
 
 
-def converge_until(point: SeriesPoint, epsilon: Rational | int) -> EvalReport:
+def converge_until(point: SeriesPoint, epsilon: Fraction | int) -> EvalReport:
     """First report, doubling N between checks, whose tail bound is <= epsilon.
 
     Returns the first *checked* truncation index that qualifies, not the

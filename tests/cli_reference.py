@@ -24,11 +24,12 @@ import json
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 from kbonacci import bounds, cli
 from kbonacci.methods import METHODS
-from kbonacci.rational import Rational, parse_rational
+from kbonacci.rational import parse_rational
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,7 +152,7 @@ def reference_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rational_arg(text: str) -> Rational:
+def _rational_arg(text: str) -> Fraction:
     # argparse reports a ValueError from a type as "invalid <name> value",
     # hiding parse_rational's reason; ArgumentTypeError prints it instead
     try:

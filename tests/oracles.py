@@ -1,11 +1,12 @@
 """Reference implementations the tests compare the package against."""
 
+from fractions import Fraction
 from math import isqrt
 
-from kbonacci.rational import Rational, fixed_point, to_decimal
+from kbonacci.rational import fixed_point, to_decimal
 
 
-def to_decimal_string(value: Rational, digits: int) -> str:
+def to_decimal_string(value: Fraction, digits: int) -> str:
     """Decimal rendering with exactly ``digits`` fraction digits.
 
     Truncates toward zero rather than rounding, so the digit stream of a

@@ -52,6 +52,14 @@ class TestCostBound:
         with pytest.raises(ValueError, match=f"{ratio} times the most a term may cost"):
             bounds.check_term(k, n + 1)
 
+    @pytest.mark.parametrize("method", ["Polymod", "fast", ""])
+    def test_an_unknown_method_is_refused(self, method):
+        # not let through with no cost check at all
+        with pytest.raises(ValueError, match="163.67 times the most a term may cost"):
+            bounds.check_term(1000, self.M)
+        with pytest.raises(ValueError, match=f"unknown method {method!r}"):
+            bounds.check_term(1000, self.M, method)
+
     def test_k28_at_the_index_bound_is_refused(self):
         with pytest.raises(ValueError, match="20.17 times the most a term may cost"):
             bounds.check_term(28, self.M)

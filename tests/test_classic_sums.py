@@ -17,7 +17,7 @@ from kbonacci.classic_sums import (
 )
 from kbonacci.decimal_identity import reciprocal_digits
 from kbonacci.rational import to_decimal
-from kbonacci.sequence import range_terms, term_fast, term_naive, window
+from kbonacci.sequence import range_terms, term_fast, term_naive
 
 from oracles import _scaled_difference, to_decimal_string
 
@@ -268,7 +268,7 @@ class TestVerifyClassic:
         # the doubling search used to stop at 2^20 terms, a false FAIL from
         # about 438k digits on; the threshold is a Decimal, as verify_classic
         # passes it, since comparing with an int converts it at every step
-        f = window(2, 2**20 + 1, 3)
+        f = range_terms(2, 2**20 + 1, 2**20 + 3)
         terms, _ = _alternating_terms_needed(to_decimal(f[0] * f[2]))
         assert terms == 2**21
 
@@ -277,7 +277,7 @@ class TestVerifyClassic:
         # the search doubles F_{N-1}, F_N from N = 4 and reads F_{N+1},
         # F_{N+2} off the pair it stops on, so neither it nor the sum jumps
         calls = []
-        monkeypatch.setattr(classic_sums, "window", lambda *args: calls.append(args))
+        monkeypatch.setattr(classic_sums, "range_terms", lambda *args: calls.append(args))
         report = verify_classic("alternating", d)
         assert calls == []
         monkeypatch.undo()
@@ -290,14 +290,14 @@ class TestVerifyClassic:
         # the index of its pair instead of jumping to it, so no step and
         # nothing after the search calls window
         calls = []
-        monkeypatch.setattr(classic_sums, "window", lambda *args: calls.append(args))
+        monkeypatch.setattr(classic_sums, "range_terms", lambda *args: calls.append(args))
         report = verify_classic("millin", d)
         terms, run = _millin_terms_needed(8 * 10 ** (d - 2))
         assert calls == []
         assert not hasattr(classic_sums, "term_fast")
         monkeypatch.undo()
         assert terms == report.terms
-        assert run == window(2, 2**terms - 1, 2)
+        assert run == range_terms(2, 2**terms - 1, 2**terms)
         assert report.value == millin_type_sum(report.terms)
 
     @pytest.mark.parametrize(
@@ -319,10 +319,10 @@ class TestVerifyClassic:
 
 
 def alternating_search_by_windows(threshold_den: int) -> tuple:
-    """The alternating search by jumps: window(2, N + 1, 3) from F_0 at N = 4, 8, 16, ..."""
+    """The alternating search by jumps: F_{N+1} .. F_{N+3} from F_0 at N = 4, 8, 16, ..."""
     n = 4
     while True:
-        fib = window(2, n + 1, 3)
+        fib = range_terms(2, n + 1, n + 3)
         if fib[0] * fib[2] > threshold_den:
             return n, fib[:2]
         n *= 2
@@ -332,8 +332,9 @@ def millin_search_by_windows(threshold_den: int) -> tuple:
     """The Millin search by jumps: F_{2^(M+1)}, then F_{2^M - 1}, F_{2^M}, each from F_0."""
     m = 1
     while True:
-        if m == classic_sums._MAX_MILLIN_TERMS or window(2, 2 ** (m + 1), 1)[0] > threshold_den:
-            return m, window(2, 2**m - 1, 2)
+        top = 2 ** (m + 1)
+        if m == classic_sums._MAX_MILLIN_TERMS or range_terms(2, top, top)[0] > threshold_den:
+            return m, range_terms(2, 2**m - 1, 2**m)
         m += 1
 
 
@@ -358,7 +359,8 @@ class TestSearchOracles:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 17])
     def test_millin_sum_from_its_doublings(self, m):
-        assert millin_type_sum(m) == Fraction(*classic_sums._millin_parts(*window(2, 2**m - 1, 2)))
+        run = range_terms(2, 2**m - 1, 2**m)
+        assert millin_type_sum(m) == Fraction(*classic_sums._millin_parts(*run))
 
 
 def exact_lines(identity: str, d: int, terms: int) -> tuple:

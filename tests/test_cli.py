@@ -25,7 +25,7 @@ from kbonacci import bounds, sequence
 from kbonacci.bench import METHODS
 from kbonacci.classic_sums import IDENTITIES, ClassicReport
 from kbonacci.rational import format_ratio, int_to_str, parse_rational
-from kbonacci.sequence import iter_terms, range_terms, term_fast, window
+from kbonacci.sequence import iter_terms, range_terms, term_fast
 from kbonacci.series import EvalReport, SeriesPoint, evaluate
 
 
@@ -937,7 +937,7 @@ class TestNoBigIntRendered:
         n = json.loads(out)["N"] if as_json else int(out.splitlines()[2].removeprefix("N = "))
         point = SeriesPoint(k, parse_rational(eta))
         p = point.eta.numerator
-        last = window(k, n - k + 1, k + 1)[-1]
+        last = range_terms(k, n - k + 1, n + 1)[-1]
         allowed = last.bit_length() + k * p.bit_length() + k.bit_length()
         # the spy sees the jump's seed conversions, and nothing wider than
         # the terms; nothing comes back by str_to_int
@@ -976,7 +976,7 @@ class TestEarlierReportRendered:
         evaluate(SeriesPoint(3, Fraction(7, 3)), 300)
         widths.clear()
         doc = report.to_json_dict()
-        last = window(2, 20_000, 2)[-1]
+        last = range_terms(2, 20_000, 20_001)[-1]
         # no int wider than the last term, acc = 3 F_{N+1} + F_N, is converted
         assert 0 < max(widths) <= last.bit_length() + 2
         names = ("partial", "closed", "tail_bound", "residual")
@@ -1568,6 +1568,14 @@ class TestStartup:
             assert namespace[name] is getattr(kbonacci, name)
         with pytest.raises(AttributeError):
             kbonacci.no_such_name
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O and PYTHONOPTIMIZE strip asserts, and a verdict must not rest
+    # on a check that can be switched off
+    for path in sorted(Path(kbonacci.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

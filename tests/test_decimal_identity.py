@@ -1,8 +1,10 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kbonacci import decimal_identity
 from kbonacci.decimal_identity import (
     RepunitDenominator,
     identity_line,
@@ -69,6 +71,20 @@ class TestRepunitDenominator:
         d = repunit_denominator(k)
         assert 9 * d.value == 8 * 10**k + 1
         assert str(d) == "8" * (k - 1) + "9"
+
+    def test_a_route_that_disagrees_raises(self, monkeypatch):
+        # explicit checks, which python -O keeps; not ValueErrors, which the
+        # CLI reports as usage errors
+        with monkeypatch.context() as patch:
+            patch.setattr(decimal_identity, "divmod", lambda a, b: (a // b, 1), raising=False)
+            with pytest.raises(ArithmeticError, match=r"8\*10\^5\+1 not divisible by 9"):
+                repunit_denominator(5)
+        def off_by_one(x):  # route one's digits, one too many
+            return Decimal(x) + 1 if isinstance(x, str) else Decimal(x)
+
+        monkeypatch.setattr(decimal_identity, "Decimal", off_by_one)
+        with pytest.raises(ArithmeticError, match="digit construction != algebraic value for k = 5"):
+            repunit_denominator(5)
 
 
 class TestIdentity:

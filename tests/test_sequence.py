@@ -22,7 +22,6 @@ from kbonacci.sequence import (
     term_matrix,
     term_naive,
     validate_order,
-    window,
 )
 
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21]
@@ -186,7 +185,7 @@ class TestOneSweep:
         "call",
         [
             lambda: next(iter_terms(1, 5)),
-            lambda: window(1, 5, 3),
+            lambda: range_terms(1, 5, 7),
             lambda: next(iter_terms(2, -1)),
         ],
         ids=["iter_terms-order", "window-order", "iter_terms-index"],
@@ -202,8 +201,8 @@ class TestOneSweep:
     @example(12, 11, 40)
     @example(12, 300, 40)
     def test_window_matches_range_and_matrix(self, k, n, count):
-        run = window(k, n, count)
-        assert run == range_terms(k, n, n + count - 1)
+        run = range_terms(k, n, n + count - 1)
+        assert run == list(islice(iter_terms(k, n), count))
         assert run == [term_matrix(k, i) for i in range(n, n + count)]
 
     def test_naive_stays_off_the_kernel(self):
@@ -320,18 +319,13 @@ class TestKernelOracles:
     @example(2, 0, 1)
     @example(40, 39, 60)
     def test_window_is_a_slice_of_the_sweep(self, k, n, count):
-        assert window(k, n, count) == sweep_from_zero(k, n + count)[n:]
+        assert range_terms(k, n, n + count - 1) == sweep_from_zero(k, n + count)[n:]
 
     @settings(deadline=None)
     @given(st.integers(2, 40), st.integers(1, 1500), st.integers(0, 80))
     def test_range_from_n0_is_a_slice_of_the_sweep(self, k, n0, extra):
         n1 = n0 + extra
         assert range_terms(k, n0, n1) == sweep_from_zero(k, n1 + 1)[n0:]
-
-    @pytest.mark.parametrize("count", [0, -1, True, 1.0])
-    def test_window_rejects_bad_counts(self, count):
-        with pytest.raises(ValueError):
-            window(3, 10, count)
 
     @settings(deadline=None)
     @given(st.integers(2, 70).flatmap(lambda k: st.tuples(st.just(k), residue(k, 300))))
@@ -427,7 +421,7 @@ class TestDecimalKernel:
     def test_defaults_stay_int(self):
         # above the switch, where a cast would take the Decimal path
         assert type(term_fast(2, 200_000)) is int
-        assert {type(t) for t in window(2, 200_000, 3)} == {int}
+        assert {type(t) for t in range_terms(2, 200_000, 200_002)} == {int}
         assert {type(t) for t in range_terms(2, 200_000, 200_002)} == {int}
 
     @settings(deadline=None)
@@ -587,7 +581,7 @@ class TestOneSwitch:
             assert type(term_fast(k, below, to_decimal)) is Decimal
             run = list(islice(iter_terms(k, below, to_decimal), k + 1))
         assert {type(t) for t in run} == {Decimal}
-        assert [int(t) for t in run] == window(k, below, k + 1)
+        assert [int(t) for t in run] == range_terms(k, below, below + k)
 
 
 def dot_product_step(r, t):
@@ -681,7 +675,8 @@ class TestDecimalSeed:
         with localcontext(EXACT_CONTEXT):
             values = list(islice(iter_terms(k, n0, to_decimal), count))
         assert all(type(v) is Decimal for v in values)
-        assert [str(v) for v in values] == [int_to_str(v) for v in window(k, n0, count)]
+        ints = range_terms(k, n0, n0 + count - 1)
+        assert [str(v) for v in values] == [int_to_str(v) for v in ints]
 
     @pytest.mark.parametrize("k,n0", [(2, 3000), (3, 2500), (16, 2200)])
     def test_jump_crosses_the_seed_width(self, k, n0):
@@ -692,7 +687,7 @@ class TestDecimalSeed:
         ), localcontext(EXACT_CONTEXT):
             values = list(islice(iter_terms(k, n0, to_decimal), k + 2))
         assert squares, "the jump never reached the switch width"
-        assert [str(v) for v in values] == [int_to_str(v) for v in window(k, n0, k + 2)]
+        assert [str(v) for v in values] == [int_to_str(v) for v in range_terms(k, n0, n0 + k + 1)]
 
     @pytest.mark.parametrize("prec", [28, 10**6])
     def test_decimal_seed_refuses_a_rounding_context(self, prec):
@@ -701,7 +696,7 @@ class TestDecimalSeed:
                 next(iter_terms(2, 3000, to_decimal))
 
     def test_int_windows_stay_int(self):
-        # far above the switch width: window and range_terms keep int jumps,
+        # far above the switch width: range_terms keeps int jumps,
         # where seq and gf jump with a Decimal cast
-        assert {type(t) for t in window(3, 5000, 4)} == {int}
+        assert {type(t) for t in range_terms(3, 5000, 5003)} == {int}
         assert {type(t) for t in range_terms(16, 5000, 5003)} == {int}

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kbonacci import bounds, cli, series
 from kbonacci.rational import format_ratio, parse_rational, to_decimal
-from kbonacci.sequence import iter_terms, range_terms, term_fast, window
+from kbonacci.sequence import iter_terms, range_terms, term_fast
 from kbonacci.series import (
     EvalReport,
     SeriesPoint,
@@ -113,7 +113,7 @@ class TestReportTypes:
         # the report is the numbers that fix it: acc and F_{N+1}, integer
         # Decimals equal to the int route's
         report = evaluate(P210, 5)
-        fields = (P210, 5, omitted_numerator(P210, 5), window(2, 6, 1)[0])
+        fields = (P210, 5, omitted_numerator(P210, 5), range_terms(2, 6, 6)[0])
         assert EvalReport._fields == ("point", "n_trunc", "acc", "f_next")
         assert report == EvalReport(*fields)
         assert report == EvalReport(**dict(zip(EvalReport._fields, fields)))
@@ -372,6 +372,18 @@ class TestExactVerdict:
                 assert boundary.passed is verdict
                 assert boundary.to_json_dict()["pass"] is verdict
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 2: gf's PASS cannot fail")
+    @pytest.mark.parametrize("k,eta,n_trunc", [(2, 3, 200), (5, 7, 300), (8, 3, 5000)])
+    def test_a_wrong_denominator_fails(self, monkeypatch, k, eta, n_trunc):
+        # the verdict rests on den; one off must turn the PASS into a FAIL
+        denominator = series._denominator
+        monkeypatch.setattr(series, "_denominator", lambda point: denominator(point) + 1)
+        series._numbers.cache_clear()
+        try:
+            assert not evaluate(SeriesPoint(k, eta), n_trunc).passed
+        finally:
+            series._numbers.cache_clear()
+
 
 class TestConvergeUntil:
     def test_reaches_requested_bound(self):
@@ -558,11 +570,16 @@ class TestJumpBound:
         assert self._search_reaches(monkeypatch, 256, 260_865) == calls
 
 
+def partial_digits(point, n_trunc):
+    """The digits bounds.check_window estimates for the partial sum to N: (N + k) log10 p."""
+    return math.ceil((n_trunc + point.k) * math.log10(point.eta.numerator))
+
+
 def largest_partial_index_oracle(point):
     """The largest N whose partial sum is within the digit bound, from a float
     estimate and a linear walk."""
     n = int(series._MAX_PARTIAL_DIGITS / math.log10(point.eta.numerator)) - point.k - 1
-    while series._partial_digits(point, n + 1) <= series._MAX_PARTIAL_DIGITS:
+    while partial_digits(point, n + 1) <= series._MAX_PARTIAL_DIGITS:
         n += 1
     return n
 
@@ -612,7 +629,7 @@ class TestLargestAcceptedIndex:
         # here the digit bound stops N before the jump bound does
         point = SeriesPoint(k=k, eta=eta)
         assert series._largest_index(point) == top
-        digits = series._partial_digits
+        digits = partial_digits
         assert digits(point, top) <= series._MAX_PARTIAL_DIGITS < digits(point, top + 1)
 
     def test_one_bisection_matches_the_two_chained_searches(self):
@@ -720,7 +737,7 @@ class TestDecimalRun:
         n_trunc = k - 1 + extra
         run = series._checked_run(point, n_trunc)
         f_next = run[-1]
-        ints = window(k, n_trunc - k + 1, k + 1)
+        ints = range_terms(k, n_trunc - k + 1, n_trunc + 1)
         suffixes = [sum(ints[j:-1]) for j in range(k)]  # T_1 .. T_k
         acc = series._weighted_sum(suffixes, eta.numerator, eta.denominator)
         assert (series._acc(point, run), f_next) == (acc, ints[-1])
@@ -741,6 +758,13 @@ class TestDenominator:
         assert series._denominator(point) == den > 0
         eta = point.eta
         assert closed_form(point) == eta * (eta - 1) / ((eta - 2) * eta**k + 1)
+
+    def test_an_inexact_division_raises(self, monkeypatch):
+        # an explicit check, which python -O keeps; not a ValueError, which
+        # the CLI reports as a usage error
+        monkeypatch.setattr(series, "divmod", lambda a, b: (a // b, 1), raising=False)
+        with pytest.raises(ArithmeticError, match="not divisible by p - q for eta = 7/2"):
+            series._denominator(SeriesPoint(k=3, eta=Fraction(7, 2)))
 
 
 class TestShiftedSumIdentity:
@@ -795,7 +819,7 @@ class TestOmittedByHalves:
         point = SeriesPoint(k=k, eta=eta)
         n_trunc = k - 1 + extra
         omitted = evaluate(point, n_trunc).residual
-        assert omitted == horner_omitted(point, n_trunc, window(k, n_trunc - k + 1, k))
+        assert omitted == horner_omitted(point, n_trunc, range_terms(k, n_trunc - k + 1, n_trunc))
 
     @pytest.mark.parametrize("length", [*range(1, 40), 63, 64, 65, 1000])
     def test_weighted_sum_of_every_length(self, length):
@@ -813,7 +837,7 @@ def fraction_route(point, n_trunc):
     bound from its formula, each reduced by Fraction's own gcds.
     """
     k, eta = point.k, point.eta
-    run = window(k, n_trunc - k + 1, k + 1)
+    run = range_terms(k, n_trunc - k + 1, n_trunc + 1)
     closed = eta * (eta - 1) / ((eta - 2) * eta**k + 1)
     residual = horner_omitted(point, n_trunc, run[:-1])
     tail = Fraction(run[-1]) / eta ** (n_trunc + 1) * eta / (eta - 2)
@@ -823,7 +847,7 @@ def fraction_route(point, n_trunc):
 def omitted_numerator(point, n_trunc):
     """acc, the run's weighted suffix sum (``series._acc``), by Horner's rule."""
     p, q = point.eta.numerator, point.eta.denominator
-    run = window(point.k, n_trunc - point.k + 1, point.k)
+    run = range_terms(point.k, n_trunc - point.k + 1, n_trunc)
     suffix, acc, q_pow = sum(run), 0, 1
     for oldest in run:
         acc, suffix, q_pow = acc * p + q_pow * suffix, suffix - oldest, q_pow * q

@@ -172,17 +172,23 @@ def emit_report(records: Sequence[BenchRecord], format: str) -> str:
 
 
 def parse_report(document: str, format: str) -> list[BenchRecord]:
-    """Inverse of emit_report."""
+    """Inverse of emit_report; ValueError names the first row or entry of other cells or keys."""
     if format == "csv":
-        rows = list(csv.reader(io.StringIO(document)))
-        if not rows or tuple(rows[0]) != BenchRecord._fields:
+        header, *rows = list(csv.reader(io.StringIO(document))) or [[]]
+        if tuple(header) != BenchRecord._fields:
             raise ValueError("missing or malformed CSV header")
-        return [
-            BenchRecord(*(kind(cell) for kind, cell in zip(_COLUMN_TYPES, row)))
-            for row in rows[1:]
-        ]
+        for number, row in enumerate(rows, 1):
+            if len(row) != len(header):
+                raise ValueError(f"CSV row {number} has {len(row)} cells, expected {len(header)}")
+        return [BenchRecord._make(kind(c) for kind, c in zip(_COLUMN_TYPES, row)) for row in rows]
     if format == "json":
-        return [BenchRecord(**entry) for entry in json.loads(document)]
+        entries = json.loads(document)
+        for number, entry in enumerate(entries, 1):
+            if not isinstance(entry, dict) or set(entry) != set(BenchRecord._fields):
+                raise ValueError(
+                    f"JSON entry {number} is not an object of the keys {BenchRecord._fields}"
+                )
+        return [BenchRecord(**entry) for entry in entries]
     raise ValueError(f"unknown format {format!r}; expected 'csv' or 'json'")
 
 

@@ -6,17 +6,16 @@ by a nine.  Equivalently D_k = (8*10^k + 1) / 9.  The k = 2 case is the
 familiar fact that 1/89 opens with the Fibonacci numbers 0, 1, 1, 2, 3,
 5, 8 before carries start to interfere.
 
-Verification here is exact rational equality (the eta = 10 closed form
-of the generating series against 1/D_k).  The digits of 1/D_k come from
-one exact division of 10^m by D_k, which the tests check against a long
-division and against a truncated sum of the terms.  Only the verification
-needs ``series``, and it imports it in its body, so ``digits`` loads no
-``series``.
+Verification is exact: the eta = 10 closed form of the generating series,
+in lowest terms, against 10/D_k.  The digits of 1/D_k come from one exact
+division of 10^m by D_k, which the tests check against a long division
+and against a truncated sum of the terms.  Only the verification needs
+``series``, and it imports it in its body, so ``digits`` loads neither
+``series`` nor ``fractions``.
 """
 
 from collections import namedtuple
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 from .rational import EXACT_CONTEXT, int_to_str, to_decimal
 from .sequence import _require_int, validate_order
@@ -49,7 +48,7 @@ class RepunitDenominator(namedtuple("RepunitDenominator", "k value")):
 def repunit_denominator(k: int) -> RepunitDenominator:
     """D_k built two independent ways, which must agree.
 
-    Route one writes the digits directly; route two evaluates
+    Route one writes the digits, ``_digits``; route two evaluates
     (8*10^k + 1) / 9, checking the division is exact.  Route one meets it
     when its digits times 9 equal 8*10^k + 1, checked in exact ``Decimal``
     arithmetic, so no k-digit number passes between int and str.
@@ -60,18 +59,22 @@ def repunit_denominator(k: int) -> RepunitDenominator:
     if rem:
         raise ArithmeticError(f"8*10^{k}+1 not divisible by 9")
     with localcontext(EXACT_CONTEXT):
-        if Decimal("8" * (k - 1) + "9") * 9 != Decimal(8).scaleb(k) + 1:
+        if Decimal(_digits(k)) * 9 != Decimal(8).scaleb(k) + 1:
             raise ArithmeticError(f"digit construction != algebraic value for k = {k}")
     return RepunitDenominator(k=k, value=nine_d)
 
 
+def _digits(k: int) -> str:
+    """The digits of D_k: k-1 eights, then a nine."""
+    return "8" * (k - 1) + "9"
+
+
 def verify_decimal_identity(k: int) -> bool:
-    """True iff closed_form(k, 10) / 10 equals 1/D_k exactly."""
+    """True iff closed_form(k, 10), in lowest terms, is 10/D_k (D_k ends in 9: prime to 10)."""
     from .series import SeriesPoint, closed_form
 
     d = repunit_denominator(k).value
-    lhs = closed_form(SeriesPoint(k=k, eta=Fraction(10))) / 10
-    return lhs == Fraction(1, d)
+    return closed_form(SeriesPoint(k=k, eta=10)).as_integer_ratio() == (10, d)
 
 
 def reciprocal_digits(den: int, m: int) -> str:
@@ -95,5 +98,6 @@ def reciprocal_digits(den: int, m: int) -> str:
 
 def identity_line(k: int, passed: bool) -> str:
     """Display line for one order's identity check."""
+    validate_order(k)
     verdict = "PASS" if passed else "FAIL"
-    return f"1/{repunit_denominator(k)} == sum F_n^(k)/10^(n+1): {verdict}"
+    return f"1/{_digits(k)} == sum F_n^(k)/10^(n+1): {verdict}"

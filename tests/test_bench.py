@@ -216,6 +216,27 @@ class TestReports:
         with pytest.raises(ValueError):
             parse_report("not,a,bench,header\n", "csv")
 
+    @pytest.mark.parametrize(
+        "row,cells",
+        [("naive,2,10,0,0.25,2", 6), ("naive,2,10,0,0.25,2,55,7", 8)],
+        ids=["short", "long"],
+    )
+    def test_csv_row_of_the_wrong_width_rejected(self, row, cells):
+        doc = ",".join(COLUMNS) + "\nnaive,2,10,0,0.25,2,55\n" + row + "\n"
+        with pytest.raises(ValueError, match=f"CSV row 2 has {cells} cells, expected 7"):
+            parse_report(doc, "csv")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda e: e.pop("checksum"), lambda e: e.update(extra=1)],
+        ids=["missing", "extra"],
+    )
+    def test_json_entry_with_other_keys_rejected(self, edit):
+        entries = [dict(zip(COLUMNS, ("naive", 2, 10, rep, 0.25, 2, 55))) for rep in range(2)]
+        edit(entries[1])
+        with pytest.raises(ValueError, match="JSON entry 2 is"):
+            parse_report(json.dumps(entries), "json")
+
     def test_min_wall_times(self):
         records = [
             BenchRecord("naive", 2, 10, 0, 0.5, 2, 55),

@@ -198,6 +198,14 @@ class TestIdentityLine:
     def test_fail_format(self):
         assert identity_line(3, False) == "1/889 == sum F_n^(k)/10^(n+1): FAIL"
 
+    def test_names_the_denominator(self):
+        for k in range(2, 40):
+            assert identity_line(k, True).startswith(f"1/{repunit_denominator(k)} == ")
+
+    def test_invalid_order(self):
+        with pytest.raises(ValueError):
+            identity_line(1, True)
+
 
 class TestBeyondTheStrLimit:
     """Orders and digit counts past CPython's default 4300-digit int/str limit,

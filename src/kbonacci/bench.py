@@ -172,7 +172,11 @@ def emit_report(records: Sequence[BenchRecord], format: str) -> str:
 
 
 def parse_report(document: str, format: str) -> list[BenchRecord]:
-    """Inverse of emit_report; ValueError names the first row or entry of other cells or keys."""
+    """Inverse of emit_report; ValueError names the first row or entry that does not fit it.
+
+    A JSON report is a list of objects, each of the ``BenchRecord`` keys
+    with values of the ``_COLUMN_TYPES``, where a bool is not an int.
+    """
     if format == "csv":
         header, *rows = list(csv.reader(io.StringIO(document))) or [[]]
         if tuple(header) != BenchRecord._fields:
@@ -183,11 +187,16 @@ def parse_report(document: str, format: str) -> list[BenchRecord]:
         return [BenchRecord._make(kind(c) for kind, c in zip(_COLUMN_TYPES, row)) for row in rows]
     if format == "json":
         entries = json.loads(document)
+        if not isinstance(entries, list):
+            raise ValueError(f"JSON report must be a list, got {type(entries).__name__}")
         for number, entry in enumerate(entries, 1):
             if not isinstance(entry, dict) or set(entry) != set(BenchRecord._fields):
                 raise ValueError(
                     f"JSON entry {number} is not an object of the keys {BenchRecord._fields}"
                 )
+            for field, kind in zip(BenchRecord._fields, _COLUMN_TYPES):
+                if not _of_type(entry[field], kind):
+                    raise ValueError(f"JSON entry {number}: {field} is not of type {kind.__name__}")
         return [BenchRecord(**entry) for entry in entries]
     raise ValueError(f"unknown format {format!r}; expected 'csv' or 'json'")
 

@@ -1,6 +1,8 @@
-"""Every request limit, stated once for the CLI, the library and bench.
+"""Every request limit and argument check, stated once for the whole package.
 
-It holds the order, index and digit bounds, the oracle methods' bounds,
+It holds the argument checks every module shares, ``require_int``,
+``validate_index``, ``validate_order`` and ``validate_range``, and the
+limits: the order, index and digit bounds, the oracle methods' bounds,
 the term and kernel cost models, seq's printed digits, the verify-decimal
 sweep, the digits division, the series partial sum, verify-classic's
 digits and bench's repetitions, each beside the measurement that sized it.
@@ -8,15 +10,19 @@ digits and bench's repetitions, each beside the measurement that sized it.
 ``check_jump``, ``check_window`` and ``check_grid`` refuse a request with
 ValueError (exit 2 from the CLI) before any arithmetic; the series' search
 for its largest N bisects on the same refusals.  Timings are process wall
-on a 2-core host, CPython 3.11.
+on a 2-core host, CPython 3.11.  This module imports no other of the
+package at module level, so every module can import it; ``_term_cost``
+reads ``sequence._takes_binomial`` in its body.
 """
 
 import math
 from functools import cache
 
-from .sequence import _takes_binomial, validate_order, validate_range
-
 __all__ = [
+    "require_int",
+    "validate_index",
+    "validate_order",
+    "validate_range",
     "check_term",
     "check_grid",
     "check_jump",
@@ -84,6 +90,36 @@ _MAX_CLASSIC_DIGITS = 200_000
 _MAX_REPETITIONS = 100
 
 
+def require_int(value, name: str) -> None:
+    """Refuse anything but an int as the argument ``name``; a bool is not a count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def validate_index(n: int) -> None:
+    """Raise ValueError unless n is an int >= 0."""
+    require_int(n, "index")
+    if n < 0:
+        raise ValueError(f"negative indices are not defined, got {n}")
+
+
+def validate_order(k: int) -> int:
+    """Return ``k`` unchanged if it is a valid recurrence order (k >= 2)."""
+    require_int(k, "order")
+    if k < 2:
+        raise ValueError(f"order must be >= 2, got {k}")
+    return k
+
+
+def validate_range(k: int, n0: int, n1: int) -> None:
+    """Raise ValueError unless F_{n0} .. F_{n1} of order k is defined."""
+    validate_index(n0)
+    require_int(n1, "index")  # its sign follows from n0 <= n1
+    if n0 > n1:
+        raise ValueError(f"invalid range: n0={n0} > n1={n1}")
+    validate_order(k)
+
+
 def _kernel_cost(k: int, n: int) -> float:
     """Cost model of the kernel at index n: the bits of k slots of F_n's size.
 
@@ -114,6 +150,8 @@ def _term_cost(k: int, n: int) -> float:
     units a bit (2.4 s at n = 10^7).  Each model prices the path
     ``term_fast`` takes, which ``sequence._takes_binomial`` decides.
     """
+    from .sequence import _takes_binomial
+
     if _takes_binomial(k, n):
         return n * n / (150 * (k + 1)) + 6 * n
     return _kernel_cost(k, n)
@@ -212,10 +250,14 @@ def check_jump(k: int, n: int) -> None:
 def check_window(k: int, p: int, n: int) -> None:
     """Raise ValueError unless a series report at N = n for eta = p/q is within the bounds.
 
-    Its partial sum, about (N + k) log10 p digits, has at most
-    ``_MAX_PARTIAL_DIGITS`` digits, and the jump to F_{N-k+1} is within
-    ``check_jump``.
+    The checks, in this order: N is an int >= k-1, its partial sum, about
+    (N + k) log10 p digits, has at most ``_MAX_PARTIAL_DIGITS`` digits, and
+    the jump to F_{N-k+1} is within ``check_jump``.  Past k-1 each refusal
+    holds for every larger N.
     """
+    validate_index(n)
+    if n < k - 1:
+        raise ValueError(f"tail bound needs n_trunc >= k-1 = {k - 1}, got {n}")
     digits = math.ceil((n + k) * math.log10(p))
     if digits > _MAX_PARTIAL_DIGITS:
         raise ValueError(

@@ -39,9 +39,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
-from .bounds import _MAX_CLASSIC_DIGITS, _MIN_CLASSIC_DIGITS
+from .bounds import _MAX_CLASSIC_DIGITS, _MIN_CLASSIC_DIGITS, require_int
 from .rational import EXACT_CONTEXT, fixed_point, str_to_int
-from .sequence import _require_int, range_terms
 
 __all__ = [
     "ClassicReport",
@@ -70,7 +69,9 @@ _Int = int | Decimal
 
 def alternating_reciprocal_sum(n_terms: int) -> Fraction:
     """Exact sum of (-1)^n / (F_n * F_{n+2}) for n = 1 .. n_terms."""
-    _require_int(n_terms, "n_terms")
+    from .sequence import range_terms
+
+    require_int(n_terms, "n_terms")
     if n_terms < 1:
         raise ValueError(f"need at least one term, got {n_terms}")
     return Fraction(*_alternating_parts(*range_terms(2, n_terms + 1, n_terms + 2)))
@@ -84,7 +85,7 @@ def _alternating_parts(a: _Int, b: _Int) -> tuple[_Int, _Int]:
 
 def millin_type_sum(m_terms: int) -> Fraction:
     """Exact sum of 1 / F_{2^n} for n = 0 .. m_terms."""
-    _require_int(m_terms, "m_terms")
+    require_int(m_terms, "m_terms")
     if m_terms < 0:
         raise ValueError(f"term count must be >= 0, got {m_terms}")
     if m_terms == 0:
@@ -251,7 +252,7 @@ def verify_classic(identity: str, d: int) -> ClassicReport:
     """
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; expected one of {IDENTITIES}")
-    _require_int(d, "d")
+    require_int(d, "d")
     if d < _MIN_CLASSIC_DIGITS:
         raise ValueError(f"digit count must be >= {_MIN_CLASSIC_DIGITS}, got {d}")
     if d > _MAX_CLASSIC_DIGITS:

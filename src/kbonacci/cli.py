@@ -7,18 +7,20 @@ PASS or FAIL line, for `tail -1`.  With --json (or bench's machine
 formats) the stream carries only the document.
 
 Start-up is part of every request's time, so the module level imports only
-what the term/seq handlers need (``bounds``, ``rational`` and
-``sequence``); every other handler imports its library module (and json,
-with --json) in its own body, and ``term`` imports the registry
-``methods.METHODS`` in its own.  ``_OPTIONS`` declares each subcommand's
-options once.  ``_parse`` reads a well-formed argv from it alone, and
-argparse, whose parser ``cli_parser`` builds from the same table, runs only
-for --help, for every argv ``_parse`` declines and for the usage line a
-refusal prints: a well-formed request loads neither argparse nor
-fractions, and every help, usage and error text is argparse's.  Reports
-and bench records are named tuples, so no handler loads ``dataclasses``,
-``inspect`` or ``typing``, and ``digits`` loads no ``series``.  Every limit
-the help states, and every check before arithmetic, comes from ``bounds``.
+``bounds`` and ``rational``, for the checks and the option table, and each
+handler imports its library module (and json, with --json) in its own
+body: ``term`` the registry ``methods.METHODS``, and ``seq``
+``sequence.iter_terms``, so ``verify-classic`` and ``digits`` load no
+``sequence``.  ``_OPTIONS`` declares each subcommand's options once.
+``_parse`` reads a well-formed argv from it alone, and argparse, whose
+parser ``cli_parser`` builds from the same table, runs only for --help,
+for every argv ``_parse`` declines and for the usage line a refusal
+prints: a well-formed request loads neither argparse nor fractions, and
+every help, usage and error text is argparse's.  Reports and bench
+records are named tuples, so no handler loads ``dataclasses``,
+``inspect`` or ``typing``, and ``digits`` loads no ``series``.  Every
+limit the help states, and every check before arithmetic, comes from
+``bounds``.
 """
 
 import atexit
@@ -29,7 +31,6 @@ from types import SimpleNamespace
 
 from . import bounds
 from .rational import EXACT_CONTEXT, parse_rational, to_decimal
-from .sequence import iter_terms
 
 __all__ = ["build_parser", "parse_and_dispatch", "main"]
 
@@ -129,6 +130,8 @@ def _cmd_term(args) -> int:
 def _cmd_seq(args) -> int:
     from itertools import islice
 
+    from .sequence import iter_terms
+
     # jump to F_start, whose top squares run in Decimal, then sweep in exact
     # Decimal: str(Decimal) is linear.  One write a term: print makes two,
     # each a system call when stdout is unbuffered.
@@ -164,12 +167,11 @@ def _cmd_verify_decimal(args) -> int:
 
     last = args.k if args.max_k is None else args.max_k
     bounds.check_sweep(args.k, last)
-    results = []
+    all_ok = True
     for k in range(args.k, last + 1):
         ok = verify_decimal_identity(k)
-        results.append(ok)
+        all_ok = all_ok and ok
         print(identity_line(k, ok))
-    all_ok = all(results)
     if args.max_k is not None:
         print("PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1

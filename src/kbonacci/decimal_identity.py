@@ -11,14 +11,15 @@ in lowest terms, against 10/D_k.  The digits of 1/D_k come from one exact
 division of 10^m by D_k, which the tests check against a long division
 and against a truncated sum of the terms.  Only the verification needs
 ``series``, and it imports it in its body, so ``digits`` loads neither
-``series`` nor ``fractions``.
+``series`` nor ``fractions``; the argument checks come from ``bounds``,
+so it loads no ``sequence`` either.
 """
 
 from collections import namedtuple
 from decimal import Decimal, localcontext
 
+from .bounds import require_int, validate_order
 from .rational import EXACT_CONTEXT, int_to_str, to_decimal
-from .sequence import _require_int, validate_order
 
 __all__ = [
     "RepunitDenominator",
@@ -86,8 +87,8 @@ def reciprocal_digits(den: int, m: int) -> str:
     takes one Python-level step per digit.  den reaches ``Decimal`` through
     ``to_decimal``, since ``Decimal(int)`` is quadratic in the digits.
     """
-    _require_int(den, "den")
-    _require_int(m, "m")
+    require_int(den, "den")
+    require_int(m, "m")
     if den < 1:
         raise ValueError(f"denominator must be >= 1, got {den}")
     if m < 1:

@@ -14,7 +14,8 @@ names too, for callers that import them from there.
 
 from itertools import islice
 
-from .sequence import _validate_index, iter_terms, term_fast, validate_order
+from .bounds import validate_index, validate_order
+from .sequence import iter_terms, term_fast
 
 __all__ = ["term_naive", "term_matrix", "METHODS"]
 
@@ -25,7 +26,7 @@ def term_naive(k: int, n: int, cast=int):
     ``cast`` converts the initial terms, and a ``Decimal`` one needs an
     exact context, as in ``iter_terms``.
     """
-    _validate_index(n)
+    validate_index(n)
     return next(islice(iter_terms(k, 0, cast), n, None))
 
 
@@ -38,10 +39,8 @@ def term_matrix(k: int, n: int, cast=int):
     The result passes through ``cast``.
     """
     validate_order(k)
-    _validate_index(n)
-    step = [[1] * k] + [
-        [1 if j == i else 0 for j in range(k)] for i in range(k - 1)
-    ]
+    validate_index(n)
+    step = [[1] * k] + _identity(k)[:-1]
     power = _identity(k)
     e = n
     while e:

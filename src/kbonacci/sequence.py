@@ -36,7 +36,9 @@ so results are exact at any size.  ``term_fast`` and ``iter_terms``, like
 the oracles, also compute in any other exact type that ``cast``
 converts ints to; the CLI prints ``term`` and streams ``seq`` in
 ``decimal.Decimal`` under ``rational.EXACT_CONTEXT``, since ``str()`` of
-a Decimal is linear.  ``range_terms`` always returns ints.
+a Decimal is linear.  ``range_terms`` always returns ints.  The argument
+checks, such as ``bounds.validate_order``, live in ``bounds``, which
+every module shares.
 """
 
 import math
@@ -44,9 +46,9 @@ from collections.abc import Iterator
 from decimal import Context, Decimal, Inexact, getcontext
 from itertools import cycle, islice
 
+from .bounds import validate_index, validate_order, validate_range
+
 __all__ = [
-    "validate_order",
-    "validate_range",
     "initial_terms",
     "term_fast",
     "range_terms",
@@ -78,23 +80,6 @@ _BINOMIAL_ORDER = 20
 _BINOMIAL_STEPS = 100
 
 
-def validate_order(k: int) -> int:
-    """Return ``k`` unchanged if it is a valid recurrence order (k >= 2)."""
-    _require_int(k, "order")
-    if k < 2:
-        raise ValueError(f"order must be >= 2, got {k}")
-    return k
-
-
-def validate_range(k: int, n0: int, n1: int) -> None:
-    """Raise ValueError unless F_{n0} .. F_{n1} of order k is defined."""
-    _validate_index(n0)
-    _require_int(n1, "index")  # its sign follows from n0 <= n1
-    if n0 > n1:
-        raise ValueError(f"invalid range: n0={n0} > n1={n1}")
-    validate_order(k)
-
-
 def initial_terms(k: int) -> list[int]:
     """First k terms of the order-k sequence: k-1 zeros, then a one."""
     validate_order(k)
@@ -119,7 +104,7 @@ def iter_terms(k: int, start: int = 0, cast=int) -> Iterator[int]:
     rounds at 28 digits).
     """
     validate_order(k)
-    _validate_index(start)
+    validate_index(start)
     if start == 0:
         ring = _converted(initial_terms(k), cast)
     else:
@@ -168,23 +153,11 @@ def term_fast(k: int, n: int, cast=int):
     other (the default context rounds at 28 digits).
     """
     validate_order(k)
-    _validate_index(n)
+    validate_index(n)
     if _takes_binomial(k, n):
         return cast(_binomial_term(k, n))
     m, t = divmod(n, 2)
     return _top_of_square(_x_pow_mod(m, k, cast), t)
-
-
-def _require_int(value, name: str) -> None:
-    """Refuse anything but an int as the argument ``name``; a bool is not a count."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _validate_index(n: int) -> None:
-    _require_int(n, "index")
-    if n < 0:
-        raise ValueError(f"negative indices are not defined, got {n}")
 
 
 def _takes_binomial(k: int, n: int) -> bool:
@@ -369,7 +342,9 @@ def _top_of_square(r: list, t: int):
     value = suffix = 0
     for s in range(k - 1 - h, -1, -1):
         partner = run[t + k - 1 - s]
-        factor = partner - suffix
+        # partner itself while suffix is 0: for k - t odd the first product
+        # is then run[s] * run[s], which int and libmpdec square
+        factor = partner - suffix if suffix else partner
         if t <= s < t + h:
             factor += 2 * r[s - t]
         value += run[s] * factor

@@ -24,8 +24,8 @@ up to x^N except x^(k-1) (present once N >= k-1):
 So P_N needs only the last k terms F_{N-k+1} .. F_N, and the tail bound
 F_{N+1}; every entry point reads them from one window (``_checked_run``):
 the k + 1 first items of ``sequence.iter_terms`` in ``Decimal``, the jump
-``seq`` makes, priced by the same cost model.  ``_check_window`` states
-its refusals once, for the run and for the search's largest N.  The
+``seq`` makes, priced by the same cost model.  ``bounds.check_window``
+states its refusals once, for the run and for the search's largest N.  The
 suffix sums and their weighted sum run in ``Decimal`` too, whose products
 libmpdec takes by a number-theoretic transform.  A report costs O(log N)
 squares for the jump, O(k) products for the weighted sum of the run, and
@@ -56,11 +56,11 @@ from itertools import accumulate, islice
 from math import gcd
 from operator import sub
 
-from .bounds import _MAX_PARTIAL_DIGITS, check_window
+from .bounds import _MAX_PARTIAL_DIGITS, check_window, validate_index, validate_order
 from .rational import (
     EXACT_CONTEXT, format_ratio, fraction_to_str, require_rational, str_to_int, to_decimal
 )
-from .sequence import _validate_index, iter_terms, validate_order
+from .sequence import iter_terms
 
 __all__ = [
     "SeriesPoint",
@@ -150,7 +150,7 @@ def closed_form(point: SeriesPoint) -> Fraction:
 def evaluate(point: SeriesPoint, n_trunc: int) -> EvalReport:
     """The report at N: acc from the first k terms of ``_checked_run``'s window, F_{N+1} its last.
 
-    ValueError within the checks of ``_check_window``, of which N >= 0 is the first.
+    ValueError within the checks of ``bounds.check_window``, of which N >= 0 is the first.
     """
     run = _checked_run(point, n_trunc)
     return EvalReport(point, n_trunc, _acc(point, run), run[-1])
@@ -163,7 +163,7 @@ def evaluate_range(point: SeriesPoint, n_max: int) -> Iterator[EvalReport]:
     closed-form sum, so the range has no summation path of its own.
     ValueError unless n_max is an int >= k-1.
     """
-    _validate_index(n_max)
+    validate_index(n_max)
     k = point.k
     if n_max < k - 1:
         raise ValueError(f"n_max must be >= k-1 = {k - 1}, got {n_max}")
@@ -171,47 +171,33 @@ def evaluate_range(point: SeriesPoint, n_max: int) -> Iterator[EvalReport]:
         yield evaluate(point, n)
 
 
-def _check_window(point: SeriesPoint, n_trunc: int) -> None:
-    """Raise ValueError unless the window of the report at N is within the bounds.
-
-    The checks, in this order: N is an int >= k-1, then the partial sum's
-    digits and the jump of ``bounds.check_window``.  Past k-1 each refusal
-    holds for every larger N.
-    """
-    _validate_index(n_trunc)
-    k = point.k
-    if n_trunc < k - 1:
-        raise ValueError(f"tail bound needs n_trunc >= k-1 = {k - 1}, got {n_trunc}")
-    check_window(k, point.eta.numerator, n_trunc)
-
-
 def _largest_index(point: SeriesPoint) -> int:
-    """The largest N >= k-1 that ``_check_window`` accepts, or k-2 if none.
+    """The largest N >= k-1 that ``bounds.check_window`` accepts, or k-2 if none.
 
     Its refusals grow with N, and no N of 3 ``_MAX_PARTIAL_DIGITS`` passes
     the digits (p >= 3): one bisection.
     """
+    k, p = point.k, point.eta.numerator
 
     def refused(n):
         try:
-            _check_window(point, n)
+            check_window(k, p, n)
         except ValueError:
             return True
         return False
 
-    k = point.k
     return k - 2 + bisect_left(range(k - 1, 3 * _MAX_PARTIAL_DIGITS), True, key=refused)
 
 
 def _checked_run(point: SeriesPoint, n_trunc: int) -> list[Decimal]:
-    """The window F_{N-k+1} .. F_{N+1} in ``Decimal``, within ``_check_window``.
+    """The window F_{N-k+1} .. F_{N+1} in ``Decimal``, within ``bounds.check_window``.
 
     The one source of every report's terms: ``iter_terms(k, N-k+1,
     to_decimal)`` under ``EXACT_CONTEXT``, as ``seq`` jumps.  ``_acc``
     sums the run for the report.
     """
-    _check_window(point, n_trunc)
     k = point.k
+    check_window(k, point.eta.numerator, n_trunc)
     with localcontext(EXACT_CONTEXT):
         return list(islice(iter_terms(k, n_trunc - k + 1, to_decimal), k + 1))
 
@@ -356,12 +342,12 @@ def converge_until(point: SeriesPoint, epsilon: Fraction | int) -> EvalReport:
     shrinks geometrically.  The checks are N = k-1 (at least 1) and its
     doublings, each one ``_checked_run`` whose F_{N+1} gives the tail bound;
     only for the N that qualifies does its window give acc and the report.
-    The first doubling that ``_check_window`` refuses is refused after
+    The first doubling that ``bounds.check_window`` refuses is refused after
     ``_largest_index``, unless that is below the first N: the bound
     decreases in N for eta > 2, so no smaller N would qualify.  ValueError
     for an epsilon that is not an int or a ``Fraction``
     (``rational.require_rational``) or is <= 0, and within the checks of
-    ``_check_window``.
+    ``bounds.check_window``.
     """
     epsilon = require_rational(epsilon, "epsilon")
     if epsilon <= 0:
@@ -372,7 +358,7 @@ def converge_until(point: SeriesPoint, epsilon: Fraction | int) -> EvalReport:
     at = min(n - 1, top)  # no N below the first is checked
     while True:
         # the doublings within the bounds, then the largest N within them,
-        # then the first doubling past them, which _check_window refuses
+        # then the first doubling past them, which check_window refuses
         at = min(n, top) if at < top else n
         run = _checked_run(point, at)
         if _tail_within(point, at, run[-1], *bound):

@@ -237,6 +237,25 @@ class TestReports:
         with pytest.raises(ValueError, match="JSON entry 2 is"):
             parse_report(json.dumps(entries), "json")
 
+    @pytest.mark.parametrize(
+        "field,value,kind",
+        [("k", "2", "int"), ("checksum", None, "int"), ("rep", True, "int"),
+         ("wall_time", "0.25", "float"), ("method", 1, "str")],
+    )
+    def test_json_entry_of_the_wrong_type_rejected(self, field, value, kind):
+        # a bool is no count, as in BenchConfig
+        entries = [dict(zip(COLUMNS, ("naive", 2, 10, rep, 0.25, 2, 55))) for rep in range(2)]
+        entries[1][field] = value
+        with pytest.raises(ValueError, match=f"JSON entry 2: {field} is not of type {kind}$"):
+            parse_report(json.dumps(entries), "json")
+
+    @pytest.mark.parametrize(
+        "document", ["5", '{"k": 2}', '"naive"', "null"], ids=["int", "object", "str", "null"]
+    )
+    def test_json_report_that_is_not_a_list_rejected(self, document):
+        with pytest.raises(ValueError, match="JSON report must be a list, got"):
+            parse_report(document, "json")
+
     def test_min_wall_times(self):
         records = [
             BenchRecord("naive", 2, 10, 0, 0.5, 2, 55),

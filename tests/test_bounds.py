@@ -115,6 +115,32 @@ def test_every_request_limit_is_stated_in_bounds():
     } <= imported
 
 
+def _runs_at_import(tree):
+    """The nodes of a module that run when it is imported: all but function bodies."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            nodes.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("name", ["bounds", "rational"])
+def test_leaf_modules_import_no_package_module(name):
+    # every module imports bounds or rational, so a package module either
+    # loaded at import would load with every request
+    path = Path(bounds.__file__).parent / f"{name}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [
+        alias.name if isinstance(node, ast.Import) else "." * node.level + (node.module or "")
+        for node in _runs_at_import(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert imported
+    assert [m for m in imported if m.startswith(".") or m.split(".")[0] == "kbonacci"] == []
+
+
 def test_seq_checks_the_order_before_the_range():
     # seq refuses an absurd order before it looks at the range
     with pytest.raises(ValueError, match="order must be <= 100000, got 100001"):

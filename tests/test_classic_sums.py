@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kbonacci import classic_sums
+from kbonacci import classic_sums, sequence
 from kbonacci.classic_sums import (
     ClassicReport,
     _alternating_terms_needed,
@@ -277,7 +277,7 @@ class TestVerifyClassic:
         # the search doubles F_{N-1}, F_N from N = 4 and reads F_{N+1},
         # F_{N+2} off the pair it stops on, so neither it nor the sum jumps
         calls = []
-        monkeypatch.setattr(classic_sums, "range_terms", lambda *args: calls.append(args))
+        monkeypatch.setattr(sequence, "range_terms", lambda *args: calls.append(args))
         report = verify_classic("alternating", d)
         assert calls == []
         monkeypatch.undo()
@@ -290,7 +290,7 @@ class TestVerifyClassic:
         # the index of its pair instead of jumping to it, so no step and
         # nothing after the search calls window
         calls = []
-        monkeypatch.setattr(classic_sums, "range_terms", lambda *args: calls.append(args))
+        monkeypatch.setattr(sequence, "range_terms", lambda *args: calls.append(args))
         report = verify_classic("millin", d)
         terms, run = _millin_terms_needed(8 * 10 ** (d - 2))
         assert calls == []

@@ -171,7 +171,7 @@ class TestIndexBound:
 
         for name in METHODS:
             monkeypatch.setitem(METHODS, name, arithmetic)
-        monkeypatch.setattr(cli, "iter_terms", arithmetic)
+        monkeypatch.setattr(sequence, "iter_terms", arithmetic)
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         index = argv[argv.index("-n" if argv[0] == "term" else "--to") + 1]
@@ -181,7 +181,7 @@ class TestIndexBound:
 
     def test_largest_index_is_accepted(self, capsys, monkeypatch):
         monkeypatch.setitem(METHODS, "polymod", lambda k, n, cast: cast(n))
-        monkeypatch.setattr(cli, "iter_terms", lambda k, start, cast: iter([cast(start)]))
+        monkeypatch.setattr(sequence, "iter_terms", lambda k, start, cast: iter([cast(start)]))
         assert run(capsys, ["term", "-k", "2", "-n", str(BOUND)]) == (0, f"{BOUND}\n", "")
         argv = ["seq", "-k", "2", "--from", str(BOUND), "--to", str(BOUND)]
         assert run(capsys, argv) == (0, f"{BOUND}\n", "")
@@ -383,7 +383,7 @@ class TestResourceGuards:
 
         for name in METHODS:
             monkeypatch.setitem(METHODS, name, arithmetic)
-        monkeypatch.setattr(cli, "iter_terms", arithmetic)
+        monkeypatch.setattr(sequence, "iter_terms", arithmetic)
         monkeypatch.setattr("kbonacci.decimal_identity.reciprocal_digits", arithmetic)
         monkeypatch.setattr("kbonacci.decimal_identity.repunit_denominator", arithmetic)
         monkeypatch.setattr("kbonacci.decimal_identity.verify_decimal_identity", arithmetic)
@@ -451,7 +451,7 @@ class TestResourceGuards:
 
     def test_at_the_index_bound_a_hundred_terms_fit(self, capsys, monkeypatch):
         # each term there may have 10^7 digits, so 100 of them reach 10^9
-        monkeypatch.setattr(cli, "iter_terms", lambda k, n0, cast: iter(range(n0, n0 + 200)))
+        monkeypatch.setattr(sequence, "iter_terms", lambda k, n0, cast: iter(range(n0, n0 + 200)))
         argv = ["seq", "-k", "2", "--from", str(BOUND - 99), "--to", str(BOUND)]
         code, out, _ = run(capsys, argv)
         assert (code, out.split()) == (0, [str(n) for n in range(BOUND - 99, BOUND + 1)])
@@ -461,7 +461,7 @@ class TestResourceGuards:
 
     def test_seq_from_zero_just_inside_and_outside_the_output_bound(self, capsys, monkeypatch):
         # 57636 * 57635 * log10(2) = 999976750; 57637 * 57636 * log10(2) = 1000011450
-        monkeypatch.setattr(cli, "iter_terms", lambda k, n0, cast: iter(()))
+        monkeypatch.setattr(sequence, "iter_terms", lambda k, n0, cast: iter(()))
         assert run(capsys, ["seq", "-k", "2", "--from", "0", "--to", "57635"]) == (0, "", "")
         argv = ["seq", "-k", "2", "--from", "0", "--to", "57636"]
         message = "range 0..57636 may print 1e+09 digits, more than 1000000000"
@@ -612,7 +612,7 @@ class TestResourceGuards:
         k, n = argv[2], argv[4]
         if accepted:
             monkeypatch.setitem(METHODS, "polymod", lambda k, n, cast: cast(n))
-            monkeypatch.setattr(cli, "iter_terms", lambda k, start, cast: iter([cast(start)]))
+            monkeypatch.setattr(sequence, "iter_terms", lambda k, start, cast: iter([cast(start)]))
             assert run(capsys, argv) == (0, f"{n}\n", "")
         else:
             what, kind = (
@@ -1466,16 +1466,29 @@ class TestStartup:
         [
             (["gf", "-k", "2", "--eta", "3", "-N", "10"], ("json",), ()),
             (["gf", "-k", "2", "--eta", "3", "-N", "10", "--json"], (), ("json",)),
-            (["verify-classic", "--identity", "alternating", "--digits", "8"], ("json",), ()),
-            (["verify-classic", "--identity", "millin", "--digits", "8"], ("json",), ()),
+            (
+                ["verify-classic", "--identity", "alternating", "--digits", "8"],
+                ("json", "kbonacci.sequence"),
+                (),
+            ),
+            (
+                ["verify-classic", "--identity", "millin", "--digits", "8"],
+                ("json", "kbonacci.sequence"),
+                (),
+            ),
             (["verify-decimal", "-k", "3"], ("json",), ("kbonacci.series",)),
-            (["digits", "-k", "2", "-m", "10"], ("json", "kbonacci.series", "fractions"), ()),
+            (
+                ["digits", "-k", "2", "-m", "10"],
+                ("json", "kbonacci.series", "kbonacci.sequence", "fractions"),
+                (),
+            ),
         ],
         ids=["gf", "gf-json", "alternating", "millin", "verify-decimal", "digits"],
     )
     def test_verdicts_load_no_dataclasses(self, argv, absent, present):
         # the report types are named tuples; json only for --json; a
-        # well-formed request is read without argparse; no oracle is compiled
+        # well-formed request is read without argparse; no oracle is compiled,
+        # and verify-classic and digits compile no kernel
         absent += ("dataclasses", "inspect", "typing", "argparse", "kbonacci.methods", "__future__")
         proc = fresh_python(
             "import sys\n"
@@ -1585,7 +1598,7 @@ class TestBenchmarkRequests:
 
         for name in METHODS:
             monkeypatch.setitem(METHODS, name, arithmetic)
-        monkeypatch.setattr(cli, "iter_terms", arithmetic)
+        monkeypatch.setattr(sequence, "iter_terms", arithmetic)
         # gf runs its search, cheap at these sizes, so that the guard sees
         # every N it checks; only the report's acc is forbidden
         monkeypatch.setattr("kbonacci.series._acc", arithmetic)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kbonacci import bounds, sequence
+from kbonacci.bounds import validate_order
 from kbonacci.rational import EXACT_CONTEXT, int_to_str, to_decimal
 from kbonacci.sequence import (
     _binomial_term,
@@ -21,7 +22,6 @@ from kbonacci.sequence import (
     term_fast,
     term_matrix,
     term_naive,
-    validate_order,
 )
 
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21]

@@ -685,7 +685,7 @@ class TestOneWindow:
             name for name, value in vars(series).items()
             if getattr(value, "__module__", None) == "kbonacci.sequence"
         }
-        assert from_sequence == {"validate_order", "_validate_index", "iter_terms"}
+        assert from_sequence == {"iter_terms"}
 
     @pytest.mark.parametrize(
         "call,checked",
